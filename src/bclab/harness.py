@@ -224,7 +224,8 @@ class ExperimentReport:
     """Run outputs: records, checkpoint statistics, criterion reports.
 
     All statistics are pure functions of (config, records); ``s_values``
-    is the trajectory-by-checkpoint hit-count matrix.
+    is the trajectory-by-checkpoint hit-count matrix and ``hits_jsonl``
+    the records serialized once, as ``hits.jsonl`` holds them.
     """
 
     config: ExperimentConfig
@@ -238,6 +239,7 @@ class ExperimentReport:
     q90: np.ndarray
     hit_frac_late: np.ndarray
     record_digests: list
+    hits_jsonl: bytes = field(repr=False)
     criteria: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
     timestamp: str = ""
@@ -249,9 +251,12 @@ class ExperimentReport:
                             self.s_values / self.e_checkpoints, np.nan)
 
 
-def _record_digest(rec: HitRecord) -> str:
-    payload = json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def _serialize_records(records: list) -> tuple:
+    """(per-record digests, hits.jsonl bytes), serializing each record once."""
+    lines = [json.dumps(rec.to_json(), sort_keys=True,
+                        separators=(",", ":")).encode() for rec in records]
+    digests = [hashlib.sha256(line).hexdigest()[:16] for line in lines]
+    return digests, b"\n".join(lines) + (b"\n" if lines else b"")
 
 
 def report_from_records(cfg: ExperimentConfig, records: list,
@@ -265,8 +270,13 @@ def report_from_records(cfg: ExperimentConfig, records: list,
     cps = np.asarray(cfg.checkpoints, dtype=np.int64)
     e_cp = e_dense[cps - 1]
 
-    s = np.array([[rec.s_at(int(c)) for c in cps] for rec in records],
-                 dtype=float).reshape(len(records), len(cps))
+    # S at each checkpoint and a decade before it: one search per record
+    probes = np.concatenate((cps, cps // 10))
+    at = np.array([np.searchsorted(rec.hit_times, probes, side="right")
+                   for rec in records],
+                  dtype=np.int64).reshape(len(records), len(probes))
+    now, ago = np.split(at, 2, axis=1)
+    s = now.astype(float)
     if len(records):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(e_cp > 0, s / e_cp, np.nan)
@@ -274,11 +284,7 @@ def report_from_records(cfg: ExperimentConfig, records: list,
         median_s = np.median(s, axis=0)
         q10 = np.quantile(ratios, 0.1, axis=0)
         q90 = np.quantile(ratios, 0.9, axis=0)
-        late = np.array([
-            [rec.s_at(int(c)) - rec.s_at(int(c) // 10) > 0 for c in cps]
-            for rec in records
-        ])
-        hit_frac_late = late.mean(axis=0)
+        hit_frac_late = (now > ago).mean(axis=0)
     else:
         empty = np.zeros(0)
         mean_ratio = median_s = q10 = q90 = hit_frac_late = empty
@@ -292,12 +298,13 @@ def report_from_records(cfg: ExperimentConfig, records: list,
             mode = token[len("f-"):]
             criteria[token] = check_f_criteria(ens, e_seq, mode, mu_A=mu_seq)
 
+    digests, hits_jsonl = _serialize_records(records)
     return ExperimentReport(
         config=cfg, records=records, checkpoints=cps, e_checkpoints=e_cp,
         s_values=s, mean_ratio=mean_ratio, median_s=median_s, q10=q10,
-        q90=q90, hit_frac_late=hit_frac_late,
-        record_digests=[_record_digest(r) for r in records],
-        criteria=criteria, wall_clock_s=wall_clock_s, timestamp=timestamp,
+        q90=q90, hit_frac_late=hit_frac_late, record_digests=digests,
+        hits_jsonl=hits_jsonl, criteria=criteria, wall_clock_s=wall_clock_s,
+        timestamp=timestamp,
     )
 
 
@@ -403,12 +410,6 @@ def aggregate_verdict(report: ExperimentReport, prediction: str) -> Verdict:
 # Persistence
 
 
-def _hits_payload(report: ExperimentReport) -> bytes:
-    lines = [json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":"))
-             for rec in report.records]
-    return ("\n".join(lines) + ("\n" if lines else "")).encode()
-
-
 def _summary_rows(report: ExperimentReport):
     rows = []
     if len(report.records):
@@ -454,7 +455,7 @@ def run_digest(report: ExperimentReport) -> str:
     """
     h = hashlib.sha256()
     h.update(_config_payload(report.config))
-    h.update(_hits_payload(report))
+    h.update(report.hits_jsonl)
     h.update(_csv_payload(report))
     h.update(_criteria_payload(report))
     return h.hexdigest()
@@ -515,7 +516,7 @@ def emit_report(report: ExperimentReport, out_dir=None,
                                            sort_keys=True, indent=2) + "\n").encode(),
                 "criteria.json": _criteria_payload(report, digest)}
     if "jsonl" in formats:
-        payloads["hits.jsonl"] = _hits_payload(report)
+        payloads["hits.jsonl"] = report.hits_jsonl
     if "csv" in formats:
         payloads["summary.csv"] = _csv_payload(report)
     if "md" in formats:

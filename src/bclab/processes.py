@@ -417,12 +417,26 @@ class HitRecord:
 # ---------------------------------------------------------------------------
 # Vectorized ensemble driver
 
-_CHUNK = 1 << 15
+# states per chunk across the width: bounds the uniforms, states and hit
+# masks held at once, whatever the number of trajectories
+_CELLS = 1 << 21
 
 
 def _init_vector(spec, gens):
-    return np.array([init_from_uniforms(spec, g.random(init_uniform_count(spec)))
-                     for g in gens])
+    """Starting states for the trajectories of gens, one stream each.
+
+    Interval-map and generic split-chain burn-ins run through the stepping
+    kernel in lockstep across the width; each state equals
+    init_from_uniforms on its stream's first init_uniform_count values.
+    """
+    if isinstance(spec, LSVProcess):
+        x = np.array([g.random() for g in gens])
+        return _final_state(spec, spec.burn_in, gens, x)
+    if isinstance(spec, SplitChainProcess):
+        x = spec.nu_inverse(np.array([g.random() for g in gens]))
+        return _final_state(spec, (init_uniform_count(spec) - 1) // 2, gens, x)
+    count = init_uniform_count(spec)
+    return np.array([init_from_uniforms(spec, g.random(count)) for g in gens])
 
 
 def _advance_chunk(spec, x, U, xs_buf, flags_buf):
@@ -480,36 +494,74 @@ def _advance_chunk(spec, x, U, xs_buf, flags_buf):
     raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
-def _run_block(spec, family, n, seed, traj_ids, renewal_cap, bounds):
-    """Lockstep simulation of the given trajectory ids; one HitRecord each."""
-    spec.validate()
+def _chunks(spec, n, gens, x):
+    """Step the trajectories of gens in lockstep from states x for n steps.
+
+    Yields (c0, xs, flags) per chunk: xs[i] holds the states after step
+    c0 + i + 1 and flags[i] the split-chain regeneration flags (None for
+    other variants).  A chunk holds at most _CELLS states; its buffers are
+    reused, so each chunk is read before the next is requested.  Every
+    trajectory draws from its own stream in step order, so the chunk size
+    never changes the path.
+    """
+    width = len(gens)
+    rows = max(1, min(n, _CELLS // width))
+    xs = np.empty((rows, width))
     is_split = isinstance(spec, (DMRProcess, SplitChainProcess))
+    flags = np.empty((rows, width), dtype=bool) if is_split else None
+    U = draw = None
+    if spec.uniforms_per_step:
+        U, draw = np.empty((rows, width, 2)), np.empty((rows, 2))
+    for c0 in range(0, n, rows):
+        m = min(rows, n - c0)
+        if U is not None:
+            for j, g in enumerate(gens):
+                g.random(out=draw[:m])
+                U[:m, j] = draw[:m]
+        fl = None if flags is None else flags[:m]
+        x = _advance_chunk(spec, x, None if U is None else U[:m], xs[:m], fl)
+        yield c0, xs[:m], fl
+
+
+def _final_state(spec, n, gens, x):
+    """States of the trajectories of gens after n lockstep steps from x."""
+    for _, xs, _ in _chunks(spec, n, gens, x):
+        x = xs[-1].copy()
+    return x
+
+
+def _scatter(mask, c0):
+    """(column, step times) for every column of mask with a True entry.
+
+    One pass over the chunk: nonzero of the transpose lists entries column
+    by column in step order, and bincount offsets split them per column.
+    """
+    cols, rows = np.nonzero(mask.T)
+    counts = np.bincount(cols, minlength=mask.shape[1])
+    pieces = np.split(rows + (c0 + 1), np.cumsum(counts)[:-1])
+    return [(j, pieces[j]) for j in np.flatnonzero(counts)]
+
+
+def _run_block(spec, n, seed, traj_ids, renewal_cap, bounds, restart=0):
+    """Lockstep simulation of the given trajectory ids; one HitRecord each.
+
+    Interval-map orbits that underflow below _DEGENERATE are rerun
+    together on their next restart stream, at most 8 times.
+    """
+    spec.validate()
     drift = spec.drift if isinstance(spec, CircleRWProcess) else 0.0
     lo, hi, wraps, full = bounds
     width = len(traj_ids)
-    restarts = np.zeros(width, dtype=int)
-    gens = [make_generator(seed, t) for t in traj_ids]
-    x = _init_vector(spec, gens)
-    per_step = spec.uniforms_per_step
-
+    gens = [make_generator(seed, t, restart) for t in traj_ids]
     hits = [[] for _ in range(width)]
     rts = [[] for _ in range(width)]
     rcount = np.zeros(width, dtype=int)
     degenerate = np.zeros(width, dtype=bool)
 
-    for c0 in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - c0)
-        if per_step:
-            U = np.stack([g.random((m, 2)) for g in gens], axis=1)
-        else:
-            U = np.zeros((1, 1, 2))  # variant consumes no randomness
-        xs = np.empty((m, width))
-        flags = np.zeros((m, width), dtype=bool) if is_split else None
-        x = _advance_chunk(spec, x, U, xs, flags)
-
+    for c0, xs, flags in _chunks(spec, n, gens, _init_vector(spec, gens)):
+        m = xs.shape[0]
         if isinstance(spec, LSVProcess):
             degenerate |= (xs < _DEGENERATE).any(axis=0)
-
         ks = np.arange(c0 + 1, c0 + m + 1)
         pts = xs if drift == 0.0 else (xs - drift * ks[:, None]) % 1.0
         blo = lo[c0 : c0 + m, None]
@@ -518,92 +570,35 @@ def _run_block(spec, family, n, seed, traj_ids, renewal_cap, bounds):
         bf = full[c0 : c0 + m, None]
         hit = np.where(bw, (pts >= blo) | (pts < bhi), (pts >= blo) & (pts < bhi))
         hit |= bf
-        rows, cols = np.nonzero(hit)
-        times = rows + c0 + 1
-        for j in range(width):
-            sel = cols == j
-            if sel.any():
-                hits[j].append(times[sel])
-        if is_split:
-            rrows, rcols = np.nonzero(flags)
-            rtimes = rrows + c0 + 1
-            for j in range(width):
-                sel = rcols == j
-                cnt = int(sel.sum())
-                if cnt:
-                    have = rcount[j]
-                    rcount[j] += cnt
-                    room = renewal_cap - have if renewal_cap is not None else cnt
-                    if room > 0:
-                        rts[j].append(rtimes[sel][:room])
+        for j, times in _scatter(hit, c0):
+            hits[j].append(times)
+        if flags is not None:
+            for j, times in _scatter(flags, c0):
+                room = (len(times) if renewal_cap is None
+                        else renewal_cap - rcount[j])
+                rcount[j] += len(times)
+                if room > 0:
+                    rts[j].append(times[:room])
 
     cps = default_checkpoints(n)
     out = []
     for j, t in enumerate(traj_ids):
-        if degenerate[j]:
-            out.append(_rerun_degenerate(spec, family, n, seed, t, renewal_cap,
-                                         bounds))
-            continue
-        ht = (np.concatenate(hits[j]) if hits[j] else np.zeros(0, dtype=int))
-        rt = (np.concatenate(rts[j]) if rts[j] else np.zeros(0, dtype=int))
-        scp = [(c, int(np.searchsorted(ht, c, side="right"))) for c in cps]
+        ht = np.concatenate(hits[j]) if hits[j] else np.zeros(0, dtype=int)
+        rt = np.concatenate(rts[j]) if rts[j] else np.zeros(0, dtype=int)
+        scp = list(zip(cps, np.searchsorted(ht, cps, side="right").tolist()))
         out.append(HitRecord(trajectory=t, seed=seed, n=n, hit_times=ht,
                              s_checkpoints=scp, renewal_times=rt,
                              renewal_count=int(rcount[j]), drift=drift,
-                             restarts=int(restarts[j])))
+                             restarts=restart))
+    if degenerate.any():
+        redo = [traj_ids[j] for j in np.flatnonzero(degenerate)]
+        if restart == 8:
+            raise RuntimeError(
+                f"trajectories {redo}: orbit degenerate after 8 restarts")
+        again = iter(_run_block(spec, n, seed, redo, renewal_cap, bounds,
+                                restart + 1))
+        out = [next(again) if d else r for r, d in zip(out, degenerate)]
     return out
-
-
-def _rerun_degenerate(spec, family, n, seed, traj, renewal_cap, bounds):
-    """Restart a trajectory whose orbit underflowed, with a shifted stream."""
-    for restart in range(1, 9):
-        gen = make_generator(seed, traj, restart)
-        x = init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
-        rec = _run_single(spec, family, n, gen, x, renewal_cap, bounds)
-        if rec is not None:
-            rec.trajectory = traj
-            rec.seed = seed
-            rec.restarts = restart
-            return rec
-    raise RuntimeError(f"trajectory {traj}: orbit degenerate after 8 restarts")
-
-
-def _run_single(spec, family, n, gen, x0, renewal_cap, bounds):
-    """Scalar-width fallback used only for degenerate restarts."""
-    lo, hi, wraps, full = bounds
-    drift = spec.drift if isinstance(spec, CircleRWProcess) else 0.0
-    x = np.array([x0])
-    hits, rts, rcount = [], [], 0
-    per_step = spec.uniforms_per_step
-    is_split = isinstance(spec, (DMRProcess, SplitChainProcess))
-    for c0 in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - c0)
-        U = gen.random((m, 1, 2)) if per_step else np.zeros((1, 1, 2))
-        xs = np.empty((m, 1))
-        flags = np.zeros((m, 1), dtype=bool) if is_split else None
-        x = _advance_chunk(spec, x, U, xs, flags)
-        if isinstance(spec, LSVProcess) and (xs < _DEGENERATE).any():
-            return None
-        ks = np.arange(c0 + 1, c0 + m + 1)
-        pts = xs[:, 0] if drift == 0.0 else (xs[:, 0] - drift * ks) % 1.0
-        seg = slice(c0, c0 + m)
-        hit = np.where(wraps[seg], (pts >= lo[seg]) | (pts < hi[seg]),
-                       (pts >= lo[seg]) & (pts < hi[seg])) | full[seg]
-        hits.append(np.nonzero(hit)[0] + c0 + 1)
-        if is_split:
-            rr = np.nonzero(flags[:, 0])[0] + c0 + 1
-            rcount += len(rr)
-            if renewal_cap is not None:
-                have = sum(len(r) for r in rts)
-                rr = rr[: max(renewal_cap - have, 0)]
-            rts.append(rr)
-    ht = np.concatenate(hits) if hits else np.zeros(0, dtype=int)
-    rt = np.concatenate(rts) if rts else np.zeros(0, dtype=int)
-    cps = default_checkpoints(n)
-    scp = [(c, int(np.searchsorted(ht, c, side="right"))) for c in cps]
-    return HitRecord(trajectory=0, seed=0, n=n, hit_times=ht,
-                     s_checkpoints=scp, renewal_times=rt, renewal_count=rcount,
-                     drift=drift, restarts=0)
 
 
 def simulate_hits(spec: ProcessSpec, family: IntervalFamily, n: int, seed: int,
@@ -619,7 +614,7 @@ def simulate_hits(spec: ProcessSpec, family: IntervalFamily, n: int, seed: int,
     if fh is not None and fh < n:
         raise ValueError(f"family defined only up to {fh} < n = {n}")
     bounds = family.bounds(n)
-    return _run_block(spec, family, n, seed, [trajectory], renewal_cap, bounds)[0]
+    return _run_block(spec, n, seed, [trajectory], renewal_cap, bounds)[0]
 
 
 def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
@@ -641,13 +636,13 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
     bounds = family.bounds(n)
     ids = list(range(n_traj))
     if workers == 1:
-        return _run_block(spec, family, n, seed, ids, renewal_cap, bounds)
+        return _run_block(spec, n, seed, ids, renewal_cap, bounds)
     from concurrent.futures import ThreadPoolExecutor
 
     blocks = [ids[i::workers] for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(
-            lambda b: _run_block(spec, family, n, seed, b, renewal_cap, bounds),
+            lambda b: _run_block(spec, n, seed, b, renewal_cap, bounds),
             blocks,
         )
         records = [r for part in parts for r in part]
@@ -664,21 +659,9 @@ def paired_sample(spec: ProcessSpec, n: int, seed: int, n_traj: int):
     if n < 1 or n_traj < 1:
         raise ValueError("need n >= 1 and n_traj >= 1")
     spec.validate()
-    is_split = isinstance(spec, (DMRProcess, SplitChainProcess))
     gens = [make_generator(seed, t) for t in range(n_traj)]
     x0 = _init_vector(spec, gens)
-    x = x0.copy()
-    per_step = spec.uniforms_per_step
-    for c0 in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - c0)
-        if per_step:
-            U = np.stack([g.random((m, 2)) for g in gens], axis=1)
-        else:
-            U = np.zeros((1, 1, 2))
-        xs = np.empty((m, n_traj))
-        flags = np.zeros((m, n_traj), dtype=bool) if is_split else None
-        x = _advance_chunk(spec, x, U, xs, flags)
-    return x0, x
+    return x0, _final_state(spec, n, gens, x0)
 
 
 # ---------------------------------------------------------------------------

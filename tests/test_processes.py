@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bclab import processes
 from bclab.intervals import CustomFamily, Interval, NestedLeftFamily
 from bclab.processes import (
     ARHalfProcess,
@@ -217,6 +218,96 @@ class TestSimulateHits:
         assert back.hit_times.tolist() == rec.hit_times.tolist()
         assert back.s_checkpoints == rec.s_checkpoints
         assert back.renewal_count == rec.renewal_count
+
+
+def scalar_replay(spec, n, gen, threshold=0.5):
+    """(lowest state, hit times of [0, threshold)) stepping gen with process_step."""
+    x = init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
+    lowest, hits = np.inf, []
+    for k in range(1, n + 1):
+        u = gen.random(2) if spec.uniforms_per_step else (0.0, 0.0)
+        x, _ = process_step(spec, x, u)
+        lowest = min(lowest, x)
+        if x < threshold:
+            hits.append(k)
+    return lowest, hits
+
+
+class TestDegenerateRestart:
+    def test_restarted_records_replay_their_restart_stream(self, monkeypatch):
+        # a high underflow floor makes a few gamma = 0.75 orbits "degenerate"
+        monkeypatch.setattr(processes, "_DEGENERATE", 1e-4)
+        spec = LSVProcess(gamma=0.75, burn_in=50)
+        n, seed = 2000, 3
+        recs = simulate_ensemble(spec, HALF, n, seed=seed, n_traj=40)
+        assert [r.trajectory for r in recs] == list(range(40))
+        restarted = [r for r in recs if r.restarts]
+        assert len(restarted) == 5
+        for rec in restarted:
+            assert rec.restarts >= 1
+            # every earlier stream underflows; the recorded one does not
+            for restart in range(rec.restarts + 1):
+                gen = make_generator(seed, rec.trajectory, restart)
+                lowest, hits = scalar_replay(spec, n, gen)
+                assert (lowest < 1e-4) == (restart < rec.restarts)
+            assert rec.hit_times.tolist() == hits
+            assert rec.s_checkpoints[-1] == (n, len(hits))
+        kept = recs[next(t for t in range(40) if not recs[t].restarts)]
+        assert kept.hit_times.tolist() == scalar_replay(
+            spec, n, make_generator(seed, kept.trajectory))[1]
+
+
+class TestChunkInvariance:
+    def ensemble(self, spec, workers, cap=100):
+        recs = simulate_ensemble(spec, HALF, 600, seed=17, n_traj=7,
+                                 workers=workers, renewal_cap=cap)
+        return [r.to_json() for r in recs]
+
+    @pytest.mark.parametrize("spec", [
+        DMRProcess(a=1.0),
+        CircleRWProcess(a=0.37, drift=0.2),
+        LSVProcess(gamma=0.6, burn_in=200),
+    ], ids=["dmr-capped", "circle-drift", "lsv"])
+    def test_tiny_chunks_and_workers_match_default(self, monkeypatch, spec):
+        ref = self.ensemble(spec, workers=1)
+        assert ref == self.ensemble(spec, workers=2)
+        monkeypatch.setattr(processes, "_CELLS", 3 * 7)  # three-row chunks
+        assert ref == self.ensemble(spec, workers=1)
+        assert ref == self.ensemble(spec, workers=2)
+        assert sum(len(r["hit_times"]) for r in ref) > 1000
+
+    def test_renewal_cap_cut_inside_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(processes, "_CELLS", 3 * 7)
+        spec = DMRProcess(a=1.0)
+        capped = self.ensemble(spec, workers=1)
+        full = self.ensemble(spec, workers=1, cap=None)
+        # some chunk holds both the last stored and the first dropped renewal
+        assert any(c["renewal_count"] > 100
+                   and (c["renewal_times"][-1] - 1) // 3
+                   == (f["renewal_times"][100] - 1) // 3
+                   for c, f in zip(capped, full))
+        for c, f in zip(capped, full):
+            assert c["renewal_times"] == f["renewal_times"][:100]
+            assert c["renewal_count"] == f["renewal_count"]
+
+
+class TestLockstepInit:
+    @pytest.mark.parametrize("spec", [
+        LSVProcess(gamma=0.4),
+        LSVProcess(gamma=0.75),
+        LSVProcess(gamma=0.5, burn_in=0),
+        SplitChainProcess(s_kind="linear", s_scale=0.9, nu_power=2.5),
+        SplitChainProcess(s_kind="const", s_scale=0.3, nu_power=3.0, q1="nu"),
+    ], ids=["lsv-0.4", "lsv-0.75", "lsv-no-burn-in", "split-delta", "split-nu"])
+    def test_matches_scalar_init(self, spec):
+        count = init_uniform_count(spec)
+        gens = [make_generator(7, t) for t in range(64)]
+        got = processes._init_vector(spec, gens)
+        scalar = [make_generator(7, t) for t in range(64)]
+        want = [init_from_uniforms(spec, g.random(count)) for g in scalar]
+        assert got.tolist() == want
+        # the streams continue where the scalar initializer stopped
+        assert [g.random() for g in gens] == [g.random() for g in scalar]
 
 
 class TestStationarity:
