@@ -31,11 +31,11 @@ from .intervals import (
 )
 from .processes import (
     CircleRWProcess,
-    DMRProcess,
     HitRecord,
     IIDProcess,
     LSVProcess,
     ProcessSpec,
+    SplitChainProcess,
     calibration_path,
     default_checkpoints,
     lsv_calibration,
@@ -186,10 +186,10 @@ def config_from_json(d: dict) -> ExperimentConfig:
 def marginal_measure(cfg: ExperimentConfig) -> MeasureOracle:
     """Stationary marginal for expected hit counts.
 
-    Explicit ``cfg.measure`` wins; otherwise iid, circle-walk, and the
-    sticky polynomial chain have closed forms, and the interval map loads
-    its cached occupation table (raising CalibrationMissingError when the
-    table has not been built).
+    Explicit ``cfg.measure`` wins; otherwise iid, circle-walk, and every
+    split chain (the sticky chain included) have closed forms, and the
+    interval map loads its cached occupation table (raising
+    CalibrationMissingError when the table has not been built).
     """
     if cfg.measure is not None:
         return cfg.measure
@@ -200,8 +200,8 @@ def marginal_measure(cfg: ExperimentConfig) -> MeasureOracle:
         return PowerMeasure(p.power)
     if isinstance(p, CircleRWProcess):
         return LebesgueMeasure()
-    if isinstance(p, DMRProcess):
-        return PowerMeasure(p.a)
+    if isinstance(p, SplitChainProcess):
+        return PowerMeasure(p.invariant_power())
     if isinstance(p, LSVProcess):
         path = calibration_path(p.gamma, cfg.calibration_steps,
                                 cfg.calibration_seed)

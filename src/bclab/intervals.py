@@ -173,10 +173,11 @@ class MeasureOracle:
 
 
 class LebesgueMeasure(MeasureOracle):
-    """Length restricted to a support window, default the unit interval.
+    """Uniform probability on a support window, default the unit interval.
 
-    With the default support this is a probability measure: Lebesgue on
-    [0,1] and Haar on the torus (applied to pieces) coincide.
+    Length divided by the window's length, so the whole support has mass 1.
+    With the default support Lebesgue on [0,1] and Haar on the torus
+    (applied to pieces) coincide.
     """
 
     def __init__(self, support=(0.0, 1.0)):
@@ -185,7 +186,8 @@ class LebesgueMeasure(MeasureOracle):
             raise ValueError("empty support")
 
     def cdf(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.a, self.b) - self.a
+        x = np.clip(np.asarray(x, dtype=float), self.a, self.b)
+        return (x - self.a) / (self.b - self.a)
 
 
 class PowerMeasure(MeasureOracle):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,7 @@ class LSVProcess(ProcessSpec):
     no randomness; the start is one uniform followed by burn-in.
     """
 
-    gamma: float = 0.5
+    gamma: float
     burn_in: int = 10_000
 
     variant = "lsv"
@@ -149,7 +149,8 @@ class SplitChainProcess(ProcessSpec):
 
     s is either the identity on [0,1] ("linear", scaled by s_scale) or a
     constant; nu has cdf x**nu_power on [0,1].  Built-in residual kernels:
-    "delta" stays put, "nu" redraws from nu.
+    "delta" stays put, "nu" redraws from nu.  The invariant law has cdf
+    x**invariant_power().
     """
 
     s_kind: str = "linear"
@@ -168,8 +169,17 @@ class SplitChainProcess(ProcessSpec):
             raise ValueError("nu needs a positive power")
         if self.q1 not in ("delta", "nu"):
             raise ValueError(f"unknown residual kernel {self.q1!r}")
-        if self.s_kind == "const" and self.s_scale == 0.0:
+        if self.s_scale == 0.0:
             raise ValueError("nu(s) = 0: the chain never regenerates")
+        if self.invariant_power() <= 0:
+            raise ValueError("null-recurrent: no invariant probability law")
+
+    def invariant_power(self) -> float:
+        """p in the invariant cdf x**p: mu ~ nu/s when s is linear and Q1
+        stays put, else mu = nu."""
+        if self.s_kind == "linear" and self.q1 == "delta":
+            return self.nu_power - 1.0
+        return self.nu_power
 
     def s_of(self, x):
         if self.s_kind == "const":
@@ -181,70 +191,60 @@ class SplitChainProcess(ProcessSpec):
 
 
 @dataclass(frozen=True)
-class DMRProcess(ProcessSpec):
+class DMRProcess(SplitChainProcess):
     """P(x,.) = x nu + (1-x) delta_x on [0,1] with nu = (a+1) x**a lambda.
 
-    Invariant law mu = a x**(a-1) lambda; regeneration prob s(x) = x.
+    The split-chain preset s(x) = x, nu cdf x**(a+1), q1 = delta; its
+    invariant law is mu = a x**(a-1) lambda.
     """
 
+    s_kind: str = field(default="linear", init=False)
+    s_scale: float = field(default=1.0, init=False)
+    nu_power: float = field(init=False)
+    q1: str = field(default="delta", init=False)
     a: float = 1.0
 
     variant = "dmr"
+
+    def __post_init__(self):
+        object.__setattr__(self, "nu_power", self.a + 1.0)
 
     def validate(self):
         if self.a <= 0:
             raise ValueError("dmr needs a > 0")
 
-    def as_split_chain(self) -> SplitChainProcess:
-        return SplitChainProcess(s_kind="linear", s_scale=1.0,
-                                 nu_power=self.a + 1.0, q1="delta")
+    def invariant_power(self) -> float:
+        return self.a  # (a + 1) - 1 is not a for every float a
+
+
+_VARIANTS = {cls.variant: cls for cls in (
+    IIDProcess, LSVProcess, ARHalfProcess, CircleRWProcess,
+    SplitChainProcess, DMRProcess)}
+_COERCE = {"float": float, "int": int, "str": str}
 
 
 def process_to_json(spec: ProcessSpec) -> dict:
-    d = {"variant": spec.variant}
-    if isinstance(spec, IIDProcess):
-        d.update(marginal=spec.marginal, power=spec.power)
-    elif isinstance(spec, LSVProcess):
-        d.update(gamma=spec.gamma, burn_in=spec.burn_in)
-    elif isinstance(spec, ARHalfProcess):
-        d.update(innovation=spec.innovation, tail_p=spec.tail_p,
-                 tail_scale=spec.tail_scale)
-    elif isinstance(spec, CircleRWProcess):
-        d.update(a=spec.a, drift=spec.drift)
-    elif isinstance(spec, DMRProcess):
-        d.update(a=spec.a)
-    elif isinstance(spec, SplitChainProcess):
-        d.update(s_kind=spec.s_kind, s_scale=spec.s_scale,
-                 nu_power=spec.nu_power, q1=spec.q1)
-    else:
+    """{"variant": ...} followed by the init fields in declaration order."""
+    if _VARIANTS.get(getattr(spec, "variant", None)) is not type(spec):
         raise TypeError(f"unknown spec type {type(spec).__name__}")
+    d = {"variant": spec.variant}
+    d.update((f.name, getattr(spec, f.name)) for f in fields(spec) if f.init)
     return d
 
 
 def process_from_json(d: dict) -> ProcessSpec:
+    """Spec from its JSON: fields without a default are required, and each
+    value is coerced to its annotated type."""
     v = d.get("variant")
-    if v == "iid":
-        spec = IIDProcess(marginal=d.get("marginal", "uniform"),
-                          power=float(d.get("power", 1.0)))
-    elif v == "lsv":
-        spec = LSVProcess(gamma=float(d["gamma"]),
-                          burn_in=int(d.get("burn_in", 10_000)))
-    elif v == "ar-half":
-        spec = ARHalfProcess(innovation=d.get("innovation", "bernoulli"),
-                             tail_p=float(d.get("tail_p", 4.0)),
-                             tail_scale=float(d.get("tail_scale", 0.1)))
-    elif v == "circle-rw":
-        spec = CircleRWProcess(a=float(d.get("a", GOLDEN_CONJUGATE)),
-                               drift=float(d.get("drift", 0.0)))
-    elif v == "dmr":
-        spec = DMRProcess(a=float(d.get("a", 1.0)))
-    elif v == "split-chain":
-        spec = SplitChainProcess(s_kind=d.get("s_kind", "linear"),
-                                 s_scale=float(d.get("s_scale", 1.0)),
-                                 nu_power=float(d.get("nu_power", 2.0)),
-                                 q1=d.get("q1", "delta"))
-    else:
+    if v not in _VARIANTS:
         raise ValueError(f"unknown process variant {v!r}")
+    kw = {}
+    for f in fields(_VARIANTS[v]):
+        if f.init and f.name in d:
+            kw[f.name] = _COERCE[f.type](d[f.name])
+        elif f.init and f.default is MISSING:
+            raise ValueError(f"process {v!r} missing required field {f.name!r}")
+    spec = _VARIANTS[v](**kw)
     spec.validate()
     return spec
 
@@ -284,8 +284,6 @@ def process_step(spec: ProcessSpec, state: float, uniforms) -> tuple:
     if isinstance(spec, CircleRWProcess):
         step = spec.a if u1 < 0.5 else -spec.a
         return (state + step) % 1.0, 0
-    if isinstance(spec, DMRProcess):
-        spec = spec.as_split_chain()
     if isinstance(spec, SplitChainProcess):
         if not 0.0 <= state <= 1.0:
             raise ValueError("split-chain state outside [0,1]")
@@ -304,8 +302,6 @@ def init_uniform_count(spec: ProcessSpec) -> int:
     """Uniforms the stationary initializer consumes from the stream."""
     if isinstance(spec, ARHalfProcess):
         return 54  # dyadic series truncated at 2**-53 resolution
-    if isinstance(spec, SplitChainProcess) and not isinstance(spec, DMRProcess):
-        return 1 + 2 * 200  # nu start plus stochastic burn-in
     return 1
 
 
@@ -316,8 +312,8 @@ def init_from_uniforms(spec: ProcessSpec, us) -> float:
         return float(spec._inverse(us[0]))
     if isinstance(spec, CircleRWProcess):
         return float(us[0])
-    if isinstance(spec, DMRProcess):
-        return float(us[0] ** (1.0 / spec.a))
+    if isinstance(spec, SplitChainProcess):
+        return float(array_pow(us[0], 1.0 / spec.invariant_power()))
     if isinstance(spec, LSVProcess):
         x = float(us[0])
         for _ in range(spec.burn_in):
@@ -327,11 +323,6 @@ def init_from_uniforms(spec: ProcessSpec, us) -> float:
         bits = (us < 0.5).astype(float)
         weights = 2.0 ** -np.arange(len(us))
         return float(np.dot(bits, weights))
-    if isinstance(spec, SplitChainProcess):
-        x = float(spec.nu_inverse(us[0]))
-        for j in range((len(us) - 1) // 2):
-            x, _ = process_step(spec, x, us[1 + 2 * j : 3 + 2 * j])
-        return x
     raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
@@ -339,10 +330,11 @@ def stationary_init(spec: ProcessSpec, seed: int, trajectory: int = 0,
                     restart: int = 0) -> float:
     """Draw the starting state from (approximately) the invariant law.
 
-    Exact for IID, CircleRW (Haar), DMR (inverse cdf of a x**(a-1)), and
-    the dyadic ARHalF series; burn-in iteration for LSV and generic split
-    chains.  Consumes init_uniform_count(spec) values from the trajectory
-    stream, which the stepping loop then continues.
+    Exact for IID, CircleRW (Haar), every split chain including dmr (inverse
+    cdf of x**invariant_power() from one uniform), and the dyadic ARHalf
+    series; burn-in iteration for LSV.  Consumes init_uniform_count(spec)
+    values from the trajectory stream, which the stepping loop then
+    continues.
     """
     gen = make_generator(seed, trajectory, restart)
     return init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
@@ -425,16 +417,13 @@ _CELLS = 1 << 21
 def _init_vector(spec, gens):
     """Starting states for the trajectories of gens, one stream each.
 
-    Interval-map and generic split-chain burn-ins run through the stepping
-    kernel in lockstep across the width; each state equals
-    init_from_uniforms on its stream's first init_uniform_count values.
+    The interval-map burn-in runs through the stepping kernel in lockstep
+    across the width; each state equals init_from_uniforms on its stream's
+    first init_uniform_count values.
     """
     if isinstance(spec, LSVProcess):
         x = np.array([g.random() for g in gens])
         return _final_state(spec, spec.burn_in, gens, x)
-    if isinstance(spec, SplitChainProcess):
-        x = spec.nu_inverse(np.array([g.random() for g in gens]))
-        return _final_state(spec, (init_uniform_count(spec) - 1) // 2, gens, x)
     count = init_uniform_count(spec)
     return np.array([init_from_uniforms(spec, g.random(count)) for g in gens])
 
@@ -470,15 +459,6 @@ def _advance_chunk(spec, x, U, xs_buf, flags_buf):
             x = 0.5 * x + eps
             xs_buf[i] = x
         return x
-    if isinstance(spec, DMRProcess):
-        a = spec.a
-        inv = 1.0 / (a + 1.0)
-        for i in range(m):
-            regen = U[i, :, 0] <= x
-            x = np.where(regen, U[i, :, 1] ** inv, x)
-            xs_buf[i] = x
-            flags_buf[i] = regen
-        return x
     if isinstance(spec, SplitChainProcess):
         for i in range(m):
             s = spec.s_of(x)
@@ -507,8 +487,8 @@ def _chunks(spec, n, gens, x):
     width = len(gens)
     rows = max(1, min(n, _CELLS // width))
     xs = np.empty((rows, width))
-    is_split = isinstance(spec, (DMRProcess, SplitChainProcess))
-    flags = np.empty((rows, width), dtype=bool) if is_split else None
+    flags = (np.empty((rows, width), dtype=bool)
+             if isinstance(spec, SplitChainProcess) else None)
     U = draw = None
     if spec.uniforms_per_step:
         U, draw = np.empty((rows, width, 2)), np.empty((rows, 2))
@@ -759,19 +739,23 @@ def lsv_calibration(gamma: float, steps: int = 10_000_000, seed: int = 0,
                                       steps=int(z["steps"]), seed=int(z["seed"]))
     edges = _calibration_edges()
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    gen = make_generator(seed, 0)
-    x = float(gen.random(1)[0])
-    g = gamma
-    for _ in range(spec.burn_in):
-        x = x * (1.0 + (2.0 * x) ** g) if x < 0.5 else 2.0 * x - 1.0
-        x = min(x, _BELOW_ONE)
+
+    def start(restart):
+        # scalar Python floats, so cached and rebuilt tables agree bit for bit
+        x = float(make_generator(seed, 0, restart).random(1)[0])
+        for _ in range(spec.burn_in):
+            x = x * (1.0 + (2.0 * x) ** gamma) if x < 0.5 else 2.0 * x - 1.0
+            x = min(x, _BELOW_ONE)
+        return x
+
+    x = start(0)
     buf = np.empty(1 << 20)
     done = 0
     restart = 0
     while done < steps:
         m = min(len(buf), steps - done)
         for i in range(m):
-            x = x * (1.0 + (2.0 * x) ** g) if x < 0.5 else 2.0 * x - 1.0
+            x = x * (1.0 + (2.0 * x) ** gamma) if x < 0.5 else 2.0 * x - 1.0
             if x > _BELOW_ONE:
                 x = _BELOW_ONE
             buf[i] = x
@@ -779,11 +763,7 @@ def lsv_calibration(gamma: float, steps: int = 10_000_000, seed: int = 0,
             restart += 1
             if restart > 8:
                 raise RuntimeError("calibration orbit degenerate repeatedly")
-            gen = make_generator(seed, 0, restart)
-            x = float(gen.random(1)[0])
-            for _ in range(spec.burn_in):
-                x = x * (1.0 + (2.0 * x) ** g) if x < 0.5 else 2.0 * x - 1.0
-                x = min(x, _BELOW_ONE)
+            x = start(restart)
             continue
         counts += np.histogram(buf[:m], bins=edges)[0]
         done += m

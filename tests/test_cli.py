@@ -56,6 +56,15 @@ class TestSimulate:
                      "--out", str(tmp_path / "r2")]) == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_null_recurrent_split_chain_exit_4(self, tmp_path, capsys):
+        doc = {**HARMONIC_CFG, "process": {"variant": "split-chain",
+                                           "s_kind": "linear", "nu_power": 1.0}}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 4
+        assert "null-recurrent" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_out_dir_exit_4(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
         assert main(["simulate", "--config", cfg]) == 4

@@ -1,5 +1,6 @@
 """Tests for experiment orchestration, persistence, and verdicts."""
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -32,6 +33,7 @@ from bclab.processes import (
     HitRecord,
     IIDProcess,
     LSVProcess,
+    SplitChainProcess,
 )
 from bclab.seqcore import TabulatedSeq, constant_seq, power_seq
 
@@ -94,6 +96,17 @@ class TestMarginalMeasure:
         assert isinstance(m, PowerMeasure) and m.a == 3.0
         m = marginal_measure(small_cfg(process=DMRProcess(a=1.5)))
         assert isinstance(m, PowerMeasure) and m.a == 1.5
+
+    def test_split_chain_closed_form(self):
+        # linear s, Q1 = delta: mu ~ nu/s = x**(p - 2) density, cdf x**(p - 1)
+        m = marginal_measure(small_cfg(process=SplitChainProcess(
+            s_kind="linear", s_scale=0.5, nu_power=2.5, q1="delta")))
+        assert isinstance(m, PowerMeasure) and m.a == 1.5
+        assert m.measure_pieces([(0.0, 0.25)]) == pytest.approx(0.125)
+        # constant s: mu = nu
+        m = marginal_measure(small_cfg(process=SplitChainProcess(
+            s_kind="const", s_scale=0.3, nu_power=3.0, q1="delta")))
+        assert isinstance(m, PowerMeasure) and m.a == 3.0
 
     def test_explicit_override_wins(self):
         cfg = small_cfg(process=ARHalfProcess(),
@@ -270,3 +283,26 @@ class TestEmitAndReload:
     def test_load_run_missing_config(self, tmp_path):
         with pytest.raises(ValueError, match="no config.json"):
             load_run(tmp_path)
+
+
+def reference_suite(quick: bool) -> dict:
+    """{name: config} from scripts/run_reference_suite.py."""
+    path = Path(__file__).parents[1] / "scripts" / "run_reference_suite.py"
+    spec = importlib.util.spec_from_file_location("run_reference_suite", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return {name: cfg for name, cfg, _ in mod.build_suite(quick)}
+
+
+class TestReferenceDigests:
+    """Sticky-chain runs of the quick reference suite, pinned bit for bit."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("sticky-divergent-boundary",
+         "9793e45d125b5708f91a112b05c8e7442a4a6bf9fc0074e661605614876eddba"),
+        ("sticky-convergent-boundary",
+         "77f1f5360730b9476d54dd05054639ee062dc0e752fee0dca2d0f33e4109b1ba"),
+    ])
+    def test_quick_sticky_digest_pinned(self, name, digest):
+        cfg = reference_suite(quick=True)[name]
+        assert run_digest(run_experiment(cfg)) == digest

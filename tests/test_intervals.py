@@ -101,6 +101,13 @@ class TestMeasures:
         assert m.measure(L(0.2, 0.7)) == pytest.approx(0.5)
         assert m.measure(Interval.torus(0.9, 0.1)) == pytest.approx(0.2)
 
+    def test_lebesgue_whole_support_has_mass_one(self):
+        for support in ((0.0, 1.0), (0.0, 2.0), (-1.0, 3.0)):
+            m = LebesgueMeasure(support)
+            assert m.measure(L(*support)) == 1.0
+            assert m.cdf(support[1] + 5.0) == 1.0 and m.cdf(support[0]) == 0.0
+        assert LebesgueMeasure((0.0, 2.0)).measure(L(0.0, 0.5)) == 0.25
+
     def test_union_counts_overlap_once(self):
         m = LebesgueMeasure()
         got = m.measure_union([L(0.0, 0.5), L(0.25, 0.75)])

@@ -69,10 +69,40 @@ class TestProcessStep:
         assert nxt == pytest.approx(0.4)
 
     def test_split_chain_validation(self):
-        with pytest.raises(ValueError):
-            SplitChainProcess(s_kind="const", s_scale=0.0).validate()
+        for s_kind in ("linear", "const"):
+            with pytest.raises(ValueError, match="never regenerates"):
+                SplitChainProcess(s_kind=s_kind, s_scale=0.0).validate()
         with pytest.raises(ValueError):
             process_step(SplitChainProcess(), 1.7, (0.5, 0.5))
+
+    @pytest.mark.parametrize("nu_power", [1.0, 0.5])
+    def test_sticky_split_chain_without_invariant_law_rejected(self, nu_power):
+        spec = SplitChainProcess(s_kind="linear", s_scale=0.5,
+                                 nu_power=nu_power, q1="delta")
+        with pytest.raises(ValueError, match="null-recurrent: no invariant "
+                                             "probability law"):
+            spec.validate()
+        # redrawing from nu keeps mu = nu, whatever its power
+        SplitChainProcess(s_kind="linear", nu_power=nu_power, q1="nu").validate()
+
+    def test_dmr_is_the_sticky_split_chain_preset(self):
+        spec = DMRProcess(a=2.0)
+        assert isinstance(spec, SplitChainProcess)
+        assert (spec.s_kind, spec.s_scale, spec.nu_power, spec.q1) == (
+            "linear", 1.0, 3.0, "delta")
+        with pytest.raises(TypeError):
+            DMRProcess(a=1.0, nu_power=5.0)
+        with pytest.raises(ValueError, match="dmr needs a > 0"):
+            DMRProcess(a=0.0).validate()
+
+    def test_invariant_power(self):
+        assert SplitChainProcess(nu_power=2.5).invariant_power() == 1.5
+        assert SplitChainProcess(s_kind="const", s_scale=0.3,
+                                 nu_power=3.0).invariant_power() == 3.0
+        assert SplitChainProcess(nu_power=3.0, q1="nu").invariant_power() == 3.0
+        # (a + 1) - 1 != a here; the preset keeps a exactly
+        assert (0.1 + 1.0) - 1.0 != 0.1
+        assert DMRProcess(a=0.1).invariant_power() == 0.1
 
 
 class TestStationaryInit:
@@ -98,6 +128,11 @@ class TestStationaryInit:
     def test_lsv_init_stays_in_unit_interval(self):
         x = stationary_init(LSVProcess(gamma=0.75), seed=5)
         assert 0.0 <= x < 1.0
+
+    def test_split_chains_consume_one_uniform(self):
+        for spec in (DMRProcess(a=1.0), SplitChainProcess(nu_power=1.5),
+                     SplitChainProcess(s_kind="const", s_scale=0.3, q1="nu")):
+            assert init_uniform_count(spec) == 1
 
     def test_seed_determinism(self):
         a = stationary_init(DMRProcess(a=1.0), seed=9)
@@ -296,9 +331,7 @@ class TestLockstepInit:
         LSVProcess(gamma=0.4),
         LSVProcess(gamma=0.75),
         LSVProcess(gamma=0.5, burn_in=0),
-        SplitChainProcess(s_kind="linear", s_scale=0.9, nu_power=2.5),
-        SplitChainProcess(s_kind="const", s_scale=0.3, nu_power=3.0, q1="nu"),
-    ], ids=["lsv-0.4", "lsv-0.75", "lsv-no-burn-in", "split-delta", "split-nu"])
+    ], ids=["lsv-0.4", "lsv-0.75", "lsv-no-burn-in"])
     def test_matches_scalar_init(self, spec):
         count = init_uniform_count(spec)
         gens = [make_generator(7, t) for t in range(64)]
@@ -316,6 +349,17 @@ class TestStationarity:
         _, xn = paired_sample(DMRProcess(a=1.0), at, seed=31, n_traj=1000)
         ref = np.random.default_rng(77).random(1000)
         assert stats.ks_2samp(xn, ref).pvalue > 0.01
+
+    @pytest.mark.parametrize("spec", [
+        SplitChainProcess(s_kind="linear", s_scale=0.2, nu_power=1.5,
+                          q1="delta"),
+        SplitChainProcess(s_kind="const", s_scale=0.3, nu_power=3.0, q1="nu"),
+    ], ids=["linear-delta", "const-nu"])
+    def test_split_chain_starts_follow_invariant_law(self, spec):
+        gens = [make_generator(61, t) for t in range(4000)]
+        x0 = processes._init_vector(spec, gens)
+        p = spec.invariant_power()
+        assert stats.kstest(x0, lambda x: np.clip(x, 0.0, 1.0) ** p).pvalue > 0.01
 
     @pytest.mark.parametrize("at", [100, 1000])
     def test_circle_marginal_is_invariant(self, at):
@@ -442,3 +486,19 @@ class TestSerialization:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             process_from_json({"variant": "gauss-map"})
+
+    def test_json_holds_init_fields_in_declaration_order(self):
+        assert list(process_to_json(LSVProcess(gamma=0.75))) == [
+            "variant", "gamma", "burn_in"]
+        assert list(process_to_json(SplitChainProcess())) == [
+            "variant", "s_kind", "s_scale", "nu_power", "q1"]
+        assert process_to_json(DMRProcess(a=2.0)) == {"variant": "dmr", "a": 2.0}
+
+    def test_fields_coerced_and_required(self):
+        spec = process_from_json({"variant": "lsv", "gamma": "0.5",
+                                  "burn_in": 100.0})
+        assert spec == LSVProcess(gamma=0.5, burn_in=100)
+        assert type(spec.burn_in) is int
+        assert process_from_json({"variant": "dmr"}) == DMRProcess(a=1.0)
+        with pytest.raises(ValueError, match="missing required field 'gamma'"):
+            process_from_json({"variant": "lsv"})
