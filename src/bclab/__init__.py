@@ -43,6 +43,7 @@ from .harness import (
     aggregate_verdict,
     config_from_json,
     config_to_json,
+    default_checkpoints,
     emit_report,
     load_run,
     run_digest,
@@ -78,7 +79,6 @@ from .processes import (
     HitRecord,
     IIDProcess,
     LSVProcess,
-    default_checkpoints,
     lsv_calibration,
     simulate_ensemble,
     simulate_hits,

@@ -6,8 +6,9 @@
     bclab mixing   --task {circle,kernel,dmr} [task options] [--out FILE]
     bclab report   --run DIR --format {csv,jsonl,md}
 
-Exit codes: 0 pass, 2 verdict failure, 3 inconclusive, 4 configuration
-error.  ``BCLAB_THREADS`` caps simulation workers.
+Exit codes: 0 pass, 2 verdict failure (for report: the records no longer
+reproduce the recorded run digest), 3 inconclusive, 4 configuration error.
+``BCLAB_THREADS`` caps simulation workers.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .harness import (
     load_run,
     marginal_measure,
     report_from_records,
+    run_digest,
     run_experiment,
 )
 from .mixing import (
@@ -226,13 +228,21 @@ def _cmd_mixing(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    """Re-derive the run digest from the persisted records; re-emit only when
+    it matches the digest manifest.json recorded."""
     try:
         cfg, records = load_run(args.run)
+        recorded = json.loads((Path(args.run) / "manifest.json").read_text())
         report = report_from_records(cfg, records)
-        paths = emit_report(report, out_dir=args.run, formats=[args.format])
-    except (OSError, ValueError, CalibrationMissingError) as e:
+        digest = run_digest(report)
+        if digest != recorded["run_digest"]:
+            print(f"run digest {digest} does not match the recorded "
+                  f"{recorded['run_digest']}; nothing written", file=sys.stderr)
+            return EXIT_FAIL
+        emit_report(report, out_dir=args.run, formats=[args.format])
+    except (OSError, KeyError, ValueError, CalibrationMissingError) as e:
         return _err(str(e))
-    print(f"run digest {paths['digest']}")
+    print(f"run digest {digest}")
     return EXIT_OK
 
 

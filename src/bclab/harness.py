@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +37,6 @@ from .processes import (
     ProcessSpec,
     SplitChainProcess,
     calibration_path,
-    default_checkpoints,
     lsv_calibration,
     process_from_json,
     process_to_json,
@@ -54,6 +53,7 @@ __all__ = [
     "aggregate_verdict",
     "config_from_json",
     "config_to_json",
+    "default_checkpoints",
     "emit_report",
     "load_run",
     "marginal_measure",
@@ -75,6 +75,19 @@ SBC_QUANTILE_BAND = (0.5, 1.5)
 
 class CalibrationMissingError(RuntimeError):
     """An LSV run needs an occupation-measure table that is not on disk."""
+
+
+def default_checkpoints(n: int) -> list:
+    """Geometric grid of about 8 points per decade, always ending at n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    js = np.arange(0, int(np.ceil(8 * np.log10(max(n, 1)))) + 1)
+    grid = np.unique(np.round(10 ** (js / 8.0)).astype(int))
+    grid = grid[(grid >= 1) & (grid <= n)]
+    out = grid.tolist()
+    if not out or out[-1] != n:
+        out.append(n)
+    return out
 
 
 @dataclass
@@ -162,6 +175,10 @@ def _config_payload(cfg: ExperimentConfig) -> bytes:
 
 
 def config_from_json(d: dict) -> ExperimentConfig:
+    """Config from the keys config_to_json writes; any other key is an error."""
+    unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"config has unknown fields {unknown}")
     try:
         cfg = ExperimentConfig(
             process=process_from_json(d["process"]),
@@ -546,16 +563,27 @@ def emit_report(report: ExperimentReport, out_dir=None,
 
 
 def load_run(run_dir) -> tuple:
-    """(config, records) back from a persisted run directory."""
+    """(config, records) back from a persisted run directory.
+
+    hits.jsonl must hold the whole ensemble: n_traj records in trajectory
+    order, each with strictly increasing hit times within [1, n].
+    """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "config.json"
     hits_path = run_dir / "hits.jsonl"
     if not cfg_path.exists():
         raise ValueError(f"{run_dir} has no config.json")
+    if not hits_path.exists():
+        raise ValueError(f"{run_dir} has no hits.jsonl")
     cfg = config_from_json(json.loads(cfg_path.read_text()))
-    records = []
-    if hits_path.exists():
-        for line in hits_path.read_text().splitlines():
-            if line.strip():
-                records.append(HitRecord.from_json(json.loads(line)))
+    records = [HitRecord.from_json(json.loads(line))
+               for line in hits_path.read_text().splitlines() if line.strip()]
+    if [r.trajectory for r in records] != list(range(cfg.n_traj)):
+        raise ValueError(f"{hits_path} must hold trajectories 0..{cfg.n_traj - 1}"
+                         f" in order, one per line")
+    for r in records:
+        ht = r.hit_times
+        if ht.size and (ht[0] < 1 or ht[-1] > cfg.n or np.any(np.diff(ht) <= 0)):
+            raise ValueError(f"trajectory {r.trajectory}: hit times must be "
+                             f"strictly increasing within [1, {cfg.n}]")
     return cfg, records

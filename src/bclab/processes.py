@@ -1,4 +1,4 @@
-"""Stationary process samplers, hit recording, and renewal extraction.
+"""Stationary process samplers and hit recording.
 
 Every trajectory owns a counter-based random stream derived from
 (seed, trajectory id), and every step of a given process variant consumes
@@ -233,17 +233,21 @@ def process_to_json(spec: ProcessSpec) -> dict:
 
 
 def process_from_json(d: dict) -> ProcessSpec:
-    """Spec from its JSON: fields without a default are required, and each
-    value is coerced to its annotated type."""
+    """Spec from its JSON: "variant" and init fields only, those without a
+    default required, each value coerced to its annotated type."""
     v = d.get("variant")
     if v not in _VARIANTS:
         raise ValueError(f"unknown process variant {v!r}")
+    init = {f.name: f for f in fields(_VARIANTS[v]) if f.init}
+    unknown = sorted(set(d) - set(init) - {"variant"})
+    if unknown:
+        raise ValueError(f"process {v!r} has unknown fields {unknown}")
     kw = {}
-    for f in fields(_VARIANTS[v]):
-        if f.init and f.name in d:
-            kw[f.name] = _COERCE[f.type](d[f.name])
-        elif f.init and f.default is MISSING:
-            raise ValueError(f"process {v!r} missing required field {f.name!r}")
+    for name, f in init.items():
+        if name in d:
+            kw[name] = _COERCE[f.type](d[name])
+        elif f.default is MISSING:
+            raise ValueError(f"process {v!r} missing required field {name!r}")
     spec = _VARIANTS[v](**kw)
     spec.validate()
     return spec
@@ -340,69 +344,42 @@ def stationary_init(spec: ProcessSpec, seed: int, trajectory: int = 0,
     return init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
 
 
-def renewal_times(etas) -> list:
-    """T_k = 1 + (index of the (k+1)-th one in the flag sequence)."""
-    etas = np.asarray(etas)
-    return (np.nonzero(etas)[0] + 1).tolist()
-
-
 # ---------------------------------------------------------------------------
 # Hit records
 
 
-def default_checkpoints(n: int) -> list:
-    """Geometric grid of about 8 points per decade, always ending at n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    js = np.arange(0, int(np.ceil(8 * np.log10(max(n, 1)))) + 1)
-    grid = np.unique(np.round(10 ** (js / 8.0)).astype(int))
-    grid = grid[(grid >= 1) & (grid <= n)]
-    out = grid.tolist()
-    if not out or out[-1] != n:
-        out.append(n)
-    return out
-
-
 @dataclass
 class HitRecord:
-    trajectory: int
-    seed: int
-    n: int
-    hit_times: np.ndarray  # strictly increasing step indices in 1..n
-    s_checkpoints: list  # (checkpoint, S_checkpoint) pairs
-    renewal_times: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
-    renewal_count: int = 0
-    drift: float = 0.0
-    restarts: int = 0
+    """One trajectory's hits; seed, n and drift live in the run's config."""
 
-    def s_at(self, k: int) -> int:
-        return int(np.searchsorted(self.hit_times, k, side="right"))
+    trajectory: int
+    hit_times: np.ndarray  # strictly increasing step indices in 1..n
+    renewal_count: int = 0  # split-chain regenerations over the n steps
+    restarts: int = 0  # degenerate interval-map streams skipped first
 
     def to_json(self) -> dict:
         return {
             "trajectory": self.trajectory,
-            "seed": self.seed,
-            "n": self.n,
             "hit_times": np.asarray(self.hit_times).tolist(),
-            "s_checkpoints": [[int(a), int(b)] for a, b in self.s_checkpoints],
-            "renewal_times": np.asarray(self.renewal_times).tolist(),
             "renewal_count": self.renewal_count,
-            "drift": self.drift,
             "restarts": self.restarts,
         }
 
     @staticmethod
     def from_json(d: dict) -> "HitRecord":
+        keys = [f.name for f in fields(HitRecord)]
+        extra = sorted(set(d) - set(keys))
+        if extra:
+            raise ValueError(f"hit record has unknown fields {extra}; "
+                             f"rerun the experiment to rewrite hits.jsonl")
+        missing = [k for k in keys if k not in d]
+        if missing:
+            raise ValueError(f"hit record missing fields {missing}")
         return HitRecord(
             trajectory=int(d["trajectory"]),
-            seed=int(d["seed"]),
-            n=int(d["n"]),
             hit_times=np.asarray(d["hit_times"], dtype=int),
-            s_checkpoints=[(int(a), int(b)) for a, b in d["s_checkpoints"]],
-            renewal_times=np.asarray(d.get("renewal_times", []), dtype=int),
-            renewal_count=int(d.get("renewal_count", 0)),
-            drift=float(d.get("drift", 0.0)),
-            restarts=int(d.get("restarts", 0)),
+            renewal_count=int(d["renewal_count"]),
+            restarts=int(d["restarts"]),
         )
 
 
@@ -522,7 +499,7 @@ def _scatter(mask, c0):
     return [(j, pieces[j]) for j in np.flatnonzero(counts)]
 
 
-def _run_block(spec, n, seed, traj_ids, renewal_cap, bounds, restart=0):
+def _run_block(spec, n, seed, traj_ids, bounds, restart=0):
     """Lockstep simulation of the given trajectory ids; one HitRecord each.
 
     Interval-map orbits that underflow below _DEGENERATE are rerun
@@ -534,7 +511,6 @@ def _run_block(spec, n, seed, traj_ids, renewal_cap, bounds, restart=0):
     width = len(traj_ids)
     gens = [make_generator(seed, t, restart) for t in traj_ids]
     hits = [[] for _ in range(width)]
-    rts = [[] for _ in range(width)]
     rcount = np.zeros(width, dtype=int)
     degenerate = np.zeros(width, dtype=bool)
 
@@ -553,36 +529,25 @@ def _run_block(spec, n, seed, traj_ids, renewal_cap, bounds, restart=0):
         for j, times in _scatter(hit, c0):
             hits[j].append(times)
         if flags is not None:
-            for j, times in _scatter(flags, c0):
-                room = (len(times) if renewal_cap is None
-                        else renewal_cap - rcount[j])
-                rcount[j] += len(times)
-                if room > 0:
-                    rts[j].append(times[:room])
+            rcount += flags.sum(axis=0)
 
-    cps = default_checkpoints(n)
     out = []
     for j, t in enumerate(traj_ids):
         ht = np.concatenate(hits[j]) if hits[j] else np.zeros(0, dtype=int)
-        rt = np.concatenate(rts[j]) if rts[j] else np.zeros(0, dtype=int)
-        scp = list(zip(cps, np.searchsorted(ht, cps, side="right").tolist()))
-        out.append(HitRecord(trajectory=t, seed=seed, n=n, hit_times=ht,
-                             s_checkpoints=scp, renewal_times=rt,
-                             renewal_count=int(rcount[j]), drift=drift,
-                             restarts=restart))
+        out.append(HitRecord(trajectory=t, hit_times=ht,
+                             renewal_count=int(rcount[j]), restarts=restart))
     if degenerate.any():
         redo = [traj_ids[j] for j in np.flatnonzero(degenerate)]
         if restart == 8:
             raise RuntimeError(
                 f"trajectories {redo}: orbit degenerate after 8 restarts")
-        again = iter(_run_block(spec, n, seed, redo, renewal_cap, bounds,
-                                restart + 1))
+        again = iter(_run_block(spec, n, seed, redo, bounds, restart + 1))
         out = [next(again) if d else r for r, d in zip(out, degenerate)]
     return out
 
 
 def simulate_hits(spec: ProcessSpec, family: IntervalFamily, n: int, seed: int,
-                  trajectory: int = 0, renewal_cap: int = 10_000) -> HitRecord:
+                  trajectory: int = 0) -> HitRecord:
     """One trajectory: step from stationary_init, record k with X_k in A_k.
 
     For CircleRW with drift t the test point is X_k - k t mod 1.  Fully
@@ -593,13 +558,11 @@ def simulate_hits(spec: ProcessSpec, family: IntervalFamily, n: int, seed: int,
     fh = family.horizon
     if fh is not None and fh < n:
         raise ValueError(f"family defined only up to {fh} < n = {n}")
-    bounds = family.bounds(n)
-    return _run_block(spec, n, seed, [trajectory], renewal_cap, bounds)[0]
+    return _run_block(spec, n, seed, [trajectory], family.bounds(n))[0]
 
 
 def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
-                      seed: int, n_traj: int, workers: int = None,
-                      renewal_cap: int = 10_000) -> list:
+                      seed: int, n_traj: int, workers: int = None) -> list:
     """HitRecords for trajectories 0..n_traj-1, merged in trajectory order.
 
     Worker count comes from BCLAB_THREADS when not given; the partition has
@@ -616,15 +579,12 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
     bounds = family.bounds(n)
     ids = list(range(n_traj))
     if workers == 1:
-        return _run_block(spec, n, seed, ids, renewal_cap, bounds)
+        return _run_block(spec, n, seed, ids, bounds)
     from concurrent.futures import ThreadPoolExecutor
 
     blocks = [ids[i::workers] for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            lambda b: _run_block(spec, n, seed, b, renewal_cap, bounds),
-            blocks,
-        )
+        parts = pool.map(lambda b: _run_block(spec, n, seed, b, bounds), blocks)
         records = [r for part in parts for r in part]
     records.sort(key=lambda r: r.trajectory)
     return records

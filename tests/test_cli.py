@@ -69,6 +69,20 @@ class TestSimulate:
         cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
         assert main(["simulate", "--config", cfg]) == 4
 
+    @pytest.mark.parametrize("doc, field", [
+        ({**HARMONIC_CFG, "process": {"variant": "lsv", "gamma": 0.5,
+                                      "burn_inn": 5}}, "burn_inn"),
+        ({**HARMONIC_CFG, "process": {"variant": "dmr", "a": 2.0,
+                                      "nu_power": 9.0}}, "nu_power"),
+        ({**HARMONIC_CFG, "sead": 5}, "sead"),
+    ], ids=["misspelt-process-field", "preset-fixed-field", "misspelt-seed"])
+    def test_unknown_config_field_exit_4(self, tmp_path, capsys, doc, field):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 4
+        assert f"unknown fields ['{field}']" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestCriteria:
     def test_satisfied_exit_0(self, tmp_path, capsys):
@@ -144,3 +158,29 @@ class TestReport:
 
     def test_missing_run_exit_4(self, tmp_path):
         assert main(["report", "--run", str(tmp_path), "--format", "csv"]) == 4
+
+    def simulated(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        return out, (out / "hits.jsonl").read_text().splitlines()
+
+    def test_removed_hit_time_exit_2_writes_nothing(self, tmp_path, capsys):
+        out, lines = self.simulated(tmp_path)
+        rec = json.loads(lines[0])
+        rec["hit_times"] = rec["hit_times"][1:]
+        lines[0] = json.dumps(rec)
+        (out / "hits.jsonl").write_text("\n".join(lines) + "\n")
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        assert main(["report", "--run", str(out), "--format", "csv"]) == 2
+        assert "does not match the recorded" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_removed_line_exit_4(self, tmp_path, capsys):
+        out, lines = self.simulated(tmp_path)
+        (out / "hits.jsonl").write_text("\n".join(lines[:-1]) + "\n")
+        manifest = (out / "manifest.json").read_bytes()
+        assert main(["report", "--run", str(out), "--format", "md"]) == 4
+        assert "trajectories 0..3 in order" in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == manifest

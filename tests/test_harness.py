@@ -1,5 +1,6 @@
 """Tests for experiment orchestration, persistence, and verdicts."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -187,9 +188,8 @@ class TestAggregateVerdict:
 
     def test_early_hits_only_not_bc(self):
         # all hits before n/10: late window empty
-        recs = [HitRecord(trajectory=t, seed=0, n=1000,
-                          hit_times=np.array([1, 2, 3]),
-                          s_checkpoints=[(1000, 3)]) for t in range(5)]
+        recs = [HitRecord(trajectory=t, hit_times=np.array([1, 2, 3]))
+                for t in range(5)]
         rep = report_from_records(small_cfg(n_traj=5), recs)
         v = aggregate_verdict(rep, "not-BC")
         assert v.passed
@@ -284,6 +284,28 @@ class TestEmitAndReload:
         with pytest.raises(ValueError, match="no config.json"):
             load_run(tmp_path)
 
+    def test_load_run_rejects_partial_or_malformed_records(self, tmp_path):
+        emit_report(run_experiment(small_cfg(family=ROOT)), out_dir=tmp_path)
+        hits = tmp_path / "hits.jsonl"
+        lines = hits.read_text().splitlines()
+        first = json.loads(lines[0])
+
+        def with_hits(times):
+            return [json.dumps({**first, "hit_times": times})] + lines[1:]
+
+        for match, body in [
+            ("trajectories 0..2 in order", [lines[0], lines[2]]),
+            ("trajectories 0..2 in order", [lines[1], lines[0], lines[2]]),
+            ("strictly increasing", with_hits(first["hit_times"][::-1])),
+            (r"within \[1, 1000\]", with_hits(first["hit_times"] + [1001])),
+        ]:
+            hits.write_text("\n".join(body) + "\n")
+            with pytest.raises(ValueError, match=match):
+                load_run(tmp_path)
+        hits.unlink()
+        with pytest.raises(ValueError, match="no hits.jsonl"):
+            load_run(tmp_path)
+
 
 def reference_suite(quick: bool) -> dict:
     """{name: config} from scripts/run_reference_suite.py."""
@@ -299,10 +321,24 @@ class TestReferenceDigests:
 
     @pytest.mark.parametrize("name, digest", [
         ("sticky-divergent-boundary",
-         "9793e45d125b5708f91a112b05c8e7442a4a6bf9fc0074e661605614876eddba"),
+         "f1a935bd481ff1d981f0b2a3237c62e3f370967383bac0dbc47f50db28511bb0"),
         ("sticky-convergent-boundary",
-         "77f1f5360730b9476d54dd05054639ee062dc0e752fee0dca2d0f33e4109b1ba"),
+         "0766caa863812a3c56481e8d16192ddc607e96bc2811ddbbfa534b802498d21d"),
     ])
     def test_quick_sticky_digest_pinned(self, name, digest):
         cfg = reference_suite(quick=True)[name]
         assert run_digest(run_experiment(cfg)) == digest
+
+    # summary.csv holds the statistics alone: a change to what records
+    # store moves the digests above but must leave these hashes alone
+    @pytest.mark.parametrize("name, sha", [
+        ("sticky-divergent-boundary",
+         "6b27700d8b436d4ebfebc052a8390df67d79648b002c8ba9930380296b47eef7"),
+        ("sticky-convergent-boundary",
+         "67708b6a423ffb8bdc489b1dc359593577f2e3336db209f0bb89da2607eb3dcf"),
+    ], ids=["sticky-divergent-boundary", "sticky-convergent-boundary"])
+    def test_quick_sticky_summary_pinned(self, name, sha, tmp_path):
+        cfg = reference_suite(quick=True)[name]
+        emit_report(run_experiment(cfg), out_dir=tmp_path, formats=("csv",))
+        csv = (tmp_path / "summary.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == sha

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from bclab import processes
+from bclab.harness import default_checkpoints
 from bclab.intervals import CustomFamily, Interval, NestedLeftFamily
 from bclab.processes import (
     ARHalfProcess,
@@ -13,7 +14,6 @@ from bclab.processes import (
     LSVProcess,
     SplitChainProcess,
     TAIL_ENTRIES,
-    default_checkpoints,
     init_from_uniforms,
     init_uniform_count,
     lsv_calibration,
@@ -22,7 +22,6 @@ from bclab.processes import (
     process_from_json,
     process_step,
     process_to_json,
-    renewal_times,
     simulate_ensemble,
     simulate_hits,
     stationary_init,
@@ -140,17 +139,6 @@ class TestStationaryInit:
         assert a == b
 
 
-class TestRenewalTimes:
-    def test_pinned_example(self):
-        assert renewal_times([1, 1, 0, 1]) == [1, 2, 4]
-
-    def test_all_ones(self):
-        assert renewal_times(np.ones(6, dtype=int)) == [1, 2, 3, 4, 5, 6]
-
-    def test_all_zeros(self):
-        assert renewal_times(np.zeros(5, dtype=int)) == []
-
-
 class TestCheckpoints:
     def test_grid_is_increasing_and_ends_at_n(self):
         cps = default_checkpoints(12345)
@@ -166,8 +154,6 @@ class TestSimulateHits:
     def test_full_space_hits_every_step(self):
         rec = simulate_hits(IIDProcess(), UNIT, 100, seed=1)
         assert rec.hit_times.tolist() == list(range(1, 101))
-        assert rec.s_at(100) == 100
-        assert dict(rec.s_checkpoints)[100] == 100
 
     def test_harmonic_family_mean_matches_expectation(self):
         fam = NestedLeftFamily(radius=PowerLogSeq(c=1.0, p=1.0))
@@ -179,8 +165,7 @@ class TestSimulateHits:
 
     def test_always_regenerating_chain_draws_iid_nu(self):
         spec = SplitChainProcess(s_kind="const", s_scale=1.0, nu_power=2.0)
-        rec = simulate_hits(spec, HALF, 400, seed=3, renewal_cap=None)
-        assert rec.renewal_times.tolist() == list(range(1, 401))
+        rec = simulate_hits(spec, HALF, 400, seed=3)
         assert rec.renewal_count == 400
         # X_k iid with cdf x^2: P(X < 1/2) = 1/4
         frac = len(rec.hit_times) / 400
@@ -198,18 +183,20 @@ class TestSimulateHits:
             rec = simulate_hits(spec, HALF, n, seed=11)
             gen = make_generator(11, 0)
             x = init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
-            hits = []
+            hits, renewals = [], 0
             for k in range(1, n + 1):
                 u = gen.random(2) if spec.uniforms_per_step else (0.0, 0.0)
-                x, _ = process_step(spec, x, u)
+                x, flag = process_step(spec, x, u)
+                renewals += flag
                 if x < 0.5:
                     hits.append(k)
             assert rec.hit_times.tolist() == hits, spec.variant
+            assert rec.renewal_count == renewals, spec.variant
+            assert (renewals > 0) == isinstance(spec, DMRProcess)
 
     def test_drift_shifts_the_test_frame(self):
         spec = CircleRWProcess(a=0.31, drift=0.25)
         rec = simulate_hits(spec, HALF, 300, seed=13)
-        assert rec.drift == 0.25
         gen = make_generator(13, 0)
         x = init_from_uniforms(spec, gen.random(1))
         hits = []
@@ -225,8 +212,7 @@ class TestSimulateHits:
         for t in (0, 3):
             solo = simulate_hits(DMRProcess(a=1.0), fam, 600, seed=21,
                                  trajectory=t)
-            assert recs[t].hit_times.tolist() == solo.hit_times.tolist()
-            assert recs[t].renewal_times.tolist() == solo.renewal_times.tolist()
+            assert recs[t].to_json() == solo.to_json()
 
     def test_parallel_partition_invariance(self):
         fam = NestedLeftFamily(radius=PowerLogSeq(c=0.8, p=0.5))
@@ -238,21 +224,23 @@ class TestSimulateHits:
             assert a.trajectory == b.trajectory
             assert a.hit_times.tolist() == b.hit_times.tolist()
 
-    def test_renewal_cap_truncates_storage_only(self):
-        spec = DMRProcess(a=1.0)
-        rec = simulate_hits(spec, UNIT, 2000, seed=7, renewal_cap=100)
-        assert len(rec.renewal_times) == 100
-        assert rec.renewal_count > 100
-        full = simulate_hits(spec, UNIT, 2000, seed=7, renewal_cap=None)
-        assert full.renewal_count == len(full.renewal_times)
-        assert full.renewal_times[:100].tolist() == rec.renewal_times.tolist()
-
     def test_hit_record_json_round_trip(self):
         rec = simulate_hits(DMRProcess(a=1.0), HALF, 200, seed=1)
+        assert list(rec.to_json()) == ["trajectory", "hit_times",
+                                       "renewal_count", "restarts"]
         back = HitRecord.from_json(rec.to_json())
-        assert back.hit_times.tolist() == rec.hit_times.tolist()
-        assert back.s_checkpoints == rec.s_checkpoints
-        assert back.renewal_count == rec.renewal_count
+        assert back.to_json() == rec.to_json()
+
+    def test_hit_record_rejects_other_fields(self):
+        d = simulate_hits(DMRProcess(a=1.0), HALF, 200, seed=1).to_json()
+        old = {**d, "seed": 1, "n": 200, "drift": 0.0,
+               "s_checkpoints": [[200, 3]], "renewal_times": [1, 5]}
+        with pytest.raises(ValueError, match="'drift', 'n', 'renewal_times', "
+                                             "'s_checkpoints', 'seed'"):
+            HitRecord.from_json(old)
+        del d["restarts"]
+        with pytest.raises(ValueError, match=r"missing fields \['restarts'\]"):
+            HitRecord.from_json(d)
 
 
 def scalar_replay(spec, n, gen, threshold=0.5):
@@ -286,16 +274,15 @@ class TestDegenerateRestart:
                 lowest, hits = scalar_replay(spec, n, gen)
                 assert (lowest < 1e-4) == (restart < rec.restarts)
             assert rec.hit_times.tolist() == hits
-            assert rec.s_checkpoints[-1] == (n, len(hits))
         kept = recs[next(t for t in range(40) if not recs[t].restarts)]
         assert kept.hit_times.tolist() == scalar_replay(
             spec, n, make_generator(seed, kept.trajectory))[1]
 
 
 class TestChunkInvariance:
-    def ensemble(self, spec, workers, cap=100):
+    def ensemble(self, spec, workers):
         recs = simulate_ensemble(spec, HALF, 600, seed=17, n_traj=7,
-                                 workers=workers, renewal_cap=cap)
+                                 workers=workers)
         return [r.to_json() for r in recs]
 
     @pytest.mark.parametrize("spec", [
@@ -310,20 +297,6 @@ class TestChunkInvariance:
         assert ref == self.ensemble(spec, workers=1)
         assert ref == self.ensemble(spec, workers=2)
         assert sum(len(r["hit_times"]) for r in ref) > 1000
-
-    def test_renewal_cap_cut_inside_a_chunk(self, monkeypatch):
-        monkeypatch.setattr(processes, "_CELLS", 3 * 7)
-        spec = DMRProcess(a=1.0)
-        capped = self.ensemble(spec, workers=1)
-        full = self.ensemble(spec, workers=1, cap=None)
-        # some chunk holds both the last stored and the first dropped renewal
-        assert any(c["renewal_count"] > 100
-                   and (c["renewal_times"][-1] - 1) // 3
-                   == (f["renewal_times"][100] - 1) // 3
-                   for c, f in zip(capped, full))
-        for c, f in zip(capped, full):
-            assert c["renewal_times"] == f["renewal_times"][:100]
-            assert c["renewal_count"] == f["renewal_count"]
 
 
 class TestLockstepInit:
@@ -381,9 +354,15 @@ class TestStationarity:
         assert stats.ks_2samp(draws, ref).pvalue > 0.01
 
     def test_renewal_gaps_uncorrelated(self):
-        rec = simulate_hits(DMRProcess(a=1.0), UNIT, 20_000, seed=43,
-                            renewal_cap=None)
-        gaps = np.diff(rec.renewal_times).astype(float)
+        spec = DMRProcess(a=1.0)
+        gen = make_generator(43, 0)
+        x = init_from_uniforms(spec, gen.random(1))
+        times = []
+        for k in range(1, 20_001):
+            x, flag = process_step(spec, x, gen.random(2))
+            if flag:
+                times.append(k)
+        gaps = np.diff(times).astype(float)
         g0, g1 = gaps[:-1] - gaps.mean(), gaps[1:] - gaps.mean()
         rho = float(np.dot(g0, g1) / np.sqrt(np.dot(g0, g0) * np.dot(g1, g1)))
         assert abs(rho) < 3 / np.sqrt(len(gaps))
