@@ -229,11 +229,14 @@ def _cmd_mixing(args) -> int:
 
 def _cmd_report(args) -> int:
     """Re-derive the run digest from the persisted records; re-emit only when
-    it matches the digest manifest.json recorded."""
+    it matches the digest manifest.json recorded, keeping the run's wall
+    clock, timestamp and the manifest's other file hashes."""
     try:
         cfg, records = load_run(args.run)
         recorded = json.loads((Path(args.run) / "manifest.json").read_text())
-        report = report_from_records(cfg, records)
+        report = report_from_records(
+            cfg, records, wall_clock_s=recorded.get("wall_clock_s", 0.0),
+            timestamp=recorded.get("timestamp", ""))
         digest = run_digest(report)
         if digest != recorded["run_digest"]:
             print(f"run digest {digest} does not match the recorded "

@@ -37,12 +37,13 @@ from .processes import (
     ProcessSpec,
     SplitChainProcess,
     calibration_path,
+    check_horizon,
     lsv_calibration,
     process_from_json,
     process_to_json,
     simulate_ensemble,
 )
-from .seqcore import TabulatedSeq
+from .seqcore import TabulatedSeq, check_fields
 
 __all__ = [
     "CRITERIA_TOKENS",
@@ -124,6 +125,7 @@ class ExperimentConfig:
         self.process.validate()
         if self.n < 100:
             raise ValueError("n must be >= 100")
+        check_horizon(self.process, self.n)
         if self.n_traj < 1:
             raise ValueError("need at least one trajectory")
         fh = self.family.horizon
@@ -176,9 +178,7 @@ def _config_payload(cfg: ExperimentConfig) -> bytes:
 
 def config_from_json(d: dict) -> ExperimentConfig:
     """Config from the keys config_to_json writes; any other key is an error."""
-    unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
-    if unknown:
-        raise ValueError(f"config has unknown fields {unknown}")
+    check_fields("config", d, [f.name for f in fields(ExperimentConfig)])
     try:
         cfg = ExperimentConfig(
             process=process_from_json(d["process"]),
@@ -509,14 +509,26 @@ def _md_payload(report: ExperimentReport, digest: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _prior_manifest(out: Path) -> dict:
+    """manifest.json already in out, or {} when it is missing or unreadable."""
+    try:
+        doc = json.loads((out / "manifest.json").read_text())
+    except (OSError, ValueError):
+        return {}
+    return doc if isinstance(doc, dict) else {}
+
+
 def emit_report(report: ExperimentReport, out_dir=None,
                 formats=("csv", "jsonl", "md")) -> dict:
     """Write run artifacts; returns {name: path} plus the run digest.
 
     ``config.json`` and ``criteria.json`` are always written; formats
     select ``hits.jsonl``, ``summary.csv``, ``summary.md`` ("md-summary"
-    is accepted as an alias).  A failed write leaves ``manifest.json``
-    describing the partial results.
+    is accepted as an alias).  ``manifest.json`` holds the sha256 of each
+    file, the run digest, the wall clock and the timestamp; the hashes of
+    files this call does not rewrite are kept when the manifest already
+    there records the same run digest.  A failed write leaves
+    ``manifest.json`` describing the partial results.
     """
     out = out_dir or report.config.out_dir
     if not out:
@@ -539,14 +551,18 @@ def emit_report(report: ExperimentReport, out_dir=None,
     if "md" in formats:
         payloads["summary.md"] = _md_payload(report, digest)
 
-    written = {}
+    prior = _prior_manifest(out)
+    written = (dict(prior.get("complete", {}))
+               if prior.get("run_digest") == digest else {})
+    manifest = {"complete": written, "run_digest": digest,
+                "wall_clock_s": report.wall_clock_s,
+                "timestamp": report.timestamp}
     try:
         for name, payload in payloads.items():
             (out / name).write_bytes(payload)
             written[name] = hashlib.sha256(payload).hexdigest()
     except OSError as e:
-        manifest = {"complete": written, "failed": name, "error": str(e),
-                    "run_digest": digest}
+        manifest.update(failed=name, error=str(e))
         try:
             (out / "manifest.json").write_text(
                 json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -554,9 +570,8 @@ def emit_report(report: ExperimentReport, out_dir=None,
             pass
         raise RuntimeError(
             f"partial results in {out}: failed writing {name}") from e
-    (out / "manifest.json").write_text(json.dumps(
-        {"complete": written, "run_digest": digest}, sort_keys=True,
-        indent=2) + "\n")
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     paths = {name: str(out / name) for name in payloads}
     paths["digest"] = digest
     return paths

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seqcore import RealSeq, seq_from_json, seq_to_json
+from .seqcore import RealSeq, check_fields, seq_from_json, seq_to_json
 
 LINE = "line"
 TORUS = "torus"
@@ -625,6 +625,7 @@ def interval_to_json(iv: Interval) -> dict:
 
 
 def interval_from_json(d: dict) -> Interval:
+    check_fields("interval", d, ("space", "lo", "hi", "full"))
     return Interval(d.get("space", LINE), float(d.get("lo", 0.0)),
                     float(d.get("hi", 0.0)), full=bool(d.get("full", False)))
 
@@ -645,8 +646,19 @@ def family_to_json(fam: IntervalFamily) -> dict:
     raise TypeError(f"unknown family type {type(fam).__name__}")
 
 
+_FAMILY_FIELDS = {
+    "nested-left": ("radius", "space"),
+    "nested-window": ("left", "right"),
+    "torus-consecutive": ("b0", "steps"),
+    "custom": ("intervals", "space"),
+}
+
+
 def family_from_json(d: dict) -> IntervalFamily:
     t = d.get("template")
+    if t not in _FAMILY_FIELDS:
+        raise ValueError(f"unknown family template {t!r}")
+    check_fields(f"family {t!r}", d, ("template",) + _FAMILY_FIELDS[t])
     if t == "nested-left":
         return NestedLeftFamily(radius=seq_from_json(d["radius"]),
                                 space=d.get("space", LINE))
@@ -656,11 +668,9 @@ def family_from_json(d: dict) -> IntervalFamily:
     if t == "torus-consecutive":
         return TorusConsecutiveFamily(b0=float(d.get("b0", 0.0)),
                                       steps=seq_from_json(d["steps"]))
-    if t == "custom":
-        return CustomFamily(
-            table=tuple(interval_from_json(x) for x in d["intervals"]),
-            space=d.get("space", LINE))
-    raise ValueError(f"unknown family template {t!r}")
+    return CustomFamily(
+        table=tuple(interval_from_json(x) for x in d["intervals"]),
+        space=d.get("space", LINE))
 
 
 def measure_to_json(m: MeasureOracle) -> dict:
@@ -673,12 +683,17 @@ def measure_to_json(m: MeasureOracle) -> dict:
     raise TypeError(f"unknown measure type {type(m).__name__}")
 
 
+_MEASURE_FIELDS = {"lebesgue": ("support",), "power": ("a",),
+                   "tabulated": ("xs", "Fs")}
+
+
 def measure_from_json(d: dict) -> MeasureOracle:
     k = d.get("kind", "lebesgue")
+    if k not in _MEASURE_FIELDS:
+        raise ValueError(f"unknown measure kind {k!r}")
+    check_fields(f"measure {k!r}", d, ("kind",) + _MEASURE_FIELDS[k])
     if k == "lebesgue":
         return LebesgueMeasure(tuple(d.get("support", (0.0, 1.0))))
     if k == "power":
         return PowerMeasure(float(d["a"]))
-    if k == "tabulated":
-        return TabulatedCdfMeasure(d["xs"], d["Fs"])
-    raise ValueError(f"unknown measure kind {k!r}")
+    return TabulatedCdfMeasure(d["xs"], d["Fs"])

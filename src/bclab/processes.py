@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .intervals import IntervalFamily, TabulatedCdfMeasure
+from .seqcore import check_fields
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -126,7 +127,8 @@ class ARHalfProcess(ProcessSpec):
 
 @dataclass(frozen=True)
 class CircleRWProcess(ProcessSpec):
-    """Random walk on the torus: x +- a with a fair coin; Haar invariant.
+    """Random walk on the torus: x_k = x_0 + j_k a mod 1, with j_k the net
+    number of +a steps of a fair coin; Haar invariant.
 
     drift t shifts the hit test frame: step k tests x_k - k t mod 1.
     """
@@ -239,9 +241,7 @@ def process_from_json(d: dict) -> ProcessSpec:
     if v not in _VARIANTS:
         raise ValueError(f"unknown process variant {v!r}")
     init = {f.name: f for f in fields(_VARIANTS[v]) if f.init}
-    unknown = sorted(set(d) - set(init) - {"variant"})
-    if unknown:
-        raise ValueError(f"process {v!r} has unknown fields {unknown}")
+    check_fields(f"process {v!r}", d, ["variant", *init])
     kw = {}
     for name, f in init.items():
         if name in d:
@@ -251,6 +251,56 @@ def process_from_json(d: dict) -> ProcessSpec:
     spec = _VARIANTS[v](**kw)
     spec.validate()
     return spec
+
+
+# ---------------------------------------------------------------------------
+# Circle positions
+
+# a = H 2**-27 + lo with H an integer; j H stays below 2**53, so it is exact
+# in int64 and float64, while |j| < 2**26
+_CIRCLE_BITS = 27
+CIRCLE_MAX_STEPS = 2**26 - 1
+
+
+def check_horizon(spec: ProcessSpec, n: int):
+    """Raise ValueError when spec cannot be simulated exactly for n steps."""
+    if isinstance(spec, CircleRWProcess) and n > CIRCLE_MAX_STEPS:
+        raise ValueError(f"circle-rw positions are exact up to "
+                         f"{CIRCLE_MAX_STEPS} = 2**26 - 1 steps, not n = {n}")
+
+
+def circle_position(a: float, x0, j: np.ndarray, out=None) -> np.ndarray:
+    """x0 + j a mod 1 for an int64 array j of net +a step counts, |j| < 2**26.
+
+    With a = H 2**-27 + lo (H an integer, |lo| <= 2**-28) the fractional
+    part of j H 2**-27 is exact integer arithmetic, and |j lo| < 1/4 adds
+    one rounding: the result stays within an ulp of 1.0 of the exact value
+    at every step count, where the recursion x +- a rounds at every step.
+    j is overwritten; out, when given, receives the result.  The kernel and
+    the scalar process_step both call this, so their paths agree bit for bit.
+    """
+    unit = 2.0**-_CIRCLE_BITS
+    h = round(a / unit)
+    lo = a - h * unit  # exact
+    out = np.multiply(j, lo / unit, out=out)
+    j *= h
+    j &= (1 << _CIRCLE_BITS) - 1
+    out += j  # (frac(j H unit) + j lo) / unit
+    out *= unit
+    out += x0
+    np.floor(out, out=j, casting="unsafe")
+    out -= j
+    return out
+
+
+class CircleState(float):
+    """A circle-rw state: its position as a float, with the start x0 and
+    the net +a step count j the position is computed from."""
+
+    def __new__(cls, position: float, x0: float, j: int):
+        self = super().__new__(cls, position)
+        self.x0, self.j = x0, j
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +336,14 @@ def process_step(spec: ProcessSpec, state: float, uniforms) -> tuple:
             eps += math.copysign(mag, u2 - 0.5)
         return 0.5 * state + eps, 0
     if isinstance(spec, CircleRWProcess):
-        step = spec.a if u1 < 0.5 else -spec.a
-        return (state + step) % 1.0, 0
+        # a plain float state starts a walk there
+        x0, j = ((state.x0, state.j) if isinstance(state, CircleState)
+                 else (float(state), 0))
+        j += 1 if u1 < 0.5 else -1
+        if abs(j) > CIRCLE_MAX_STEPS:
+            raise ValueError("circle-rw walk beyond 2**26 - 1 net steps")
+        x = float(circle_position(spec.a, x0, np.array([j]))[0])
+        return CircleState(x, x0, j), 0
     if isinstance(spec, SplitChainProcess):
         if not 0.0 <= state <= 1.0:
             raise ValueError("split-chain state outside [0,1]")
@@ -405,19 +461,9 @@ def _init_vector(spec, gens):
     return np.array([init_from_uniforms(spec, g.random(count)) for g in gens])
 
 
-def _advance_chunk(spec, x, U, xs_buf, flags_buf):
-    """Fill xs_buf[i] with the state after step i of this chunk."""
+def _advance_rows(spec, x, U, xs_buf, flags_buf):
+    """Fill xs_buf[i] with the state after step i of this chunk, row by row."""
     m = xs_buf.shape[0]
-    if isinstance(spec, IIDProcess):
-        xs_buf[:] = spec._inverse(U[:, :, 0])
-        return xs_buf[-1].copy()
-    if isinstance(spec, CircleRWProcess):
-        # same per-element arithmetic as process_step, so paths agree exactly
-        a = spec.a
-        for i in range(m):
-            x = (x + np.where(U[i, :, 0] < 0.5, a, -a)) % 1.0
-            xs_buf[i] = x
-        return x
     if isinstance(spec, LSVProcess):
         g = spec.gamma
         for i in range(m):
@@ -456,13 +502,69 @@ def _chunks(spec, n, gens, x):
 
     Yields (c0, xs, flags) per chunk: xs[i] holds the states after step
     c0 + i + 1 and flags[i] the split-chain regeneration flags (None for
-    other variants).  A chunk holds at most _CELLS states; its buffers are
-    reused, so each chunk is read before the next is requested.  Every
-    trajectory draws from its own stream in step order, so the chunk size
-    never changes the path.
+    other variants).  iid and circle-rw chunks are computed whole, without
+    a loop over steps, and stored trajectory-major (xs is then a transposed
+    view); the other variants step row by row.  A chunk holds at most
+    _CELLS states; its buffers are reused, so each chunk is read before the
+    next is requested.  Every trajectory draws from its own stream in step
+    order, so the chunk size never changes the path.
     """
+    rows = max(1, min(n, _CELLS // len(gens)))
+    if isinstance(spec, IIDProcess):
+        return _iid_chunks(spec, n, gens, rows)
+    if isinstance(spec, CircleRWProcess):
+        return _circle_chunks(spec, n, gens, x, rows)
+    return _row_chunks(spec, n, gens, x, rows)
+
+
+def _step_words(gens, m):
+    """(t, w) per stream t: w holds the raw 64-bit word of the first uniform
+    of each of its next m steps, drawn as one contiguous block.
+
+    Both uniforms of every step are consumed, as by process_step.
+    Generator.random makes the uniform (w >> 11) 2**-53 of a word w, so
+    u < 1/2 exactly when w < 2**63.
+    """
+    for t, g in enumerate(gens):
+        yield t, g.bit_generator.random_raw(2 * m)[::2]
+
+
+def _iid_chunks(spec, n, gens, rows):
+    """Each step's state is the marginal's inverse cdf at its first uniform."""
+    xs = np.empty((len(gens), rows))  # trajectory-major
+    for c0 in range(0, n, rows):
+        m = min(rows, n - c0)
+        for t, w in _step_words(gens, m):
+            xs[t, :m] = spec._inverse((w >> 11) * 2.0**-53)
+        yield c0, xs[:, :m].T, None
+
+
+def _circle_chunks(spec, n, gens, x, rows):
+    """x_k = x_0 + j_k a mod 1 for a whole chunk: j_k is a cumsum of the
+    +-1 steps, carried across chunks, and circle_position needs no loop."""
     width = len(gens)
-    rows = max(1, min(n, _CELLS // width))
+    xs = np.empty((width, rows))  # trajectory-major
+    steps = np.empty((width, rows), dtype=np.int8)
+    j = np.empty((width, rows), dtype=np.int64)
+    x0, j_end = x[:, None], np.zeros((width, 1), dtype=np.int64)
+    for c0 in range(0, n, rows):
+        m = min(rows, n - c0)
+        for t, w in _step_words(gens, m):
+            np.less(w, 1 << 63, out=steps[t, :m])  # u < 1/2: a +a step
+        s = steps[:, :m]
+        s *= 2
+        s -= 1
+        jm = np.cumsum(s, axis=1, dtype=np.int64, out=j[:, :m])
+        jm += j_end
+        j_end = jm[:, -1:].copy()
+        circle_position(spec.a, x0, jm, out=xs[:, :m])
+        yield c0, xs[:, :m].T, None
+
+
+def _row_chunks(spec, n, gens, x, rows):
+    """Chunks of the variants stepped row by row: U[i, t] holds the two
+    uniforms of step i of trajectory t."""
+    width = len(gens)
     xs = np.empty((rows, width))
     flags = (np.empty((rows, width), dtype=bool)
              if isinstance(spec, SplitChainProcess) else None)
@@ -472,11 +574,11 @@ def _chunks(spec, n, gens, x):
     for c0 in range(0, n, rows):
         m = min(rows, n - c0)
         if U is not None:
-            for j, g in enumerate(gens):
+            for t, g in enumerate(gens):
                 g.random(out=draw[:m])
-                U[:m, j] = draw[:m]
+                U[:m, t] = draw[:m]
         fl = None if flags is None else flags[:m]
-        x = _advance_chunk(spec, x, None if U is None else U[:m], xs[:m], fl)
+        x = _advance_rows(spec, x, None if U is None else U[:m], xs[:m], fl)
         yield c0, xs[:m], fl
 
 
@@ -546,6 +648,18 @@ def _run_block(spec, n, seed, traj_ids, bounds, restart=0):
     return out
 
 
+def _checked_bounds(spec, family, n):
+    """family.bounds(n), once n steps of spec against family are known to
+    be simulable."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_horizon(spec, n)
+    fh = family.horizon
+    if fh is not None and fh < n:
+        raise ValueError(f"family defined only up to {fh} < n = {n}")
+    return family.bounds(n)
+
+
 def simulate_hits(spec: ProcessSpec, family: IntervalFamily, n: int, seed: int,
                   trajectory: int = 0) -> HitRecord:
     """One trajectory: step from stationary_init, record k with X_k in A_k.
@@ -553,12 +667,8 @@ def simulate_hits(spec: ProcessSpec, family: IntervalFamily, n: int, seed: int,
     For CircleRW with drift t the test point is X_k - k t mod 1.  Fully
     reproducible from (spec, family, n, seed, trajectory).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    fh = family.horizon
-    if fh is not None and fh < n:
-        raise ValueError(f"family defined only up to {fh} < n = {n}")
-    return _run_block(spec, n, seed, [trajectory], family.bounds(n))[0]
+    return _run_block(spec, n, seed, [trajectory],
+                      _checked_bounds(spec, family, n))[0]
 
 
 def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
@@ -568,15 +678,12 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
     Worker count comes from BCLAB_THREADS when not given; the partition has
     no effect on the results because every trajectory owns its own stream.
     """
-    if n < 1 or n_traj < 1:
-        raise ValueError("need n >= 1 and n_traj >= 1")
-    fh = family.horizon
-    if fh is not None and fh < n:
-        raise ValueError(f"family defined only up to {fh} < n = {n}")
+    if n_traj < 1:
+        raise ValueError("need n_traj >= 1")
+    bounds = _checked_bounds(spec, family, n)
     if workers is None:
         workers = int(os.environ.get("BCLAB_THREADS", "1"))
     workers = max(1, min(workers, n_traj))
-    bounds = family.bounds(n)
     ids = list(range(n_traj))
     if workers == 1:
         return _run_block(spec, n, seed, ids, bounds)
@@ -599,6 +706,7 @@ def paired_sample(spec: ProcessSpec, n: int, seed: int, n_traj: int):
     if n < 1 or n_traj < 1:
         raise ValueError("need n >= 1 and n_traj >= 1")
     spec.validate()
+    check_horizon(spec, n)
     gens = [make_generator(seed, t) for t in range(n_traj)]
     x0 = _init_vector(spec, gens)
     return x0, _final_state(spec, n, gens, x0)

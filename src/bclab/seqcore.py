@@ -546,29 +546,34 @@ def seq_to_json(v: RealSeq) -> dict:
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
+def check_fields(what: str, d: dict, allowed) -> None:
+    """Raise ValueError naming every key of the JSON object d not in allowed,
+    so a misspelt field is an error rather than a silent default."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what} has unknown fields {unknown}")
+
+
+# template: (constructor, {field: default}); each value is coerced to the
+# type of its default
+_SEQ_TEMPLATES = {
+    "powerlog": (PowerLogSeq,
+                 {"c": 1.0, "p": 0.0, "q": 0.0, "shift": 0.0, "start": 1}),
+    "power": (power_seq, {"c": 1.0, "p": 0.0, "start": 1}),
+    "constant": (constant_seq, {"c": 1.0, "start": 1}),
+    "geometric": (GeometricSeq, {"c": 1.0, "r": 0.5, "start": 0}),
+}
+
+
 def seq_from_json(obj: dict) -> RealSeq:
     kind = obj.get("template", "powerlog")
-    if kind == "powerlog":
-        return PowerLogSeq(
-            c=float(obj.get("c", 1.0)),
-            p=float(obj.get("p", 0.0)),
-            q=float(obj.get("q", 0.0)),
-            shift=float(obj.get("shift", 0.0)),
-            start=int(obj.get("start", 1)),
-        )
-    if kind == "power":
-        return power_seq(float(obj.get("c", 1.0)), float(obj.get("p", 0.0)),
-                         start=int(obj.get("start", 1)))
-    if kind == "constant":
-        return constant_seq(float(obj.get("c", 1.0)), start=int(obj.get("start", 1)))
-    if kind == "geometric":
-        return GeometricSeq(
-            c=float(obj.get("c", 1.0)),
-            r=float(obj.get("r", 0.5)),
-            start=int(obj.get("start", 0)),
-        )
     if kind == "tabulated":
+        check_fields("sequence 'tabulated'", obj, ("template", "values", "start"))
         return TabulatedSeq(
             np.asarray(obj["values"], dtype=float), start=int(obj.get("start", 1))
         )
-    raise ValueError(f"unknown sequence template {kind!r}")
+    if kind not in _SEQ_TEMPLATES:
+        raise ValueError(f"unknown sequence template {kind!r}")
+    make, defaults = _SEQ_TEMPLATES[kind]
+    check_fields(f"sequence {kind!r}", obj, ("template", *defaults))
+    return make(**{k: type(v)(obj.get(k, v)) for k, v in defaults.items()})

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -75,12 +76,37 @@ class TestSimulate:
         ({**HARMONIC_CFG, "process": {"variant": "dmr", "a": 2.0,
                                       "nu_power": 9.0}}, "nu_power"),
         ({**HARMONIC_CFG, "sead": 5}, "sead"),
-    ], ids=["misspelt-process-field", "preset-fixed-field", "misspelt-seed"])
+        ({**HARMONIC_CFG, "family": {**HARMONIC_CFG["family"], "bogus2": 1}},
+         "bogus2"),
+        ({**HARMONIC_CFG, "family": {
+            **HARMONIC_CFG["family"],
+            "radius": {**HARMONIC_CFG["family"]["radius"], "bogus": 3}}},
+         "bogus"),
+        ({**HARMONIC_CFG, "family": {"template": "custom", "intervals": [
+            {"space": "line", "lo": 0.0, "hi": 0.5, "hj": 0.6}] * 1000}},
+         "hj"),
+        ({**HARMONIC_CFG, "measure": {"kind": "power", "a": 1.0, "b": 2.0}},
+         "b"),
+    ], ids=["misspelt-process-field", "preset-fixed-field", "misspelt-seed",
+            "family-field", "sequence-field", "interval-field",
+            "measure-field"])
     def test_unknown_config_field_exit_4(self, tmp_path, capsys, doc, field):
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "r")]) == 4
         assert f"unknown fields ['{field}']" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_circle_walk_beyond_exact_horizon_exit_4(self, tmp_path, capsys):
+        # a 1000-step family: without the guard its horizon check would fire
+        doc = {**HARMONIC_CFG, "process": {"variant": "circle-rw"},
+               "n": 2**26, "family": {"template": "custom", "space": "torus",
+                                      "intervals": [{"space": "torus", "lo": 0.0,
+                                                     "hi": 0.5}] * 1000}}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 4
+        assert "exact up to 67108863" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
 
@@ -155,6 +181,26 @@ class TestReport:
         assert main(["report", "--run", str(out), "--format", "md"]) == 0
         again = capsys.readouterr().out.splitlines()[0]
         assert first == again  # identical "run digest <hex>" line
+
+    def test_reemit_keeps_manifest_and_wall_clock(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        md = (out / "summary.md").read_bytes()
+        assert sorted(manifest["complete"]) == [
+            "config.json", "criteria.json", "hits.jsonl", "summary.csv",
+            "summary.md"]
+        for fmt in ("md", "csv"):
+            assert main(["report", "--run", str(out), "--format", fmt]) == 0
+            after = json.loads((out / "manifest.json").read_text())
+            assert after == manifest
+            for name, sha in after["complete"].items():
+                assert sha == hashlib.sha256(
+                    (out / name).read_bytes()).hexdigest(), name
+        # the run's wall clock and timestamp, not 0.00 s and an empty stamp
+        assert (out / "summary.md").read_bytes() == md
+        assert manifest["wall_clock_s"] > 0 and manifest["timestamp"]
 
     def test_missing_run_exit_4(self, tmp_path):
         assert main(["report", "--run", str(tmp_path), "--format", "csv"]) == 4

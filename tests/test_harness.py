@@ -317,7 +317,7 @@ def reference_suite(quick: bool) -> dict:
 
 
 class TestReferenceDigests:
-    """Sticky-chain runs of the quick reference suite, pinned bit for bit."""
+    """Runs of the quick reference suite, pinned bit for bit."""
 
     @pytest.mark.parametrize("name, digest", [
         ("sticky-divergent-boundary",
@@ -340,5 +340,21 @@ class TestReferenceDigests:
     def test_quick_sticky_summary_pinned(self, name, sha, tmp_path):
         cfg = reference_suite(quick=True)[name]
         emit_report(run_experiment(cfg), out_dir=tmp_path, formats=("csv",))
+        csv = (tmp_path / "summary.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == sha
+
+    # the variants stepped a whole chunk at a time (circle walk and iid)
+    @pytest.mark.parametrize("name, digest, sha", [
+        ("circle-golden",
+         "849b1d305adcd584a74661f50d67e2cda4275af00e5d579a2f9b6d258d1f2695",
+         "ebc2a4864c286ec132cc4beb6166c96d2fc07a8986ff57e3142d3e9de5377fda"),
+        ("iid-harmonic",
+         "eb471b553b21b84af19251df0a4988b78922832b0e8495d7ade0f0efcc38c12f",
+         "3bf4ff6025a29b6ece85cf752eb0e460785a88bc8903b7deeb572c4f7b6b994d"),
+    ], ids=["circle-golden", "iid-harmonic"])
+    def test_quick_whole_chunk_runs_pinned(self, name, digest, sha, tmp_path):
+        report = run_experiment(reference_suite(quick=True)[name])
+        assert run_digest(report) == digest
+        emit_report(report, out_dir=tmp_path, formats=("csv",))
         csv = (tmp_path / "summary.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == sha

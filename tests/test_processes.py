@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,13 +9,17 @@ from bclab.harness import default_checkpoints
 from bclab.intervals import CustomFamily, Interval, NestedLeftFamily
 from bclab.processes import (
     ARHalfProcess,
+    CIRCLE_MAX_STEPS,
     CircleRWProcess,
+    CircleState,
     DMRProcess,
+    GOLDEN_CONJUGATE,
     HitRecord,
     IIDProcess,
     LSVProcess,
     SplitChainProcess,
     TAIL_ENTRIES,
+    circle_position,
     init_from_uniforms,
     init_uniform_count,
     lsv_calibration,
@@ -289,7 +295,8 @@ class TestChunkInvariance:
         DMRProcess(a=1.0),
         CircleRWProcess(a=0.37, drift=0.2),
         LSVProcess(gamma=0.6, burn_in=200),
-    ], ids=["dmr-capped", "circle-drift", "lsv"])
+        IIDProcess(marginal="power", power=0.4),
+    ], ids=["dmr-capped", "circle-drift", "lsv", "iid-power"])
     def test_tiny_chunks_and_workers_match_default(self, monkeypatch, spec):
         ref = self.ensemble(spec, workers=1)
         assert ref == self.ensemble(spec, workers=2)
@@ -297,6 +304,53 @@ class TestChunkInvariance:
         assert ref == self.ensemble(spec, workers=1)
         assert ref == self.ensemble(spec, workers=2)
         assert sum(len(r["hit_times"]) for r in ref) > 1000
+
+
+class TestCircleWalk:
+    @pytest.mark.parametrize("a", [0.31, GOLDEN_CONJUGATE], ids=["0.31", "golden"])
+    def test_closed_form_within_an_ulp(self, a):
+        rng = np.random.default_rng(8)
+        js = np.concatenate((np.arange(-1000, 1001), [-10**6, 10**6],
+                             rng.integers(-10**6, 10**6, 2000)))
+        for x0 in (0.0, 0.3, float(rng.random()), 1.0 - 2.0**-53):
+            got = circle_position(a, x0, js.copy())
+            assert ((got >= 0.0) & (got < 1.0)).all()
+            for x, j in zip(got.tolist(), js.tolist()):
+                d = abs(Fraction(x) - (Fraction(x0) + j * Fraction(a)) % 1)
+                assert min(d, 1 - d) <= Fraction(2) ** -52, (x0, j)
+
+    def test_scalar_state_carries_start_and_net_steps(self):
+        spec = CircleRWProcess(a=0.31)
+        x, _ = process_step(spec, 0.25, (0.1, 0.9))  # a plain float starts a walk
+        x, _ = process_step(spec, x, (0.7, 0.9))
+        x, _ = process_step(spec, x, (0.2, 0.9))
+        assert isinstance(x, CircleState) and (x.x0, x.j) == (0.25, 1)
+        assert x == circle_position(0.31, 0.25, np.array([1]))[0]
+
+    def test_horizon_guard(self):
+        spec = CircleRWProcess()
+        # a short family: without the guard its own horizon check would fire,
+        # before any 2**26-step bounds were built
+        short = CustomFamily(table=(Interval.line(0, 1),) * 5)
+        for run in (lambda: simulate_hits(spec, short, 2**26, seed=0),
+                    lambda: simulate_ensemble(spec, short, 2**26, 0, n_traj=2),
+                    lambda: paired_sample(spec, 2**26, seed=0, n_traj=2)):
+            with pytest.raises(ValueError, match=r"2\*\*26 - 1 steps"):
+                run()
+        edge = CircleState(0.5, 0.5, CIRCLE_MAX_STEPS)
+        assert process_step(spec, edge, (0.9, 0.0))[0].j == CIRCLE_MAX_STEPS - 1
+        with pytest.raises(ValueError, match=r"2\*\*26 - 1 net steps"):
+            process_step(spec, edge, (0.1, 0.0))
+
+    def test_step_words_are_the_uniforms_process_step_reads(self):
+        gens = [make_generator(4, t) for t in range(3)]
+        scalar = [make_generator(4, t) for t in range(3)]
+        for t, w in processes._step_words(gens, 50):
+            u = scalar[t].random((50, 2))[:, 0]
+            assert ((w >> 11) * 2.0**-53).tolist() == u.tolist()
+            assert ((w < 2**63) == (u < 0.5)).all()
+        # both uniforms of every step were consumed
+        assert [g.random() for g in gens] == [g.random() for g in scalar]
 
 
 class TestLockstepInit:
