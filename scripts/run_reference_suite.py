@@ -7,6 +7,8 @@ walk) against shrinking and fixed-mass target families.  Each run writes
 the full artifact set (``hits.jsonl``, ``summary.csv``, ``summary.md``,
 ``config.json``, ``criteria.json``, ``manifest.json``) under
 ``--out/<name>/`` and is judged against its predicted limit behaviour.
+Each run's digest is then re-derived from the artifacts just written, as
+``bclab report`` does; a mismatch fails the suite in either mode.
 
 Examples
 --------
@@ -34,6 +36,9 @@ from bclab.harness import (
     ExperimentConfig,
     aggregate_verdict,
     emit_report,
+    load_run,
+    report_from_records,
+    run_digest,
     run_experiment,
 )
 from bclab.intervals import TORUS, NestedLeftFamily, TorusConsecutiveFamily
@@ -151,12 +156,20 @@ def main(argv=None) -> int:
     for name, cfg, predictions in experiments:
         t0 = time.perf_counter()
         report = run_experiment(cfg)
-        emit_report(report, out_dir=out_root / name)
+        emitted = emit_report(report, out_dir=out_root / name)["digest"]
         wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        digest = run_digest(report_from_records(*load_run(out_root / name)))
+        reverify = time.perf_counter() - t0
         final_ratio = (float(report.mean_ratio[-1])
                        if len(report.mean_ratio) else float("nan"))
         print(f"{name}: n={cfg.n} trajectories={cfg.n_traj} "
-              f"mean S/E={final_ratio:.4f} wall={wall:.1f}s")
+              f"mean S/E={final_ratio:.4f} wall={wall:.1f}s "
+              f"reverify={reverify:.2f}s")
+        if digest != emitted:
+            print(f"  reverify: FAIL — digest {digest} does not match the "
+                  f"emitted {emitted}")
+            failures += 1
         for token in predictions:
             verdict = aggregate_verdict(report, token)
             status = "pass" if verdict.passed else "FAIL"
@@ -169,7 +182,7 @@ def main(argv=None) -> int:
 
     print(f"artifacts under {out_root}")
     if failures:
-        print(f"{failures} prediction(s) failed")
+        print(f"{failures} prediction(s) or reverify check(s) failed")
         return 1
     return 0
 

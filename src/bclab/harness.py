@@ -269,9 +269,8 @@ class ExperimentReport:
 
 
 def _serialize_records(records: list) -> tuple:
-    """(per-record digests, hits.jsonl bytes), serializing each record once."""
-    lines = [json.dumps(rec.to_json(), sort_keys=True,
-                        separators=(",", ":")).encode() for rec in records]
+    """(per-record digests, hits.jsonl bytes) from each record's line."""
+    lines = [rec.to_line() for rec in records]
     digests = [hashlib.sha256(line).hexdigest()[:16] for line in lines]
     return digests, b"\n".join(lines) + (b"\n" if lines else b"")
 
@@ -591,8 +590,8 @@ def load_run(run_dir) -> tuple:
     if not hits_path.exists():
         raise ValueError(f"{run_dir} has no hits.jsonl")
     cfg = config_from_json(json.loads(cfg_path.read_text()))
-    records = [HitRecord.from_json(json.loads(line))
-               for line in hits_path.read_text().splitlines() if line.strip()]
+    records = [HitRecord.from_line(line)
+               for line in hits_path.read_bytes().splitlines() if line.strip()]
     if [r.trajectory for r in records] != list(range(cfg.n_traj)):
         raise ValueError(f"{hits_path} must hold trajectories 0..{cfg.n_traj - 1}"
                          f" in order, one per line")

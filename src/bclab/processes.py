@@ -9,8 +9,10 @@ ensemble driver and the scalar process_step walk identical trajectories.
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -404,39 +406,126 @@ def stationary_init(spec: ProcessSpec, seed: int, trajectory: int = 0,
 # Hit records
 
 
-@dataclass
+# A hits.jsonl line as to_line writes it: compact JSON, keys sorted.  The
+# hit-time list's text is checked by parsing it (_canonical_hits).
+_CANONICAL_LINE = re.compile(
+    rb'\{"hit_times":\[(.*)\],"renewal_count":(0|[1-9][0-9]*),'
+    rb'"restarts":(0|[1-9][0-9]*),"trajectory":(0|[1-9][0-9]*)\}')
+# 1, 10, ..., 10**17: the insertion point of v >= 1 is its digit count,
+# capped at 18
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_RECORD_KEYS = ("trajectory", "hit_times", "renewal_count", "restarts")
+
+
+def _canonical_hits(body: bytes):
+    """Hit times of a canonical list body, or None unless body is exactly
+    how json.dumps writes a list of integers from 1 to 10**18 - 1."""
+    if not body:
+        return np.zeros(0, dtype=np.int64)
+    try:
+        ht = np.fromstring(body, dtype=np.int64, sep=",")
+    except ValueError:  # text that is not integers between commas
+        return None
+    commas = body.count(b",")
+    # One value per comma-separated element, and their digit counts summed
+    # equal to the non-comma characters: so no element holds anything but
+    # digits (a sign, space, point or exponent adds a character and no
+    # digit), starts with 0 or is longer than 18 digits (which includes
+    # every value the int64 parse clamped).
+    if (ht.size != commas + 1
+            or np.searchsorted(_POW10, ht, side="right").sum()
+            != len(body) - commas):
+        return None
+    return ht
+
+
+@dataclass(frozen=True)
 class HitRecord:
-    """One trajectory's hits; seed, n and drift live in the run's config."""
+    """One trajectory's hits; seed, n and drift live in the run's config.
+
+    Frozen, with read-only hit times, so a record read from a canonical
+    hits.jsonl line keeps that line as its serialization.
+    """
 
     trajectory: int
     hit_times: np.ndarray  # strictly increasing step indices in 1..n
     renewal_count: int = 0  # split-chain regenerations over the n steps
     restarts: int = 0  # degenerate interval-map streams skipped first
+    _line: bytes = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a read-only view: an array the caller passed keeps its own flags
+        ht = np.asarray(self.hit_times, dtype=np.int64).view()
+        ht.flags.writeable = False
+        object.__setattr__(self, "hit_times", ht)
 
     def to_json(self) -> dict:
         return {
             "trajectory": self.trajectory,
-            "hit_times": np.asarray(self.hit_times).tolist(),
+            "hit_times": self.hit_times.tolist(),
             "renewal_count": self.renewal_count,
             "restarts": self.restarts,
         }
 
+    def to_line(self) -> bytes:
+        """This record as one hits.jsonl line, without the newline."""
+        if self._line is not None:
+            return self._line
+        return json.dumps(self.to_json(), sort_keys=True,
+                          separators=(",", ":")).encode()
+
+    @staticmethod
+    def from_line(line: bytes) -> "HitRecord":
+        """Record from one hits.jsonl line.
+
+        A line in the form to_line writes is parsed by numpy and kept
+        verbatim; any other line must be a JSON object for from_json.
+        """
+        m = _CANONICAL_LINE.fullmatch(line)
+        ht = _canonical_hits(m[1]) if m else None
+        if ht is None:
+            try:
+                doc = json.loads(line)
+            except RecursionError:
+                raise ValueError("hit record nests too deeply") from None
+            return HitRecord.from_json(doc)
+        rec = HitRecord(trajectory=int(m[4]), hit_times=ht,
+                        renewal_count=int(m[2]), restarts=int(m[3]))
+        object.__setattr__(rec, "_line", line)
+        return rec
+
     @staticmethod
     def from_json(d: dict) -> "HitRecord":
-        keys = [f.name for f in fields(HitRecord)]
-        extra = sorted(set(d) - set(keys))
+        """Record from the object to_json writes; every field must be a JSON
+        integer (hit_times a flat list of them) and the counters >= 0."""
+        if not isinstance(d, dict):
+            raise ValueError(f"hit record must be a JSON object, "
+                             f"not {type(d).__name__}")
+        extra = sorted(set(d) - set(_RECORD_KEYS))
         if extra:
             raise ValueError(f"hit record has unknown fields {extra}; "
                              f"rerun the experiment to rewrite hits.jsonl")
-        missing = [k for k in keys if k not in d]
+        missing = [k for k in _RECORD_KEYS if k not in d]
         if missing:
             raise ValueError(f"hit record missing fields {missing}")
-        return HitRecord(
-            trajectory=int(d["trajectory"]),
-            hit_times=np.asarray(d["hit_times"], dtype=int),
-            renewal_count=int(d["renewal_count"]),
-            restarts=int(d["restarts"]),
-        )
+        for k in ("trajectory", "renewal_count", "restarts"):
+            if type(d[k]) is not int:  # bool is not a hit-record integer
+                raise ValueError(f"hit record {k} must be a JSON integer")
+        for k in ("renewal_count", "restarts"):
+            if d[k] < 0:
+                raise ValueError(f"hit record {k} must be >= 0")
+        ht = d["hit_times"]
+        if not (isinstance(ht, list) and all(type(t) is int for t in ht)):
+            raise ValueError("hit record hit_times must be a flat list of "
+                             "JSON integers")
+        try:
+            ht = np.array(ht, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(
+                "hit record hit_times must fit in 64 bits") from None
+        return HitRecord(trajectory=d["trajectory"], hit_times=ht,
+                         renewal_count=d["renewal_count"],
+                         restarts=d["restarts"])
 
 
 # ---------------------------------------------------------------------------

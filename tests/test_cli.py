@@ -223,6 +223,22 @@ class TestReport:
         assert "does not match the recorded" in capsys.readouterr().err
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
+    @pytest.mark.parametrize("first, error", [
+        ("5", "hit record must be a JSON object, not int"),
+        (None, "hit_times must fit in 64 bits"),
+        ("[" * 100_000 + "]" * 100_000, "hit record nests too deeply"),
+    ], ids=["bare-integer", "hit-time-1e20", "deep-nesting"])
+    def test_malformed_record_exit_4(self, tmp_path, capsys, first, error):
+        out, lines = self.simulated(tmp_path)
+        if first is None:
+            rec = json.loads(lines[0])
+            first = json.dumps({**rec, "hit_times": [10**20]})
+        (out / "hits.jsonl").write_text("\n".join([first] + lines[1:]) + "\n")
+        manifest = (out / "manifest.json").read_bytes()
+        assert main(["report", "--run", str(out), "--format", "csv"]) == 4
+        assert error in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == manifest
+
     def test_removed_line_exit_4(self, tmp_path, capsys):
         out, lines = self.simulated(tmp_path)
         (out / "hits.jsonl").write_text("\n".join(lines[:-1]) + "\n")

@@ -298,6 +298,18 @@ class TestEmitAndReload:
             ("trajectories 0..2 in order", [lines[1], lines[0], lines[2]]),
             ("strictly increasing", with_hits(first["hit_times"][::-1])),
             (r"within \[1, 1000\]", with_hits(first["hit_times"] + [1001])),
+            # tampered values are rejected, not coerced back to the original
+            ("flat list of JSON integers",
+             with_hits([first["hit_times"][0] + 0.7] + first["hit_times"][1:])),
+            ("flat list of JSON integers",
+             with_hits([str(t) for t in first["hit_times"]])),
+            ("flat list of JSON integers", with_hits([first["hit_times"]])),
+            ("trajectory must be a JSON integer",
+             [json.dumps({**first, "trajectory": True})] + lines[1:]),
+            ("renewal_count must be >= 0",
+             [json.dumps({**first, "renewal_count": -1})] + lines[1:]),
+            ("restarts must be >= 0",
+             [json.dumps({**first, "restarts": -1})] + lines[1:]),
         ]:
             hits.write_text("\n".join(body) + "\n")
             with pytest.raises(ValueError, match=match):
@@ -342,6 +354,21 @@ class TestReferenceDigests:
         emit_report(run_experiment(cfg), out_dir=tmp_path, formats=("csv",))
         csv = (tmp_path / "summary.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == sha
+
+    @pytest.mark.parametrize("name", [
+        "iid-harmonic", "sticky-divergent-boundary",
+        "sticky-convergent-boundary", "interval-map-shrinking",
+        "interval-map-window", "circle-golden"])
+    def test_quick_suite_reverifies(self, name, tmp_path, lsv_cal_075,
+                                    lsv_cal_040):
+        cfg = reference_suite(quick=True)[name]
+        digest = emit_report(run_experiment(cfg), out_dir=tmp_path)["digest"]
+        again = report_from_records(*load_run(tmp_path))
+        assert run_digest(again) == digest
+        assert (tmp_path / "hits.jsonl").read_bytes() == again.hits_jsonl
+        # every line was canonical, so every record kept the line it was read
+        # from instead of serializing its hit times again
+        assert all(r.to_line() is r.to_line() for r in again.records)
 
     # the variants stepped a whole chunk at a time (circle walk and iid)
     @pytest.mark.parametrize("name, digest, sha", [

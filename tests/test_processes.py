@@ -1,7 +1,12 @@
 from fractions import Fraction
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bclab import processes
@@ -248,6 +253,132 @@ class TestSimulateHits:
         with pytest.raises(ValueError, match=r"missing fields \['restarts'\]"):
             HitRecord.from_json(d)
 
+
+
+def canonical_line(body: str) -> bytes:
+    """A hits.jsonl line in to_line's layout around a hit-time list body."""
+    return (f'{{"hit_times":[{body}],"renewal_count":0,"restarts":0,'
+            f'"trajectory":0}}').encode()
+
+
+# values whose digit count changes, up to the largest the fast path reads
+DIGIT_EDGES = sorted({v for k in range(1, 19) for v in (10**k - 1, 10**k)
+                      if v < 10**18})
+hit_lists = st.lists(
+    st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(1, 2**26),
+              st.integers(1, 2**63 - 1)),
+    unique=True, max_size=40).map(sorted)
+
+
+class TestHitRecordLine:
+    """to_line/from_line: one hits.jsonl line is one record."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hit_lists, st.integers(0, 10**6), st.integers(0, 2**40),
+           st.integers(0, 8))
+    @example([], 0, 0, 0)
+    @example(DIGIT_EDGES, 7, 10, 1)
+    @example([10**18 - 1, 10**18], 0, 0, 0)
+    def test_round_trip_keeps_the_line(self, hits, trajectory, renewals,
+                                       restarts):
+        rec = HitRecord(trajectory, np.array(hits, dtype=np.int64), renewals,
+                        restarts)
+        line = rec.to_line()
+        back = HitRecord.from_line(line)
+        assert np.array_equal(back.hit_times, rec.hit_times)
+        assert back.hit_times.dtype == np.int64
+        assert (back.trajectory, back.renewal_count, back.restarts) == (
+            trajectory, renewals, restarts)
+        assert back.to_line() == line
+        # values below 10**18 are parsed by numpy and the line kept as read
+        assert (back.to_line() is line) == all(h < 10**18 for h in hits)
+
+    @pytest.mark.parametrize("body, error", [
+        ("01", "Expecting"),
+        ("1,2,", "Expecting"),
+        ("1,,2", "Expecting"),
+        ("1.0", "flat list of JSON integers"),
+        ("1,[2]", "flat list of JSON integers"),
+        ("-1", None),
+        ("0,1", None),
+        ("1, 2", None),
+        ("12345678901234567890", "fit in 64 bits"),
+        ("9999999999999999999", "fit in 64 bits"),
+        ("1000000000000000000", None),
+    ])
+    def test_near_canonical_lines_are_not_kept(self, body, error):
+        line = canonical_line(body)
+        assert processes._canonical_hits(body.encode()) is None
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                HitRecord.from_line(line)
+            return
+        rec = HitRecord.from_line(line)  # valid JSON, read by from_json
+        assert rec.hit_times.tolist() == json.loads(f"[{body}]")
+        assert rec.to_line() is not line
+        assert rec.to_line() == json.dumps(
+            rec.to_json(), sort_keys=True, separators=(",", ":")).encode()
+
+    # json.dumps of a list of integers in [1, 10**18): what the fast path
+    # may read, as a slow but plainly correct grammar
+    CANONICAL_BODY = re.compile(
+        rb"(?:[1-9][0-9]{0,17}(?:,[1-9][0-9]{0,17})*)?")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([
+        b"0", b"1", b"9", b",", b" ", b"\t", b"+", b"-", b".", b"e", b"x",
+        b"]", b"_", b"\x00", "\u0661".encode(), b"99999999999999999",
+        b"9223372036854775807"]), max_size=10).map(b"".join))
+    def test_fast_path_reads_only_canonical_bodies(self, body):
+        ht = processes._canonical_hits(body)
+        assert (ht is not None) == bool(self.CANONICAL_BODY.fullmatch(body))
+        if ht is not None:
+            assert ht.tolist() == json.loads(b"[" + body + b"]")
+
+    def test_valid_non_canonical_lines_are_reserialized(self):
+        rec = simulate_hits(DMRProcess(a=1.0), HALF, 200, seed=1)
+        line = rec.to_line()
+        assert line.startswith(b'{"hit_times":[')
+        d = rec.to_json()
+        for text in (json.dumps(d), json.dumps(d, sort_keys=True),
+                     json.dumps(dict(reversed(d.items())),
+                                separators=(",", ":")),
+                     line + b" ", b"\t" + line):
+            back = HitRecord.from_line(text if isinstance(text, bytes)
+                                       else text.encode())
+            assert back.to_json() == d
+            assert back.to_line() == line
+
+    @pytest.mark.parametrize("line, error", [
+        (b"5", "must be a JSON object, not int"),
+        (b"[1, 2]", "must be a JSON object, not list"),
+        (b'{"hit_times":[1]', "Expecting"),
+    ])
+    def test_malformed_lines_raise_value_error(self, line, error):
+        with pytest.raises(ValueError, match=error):
+            HitRecord.from_line(line)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("hit_times", [True], "flat list of JSON integers"),
+        ("hit_times", 3, "flat list of JSON integers"),
+        ("trajectory", 0.0, "trajectory must be a JSON integer"),
+        ("renewal_count", "4", "renewal_count must be a JSON integer"),
+        ("restarts", None, "restarts must be a JSON integer"),
+    ])
+    def test_from_json_requires_integers(self, field, value, error):
+        d = {"trajectory": 0, "hit_times": [1, 2], "renewal_count": 0,
+             "restarts": 0, field: value}
+        with pytest.raises(ValueError, match=error):
+            HitRecord.from_json(d)
+
+    def test_frozen_with_read_only_hit_times(self):
+        line = canonical_line("1,5,9")
+        rec = HitRecord.from_line(line)
+        with pytest.raises(ValueError, match="read-only"):
+            rec.hit_times[0] = 2
+        with pytest.raises(AttributeError):
+            rec.hit_times = np.array([2, 5, 9])
+        assert rec.to_line() is line
 
 def scalar_replay(spec, n, gen, threshold=0.5):
     """(lowest state, hit times of [0, threshold)) stepping gen with process_step."""
