@@ -35,6 +35,7 @@ from .criteria import (
 )
 from .harness import (
     CalibrationMissingError,
+    _read_json,
     aggregate_verdict,
     config_from_json,
     emit_report,
@@ -52,7 +53,7 @@ from .mixing import (
     profile_to_csv,
 )
 from .processes import GOLDEN_CONJUGATE
-from .seqcore import TabulatedSeq, seq_from_json
+from .seqcore import TabulatedSeq, check_fields, seq_from_json
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -81,7 +82,7 @@ def _write_or_print(text: str, out):
 
 def _cmd_simulate(args) -> int:
     try:
-        cfg = config_from_json(json.loads(Path(args.config).read_text()))
+        cfg = config_from_json(_read_json(args.config))
     except (OSError, ValueError, json.JSONDecodeError) as e:
         return _err(f"bad config: {e}")
     if args.out:
@@ -127,13 +128,31 @@ def _seq_arg(obj):
 def _rate_arg(obj, kind_default):
     """A decay-rate input: sequence JSON or a profile CSV reference."""
     if isinstance(obj, dict) and "profile_csv" in obj:
+        check_fields("profile reference", obj, ("profile_csv", "kind"))
         text = Path(obj["profile_csv"]).read_text()
         return profile_from_csv(text, obj.get("kind", kind_default))
     return _seq_arg(obj)
 
 
+# the spec keys each check reads, besides "check"
+_SPEC_FIELDS = {
+    "l2": ("e", "var", "horizon"),
+    "alpha": ("alpha", "mu", "mode", "params", "horizon"),
+    "beta-strong": ("beta", "qstar_const", "qstar_bound", "horizon"),
+    "tilde": ("rate", "mu", "lq_bound", "p", "mode", "limsup_floor", "horizon"),
+    "pairwise": ("gamma", "phi", "alpha", "p", "mode", "horizon"),
+    "renewal": ("nu", "nested", "horizon"),
+    "f": ("run", "mode", "subsequence"),
+}
+
+
 def _dispatch_criteria(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError("the spec must be a JSON object")
     check = doc.get("check")
+    if not isinstance(check, str) or check not in _SPEC_FIELDS:
+        raise ValueError(f"unknown check {check!r}")
+    check_fields(f"check {check!r}", doc, ("check", *_SPEC_FIELDS[check]))
     horizon = doc.get("horizon")
     if check == "l2":
         return check_l2(_seq_arg(doc["e"]), _seq_arg(doc["var"]),
@@ -163,6 +182,8 @@ def _dispatch_criteria(doc: dict):
                                     nested=bool(doc.get("nested", True)),
                                     horizon=horizon)
     if check == "f":
+        if doc.get("mode", "ii") != "i" and "subsequence" in doc:
+            raise ValueError("'subsequence' applies to f mode 'i' only")
         cfg, records = load_run(doc["run"])
         report = report_from_records(cfg, records)
         ens = PathEnsemble(report.checkpoints, report.s_values)
@@ -171,12 +192,11 @@ def _dispatch_criteria(doc: dict):
         return check_f_criteria(ens, e_seq, doc.get("mode", "ii"),
                                 subsequence=doc.get("subsequence"),
                                 mu_A=TabulatedSeq(masses))
-    raise ValueError(f"unknown check {check!r}")
 
 
 def _cmd_criteria(args) -> int:
     try:
-        doc = json.loads(Path(args.spec).read_text())
+        doc = _read_json(args.spec)
         report = _dispatch_criteria(doc)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
         return _err(f"bad criteria spec: {e}")
@@ -233,7 +253,7 @@ def _cmd_report(args) -> int:
     clock, timestamp and the manifest's other file hashes."""
     try:
         cfg, records = load_run(args.run)
-        recorded = json.loads((Path(args.run) / "manifest.json").read_text())
+        recorded = _read_json(Path(args.run) / "manifest.json")
         report = report_from_records(
             cfg, records, wall_clock_s=recorded.get("wall_clock_s", 0.0),
             timestamp=recorded.get("timestamp", ""))

@@ -259,25 +259,38 @@ def _resolve_horizon(requested, *seqs, default: int = DEFAULT_HORIZON) -> int:
 # --------------------------------------------------------------------------
 
 
-def _as_pl(seq):
-    return seq if isinstance(seq, PowerLogSeq) else None
+def _pl_shape(x, e=1.0, s=0.0):
+    """Power-log closed form of n**s * x_n**e, or None when there is none.
+
+    The one way into the algebra below, and every function of it passes
+    None through as "no closed form": tabulated, geometric and profile
+    inputs, None itself, and shapes that leave the power-log domain (say
+    a negative power of a zero coefficient) all give None.
+    """
+    if not isinstance(x, PowerLogSeq):
+        return None
+    try:
+        if e != 1.0:
+            x = x.powered(e)
+        return x.scaled_by_power(s) if s != 0.0 else x
+    except (ValueError, ArithmeticError):
+        return None
 
 
 def _pl_make(c, p, q, shift, start):
-    if c != 0 and q != 0:
+    """c n^{-p} log(n + shift)^{-q} with its start raised into the domain;
+    a zero c gives the zero shape, and None means there is no such shape."""
+    if c == 0:
+        return PowerLogSeq(0.0, 0.0, 0.0, 0.0, max(start, 0))
+    if q != 0:
         start = max(start, int(math.ceil(2 - shift)))
-    if c != 0 and p != 0:
-        start = max(start, 1)
-    start = max(start, 0 if (p == 0 or c == 0) else 1)
     try:
-        if c == 0:
-            return PowerLogSeq(0.0, 0.0, 0.0, 0.0, max(start, 0))
-        return PowerLogSeq(c, p, q, shift, start)
+        return PowerLogSeq(c, p, q, shift, max(start, 1 if p != 0 else 0))
     except Exception:
         return None
 
 
-def _pl_combine(a: PowerLogSeq, b: PowerLogSeq, sign: int):
+def _pl_combine(a, b, sign: int):
     """a * b  (sign=+1)  or  a / b  (sign=-1), when shapes are compatible."""
     if a is None or b is None:
         return None
@@ -299,7 +312,7 @@ def _pl_combine(a: PowerLogSeq, b: PowerLogSeq, sign: int):
     )
 
 
-def _pl_partial_sum_asym(seq: PowerLogSeq):
+def _pl_partial_sum_asym(seq):
     """Closed-form shape asymptotically equivalent to the partial sums.
 
     Exact for verdict purposes: asymptotic equivalence of positive
@@ -322,13 +335,15 @@ def _pl_partial_sum_asym(seq: PowerLogSeq):
     return None
 
 
-def _pl_power(seq: PowerLogSeq, e: float):
-    if seq is None:
+def _pure_power(shape):
+    """(c, a) when shape is c n^{-a} with a > 0, else None.
+
+    For such an alpha the inverse alpha^{-1}(u) = inf{n : alpha(n) <= u}
+    is ceil((c/u)^{1/a}) exactly, at every u.
+    """
+    if shape is None or shape.q != 0 or shape.p <= 0:
         return None
-    try:
-        return seq.powered(e)
-    except Exception:
-        return None
+    return shape.c, shape.p
 
 
 # --------------------------------------------------------------------------
@@ -388,29 +403,26 @@ def _classify_trend(ns, vals, sigma_endpoint=None):
     return "unclear", stats
 
 
+# the limit each committed trend label shows; a flat level shows neither
+_TREND_LIMIT = {"all-zero": "zero", "to-zero": "zero", "to-inf": "inf"}
+
+
 def _limit_clause(name, ns, vals, direction, symbolic=None, sigma_endpoint=None):
-    """Decide "trace -> 0" (direction='zero') or "trace -> inf" ('inf')."""
-    if symbolic is not None:
-        kind = symbolic.limit_kind()
-        if kind is not None:
-            if kind == direction:
-                out = HOLDS
-            elif kind in ("zero", "inf"):
-                out = FAILS
-            else:  # positive constant: refutes both directions
-                out = FAILS
-            return ClauseResult(name, out, "closed-form", {"limit_kind": kind})
-    label, detail = _classify_trend(ns, vals, sigma_endpoint=sigma_endpoint)
-    if label == "all-zero":
-        out = HOLDS if direction == "zero" else FAILS
-        return ClauseResult(name, out, "exact-zero", detail)
-    if label == "unclear":
-        return ClauseResult(name, UNDECIDED, "trend", detail)
-    if label == "flat":
-        return ClauseResult(name, FAILS, "trend", detail)
-    if (label == "to-zero") == (direction == "zero"):
-        return ClauseResult(name, HOLDS, "trend", detail)
-    return ClauseResult(name, FAILS, "trend", detail)
+    """Decide "trace -> 0" (direction='zero') or "trace -> inf" ('inf').
+
+    A limit other than the one wanted fails the clause; a positive
+    constant (closed form) or a flat level (trend) refutes both.
+    """
+    kind = symbolic.limit_kind() if symbolic is not None else None
+    if kind is not None:
+        method, detail = "closed-form", {"limit_kind": kind}
+    else:
+        label, detail = _classify_trend(ns, vals, sigma_endpoint=sigma_endpoint)
+        if label == "unclear":
+            return ClauseResult(name, UNDECIDED, "trend", detail)
+        method = "exact-zero" if label == "all-zero" else "trend"
+        kind = _TREND_LIMIT.get(label)
+    return ClauseResult(name, HOLDS if kind == direction else FAILS, method, detail)
 
 
 def _term_slope(ns, terms):
@@ -425,31 +437,28 @@ def _term_slope(ns, terms):
 
 def _series_clause(name, ns, terms, want, symbolic=None):
     """Decide "sum over all n of t_n" convergent/divergent; want in {'conv','div'}."""
-    if symbolic is not None:
-        conv = symbolic.series_converges()
-        if conv is not None:
-            out = HOLDS if (conv == (want == "conv")) else FAILS
-            return ClauseResult(
-                name, out, "closed-form", {"series_convergent": bool(conv)}
-            )
     terms = np.asarray(terms, dtype=float)
-    if np.all(terms <= 0):
+    conv = symbolic.series_converges() if symbolic is not None else None
+    if conv is not None:
+        method, detail = "closed-form", {"series_convergent": bool(conv)}
+    elif np.all(terms <= 0):
         # identically-zero tail: the series is a finite sum
-        out = HOLDS if want == "conv" else FAILS
-        return ClauseResult(name, out, "exact-zero", {"max_term": float(terms.max(initial=0.0))})
-    slope = _term_slope(ns, terms)
-    detail = {"term_slope": slope}
-    if slope is None:
-        return ClauseResult(
-            name, UNDECIDED, "tail-slope", {"reason": "too few positive terms in last decade"}
-        )
-    if slope < TERM_SLOPE_CONV:
-        out = HOLDS if want == "conv" else FAILS
-    elif slope > TERM_SLOPE_DIV:
-        out = HOLDS if want == "div" else FAILS
+        conv, method, detail = True, "exact-zero", {"max_term": float(terms.max(initial=0.0))}
     else:
-        out = UNDECIDED
-    return ClauseResult(name, out, "tail-slope", detail)
+        slope = _term_slope(ns, terms)
+        if slope is None:
+            return ClauseResult(
+                name, UNDECIDED, "tail-slope",
+                {"reason": "too few positive terms in last decade"},
+            )
+        method, detail = "tail-slope", {"term_slope": slope}
+        if slope < TERM_SLOPE_CONV:
+            conv = True
+        elif slope > TERM_SLOPE_DIV:
+            conv = False
+        else:
+            return ClauseResult(name, UNDECIDED, method, detail)
+    return ClauseResult(name, HOLDS if conv == (want == "conv") else FAILS, method, detail)
 
 
 def _combine(clauses) -> str:
@@ -514,6 +523,18 @@ def _eval_at(seq, ns):
     return np.asarray([seq.eval(int(n)) for n in np.asarray(ns).ravel()], dtype=float)
 
 
+def _on_grid(seq, horizon):
+    """(grid, values): seq on the log grid from its first index to horizon."""
+    grid = _log_grid(getattr(seq, "start", 1), horizon)
+    return grid, _eval_at(seq, grid)
+
+
+def _quotient(x, d, k=1.0, fill=np.inf):
+    """x / d**k where d > 0, ``fill`` elsewhere, without warnings."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d > 0, x / np.maximum(d, 1e-300) ** k, fill)
+
+
 def _is_nonincreasing(values) -> bool:
     v = np.asarray(values, dtype=float)
     return bool(np.all(np.diff(v) <= 1e-12 * np.maximum(np.abs(v[:-1]), 1.0)))
@@ -524,50 +545,54 @@ def _is_nondecreasing(values) -> bool:
     return bool(np.all(np.diff(v) >= -1e-12 * np.maximum(np.abs(v[:-1]), 1.0)))
 
 
-def _mass_divergence_clause(mu_A, horizon, name="mass-diverges"):
-    """Common preamble: the event masses sum to infinity."""
-    sym = _as_pl(mu_A)
-    start = max(int(getattr(mu_A, "start", 1)), 1)
-    grid = _log_grid(start, horizon)
-    terms = _eval_at(mu_A, grid)
-    return _series_clause(name, grid, terms, want="div", symbolic=sym)
+class _Rate:
+    """A dependence rate given as a MixingProfile or as a RealSeq.
 
+    Every rate-driven criterion reads it through this one view: its
+    ``horizon`` (a profile's last lag, a table's horizon, or None), its
+    closed-form ``shape`` (None for profiles and tables), its values on a
+    grid, and its values at every lag from 1.
+    """
 
-def _profile_to_pairs(profile_or_seq, horizon, kinds=None, label="mixing input"):
-    """Extract (lags, values, seq_or_none) from a MixingProfile or RealSeq."""
-    if isinstance(profile_or_seq, MixingProfile):
-        if kinds is not None and profile_or_seq.kind not in kinds:
+    def __init__(self, rate, kinds, label):
+        self.rate, self.label = rate, label
+        self.profile = rate if isinstance(rate, MixingProfile) else None
+        if self.profile is None:
+            self.horizon = getattr(rate, "horizon", None)
+            self.shape = _pl_shape(rate)
+            return
+        if rate.kind not in kinds:
             raise ValueError(
                 f"{label}: expected a profile of kind in {sorted(kinds)}, "
-                f"got {profile_or_seq.kind!r}"
+                f"got {rate.kind!r}"
             )
-        ns = np.asarray(profile_or_seq.ns, dtype=np.int64)
-        vals = np.asarray(profile_or_seq.values, dtype=float)
-        keep = ns <= horizon
-        seq = None
-        if len(ns) and ns[-1] - ns[0] == len(ns) - 1:
-            seq = profile_or_seq.as_seq()
-        return ns[keep], vals[keep], seq
-    seq = profile_or_seq
-    start = max(int(getattr(seq, "start", 1)), 1)
-    grid = _log_grid(start, horizon)
-    return grid, _eval_at(seq, grid), seq
+        self.ns = np.asarray(rate.ns, dtype=np.int64)
+        self.horizon = int(self.ns[-1])
+        self.shape = None
 
+    def on_grid(self, horizon):
+        """(lags, values) up to horizon: a profile's own lags, else a log grid."""
+        if self.profile is None:
+            return _on_grid(self.rate, horizon)
+        keep = self.ns <= horizon
+        return self.ns[keep], np.asarray(self.profile.values, dtype=float)[keep]
 
-def _require_dense(profile_or_seq, horizon, label):
-    """A RealSeq evaluable at every lag 1..horizon (closed form or consecutive)."""
-    if isinstance(profile_or_seq, MixingProfile):
-        ns = np.asarray(profile_or_seq.ns, dtype=np.int64)
-        if len(ns) == 0 or ns[-1] - ns[0] != len(ns) - 1 or ns[0] > 1:
-            raise ValueError(
-                f"{label}: cumulative sums need the rate at every lag from 1; "
-                "supply a closed-form sequence or a profile with consecutive "
-                "lags starting at 1"
-            )
-        return profile_or_seq.as_seq()
-    if getattr(profile_or_seq, "start", 1) > 1:
-        raise ValueError(f"{label}: sequence must start at lag 1")
-    return profile_or_seq
+    def dense(self, horizon, required=False):
+        """Values at lags 1..horizon, or None (ValueError when ``required``)
+        when the rate is not known at every lag from 1."""
+        seq = self.rate
+        if self.profile is not None:
+            consecutive = self.ns[-1] - self.ns[0] == len(self.ns) - 1
+            seq = self.profile.as_seq() if consecutive else None
+        if seq is None or getattr(seq, "start", 1) > 1:
+            if required:
+                raise ValueError(
+                    f"{self.label}: cumulative sums need the rate at every lag "
+                    "from 1; supply a sequence starting at lag 1 or a profile "
+                    "with consecutive lags starting at 1"
+                )
+            return None
+        return seq.array(1, horizon)
 
 
 # --------------------------------------------------------------------------
@@ -654,8 +679,8 @@ def check_l2(e_seq: RealSeq, var_model: RealSeq, horizon=None) -> CriterionRepor
         raise ValueError("length mismatch: E and Var tables cover different horizons")
     horizon = _resolve_horizon(horizon, e_seq, var_seq)
     digest = _digest(op="l2", e=_seq_fingerprint(e_seq), var=_seq_fingerprint(var_seq))
-    start = max(int(getattr(e_seq, "start", 1)), int(getattr(var_seq, "start", 1)), 1)
-    grid = _log_grid(start, horizon)
+    grid = _log_grid(max(getattr(e_seq, "start", 1), getattr(var_seq, "start", 1)),
+                     horizon)
     e_vals = _eval_at(e_seq, grid)
     if not _is_nondecreasing(e_vals):
         return _precondition_report(
@@ -666,11 +691,10 @@ def check_l2(e_seq: RealSeq, var_model: RealSeq, horizon=None) -> CriterionRepor
         return _precondition_report(
             "l2-variance-ratio", digest, horizon, "variance trace has negative entries"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(e_vals > 0, v_vals / np.maximum(e_vals, 1e-300) ** 2, np.inf)
-    sym_ratio = _pl_combine(_as_pl(var_seq), _pl_power(_as_pl(e_seq), 2.0), -1)
+    ratio = _quotient(v_vals, e_vals, 2)
+    sym_ratio = _pl_combine(_pl_shape(var_seq), _pl_shape(e_seq, e=2.0), -1)
     clauses = [
-        _limit_clause("E-diverges", grid, e_vals, "inf", symbolic=_as_pl(e_seq)),
+        _limit_clause("E-diverges", grid, e_vals, "inf", symbolic=_pl_shape(e_seq)),
         _limit_clause("var-ratio-vanishes", grid, ratio, "zero", symbolic=sym_ratio),
     ]
     return _report(
@@ -746,9 +770,9 @@ def check_f_criteria(
     }[mode]
     # E-divergence is decidable exactly when either E itself or the event
     # masses have closed form (partial sums preserve the limit kind).
-    e_sym = _as_pl(e_seq)
+    e_sym = _pl_shape(e_seq)
     if e_sym is None:
-        e_sym = _pl_partial_sum_asym(_as_pl(mu_A))
+        e_sym = _pl_partial_sum_asym(_pl_shape(mu_A))
 
     if mode in ("i", "ii"):
         trace, se = _f_trace(paths, e_vals)
@@ -872,20 +896,16 @@ def check_pairwise(
     grid = _log_grid(1, horizon)
     gi = grid - 1  # positions into the dense arrays
 
-    mu_pl = _as_pl(mu_B)
-    e_pl = _pl_partial_sum_asym(mu_pl)
+    e_pl = _pl_partial_sum_asym(_pl_shape(mu_B))
 
     if mode == "i":
         with np.errstate(divide="ignore", invalid="ignore"):
             phi_trace = np.cumsum(phi_vals)[gi] / e_vals[gi]
             min_trace = np.cumsum(inner)[gi] / e_vals[gi] ** 2
-        phi_sym = None
-        phi_pl = _as_pl(phi)
-        if phi_pl is not None and e_pl is not None:
-            phi_sym = _pl_combine(_pl_partial_sum_asym(phi_pl), e_pl, -1)
+        phi_sym = _pl_combine(_pl_partial_sum_asym(_pl_shape(phi)), e_pl, -1)
         clauses = [
             _limit_clause("gamma-vanishes", grid, gamma_vals[gi], "zero",
-                          symbolic=_as_pl(gamma)),
+                          symbolic=_pl_shape(gamma)),
             _limit_clause("phi-average-vanishes", grid, phi_trace, "zero",
                           symbolic=phi_sym),
             _limit_clause("min-sum-vanishes", grid, min_trace, "zero"),
@@ -895,23 +915,14 @@ def check_pairwise(
             trace_name="E_n^{-2} sum_{k<=n} sum_{j<=k} min(alpha_j, P(B_k))",
         )
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma_terms = gamma_vals / idx
-        phi_terms = np.where(e_vals > 0, phi_vals / np.maximum(e_vals, 1e-300), np.inf)
-        min_terms = np.where(e_vals > 0, inner / np.maximum(e_vals, 1e-300) ** 2, np.inf)
-    gamma_sym = None
-    g_pl = _as_pl(gamma)
-    if g_pl is not None:
-        gamma_sym = g_pl.scaled_by_power(-1.0)
-    phi_term_sym = None
-    phi_pl = _as_pl(phi)
-    if phi_pl is not None and e_pl is not None:
-        phi_term_sym = _pl_combine(phi_pl, e_pl, -1)
+    gamma_terms = gamma_vals / idx
+    phi_terms = _quotient(phi_vals, e_vals)
+    min_terms = _quotient(inner, e_vals, 2)
     clauses = [
         _series_clause("gamma-series", grid, gamma_terms[gi], want="conv",
-                       symbolic=gamma_sym),
+                       symbolic=_pl_shape(gamma, s=-1.0)),
         _series_clause("phi-series", grid, phi_terms[gi], want="conv",
-                       symbolic=phi_term_sym),
+                       symbolic=_pl_combine(_pl_shape(phi), e_pl, -1)),
         _series_clause("min-series", grid, min_terms[gi], want="conv"),
     ]
     return _report(
@@ -925,12 +936,22 @@ def check_pairwise(
 # --------------------------------------------------------------------------
 
 
-def _alpha_inverse_indices(alpha_vals: np.ndarray, us: np.ndarray):
-    """Vectorized inf{ n : alpha_n <= u } over a nonincreasing table.
+def _alpha_inverse(a_pl, dense_alpha, us):
+    """(alpha^{-1}(u), beyond) for each u, or None when alpha can't be inverted.
 
-    Returns 1-based indices; entries equal to len+1 mean "beyond horizon".
+    alpha^{-1}(u) = inf{ n : alpha_n <= u } is exact for a pure-power
+    alpha and otherwise read off the nonincreasing dense table, where
+    ``beyond`` marks the inverses that lie past its horizon.
     """
-    return np.searchsorted(-alpha_vals, -np.asarray(us, dtype=float), side="left") + 1
+    pure = _pure_power(a_pl)
+    if pure is not None:
+        c, a = pure
+        inv = np.ceil((c / np.maximum(us, 1e-300)) ** (1.0 / a))
+        return np.maximum(inv, 1.0), np.zeros(len(us), dtype=bool)
+    if dense_alpha is None:
+        return None
+    raw = np.searchsorted(-dense_alpha, -np.asarray(us, dtype=float), side="left") + 1
+    return raw.astype(float), raw > len(dense_alpha)
 
 
 def _eta_inverse(alpha_vals: np.ndarray, u: float):
@@ -991,24 +1012,19 @@ def check_alpha(
     modes = ("nested-BC", "L1", "strong", "poly-1", "poly-2", "poly-3")
     if mode not in modes:
         raise ValueError(f"unknown mode: {mode!r}; expected one of {modes}")
-    horizon = _resolve_horizon(
-        horizon,
-        alpha if not isinstance(alpha, MixingProfile) else None,
-        mu_A,
-    )
-    if isinstance(alpha, MixingProfile):
-        horizon = min(horizon, int(np.asarray(alpha.ns)[-1]))
+    rate = _Rate(alpha, {ALPHA_INF1}, "alpha")
+    horizon = _resolve_horizon(horizon, rate, mu_A)
     digest = _digest(
         op="alpha", mode=mode, alpha=_seq_fingerprint(alpha),
         mu=_seq_fingerprint(mu_A),
         params={k: params[k] for k in sorted(params)},
     )
     criterion = "alpha-" + mode.lower()
-    mu_pl = _as_pl(mu_A)
-    mu_start = max(int(getattr(mu_A, "start", 1)), 1)
-    grid = _log_grid(mu_start, horizon)
-    mu_grid = _eval_at(mu_A, grid)
-    mass_clause = _mass_divergence_clause(mu_A, horizon)
+    mu_pl = _pl_shape(mu_A)
+    e_pl = _pl_partial_sum_asym(mu_pl)
+    grid, mu_grid = _on_grid(mu_A, horizon)
+    mass_clause = _series_clause("mass-diverges", grid, mu_grid, want="div",
+                                 symbolic=mu_pl)
 
     if mode.startswith("poly-"):
         if "a" not in params:
@@ -1016,22 +1032,19 @@ def check_alpha(
         a = float(params["a"])
         if a <= 0:
             raise ValueError("params['a'] must be positive")
-        e_pl = _pl_partial_sum_asym(mu_pl)
         if mode == "poly-1":
             if not _is_nonincreasing(mu_grid):
                 return _precondition_report(
                     criterion, digest, horizon, "mu(A_n) is not nonincreasing"
                 )
-            powered_sym = _pl_power(mu_pl, (a + 1) / a)
             powered_terms = mu_grid ** ((a + 1) / a)
-            growth_sym = mu_pl.scaled_by_power(a) if mu_pl is not None else None
             growth_trace = grid.astype(float) ** a * mu_grid
             clauses = [
                 mass_clause,
                 _series_clause("powered-mass-diverges", grid, powered_terms,
-                               want="div", symbolic=powered_sym),
+                               want="div", symbolic=_pl_shape(mu_pl, e=(a + 1) / a)),
                 _limit_clause("scaled-mass-diverges", grid, growth_trace, "inf",
-                              symbolic=growth_sym),
+                              symbolic=_pl_shape(mu_pl, s=a)),
             ]
             return _report(
                 criterion, digest, horizon, grid, growth_trace, clauses,
@@ -1040,28 +1053,18 @@ def check_alpha(
         e_grid = _eval_at(partial_sums(mu_A, horizon), grid)
         if mode == "poly-2":
             scaled = e_grid * grid.astype(float) ** (-1.0 / (a + 1))
-            sym = e_pl.scaled_by_power(-1.0 / (a + 1)) if e_pl is not None else None
             clauses = [
                 mass_clause,
                 _limit_clause("scaled-count-diverges", grid, scaled, "inf",
-                              symbolic=sym),
+                              symbolic=_pl_shape(e_pl, s=-1.0 / (a + 1))),
             ]
             return _report(
                 criterion, digest, horizon, grid, scaled, clauses,
                 trace_name="n^{-1/(a+1)} E_n", extra={"a": a},
             )
         # poly-3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(
-                e_grid > 0,
-                grid.astype(float) ** (1.0 / (a + 1)) * mu_grid
-                / np.maximum(e_grid, 1e-300) ** 2,
-                np.inf,
-            )
-        sym = None
-        if mu_pl is not None and e_pl is not None:
-            num = mu_pl.scaled_by_power(1.0 / (a + 1))
-            sym = _pl_combine(num, _pl_power(e_pl, 2.0), -1)
+        terms = _quotient(grid.astype(float) ** (1.0 / (a + 1)) * mu_grid, e_grid, 2)
+        sym = _pl_combine(_pl_shape(mu_pl, s=1.0 / (a + 1)), _pl_shape(e_pl, e=2.0), -1)
         clauses = [
             mass_clause,
             _series_clause("weighted-series-converges", grid, terms,
@@ -1072,23 +1075,16 @@ def check_alpha(
             trace_name="n^{1/(a+1)} mu(A_n) / E_n^2", extra={"a": a},
         )
 
-    # general modes need alpha values
-    a_ns, a_vals, a_seq = _profile_to_pairs(
-        alpha, horizon, kinds={ALPHA_INF1}, label="alpha"
-    )
+    # the other modes read alpha's values
+    a_ns, a_vals = rate.on_grid(horizon)
     if len(a_vals) == 0:
         raise ValueError("alpha has no entries at or below the horizon")
     if not _is_nonincreasing(a_vals):
         return _precondition_report(
             criterion, digest, horizon, "alpha is not nonincreasing"
         )
-    a_pl = _as_pl(alpha) if not isinstance(alpha, MixingProfile) else None
-    dense_alpha = None
-    if a_seq is not None:
-        lo = int(getattr(a_seq, "start", 1))
-        hi = min(horizon, int(getattr(a_seq, "horizon", horizon) or horizon))
-        if lo <= 1 and hi >= 1:
-            dense_alpha = a_seq.array(1, hi)
+    a_pl = rate.shape
+    dense_alpha = rate.dense(horizon)
 
     if mode == "nested-BC":
         if not _is_nonincreasing(mu_grid):
@@ -1096,74 +1092,54 @@ def check_alpha(
                 criterion, digest, horizon, "mu(A_n) is not nonincreasing"
             )
         # halving bound alpha(2n) <= (1 - delta) alpha(n) eventually
-        if a_pl is not None:
-            if isinstance(a_pl, PowerLogSeq) and a_pl.p > 0:
-                doubling = ClauseResult(
-                    "alpha-halving", HOLDS, "closed-form",
-                    {"limit_ratio": 2.0 ** (-a_pl.p)},
-                )
-            else:
-                doubling = ClauseResult(
-                    "alpha-halving", FAILS, "closed-form",
-                    {"limit_ratio": 1.0,
-                     "reason": "alpha(2n)/alpha(n) -> 1 for sub-polynomial decay"},
-                )
+        if a_pl is not None and a_pl.p > 0:
+            halving = (HOLDS, "closed-form", {"limit_ratio": 2.0 ** (-a_pl.p)})
+        elif a_pl is not None:
+            halving = (FAILS, "closed-form", {
+                "limit_ratio": 1.0,
+                "reason": "alpha(2n)/alpha(n) -> 1 for sub-polynomial decay",
+            })
         elif isinstance(alpha, GeometricSeq):
-            doubling = ClauseResult(
-                "alpha-halving", HOLDS, "closed-form", {"limit_ratio": 0.0}
-            )
+            halving = (HOLDS, "closed-form", {"limit_ratio": 0.0})
         else:
             lo_f, hi_f = params.get("doubling_window", (0.01, 0.5))
             lo_n = max(int(a_ns[0]), int(lo_f * horizon), 1)
             hi_n = int(hi_f * horizon)
             probe = a_ns[(a_ns >= lo_n) & (2 * a_ns <= min(horizon, 2 * hi_n))]
             if len(probe) < 4 or dense_alpha is None:
-                doubling = ClauseResult(
-                    "alpha-halving", UNDECIDED, "trend",
-                    {"reason": "too few lags to probe alpha(2n)/alpha(n)"},
-                )
+                halving = (UNDECIDED, "trend",
+                           {"reason": "too few lags to probe alpha(2n)/alpha(n)"})
             else:
-                num = dense_alpha[2 * probe - 1]
-                den = dense_alpha[probe - 1]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+                ratios = _quotient(dense_alpha[2 * probe - 1],
+                                   dense_alpha[probe - 1], fill=0.0)
                 worst = float(ratios.max(initial=0.0))
                 if worst <= 0.995:
-                    doubling = ClauseResult(
-                        "alpha-halving", HOLDS, "trend",
-                        {"max_ratio": worst, "delta": 1.0 - worst},
-                    )
-                elif worst >= 1.0:
-                    doubling = ClauseResult(
-                        "alpha-halving", FAILS, "trend", {"max_ratio": worst}
-                    )
+                    halving = (HOLDS, "trend", {"max_ratio": worst, "delta": 1.0 - worst})
                 else:
-                    doubling = ClauseResult(
-                        "alpha-halving", UNDECIDED, "trend", {"max_ratio": worst}
-                    )
+                    halving = (FAILS if worst >= 1.0 else UNDECIDED, "trend",
+                               {"max_ratio": worst})
+        doubling = ClauseResult("alpha-halving", *halving)
         # mu(A_n) / alpha(n) -> infinity
-        ratio_sym = _pl_combine(mu_pl, a_pl, -1)
-        ratio_grid = grid[grid <= (a_ns[-1] if len(a_ns) else horizon)]
+        keep = grid <= a_ns[-1]
+        ratio_grid, mu_on_grid = grid[keep], mu_grid[keep]
         if dense_alpha is not None:
             a_on_grid = dense_alpha[ratio_grid - 1]
         else:
             a_on_grid = np.interp(ratio_grid, a_ns, a_vals)
-        mu_on_grid = _eval_at(mu_A, ratio_grid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_vals = np.where(
-                a_on_grid > 0, mu_on_grid / np.maximum(a_on_grid, 1e-300), np.inf
-            )
+        ratio_vals = _quotient(mu_on_grid, a_on_grid)
         finite = np.isfinite(ratio_vals)
         if np.all(finite):
             ratio_clause = _limit_clause(
                 "mass-dominates-alpha", ratio_grid, ratio_vals, "inf",
-                symbolic=ratio_sym,
+                symbolic=_pl_combine(mu_pl, a_pl, -1),
             )
-        else:
+        elif np.all(mu_on_grid[~finite] > 0):
             ratio_clause = ClauseResult(
                 "mass-dominates-alpha", HOLDS, "exact-zero",
                 {"reason": "alpha vanishes while masses stay positive"},
-            ) if np.all(mu_on_grid[~finite] > 0) else ClauseResult(
+            )
+        else:
+            ratio_clause = ClauseResult(
                 "mass-dominates-alpha", UNDECIDED, "trend",
                 {"reason": "alpha and mass both vanish on part of the grid"},
             )
@@ -1177,20 +1153,16 @@ def check_alpha(
             trace_name="mu(A_n) / alpha^{-1}(mu(A_n))",
         )
 
-    e_tab = partial_sums(mu_A, horizon)
-    e_grid = _eval_at(e_tab, grid)
+    e_grid = _eval_at(partial_sums(mu_A, horizon), grid)
 
     if mode == "L1":
         sym = None
-        if a_pl is not None and a_pl.q == 0 and a_pl.p > 0 and mu_pl is not None:
+        pure = _pure_power(a_pl)
+        if pure is not None:
             # eta(x) ~ c x^{-(a+1)}; eta^{-1}(1/n) ~ (c n)^{1/(a+1)}
-            a_exp = a_pl.p
-            e_pl = _pl_partial_sum_asym(mu_pl)
-            if e_pl is not None:
-                num = _pl_make(
-                    a_pl.c ** (1.0 / (a_exp + 1)), -1.0 / (a_exp + 1), 0.0, 0.0, 1
-                )
-                sym = _pl_combine(num, e_pl, -1)
+            c, a_exp = pure
+            num = _pl_make(c ** (1.0 / (a_exp + 1)), -1.0 / (a_exp + 1), 0.0, 0.0, 1)
+            sym = _pl_combine(num, e_pl, -1)
         if dense_alpha is None and sym is None:
             raise ValueError(
                 "mode 'L1' needs alpha at every lag (closed form or a profile "
@@ -1227,31 +1199,17 @@ def check_alpha(
     witness = None
     for theta in theta_grid:
         u_grid = grid.astype(float) ** (-theta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s1 = np.where(e_grid > 0, mu_grid * u_grid / np.maximum(e_grid, 1e-300),
-                          np.inf)
-        s1_sym = None
-        if mu_pl is not None:
-            e_pl = _pl_partial_sum_asym(mu_pl)
-            s1_sym = _pl_combine(mu_pl.scaled_by_power(-theta), e_pl, -1)
+        s1 = _quotient(mu_grid * u_grid, e_grid)
+        s1_sym = _pl_combine(_pl_shape(mu_pl, s=-theta), e_pl, -1)
         c1 = _series_clause(f"mass-series(theta={theta})", grid, s1, want="conv",
                             symbolic=s1_sym)
-        args = np.where(grid > 0, e_grid * u_grid / grid.astype(float), np.inf)
-        if a_pl is not None and a_pl.q == 0 and a_pl.p > 0:
-            with np.errstate(divide="ignore"):
-                inv_vals = np.ceil((a_pl.c / np.maximum(args, 1e-300)) ** (1.0 / a_pl.p))
-            inv_vals = np.maximum(inv_vals, 1.0)
-            beyond = np.zeros(len(grid), dtype=bool)
-        elif dense_alpha is not None:
-            raw = _alpha_inverse_indices(dense_alpha, args)
-            beyond = raw > len(dense_alpha)
-            inv_vals = raw.astype(float)
-        else:
+        inverse = _alpha_inverse(a_pl, dense_alpha,
+                                 e_grid * u_grid / grid.astype(float))
+        if inverse is None:
             attempts.append({"theta": theta, "status": "alpha not dense enough"})
             continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s2 = np.where(e_grid > 0, mu_grid * inv_vals / np.maximum(e_grid, 1e-300) ** 2,
-                          np.inf)
+        inv_vals, beyond = inverse
+        s2 = _quotient(mu_grid * inv_vals, e_grid, 2)
         if np.any(beyond[grid >= grid[-1] / 10]):
             c2 = ClauseResult(
                 f"inverse-series(theta={theta})", UNDECIDED, "tail-slope",
@@ -1290,14 +1248,8 @@ def check_alpha(
 def _nested_inverse_series(grid, mu_grid, mu_pl, a_pl, dense_alpha):
     """Clause: sum mu(A_n) / alpha^{-1}(mu(A_n)) diverges."""
     name = "inverse-weighted-mass-diverges"
-    if a_pl is not None and a_pl.q == 0 and a_pl.p > 0:
-        with np.errstate(divide="ignore"):
-            inv = np.ceil((a_pl.c / np.maximum(mu_grid, 1e-300)) ** (1.0 / a_pl.p))
-        inv = np.maximum(inv, 1.0)
-        terms = np.where(mu_grid > 0, mu_grid / inv, 0.0)
-        sym = _nested_symbolic_inverse_terms(mu_pl, a_pl)
-        return _series_clause(name, grid, terms, want="div", symbolic=sym), terms
-    if dense_alpha is None:
+    inverse = _alpha_inverse(a_pl, dense_alpha, mu_grid)
+    if inverse is None:
         return (
             ClauseResult(
                 name, UNDECIDED, "tail-slope",
@@ -1305,9 +1257,8 @@ def _nested_inverse_series(grid, mu_grid, mu_pl, a_pl, dense_alpha):
             ),
             np.full(len(grid), np.nan),
         )
-    raw = _alpha_inverse_indices(dense_alpha, mu_grid)
-    beyond = raw > len(dense_alpha)
-    terms = np.where(mu_grid > 0, mu_grid / np.maximum(raw.astype(float), 1.0), 0.0)
+    inv, beyond = inverse
+    terms = np.where(mu_grid > 0, mu_grid / inv, 0.0)
     if np.any(beyond[grid >= grid[-1] / 10]):
         return (
             ClauseResult(
@@ -1316,19 +1267,14 @@ def _nested_inverse_series(grid, mu_grid, mu_pl, a_pl, dense_alpha):
             ),
             terms,
         )
-    return _series_clause(name, grid, terms, want="div"), terms
-
-
-def _nested_symbolic_inverse_terms(mu_pl, a_pl):
-    """Symbolic term shape mu * (mu/c)^{1/a} for pure-power alpha, or None."""
-    if mu_pl is None or a_pl is None or a_pl.q != 0 or a_pl.p <= 0:
-        return None
-    a = a_pl.p
-    scaled = _pl_power(mu_pl, 1.0 + 1.0 / a)
-    if scaled is None:
-        return None
-    return _pl_make(scaled.c * a_pl.c ** (-1.0 / a), scaled.p, scaled.q,
-                    scaled.shift, scaled.start)
+    # for alpha = c n^{-a}, c > 0, the terms are mu * (mu/c)^{1/a}
+    sym = None
+    pure = _pure_power(a_pl)
+    if pure is not None and pure[0] > 0:
+        c, a = pure
+        sym = _pl_combine(_pl_shape(mu_pl, e=1.0 + 1.0 / a),
+                          _pl_make(c ** (-1.0 / a), 0.0, 0.0, 0.0, 0), +1)
+    return _series_clause(name, grid, terms, want="div", symbolic=sym), terms
 
 
 # --------------------------------------------------------------------------
@@ -1354,23 +1300,19 @@ def check_beta_strong(
         raise TypeError("qstar must be callable")
     if qstar_bound is not None and qstar_bound < 1:
         raise ValueError("qstar_bound must be >= 1 (Q* is at least 1 where positive)")
-    horizon = _resolve_horizon(
-        horizon, beta if not isinstance(beta, MixingProfile) else None
-    )
-    if isinstance(beta, MixingProfile):
-        horizon = min(horizon, int(np.asarray(beta.ns)[-1]))
+    rate = _Rate(beta, {BETA_INF1}, "beta")
+    horizon = _resolve_horizon(horizon, rate)
     digest = _digest(
         op="beta-strong", beta=_seq_fingerprint(beta),
         bound=qstar_bound if qstar_bound is not None else "none",
     )
-    b_ns, b_vals, _ = _profile_to_pairs(beta, horizon, kinds={BETA_INF1}, label="beta")
+    b_ns, b_vals = rate.on_grid(horizon)
     if len(b_vals) == 0:
         raise ValueError("beta has no entries at or below the horizon")
     if not _is_nonincreasing(b_vals):
         raise ValueError("beta must be nonincreasing")
     if np.any(b_vals < 0) or np.any(b_vals > 1 + 1e-12):
         raise ValueError("beta values must lie in [0, 1]")
-    b_pl = _as_pl(beta) if not isinstance(beta, MixingProfile) else None
 
     terms = np.zeros(len(b_ns))
     q_vals = np.zeros(len(b_ns))
@@ -1384,22 +1326,20 @@ def check_beta_strong(
         q_vals[i] = q
         terms[i] = b * q / float(n)
 
-    minorant = b_pl.scaled_by_power(-1.0) if b_pl is not None else None
-    clause = None
-    if minorant is not None:
-        conv = minorant.series_converges()
-        if conv is False:
-            # Q* >= 1, so the full series dominates a divergent one
-            clause = ClauseResult(
-                "envelope-series-converges", FAILS, "closed-form",
-                {"reason": "sum beta(j)/j diverges and Q* >= 1"},
-            )
-        elif conv is True and qstar_bound is not None:
-            clause = ClauseResult(
-                "envelope-series-converges", HOLDS, "closed-form",
-                {"reason": f"sum beta(j)/j converges and Q* <= {qstar_bound}"},
-            )
-    if clause is None:
+    minorant = _pl_shape(rate.shape, s=-1.0)
+    conv = minorant.series_converges() if minorant is not None else None
+    if conv is False:
+        # Q* >= 1, so the full series dominates a divergent one
+        clause = ClauseResult(
+            "envelope-series-converges", FAILS, "closed-form",
+            {"reason": "sum beta(j)/j diverges and Q* >= 1"},
+        )
+    elif conv is True and qstar_bound is not None:
+        clause = ClauseResult(
+            "envelope-series-converges", HOLDS, "closed-form",
+            {"reason": f"sum beta(j)/j converges and Q* <= {qstar_bound}"},
+        )
+    else:
         clause = _series_clause("envelope-series-converges", b_ns, terms, want="conv")
     return _report(
         "beta-qstar-series", digest, horizon, b_ns, terms, [clause],
@@ -1440,53 +1380,32 @@ def check_tilde(
     * ``'iv'``  - E_n^{-1} sum_{k<n} rate(k) -> 0 (L1BC).
     * ``'v'``   - sum_n rate(n) / E_n converges (SBC).
     """
-    rate = tb
     if mode not in ("i", "ii", "iii", "iv", "v"):
         raise ValueError(f"unknown mode: {mode!r}")
     p = float(p)
     if p < 1:
         raise ValueError("p must be >= 1")
-    beta_kinds = {TILDE_BETA11, TILDE_BETA_REV}
-    phi_kinds = {TILDE_PHI11}
-    kinds = beta_kinds if mode in ("i", "ii", "iii") else phi_kinds
-    horizon = _resolve_horizon(
-        horizon, rate if not isinstance(rate, MixingProfile) else None, mu_I
-    )
-    if isinstance(rate, MixingProfile):
-        if rate.kind not in kinds:
-            raise ValueError(
-                f"mode {mode!r} expects a rate of kind in {sorted(kinds)}, "
-                f"got {rate.kind!r}"
-            )
-        horizon = min(horizon, int(np.asarray(rate.ns)[-1]))
+    if mode in ("i", "ii", "iii"):
+        kinds = {TILDE_BETA11, TILDE_BETA_REV}
+    else:
+        kinds = {TILDE_PHI11}
+    rate = _Rate(tb, kinds, "rate")
+    horizon = _resolve_horizon(horizon, rate, mu_I)
     digest = _digest(
-        op="tilde", mode=mode, p=p, rate=_seq_fingerprint(rate),
+        op="tilde", mode=mode, p=p, rate=_seq_fingerprint(tb),
         mu=_seq_fingerprint(mu_I),
         lq=lq_bound if lq_bound is not None else "none",
     )
     criterion = f"tilde-{mode}"
-    mu_start = max(int(getattr(mu_I, "start", 1)), 1)
-    grid = _log_grid(mu_start, horizon)
-    mass_clause = _mass_divergence_clause(mu_I, horizon, name="mass-diverges")
-    first_mass = float(mu_I.eval(mu_start))
-    if first_mass <= 0:
+    grid, mu_grid = _on_grid(mu_I, horizon)
+    mu_pl = _pl_shape(mu_I)
+    mass_clause = _series_clause("mass-diverges", grid, mu_grid, want="div",
+                                 symbolic=mu_pl)
+    if mu_grid[0] <= 0:
         return _precondition_report(
             criterion, digest, horizon, "the first event carries no mass"
         )
-
-    def lq_clause():
-        if lq_bound is None:
-            raise ValueError(
-                f"mode {mode!r} requires lq_bound (sup_n E_n^-1 ||sum of "
-                "indicators||_q, q conjugate to p); missing lq_bound"
-            )
-        if not math.isfinite(lq_bound) or lq_bound <= 0:
-            return ClauseResult(
-                "lq-ratio-bounded", FAILS, "given-bound", {"bound": lq_bound}
-            )
-        return ClauseResult(
-            "lq-ratio-bounded", HOLDS, "given-bound", {"bound": float(lq_bound)}
-        )
+    r_pl = rate.shape
 
     if mode == "i":
         if limsup_floor is None:
@@ -1494,8 +1413,7 @@ def check_tilde(
                 "mode 'i' requires limsup_floor (a float or an object with a "
                 "'floor' attribute, e.g. a limsup probe report)"
             )
-        floor = getattr(limsup_floor, "floor", limsup_floor)
-        floor = float(floor)
+        floor = float(getattr(limsup_floor, "floor", limsup_floor))
         if floor > FLAT_FLOOR:
             floor_clause = ClauseResult(
                 "limsup-mass-positive", HOLDS, "probe-floor", {"floor": floor}
@@ -1505,8 +1423,7 @@ def check_tilde(
                 "limsup-mass-positive", FAILS, "probe-floor",
                 {"floor": floor, "reason": "no evidence of positive limsup mass"},
             )
-        r_ns, r_vals, _ = _profile_to_pairs(rate, horizon, kinds=kinds, label="rate")
-        r_pl = _as_pl(rate) if not isinstance(rate, MixingProfile) else None
+        r_ns, r_vals = rate.on_grid(horizon)
         series = _series_clause("rate-series-converges", r_ns, r_vals,
                                 want="conv", symbolic=r_pl)
         clauses = [mass_clause, floor_clause, series]
@@ -1517,37 +1434,46 @@ def check_tilde(
 
     e_tab = partial_sums(mu_I, horizon)
     e_grid = _eval_at(e_tab, grid)
-    mu_pl = _as_pl(mu_I)
     e_pl = _pl_partial_sum_asym(mu_pl)
-    r_pl = _as_pl(rate) if not isinstance(rate, MixingProfile) else None
 
-    if mode in ("iv", "v"):
-        r_ns, r_vals, r_seq = _profile_to_pairs(rate, horizon, kinds=kinds,
-                                                label="rate")
-        if mode == "v":
-            probe = r_ns[r_ns >= mu_start]
-            e_at = _eval_at(e_tab, probe)
-            vals_at = r_vals[r_ns >= mu_start]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(e_at > 0, vals_at / np.maximum(e_at, 1e-300), np.inf)
-            sym = _pl_combine(r_pl, e_pl, -1)
-            clause = _series_clause("phi-series-converges", probe, terms,
-                                    want="conv", symbolic=sym)
-            clauses = [mass_clause, clause]
-            return _report(
-                criterion, digest, horizon, probe, terms, clauses,
-                trace_name="rate(n) / E_n",
+    if mode == "v":
+        r_ns, r_vals = rate.on_grid(horizon)
+        keep = r_ns >= grid[0]
+        probe = r_ns[keep]
+        terms = _quotient(r_vals[keep], _eval_at(e_tab, probe))
+        clause = _series_clause("phi-series-converges", probe, terms,
+                                want="conv", symbolic=_pl_combine(r_pl, e_pl, -1))
+        clauses = [mass_clause, clause]
+        return _report(
+            criterion, digest, horizon, probe, terms, clauses,
+            trace_name="rate(n) / E_n",
+        )
+
+    # modes ii-iv: cumulative sums of the rate, weighted by k^{p-1} in ii/iii
+    if mode == "iv":
+        r_dense = rate.dense(horizon, required=True)
+    else:
+        if lq_bound is None:
+            raise ValueError(
+                f"mode {mode!r} requires lq_bound (sup_n E_n^-1 ||sum of "
+                "indicators||_q, q conjugate to p); missing lq_bound"
             )
-        dense = _require_dense(rate, horizon, "rate") if r_seq is None else r_seq
-        r_dense = dense.array(1, horizon)
-        cum = np.concatenate([[0.0], np.cumsum(r_dense)])
-        sums_before = cum[np.maximum(grid - 1, 0)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            trace = np.where(e_grid > 0, sums_before / np.maximum(e_grid, 1e-300),
-                             np.inf)
-        sym = None
-        if r_pl is not None and e_pl is not None:
-            sym = _pl_combine(_pl_partial_sum_asym(r_pl), e_pl, -1)
+        if not math.isfinite(lq_bound) or lq_bound <= 0:
+            bound_clause = ClauseResult(
+                "lq-ratio-bounded", FAILS, "given-bound", {"bound": lq_bound}
+            )
+        else:
+            bound_clause = ClauseResult(
+                "lq-ratio-bounded", HOLDS, "given-bound", {"bound": float(lq_bound)}
+            )
+        weights = np.arange(1, horizon + 1, dtype=float) ** (p - 1.0)
+        r_dense = weights * rate.dense(horizon, required=True)
+    cum = np.concatenate([[0.0], np.cumsum(r_dense)])
+    sums_before = cum[np.maximum(grid - 1, 0)]
+
+    if mode == "iv":
+        trace = _quotient(sums_before, e_grid)
+        sym = _pl_combine(_pl_partial_sum_asym(r_pl), e_pl, -1)
         clause = _limit_clause("phi-average-vanishes", grid, trace, "zero",
                                symbolic=sym)
         clauses = [mass_clause, clause]
@@ -1555,27 +1481,10 @@ def check_tilde(
             criterion, digest, horizon, grid, trace, clauses,
             trace_name="E_n^{-1} sum_{k<n} rate(k)",
         )
-
-    # modes ii / iii: weighted cumulative sums of the rate
-    bound_clause = lq_clause()
-    dense = _require_dense(rate, horizon, "rate")
-    r_dense = dense.array(1, horizon)
-    weights = np.arange(1, horizon + 1, dtype=float) ** (p - 1.0)
-    cum = np.concatenate([[0.0], np.cumsum(weights * r_dense)])
-    sums_before = cum[np.maximum(grid - 1, 0)]
-    inner_sym = None
-    if r_pl is not None:
-        inner_sym = _pl_partial_sum_asym(
-            r_pl.scaled_by_power(p - 1.0) if p != 1.0 else r_pl
-        )
+    inner_sym = _pl_partial_sum_asym(_pl_shape(r_pl, s=p - 1.0))
     if mode == "ii":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            trace = np.where(
-                e_grid > 0, sums_before / np.maximum(e_grid, 1e-300) ** p, np.inf
-            )
-        sym = None
-        if inner_sym is not None and e_pl is not None:
-            sym = _pl_combine(inner_sym, _pl_power(e_pl, p), -1)
+        trace = _quotient(sums_before, e_grid, p)
+        sym = _pl_combine(inner_sym, _pl_shape(e_pl, e=p), -1)
         clauses = [
             mass_clause,
             _limit_clause("weighted-average-vanishes", grid, trace, "zero",
@@ -1587,18 +1496,9 @@ def check_tilde(
             trace_name="E_n^{-p} sum_{k<n} k^{p-1} rate(k)",
         )
     # mode iii
-    mu_grid = _eval_at(mu_I, grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(
-            e_grid > 0,
-            mu_grid * sums_before ** (1.0 / p) / np.maximum(e_grid, 1e-300) ** 2,
-            np.inf,
-        )
-    sym = None
-    if inner_sym is not None and e_pl is not None and mu_pl is not None:
-        inner_rooted = _pl_power(inner_sym, 1.0 / p)
-        num = _pl_combine(mu_pl, inner_rooted, +1)
-        sym = _pl_combine(num, _pl_power(e_pl, 2.0), -1)
+    terms = _quotient(mu_grid * sums_before ** (1.0 / p), e_grid, 2)
+    num = _pl_combine(mu_pl, _pl_shape(inner_sym, e=1.0 / p), +1)
+    sym = _pl_combine(num, _pl_shape(e_pl, e=2.0), -1)
     clauses = [
         mass_clause,
         _series_clause("weighted-series-converges", grid, terms, want="conv",
@@ -1635,9 +1535,7 @@ def check_renewal_nested(
         return _precondition_report(
             "renewal-nested", digest, horizon, "family is not nested"
         )
-    start = max(int(getattr(nu_A, "start", 1)), 1)
-    grid = _log_grid(start, horizon)
-    terms = _eval_at(nu_A, grid)
+    grid, terms = _on_grid(nu_A, horizon)
     if np.any(terms < 0):
         return _precondition_report(
             "renewal-nested", digest, horizon, "nu(A_k) has negative entries"
@@ -1648,7 +1546,7 @@ def check_renewal_nested(
             "nu(A_k) is not nonincreasing (family cannot be nested)",
         )
     clause = _series_clause("renewal-mass-diverges", grid, terms, want="div",
-                            symbolic=_as_pl(nu_A))
+                            symbolic=_pl_shape(nu_A))
     return _report(
         "renewal-nested", digest, horizon, grid, terms, [clause],
         trace_name="nu(A_k)",

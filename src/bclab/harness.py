@@ -508,10 +508,19 @@ def _md_payload(report: ExperimentReport, digest: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _read_json(path):
+    """The JSON document in a file; one nested too deeply to parse is a
+    ValueError, as any other malformed document is."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply") from None
+
+
 def _prior_manifest(out: Path) -> dict:
     """manifest.json already in out, or {} when it is missing or unreadable."""
     try:
-        doc = json.loads((out / "manifest.json").read_text())
+        doc = _read_json(out / "manifest.json")
     except (OSError, ValueError):
         return {}
     return doc if isinstance(doc, dict) else {}
@@ -589,7 +598,7 @@ def load_run(run_dir) -> tuple:
         raise ValueError(f"{run_dir} has no config.json")
     if not hits_path.exists():
         raise ValueError(f"{run_dir} has no hits.jsonl")
-    cfg = config_from_json(json.loads(cfg_path.read_text()))
+    cfg = config_from_json(_read_json(cfg_path))
     records = [HitRecord.from_line(line)
                for line in hits_path.read_bytes().splitlines() if line.strip()]
     if [r.trajectory for r in records] != list(range(cfg.n_traj)):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,45 @@ class TestCriteria:
         spec = write_json(tmp_path / "c.json", {"check": "wat"})
         assert main(["criteria", "--spec", spec]) == 4
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"check": "renewal", "nu": {"c": 1, "p": 1}, "nestd": False,
+          "horizn": 50}, "unknown fields ['horizn', 'nestd']"),
+        ({"check": "l2", "e": {"p": -1}, "var": {"p": -1}, "mode": "i"},
+         "unknown fields ['mode']"),
+        ({"check": "f", "run": "nowhere", "horizon": 10},
+         "unknown fields ['horizon']"),
+        ({"check": "f", "run": "nowhere", "mode": "ii", "subsequence": [10]},
+         "'subsequence' applies to f mode 'i' only"),
+        ({"check": "beta-strong",
+          "beta": {"profile_csv": "nowhere.csv", "knd": "beta_inf1"}},
+         "unknown fields ['knd']"),
+        ([], "the spec must be a JSON object"),
+    ], ids=["renewal-typos", "l2-mode", "f-horizon", "f-ii-subsequence",
+            "profile-typo", "not-an-object"])
+    def test_field_the_check_does_not_read_exit_4(self, tmp_path, capsys, doc,
+                                                   error):
+        spec = write_json(tmp_path / "c.json", doc)
+        assert main(["criteria", "--spec", spec]) == 4
+        assert error in capsys.readouterr().err
+
+    def test_readme_example_verbatim(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(
+            r"cat > crit\.json <<'EOF'\n(.*?\n)EOF\n\nbclab criteria --spec "
+            r"crit\.json\n```\n\n```\n(.*?)\n```\n\n\(exit code (\d)", readme,
+            re.S)
+        spec = tmp_path / "crit.json"
+        spec.write_text(example[1])
+        code = main(["criteria", "--spec", str(spec)])
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == example[2].splitlines() == [
+            "clause mass-diverges: holds (closed-form)",
+            "clause powered-mass-diverges: fails (closed-form)",
+            "clause scaled-mass-diverges: holds (closed-form)",
+            "verdict alpha-poly-1: violated",
+        ]
+        assert code == int(example[3]) == 2
+
 
 class TestMixing:
     def test_dmr_bounds_csv(self, capsys):
@@ -246,3 +286,26 @@ class TestReport:
         assert main(["report", "--run", str(out), "--format", "md"]) == 4
         assert "trajectories 0..3 in order" in capsys.readouterr().err
         assert (out / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("command, target", [
+    ("simulate", "config"),
+    ("criteria", "spec"),
+    ("report", "config.json"),
+    ("report", "manifest.json"),
+])
+def test_deeply_nested_json_exit_4(tmp_path, capsys, command, target):
+    deep = "[" * 100_000 + "]" * 100_000
+    if command == "report":
+        cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+        (run / target).write_text(deep)
+        argv = ["report", "--run", str(run), "--format", "csv"]
+    else:
+        (tmp_path / "deep.json").write_text(deep)
+        argv = [command, f"--{target}", str(tmp_path / "deep.json"),
+                "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert "JSON nests too deeply" in capsys.readouterr().err

@@ -294,6 +294,15 @@ class TestCheckPairwise:
         assert rep.clause("gamma-series")["method"] == "closed-form"
         assert rep.clause("phi-series")["method"] == "closed-form"
 
+    def test_shape_outside_power_log_domain_falls_back_to_tail(self):
+        # gamma_k / k for a constant gamma from k = 0 has no power-log shape
+        # (a power needs k >= 1); the tail slope decides instead
+        rep = check_pairwise(constant_seq(0.5, start=0), power_seq(0.5, 1.5),
+                             power_seq(0.5, 2.0), power_seq(0.5, 0.5), "ii",
+                             horizon=10**4)
+        assert rep.clause("gamma-series")["method"] == "tail-slope"
+        assert rep.clause("phi-series")["method"] == "closed-form"
+
     def test_gamma_monotonicity_enforced(self):
         rising = TabulatedSeq(np.linspace(0.1, 0.9, 200))
         ok = constant_seq(0.0)
@@ -425,6 +434,23 @@ class TestCheckAlphaGeneral:
         )
         with pytest.raises(ValueError, match="alpha_inf1"):
             check_alpha(prof, power_seq(1.0, 0.5), "nested-BC")
+
+    def test_wrong_profile_kind_poly_mode(self):
+        # the poly modes read no alpha values, but the kind is still checked
+        prof = MixingProfile(
+            kind=BETA_INF1, ns=np.arange(1, 101),
+            values=np.full(100, 0.1), provenance="computed",
+        )
+        with pytest.raises(ValueError, match="alpha_inf1"):
+            check_alpha(prof, power_seq(1.0, 0.5), "poly-1", params={"a": 1.0})
+
+    def test_vanishing_pure_power_alpha(self):
+        # alpha = 0 * n^-2: every inverse is 1, so the terms are the masses
+        rep = check_alpha(PowerLogSeq(0.0, 2.0), power_seq(1.0, 0.5),
+                          "nested-BC", horizon=10**4)
+        assert rep.verdict == SATISFIED
+        assert rep.clause("mass-dominates-alpha")["method"] == "exact-zero"
+        assert rep.clause("inverse-weighted-mass-diverges")["method"] == "tail-slope"
 
     def test_eta_inverse_hand_cases(self):
         vals = np.array([0.9, 0.5, 0.5, 0.1])
