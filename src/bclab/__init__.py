@@ -3,17 +3,17 @@
 Subpackages
 -----------
 ``seqcore``
-    Real sequences with closed-form and tabulated backends, envelopes,
-    generalized inverses, and partial sums.
+    Real sequences with closed-form and tabulated backends, and partial
+    sums.
 ``intervals``
     Intervals on the line and the torus, measure oracles, nested and
-    consecutive families, disjointification, block sparsification.
+    consecutive families, disjointification, the limsup probe.
 ``processes``
     Stationary process simulators (iid, interval map, circle walk,
     regenerative chains), hit records, and the ensemble driver.
 ``mixing``
     Dependence-decay profiles: analytic series, kernel-grid estimates,
-    closed-form envelopes, and empirical estimators.
+    and closed-form envelopes.
 ``criteria``
     Evaluators mapping decay profiles and mass sequences to verdicts on
     hit-count limit behaviour.
@@ -25,7 +25,6 @@ Subpackages
 from .criteria import (
     CriterionReport,
     PathEnsemble,
-    SparsePlan,
     check_alpha,
     check_beta_strong,
     check_f_criteria,
@@ -33,7 +32,6 @@ from .criteria import (
     check_pairwise,
     check_renewal_nested,
     check_tilde,
-    sparsify_psi,
 )
 from .harness import (
     CalibrationMissingError,
@@ -60,8 +58,6 @@ from .intervals import (
     TabulatedCdfMeasure,
     TorusConsecutiveFamily,
     disjointify,
-    equirep_norm,
-    gamma_blocks,
     limsup_probe,
 )
 from .mixing import (
@@ -70,7 +66,6 @@ from .mixing import (
     circle_tilde_beta,
     dmr_beta_bounds,
     dmr_beta_profile,
-    empirical_tilde_alpha,
     kernel_tilde_beta,
 )
 from .processes import (
@@ -81,7 +76,6 @@ from .processes import (
     LSVProcess,
     lsv_calibration,
     simulate_ensemble,
-    simulate_hits,
 )
 from .seqcore import (
     GeometricSeq,
@@ -90,10 +84,8 @@ from .seqcore import (
     TabulatedSeq,
     constant_seq,
     huber,
-    inverse_sequence,
     partial_sums,
     power_seq,
-    quantile_envelope,
 )
 
 __version__ = "0.1.0"

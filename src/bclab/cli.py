@@ -122,6 +122,9 @@ def _cmd_simulate(args) -> int:
 def _seq_arg(obj):
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise ValueError(f"a sequence must be a JSON object, "
+                         f"not {type(obj).__name__}")
     return seq_from_json(obj)
 
 
@@ -154,13 +157,18 @@ def _dispatch_criteria(doc: dict):
         raise ValueError(f"unknown check {check!r}")
     check_fields(f"check {check!r}", doc, ("check", *_SPEC_FIELDS[check]))
     horizon = doc.get("horizon")
+    if horizon is not None and type(horizon) is not int:
+        raise ValueError("'horizon' must be a JSON integer or null")
     if check == "l2":
         return check_l2(_seq_arg(doc["e"]), _seq_arg(doc["var"]),
                         horizon=horizon)
     if check == "alpha":
+        params = doc.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise ValueError("'params' must be a JSON object")
         return check_alpha(_rate_arg(doc.get("alpha"), "alpha_inf1"),
                            _seq_arg(doc["mu"]), doc["mode"],
-                           params=doc.get("params"), horizon=horizon)
+                           params=params, horizon=horizon)
     if check == "beta-strong":
         q = float(doc.get("qstar_const", 1.0))
         return check_beta_strong(_rate_arg(doc["beta"], "beta_inf1"),
@@ -178,8 +186,10 @@ def _dispatch_criteria(doc: dict):
                               _seq_arg(doc["alpha"]), _seq_arg(doc["p"]),
                               doc.get("mode", "i"), horizon=horizon)
     if check == "renewal":
-        return check_renewal_nested(_seq_arg(doc["nu"]),
-                                    nested=bool(doc.get("nested", True)),
+        nested = doc.get("nested", True)
+        if type(nested) is not bool:
+            raise ValueError("'nested' must be JSON true or false")
+        return check_renewal_nested(_seq_arg(doc["nu"]), nested=nested,
                                     horizon=horizon)
     if check == "f":
         if doc.get("mode", "ii") != "i" and "subsequence" in doc:
@@ -254,6 +264,8 @@ def _cmd_report(args) -> int:
     try:
         cfg, records = load_run(args.run)
         recorded = _read_json(Path(args.run) / "manifest.json")
+        if not isinstance(recorded, dict):
+            raise ValueError("manifest.json must be a JSON object")
         report = report_from_records(
             cfg, records, wall_clock_s=recorded.get("wall_clock_s", 0.0),
             timestamp=recorded.get("timestamp", ""))

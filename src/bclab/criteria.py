@@ -53,11 +53,11 @@ from .mixing import (
     MixingProfile,
 )
 from .seqcore import (
-    INF_INDEX,
     GeometricSeq,
     PowerLogSeq,
     RealSeq,
     TabulatedSeq,
+    check_fields,
     huber,
     partial_sums,
 )
@@ -972,6 +972,12 @@ def _eta_inverse(alpha_vals: np.ndarray, u: float):
     return float(m_star)
 
 
+# the params keys each check_alpha mode reads
+_ALPHA_PARAMS = {"nested-BC": ("doubling_window",), "L1": (),
+                 "strong": ("theta_grid",), "poly-1": ("a",),
+                 "poly-2": ("a",), "poly-3": ("a",)}
+
+
 def check_alpha(
     alpha,
     mu_A: RealSeq,
@@ -982,9 +988,10 @@ def check_alpha(
     """Criteria driven by the alpha(infinity, 1) dependence rate.
 
     ``alpha`` is a MixingProfile (kind alpha_inf1) or a RealSeq; ``mu_A``
-    gives the event masses mu(A_n).  ``params`` options:
+    gives the event masses mu(A_n).  ``params`` options (a key the mode
+    does not read raises ValueError):
 
-    * ``a``, ``C`` — polynomial-rate constants (required by poly modes);
+    * ``a`` — the polynomial decay exponent (required by poly modes);
     * ``theta_grid`` — witness exponents for ``mode='strong'``;
     * ``doubling_window`` — (lo_fraction, hi_fraction) of the horizon over
       which the halving ratio of alpha is probed in ``mode='nested-BC'``.
@@ -1009,9 +1016,10 @@ def check_alpha(
     yield a ``violated`` report with the reason, not an exception.
     """
     params = dict(params or {})
-    modes = ("nested-BC", "L1", "strong", "poly-1", "poly-2", "poly-3")
+    modes = tuple(_ALPHA_PARAMS)
     if mode not in modes:
         raise ValueError(f"unknown mode: {mode!r}; expected one of {modes}")
+    check_fields(f"alpha mode {mode!r} params", params, _ALPHA_PARAMS[mode])
     rate = _Rate(alpha, {ALPHA_INF1}, "alpha")
     horizon = _resolve_horizon(horizon, rate, mu_A)
     digest = _digest(
@@ -1550,97 +1558,4 @@ def check_renewal_nested(
     return _report(
         "renewal-nested", digest, horizon, grid, terms, [clause],
         trace_name="nu(A_k)",
-    )
-
-
-# --------------------------------------------------------------------------
-# sparsification schedule
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class SparsePlan:
-    """Dyadic thinning schedule for a nested family.
-
-    Level L occupies plan positions ``j[L] .. j[L+1]-1`` and keeps every
-    2^{k[L]}-th index starting at 2^L; ``psi[i]`` is the original index
-    kept at plan position i.  The retained mass up to level N is bounded
-    below by sum over L <= N of 2^{L-k[L]} mu(A_{2^L}), which
-    :meth:`lower_bound_trace` tabulates.
-    """
-
-    ks: np.ndarray
-    js: np.ndarray
-    psi: np.ndarray
-    products: np.ndarray  # eps_{2^L} * mu(A_{2^L}) per level
-
-    @property
-    def levels(self) -> int:
-        return len(self.ks)
-
-    def block(self, level: int) -> np.ndarray:
-        return self.psi[self.js[level]: self.js[level + 1]]
-
-    def lower_bound_trace(self, mu_pow2) -> np.ndarray:
-        """Cumulative sum over levels of block-length x mu(A_{2^L})."""
-        mu = np.asarray(
-            [mu_pow2.eval(L) if hasattr(mu_pow2, "eval") else mu_pow2[L]
-             for L in range(self.levels)],
-            dtype=float,
-        )
-        lengths = np.diff(self.js).astype(float)
-        return np.cumsum(lengths * mu)
-
-
-def sparsify_psi(eps, mu_A_pow2, alpha_star_inv, l_max: int) -> SparsePlan:
-    """Build the thinning schedule psi for levels 0..l_max.
-
-    ``eps`` is the slack sequence in its natural index (a RealSeq
-    evaluated at n = 2^L, or an indexable of per-level values);
-    ``mu_A_pow2`` is level-indexed (entry L holds mu(A_{2^L}); a RealSeq
-    here must start at 0).  ``alpha_star_inv`` maps u -> inf{ n :
-    alpha*(n) <= u } (an integer, or INF_INDEX when alpha* never dips
-    that low; e.g. ``functools.partial(inverse_sequence, alpha)``).
-
-    Level L keeps indices 2^L, 2^L + 2^{k_L}, 2^L + 2*2^{k_L}, ... where
-    k_L = min(L, ceil(log2 of the inverse at eps*mu)), clamped so the
-    retained indices stay inside [2^L, 2^{L+1}).
-    """
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
-
-    def _eps_value(seq, level):
-        if hasattr(seq, "eval"):
-            return float(seq.eval(1 << level))
-        return float(seq[level])
-
-    def _mu_value(seq, level):
-        if hasattr(seq, "eval"):
-            return float(seq.eval(level))
-        return float(seq[level])
-
-    ks = np.zeros(l_max + 1, dtype=np.int64)
-    js = np.zeros(l_max + 2, dtype=np.int64)
-    products = np.zeros(l_max + 1)
-    psi_parts = []
-    for level in range(l_max + 1):
-        eps_l = _eps_value(eps, level)
-        mu_l = _mu_value(mu_A_pow2, level)
-        if eps_l < 0 or mu_l < 0:
-            raise ValueError("eps and mu values must be nonnegative")
-        products[level] = eps_l * mu_l
-        inv = alpha_star_inv(products[level])
-        if inv == INF_INDEX:
-            k_l = level
-        else:
-            # ceil(log2(max(inv, 1))) computed exactly on integers
-            k_l = min(level, (max(int(inv), 1) - 1).bit_length())
-        ks[level] = k_l
-        length = 1 << (level - k_l)
-        js[level + 1] = js[level] + length
-        base = 1 << level
-        step = 1 << k_l
-        psi_parts.append(base + step * np.arange(length, dtype=np.int64))
-    return SparsePlan(
-        ks=ks, js=js, psi=np.concatenate(psi_parts), products=products
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import CriterionReport, PathEnsemble, check_f_criteria
+from .criteria import PathEnsemble, check_f_criteria
 from .intervals import (
     IntervalFamily,
     LebesgueMeasure,

@@ -449,125 +449,7 @@ def disjointify(family, m: int = None) -> DisjointCover:
 
 
 # ---------------------------------------------------------------------------
-# Block construction
-
-
-class BlockUnreachable(Exception):
-    """No prefix within the horizon reaches the k-th coverage threshold."""
-
-    def __init__(self, k, threshold, boundaries, covers, gamma_measures):
-        super().__init__(
-            f"block {k} threshold {threshold:.6g} unreachable within horizon"
-        )
-        self.k = k
-        self.threshold = threshold
-        self.boundaries = boundaries
-        self.covers = covers
-        self.gamma_measures = gamma_measures
-
-
-@dataclass
-class GammaBlocks:
-    boundaries: list  # n_0 = 1 < n_1 < ... block k covers [n_{k-1}, n_k)
-    covers: list  # one DisjointCover per completed block
-    gamma_measures: list  # mu(Gamma_j) flattened in block order
-    thresholds: list
-
-    @property
-    def completed(self):
-        return len(self.boundaries) - 1
-
-
-def gamma_blocks(family, delta: float, measure: MeasureOracle, horizon: int,
-                 max_blocks: int = None) -> GammaBlocks:
-    """Split indices into blocks whose unions almost reach coverage delta.
-
-    Block k is the shortest prefix [n_{k-1}, n_k) whose union has measure at
-    least delta * (1 - 2**-k); within each block the members are
-    disjointified so the block indicator sum never exceeds 1.  Raises
-    BlockUnreachable (with partial results attached) when the horizon runs
-    out, which is evidence that the family's limsup has measure below delta.
-    """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-
-    def union_measure(a, b):  # indices a..b inclusive
-        return measure.measure_union(family.intervals(a, b))
-
-    boundaries = [1]
-    covers = []
-    gamma_measures = []
-    thresholds = []
-    k = 0
-    while boundaries[-1] <= horizon:
-        k += 1
-        if max_blocks is not None and k > max_blocks:
-            break
-        thr = delta * (1.0 - 2.0**-k)
-        lo = boundaries[-1]
-        # doubling on the exclusive end, then bisection for the minimal one
-        hi_cap = horizon + 1
-        step = 1
-        n = lo + step
-        while union_measure(lo, n - 1) < thr:
-            if n >= hi_cap:
-                raise BlockUnreachable(k, thr, boundaries, covers, gamma_measures)
-            step *= 2
-            n = min(lo + step, hi_cap)
-        lo_fail = lo + step // 2 if step > 1 else lo
-        hi_ok = n
-        while hi_ok - lo_fail > 1:
-            mid = (lo_fail + hi_ok) // 2
-            if union_measure(lo, mid - 1) >= thr:
-                hi_ok = mid
-            else:
-                lo_fail = mid
-        n_k = hi_ok
-        cover = disjointify(family.intervals(lo, n_k - 1))
-        covers.append(cover)
-        gamma_measures.extend(measure.measure(g) for g in cover.gammas)
-        thresholds.append(thr)
-        boundaries.append(n_k)
-    return GammaBlocks(boundaries, covers, gamma_measures, thresholds)
-
-
-# ---------------------------------------------------------------------------
-# Equirepartition norm and limsup probe
-
-
-def equirep_norm(family, measure: MeasureOracle, n: int) -> float:
-    """Essential sup of (sum of the first n indicators) / E_n, exact.
-
-    The indicator sum is constant on the cells of the endpoint arrangement;
-    cells of measure zero are ignored (essential sup), and E_n is the sum
-    of the member measures under the oracle.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ivs = family.intervals(1, n)
-    e_n = float(sum(measure.measure(iv) for iv in ivs))
-    if e_n <= 0:
-        raise ValueError("E_n = 0: the family carries no mass")
-
-    events = []
-    for iv in ivs:
-        for lo, hi in iv.pieces():
-            events.append((lo, +1))
-            events.append((hi, -1))
-    if not events:
-        raise ValueError("all intervals empty")
-    xs = np.array([e[0] for e in events])
-    deltas = np.array([e[1] for e in events])
-    cuts, inv = np.unique(xs, return_inverse=True)
-    agg = np.zeros(len(cuts), dtype=int)
-    np.add.at(agg, inv, deltas)
-    coverage = np.cumsum(agg)[:-1]  # count on each cell [cuts[i], cuts[i+1])
-    cell_mass = measure.cdf(cuts[1:]) - measure.cdf(cuts[:-1])
-    live = cell_mass > 0
-    top = int(coverage[live].max()) if np.any(live) else 0
-    return top / e_n
+# Limsup probe
 
 
 @dataclass

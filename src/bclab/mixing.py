@@ -1,9 +1,8 @@
 """Mixing-coefficient computations feeding the criteria evaluators.
 
-Four routes to a coefficient profile: exact Fourier quadrature for the
-circle walk, transition-matrix powers for finite-grid kernels, the
-closed-form polynomial sandwich for the sticky regeneration chain, and a
-binned plug-in estimator from paired trajectory samples.
+Three routes to a coefficient profile: exact Fourier quadrature for the
+circle walk, transition-matrix powers for finite-grid kernels, and the
+closed-form polynomial sandwich for the sticky regeneration chain.
 """
 
 from __future__ import annotations
@@ -11,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import NONINCREASING, RealSeq, TabulatedSeq
+from .seqcore import NONINCREASING, TabulatedSeq
 
 ALPHA_INF1 = "alpha_inf1"
 BETA_INF1 = "beta_inf1"
@@ -89,60 +88,6 @@ def profile_to_csv(profile: MixingProfile, stream=None) -> str:
         w.writerow([int(n), repr(float(v)), profile.provenance,
                     "" if err is None else repr(float(err[i]))])
     return out.getvalue() if stream is None else ""
-
-
-@dataclass
-class PairwiseTriple:
-    """The (gamma, phi, alpha) bundle consumed by pairwise-sum criteria."""
-
-    gamma: MixingProfile
-    phi: MixingProfile
-    alpha: MixingProfile
-
-    def __post_init__(self):
-        expected = {"gamma": PAIRWISE_GAMMA, "phi": PAIRWISE_PHI,
-                    "alpha": PAIRWISE_ALPHA}
-        for leg, kind in expected.items():
-            prof = getattr(self, leg)
-            if prof.kind != kind:
-                raise ValueError(f"{leg} leg must have kind {kind!r}")
-
-    def as_seqs(self):
-        return self.gamma.as_seq(), self.phi.as_seq(), self.alpha.as_seq()
-
-
-def triple_to_csv(triple: PairwiseTriple) -> str:
-    out = io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["leg", "n", "value", "provenance", "error_bar"])
-    for leg in ("gamma", "phi", "alpha"):
-        prof = getattr(triple, leg)
-        err = prof.error_bars
-        for i, (n, v) in enumerate(zip(prof.ns, prof.values)):
-            w.writerow([leg, int(n), repr(float(v)), prof.provenance,
-                        "" if err is None else repr(float(err[i]))])
-    return out.getvalue()
-
-
-def triple_from_csv(text: str) -> PairwiseTriple:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0][:3] != ["leg", "n", "value"]:
-        raise ValueError("missing triple header")
-    cols = {"gamma": [], "phi": [], "alpha": []}
-    for row in rows[1:]:
-        if row:
-            cols[row[0]].append(row[1:])
-    kinds = {"gamma": PAIRWISE_GAMMA, "phi": PAIRWISE_PHI,
-             "alpha": PAIRWISE_ALPHA}
-    profs = {}
-    for leg, data in cols.items():
-        ns = np.array([int(r[0]) for r in data])
-        vals = np.array([float(r[1]) for r in data])
-        errs = np.array([float(r[3]) if r[3] else np.nan for r in data])
-        profs[leg] = MixingProfile(
-            kind=kinds[leg], ns=ns, values=vals, provenance=data[0][2],
-            error_bars=None if np.isnan(errs).all() else errs)
-    return PairwiseTriple(**profs)
 
 
 def profile_from_csv(text: str, kind: str) -> MixingProfile:
@@ -311,72 +256,3 @@ def dmr_bounds_profile(a: float, ns, which: str = "upper") -> MixingProfile:
                          values=np.minimum(vals, 1.0),
                          provenance="analytic-bound")
 
-
-# ---------------------------------------------------------------------------
-# Empirical estimator from paired samples
-
-
-@dataclass(frozen=True)
-class EmpiricalAlpha:
-    value: float
-    se: float
-    bins: int
-    samples: int
-    raw: float = None
-    null_floor: float = None
-
-    def __float__(self):
-        return self.value
-
-
-def empirical_tilde_alpha(x0, xn, t_grid=None, n_bins: int = None,
-                          bootstrap: int = 100, permutations: int = 5,
-                          seed: int = 0) -> EmpiricalAlpha:
-    """Binned plug-in estimate of sup_t E|P(X_n <= t | X_0) - F(t)|.
-
-    X_0 is split into about sqrt(N) equal-count bins; within each bin the
-    conditional cdf is the empirical cdf of the paired X_n values.  The
-    raw binned statistic never reaches zero even for independent pairs --
-    each bin's cdf fluctuates around F by ~1/sqrt(bin size) and the
-    absolute value keeps every fluctuation positive -- so that floor is
-    measured explicitly by rerunning the statistic on pairings broken by
-    permutation, and subtracted.  The standard error comes from a pair
-    bootstrap; it applies to the debiased value since the subtracted floor
-    shifts every replicate alike.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    xn = np.asarray(xn, dtype=float)
-    if x0.shape != xn.shape or x0.ndim != 1:
-        raise ValueError("need matching 1-d sample arrays")
-    N = len(x0)
-    if N < 1000:
-        raise ValueError("need at least 1000 paired samples")
-    if n_bins is None:
-        n_bins = int(np.sqrt(N))
-    if n_bins < 2 or N // n_bins < 20:
-        raise ValueError("fewer than 20 samples per bin")
-    if t_grid is None:
-        lo, hi = float(xn.min()), float(xn.max())
-        t_grid = np.linspace(lo, hi, 2048)
-    t_grid = np.asarray(t_grid, dtype=float)
-
-    def statistic(x0s, xns):
-        xs = xns[np.argsort(x0s, kind="stable")]
-        F = np.searchsorted(np.sort(xns), t_grid, side="right") / len(xns)
-        acc = np.zeros(len(t_grid))
-        for chunk in np.array_split(xs, n_bins):
-            cdf = np.searchsorted(np.sort(chunk), t_grid, side="right") / len(chunk)
-            acc += (len(chunk) / len(xns)) * np.abs(cdf - F)
-        return float(acc.max())
-
-    raw = statistic(x0, xn)
-    rng = np.random.default_rng(seed)
-    null = float(np.mean([statistic(x0, rng.permutation(xn))
-                          for _ in range(permutations)]))
-    reps = np.empty(bootstrap)
-    for b in range(bootstrap):
-        idx = rng.integers(0, N, size=N)
-        reps[b] = statistic(x0[idx], xn[idx])
-    return EmpiricalAlpha(value=max(raw - null, 0.0),
-                          se=float(reps.std(ddof=1)), bins=n_bins,
-                          samples=N, raw=raw, null_floor=null)

@@ -108,23 +108,9 @@ class LSVProcess(ProcessSpec):
 
 @dataclass(frozen=True)
 class ARHalfProcess(ProcessSpec):
-    """X' = X/2 + e with Bernoulli(1/2) innovations; state space [0,2].
-
-    innovation="heavy" adds a symmetric scaled Pareto-tail term with tail
-    exponent tail_p, putting the state on the whole line.
-    """
-
-    innovation: str = "bernoulli"
-    tail_p: float = 4.0
-    tail_scale: float = 0.1
+    """X' = X/2 + e with Bernoulli(1/2) innovations; state space [0,2]."""
 
     variant = "ar-half"
-
-    def validate(self):
-        if self.innovation not in ("bernoulli", "heavy"):
-            raise ValueError(f"unknown innovation {self.innovation!r}")
-        if self.innovation == "heavy" and self.tail_p <= 1:
-            raise ValueError("heavy innovation needs tail_p > 1")
 
 
 @dataclass(frozen=True)
@@ -331,12 +317,7 @@ def process_step(spec: ProcessSpec, state: float, uniforms) -> tuple:
             raise ValueError("lsv state outside [0,1]")
         return float(lsv_map(state, spec.gamma)), 0
     if isinstance(spec, ARHalfProcess):
-        eps = 1.0 if u1 < 0.5 else 0.0
-        if spec.innovation == "heavy":
-            v = max(2.0 * abs(u2 - 0.5), 1e-12)
-            mag = spec.tail_scale * (array_pow(v, -1.0 / spec.tail_p) - 1.0)
-            eps += math.copysign(mag, u2 - 0.5)
-        return 0.5 * state + eps, 0
+        return 0.5 * state + (1.0 if u1 < 0.5 else 0.0), 0
     if isinstance(spec, CircleRWProcess):
         # a plain float state starts a walk there
         x0, j = ((state.x0, state.j) if isinstance(state, CircleState)
@@ -368,7 +349,12 @@ def init_uniform_count(spec: ProcessSpec) -> int:
 
 
 def init_from_uniforms(spec: ProcessSpec, us) -> float:
-    """Deterministic map from the consumed uniforms to the starting state."""
+    """Deterministic map from the consumed uniforms to the starting state.
+
+    Exact for IID, CircleRW (Haar), every split chain including dmr (inverse
+    cdf of x**invariant_power() from one uniform), and the dyadic ARHalf
+    series; burn-in iteration for LSV.
+    """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     if isinstance(spec, IIDProcess):
         return float(spec._inverse(us[0]))
@@ -386,20 +372,6 @@ def init_from_uniforms(spec: ProcessSpec, us) -> float:
         weights = 2.0 ** -np.arange(len(us))
         return float(np.dot(bits, weights))
     raise TypeError(f"unknown spec type {type(spec).__name__}")
-
-
-def stationary_init(spec: ProcessSpec, seed: int, trajectory: int = 0,
-                    restart: int = 0) -> float:
-    """Draw the starting state from (approximately) the invariant law.
-
-    Exact for IID, CircleRW (Haar), every split chain including dmr (inverse
-    cdf of x**invariant_power() from one uniform), and the dyadic ARHalf
-    series; burn-in iteration for LSV.  Consumes init_uniform_count(spec)
-    values from the trajectory stream, which the stepping loop then
-    continues.
-    """
-    gen = make_generator(seed, trajectory, restart)
-    return init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +535,7 @@ def _advance_rows(spec, x, U, xs_buf, flags_buf):
         return x
     if isinstance(spec, ARHalfProcess):
         for i in range(m):
-            eps = (U[i, :, 0] < 0.5).astype(float)
-            if spec.innovation == "heavy":
-                v = np.maximum(2.0 * np.abs(U[i, :, 1] - 0.5), 1e-12)
-                mag = spec.tail_scale * (array_pow(v, -1.0 / spec.tail_p) - 1.0)
-                eps = eps + np.copysign(mag, U[i, :, 1] - 0.5)
-            x = 0.5 * x + eps
+            x = 0.5 * x + (U[i, :, 0] < 0.5)
             xs_buf[i] = x
         return x
     if isinstance(spec, SplitChainProcess):
@@ -749,17 +716,6 @@ def _checked_bounds(spec, family, n):
     return family.bounds(n)
 
 
-def simulate_hits(spec: ProcessSpec, family: IntervalFamily, n: int, seed: int,
-                  trajectory: int = 0) -> HitRecord:
-    """One trajectory: step from stationary_init, record k with X_k in A_k.
-
-    For CircleRW with drift t the test point is X_k - k t mod 1.  Fully
-    reproducible from (spec, family, n, seed, trajectory).
-    """
-    return _run_block(spec, n, seed, [trajectory],
-                      _checked_bounds(spec, family, n))[0]
-
-
 def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
                       seed: int, n_traj: int, workers: int = None) -> list:
     """HitRecords for trajectories 0..n_traj-1, merged in trajectory order.
@@ -784,21 +740,6 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
         records = [r for part in parts for r in part]
     records.sort(key=lambda r: r.trajectory)
     return records
-
-
-def paired_sample(spec: ProcessSpec, n: int, seed: int, n_traj: int):
-    """(X_0, X_n) across trajectories 0..n_traj-1, one stream each.
-
-    The marginal at any fixed time and the joint law at lag n are what the
-    empirical mixing estimators consume.
-    """
-    if n < 1 or n_traj < 1:
-        raise ValueError("need n >= 1 and n_traj >= 1")
-    spec.validate()
-    check_horizon(spec, n)
-    gens = [make_generator(seed, t) for t in range(n_traj)]
-    x0 = _init_vector(spec, gens)
-    return x0, _final_state(spec, n, gens, x0)
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,11 @@ class TestCriteria:
           "beta": {"profile_csv": "nowhere.csv", "knd": "beta_inf1"}},
          "unknown fields ['knd']"),
         ([], "the spec must be a JSON object"),
+        ({"check": "alpha", "mode": "strong", "mu": {"p": 0.9},
+          "alpha": {"p": 0.5}, "params": {"theta_grd": [0.9]}},
+         "unknown fields ['theta_grd']"),
     ], ids=["renewal-typos", "l2-mode", "f-horizon", "f-ii-subsequence",
-            "profile-typo", "not-an-object"])
+            "profile-typo", "not-an-object", "alpha-params-typo"])
     def test_field_the_check_does_not_read_exit_4(self, tmp_path, capsys, doc,
                                                    error):
         spec = write_json(tmp_path / "c.json", doc)
@@ -309,3 +312,29 @@ def test_deeply_nested_json_exit_4(tmp_path, capsys, command, target):
     capsys.readouterr()
     assert main(argv) == 4
     assert "JSON nests too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"check": "renewal", "nu": {"p": 1.8}, "nested": "false"},
+     "'nested' must be JSON true or false"),
+    ({"check": "renewal", "nu": {"p": 1.8}, "horizon": "10"},
+     "'horizon' must be a JSON integer or null"),
+    ({"check": "l2", "e": [1], "var": {"p": -1}},
+     "a sequence must be a JSON object, not list"),
+    ({"check": "alpha", "mode": "L1", "mu": {"p": 0.5}, "params": [1]},
+     "'params' must be a JSON object"),
+    (None, "manifest.json must be a JSON object"),
+], ids=["nested-string", "horizon-string", "sequence-list", "params-list",
+        "manifest-list"])
+def test_wrongly_typed_value_exit_4(tmp_path, capsys, doc, error):
+    if doc is None:
+        cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+        write_json(run / "manifest.json", [])
+        argv = ["report", "--run", str(run), "--format", "csv"]
+    else:
+        argv = ["criteria", "--spec", write_json(tmp_path / "c.json", doc)]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert error in capsys.readouterr().err

@@ -6,7 +6,7 @@ generators and tolerance bands derived from CLT error bars.
 """
 
 import math
-from functools import partial
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from bclab.criteria import (
     VIOLATED,
     CriterionReport,
     PathEnsemble,
-    SparsePlan,
     check_alpha,
     check_beta_strong,
     check_f_criteria,
@@ -30,7 +29,6 @@ from bclab.criteria import (
     check_pairwise,
     check_renewal_nested,
     check_tilde,
-    sparsify_psi,
 )
 from bclab.criteria import _eta_inverse, _pairwise_inner_sums
 from bclab.mixing import (
@@ -47,7 +45,6 @@ from bclab.seqcore import (
     TabulatedSeq,
     constant_seq,
     huber,
-    inverse_sequence,
     partial_sums,
     power_seq,
 )
@@ -364,6 +361,18 @@ class TestCheckAlphaPoly:
         with pytest.raises(ValueError, match="params\\['a'\\]"):
             check_alpha(None, power_seq(1.0, 0.5), "poly-1")
 
+    @pytest.mark.parametrize("mode, params, unknown", [
+        ("strong", {"theta_grd": [0.9]}, "theta_grd"),
+        ("strong", {"a": 1.0}, "a"),
+        ("poly-1", {"a": 1.0, "C": 2.0}, "C"),
+        ("nested-BC", {"theta_grid": [0.5]}, "theta_grid"),
+        ("L1", {"doubling_window": [0.1, 0.5]}, "doubling_window"),
+    ])
+    def test_params_the_mode_does_not_read_raise(self, mode, params, unknown):
+        with pytest.raises(ValueError, match=re.escape(f"['{unknown}']")):
+            check_alpha(power_seq(1.0, 2.0), power_seq(1.0, 0.5), mode,
+                        params=params, horizon=10**4)
+
 
 class TestCheckAlphaGeneral:
     def test_nested_bc_closed_form(self):
@@ -645,64 +654,3 @@ class TestCheckRenewalNested:
         assert poly.verdict == VIOLATED
         assert poly.diagnostics["first_failure"] == "powered-mass-diverges"
 
-
-class TestSparsify:
-    def test_level_zero_forced(self):
-        plan = sparsify_psi(constant_seq(1.0), TabulatedSeq([0.3], start=0),
-                            lambda u: 17, 0)
-        assert plan.js.tolist() == [0, 1]
-        assert plan.psi.tolist() == [1]
-        assert plan.ks.tolist() == [0]
-
-    def test_hand_table_half_power(self):
-        # alpha*(n) = 1/n, eps*mu = 2^{-L/2}: inverse is ceil(2^{L/2}),
-        # so k_L = ceil(L/2) and the plan follows by hand for L = 0..4
-        mu_l = TabulatedSeq([2.0 ** (-L / 2) for L in range(5)], start=0)
-        inv = partial(inverse_sequence, power_seq(1.0, 1.0))
-        plan = sparsify_psi(constant_seq(1.0), mu_l, inv, 4)
-        assert plan.ks.tolist() == [0, 1, 1, 2, 2]
-        assert plan.js.tolist() == [0, 1, 2, 4, 6, 10]
-        assert plan.psi.tolist() == [1, 2, 4, 6, 8, 12, 16, 20, 24, 28]
-
-    def test_large_products_full_blocks(self):
-        mu_l = TabulatedSeq([1.0] * 4, start=0)
-        inv = partial(inverse_sequence, power_seq(1.0, 1.0))
-        plan = sparsify_psi(constant_seq(1.0), mu_l, inv, 3)
-        assert plan.ks.tolist() == [0, 0, 0, 0]
-        assert plan.psi.tolist() == list(range(1, 16))
-
-    def test_inf_index_inverse_keeps_single_entry_blocks(self):
-        from bclab.seqcore import INF_INDEX
-        mu_l = TabulatedSeq([0.5] * 5, start=0)
-        plan = sparsify_psi(constant_seq(1.0), mu_l, lambda u: INF_INDEX, 4)
-        assert plan.ks.tolist() == [0, 1, 2, 3, 4]
-        # each level keeps exactly one index: 2^L
-        assert plan.psi.tolist() == [1, 2, 4, 8, 16]
-
-    @given(
-        st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=9),
-        st.integers(1, 400),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_invariants_random_inputs(self, mus, inv_scale):
-        l_max = len(mus) - 1
-        mu_l = TabulatedSeq(np.asarray(mus), start=0)
-
-        def inverse(u):
-            return max(1, min(10**6, int(inv_scale / max(u, 1e-9))))
-
-        plan = sparsify_psi(constant_seq(1.0), mu_l, inverse, l_max)
-        # block recursion and block labels
-        for level in range(l_max + 1):
-            length = plan.js[level + 1] - plan.js[level]
-            assert length == 2 ** (level - plan.ks[level])
-            block = plan.block(level)
-            assert block[0] == 2**level
-            assert np.all(block < 2 ** (level + 1))
-        assert np.all(np.diff(plan.psi) > 0)
-        # the retained-mass lower bound is exactly block length x mass
-        trace = plan.lower_bound_trace(mu_l)
-        manual = np.cumsum([
-            (2.0 ** (L - plan.ks[L])) * mus[L] for L in range(l_max + 1)
-        ])
-        assert np.allclose(trace, manual, rtol=1e-12)

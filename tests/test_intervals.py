@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bclab.intervals import (
-    BlockUnreachable,
     CustomFamily,
     Interval,
     LebesgueMeasure,
@@ -14,10 +13,8 @@ from bclab.intervals import (
     TabulatedCdfMeasure,
     TorusConsecutiveFamily,
     disjointify,
-    equirep_norm,
     family_from_json,
     family_to_json,
-    gamma_blocks,
     limsup_probe,
     measure_from_json,
     measure_to_json,
@@ -205,84 +202,6 @@ class TestDisjointify:
 
 def const_family(iv, n):
     return CustomFamily(table=tuple([iv] * n), space=iv.space)
-
-
-class TestGammaBlocks:
-    def test_full_space_gives_singleton_blocks(self):
-        fam = const_family(L(0.0, 1.0), 6)
-        out = gamma_blocks(fam, 1.0, LebesgueMeasure(), horizon=6)
-        assert out.boundaries == [1, 2, 3, 4, 5, 6, 7]
-
-    def test_alternating_halves_need_pairs(self):
-        halves = [L(0.0, 0.5) if k % 2 == 0 else L(0.5, 1.0) for k in range(12)]
-        fam = CustomFamily(table=tuple(halves))
-        out = gamma_blocks(fam, 1.0, LebesgueMeasure(), horizon=12, max_blocks=6)
-        # first threshold 1/2 is met by one set, later ones need both halves
-        assert out.boundaries == [1, 2, 4, 6, 8, 10, 12]
-        assert all(b - a == 2 for a, b in zip(out.boundaries[1:], out.boundaries[2:]))
-
-    def test_shrinking_family_hits_unreachable(self):
-        fam = NestedLeftFamily(radius=PowerLogSeq(c=1.0, p=1.0))
-        with pytest.raises(BlockUnreachable) as err:
-            gamma_blocks(fam, 0.5, LebesgueMeasure(), horizon=5_000)
-        assert err.value.k == 3
-        assert err.value.boundaries == [1, 2, 3]
-        assert len(err.value.covers) == 2
-
-    def test_block_invariants(self):
-        rng = np.random.default_rng(3)
-        table = []
-        for _ in range(60):
-            a, b = np.sort(rng.random(2))
-            table.append(L(float(a), float(b)))
-        fam = CustomFamily(table=tuple(table))
-        delta = 0.6
-        try:
-            out = gamma_blocks(fam, delta, LebesgueMeasure(), horizon=60)
-            blocks, gammas = out, out.gamma_measures
-        except BlockUnreachable as err:
-            blocks, gammas = err, err.gamma_measures
-        k = len(blocks.boundaries) - 1
-        assert sum(gammas) >= (k - 1) * delta - 1e-12
-        xs = np.linspace(0.0, 1.0, 5_000)
-        for cover in blocks.covers:
-            stack = np.stack([g.contains(xs) for g in cover.gammas])
-            assert np.all(stack.sum(axis=0) <= 1)
-
-    def test_rejects_bad_delta(self):
-        fam = const_family(L(0.0, 1.0), 3)
-        with pytest.raises(ValueError):
-            gamma_blocks(fam, 0.0, LebesgueMeasure(), horizon=3)
-
-
-class TestEquirep:
-    def test_full_space_is_one(self):
-        fam = const_family(L(0.0, 1.0), 5)
-        assert equirep_norm(fam, LebesgueMeasure(), 5) == pytest.approx(1.0)
-
-    def test_left_half_is_two(self):
-        fam = const_family(L(0.0, 0.5), 7)
-        assert equirep_norm(fam, LebesgueMeasure(), 7) == pytest.approx(2.0)
-
-    def test_partition_is_one(self):
-        fam = CustomFamily(table=(L(0.0, 0.5), L(0.5, 1.0)))
-        assert equirep_norm(fam, LebesgueMeasure(), 2) == pytest.approx(1.0)
-
-    def test_zero_mass_raises(self):
-        fam = const_family(L(0.3, 0.3), 2)
-        with pytest.raises(ValueError):
-            equirep_norm(fam, LebesgueMeasure(), 2)
-
-    def test_never_below_one(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            table = []
-            for _ in range(n):
-                a, b = np.sort(rng.random(2))
-                table.append(L(float(a), float(b) + 1e-6))
-            fam = CustomFamily(table=tuple(table))
-            assert equirep_norm(fam, LebesgueMeasure(), n) >= 1.0 - 1e-12
 
 
 class TestLimsupProbe:

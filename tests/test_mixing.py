@@ -2,8 +2,7 @@
 
 Oracles: a direct sine-series evaluation and an exact conditional-atom
 computation for the circle walk; a hand-computed 3-state value for the
-kernel quadrature; closed-form envelope arithmetic for the sticky chain;
-analytic binned statistics for the empirical estimator.
+kernel quadrature; closed-form envelope arithmetic for the sticky chain.
 """
 
 import math
@@ -17,27 +16,19 @@ from scipy import stats
 from bclab.mixing import (
     ALPHA_INF1,
     BETA_INF1,
-    PAIRWISE_ALPHA,
-    PAIRWISE_GAMMA,
-    PAIRWISE_PHI,
     TILDE_BETA11,
     CircleTildeBeta,
     MixingProfile,
-    PairwiseTriple,
     circle_profile,
     circle_tilde_beta,
     dmr_beta_bounds,
     dmr_beta_profile,
     dmr_bounds_profile,
     dmr_kernel_grid,
-    empirical_tilde_alpha,
     kernel_tilde_beta,
     profile_from_csv,
     profile_to_csv,
-    triple_from_csv,
-    triple_to_csv,
 )
-from bclab.processes import DMRProcess, paired_sample
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -107,25 +98,6 @@ class TestMixingProfile:
         prof = MixingProfile(kind=TILDE_BETA11, ns=ns, values=vals)
         back = profile_from_csv(profile_to_csv(prof), kind=TILDE_BETA11)
         assert np.array_equal(back.values, prof.values)
-
-    def test_pairwise_triple_round_trip(self):
-        ns = [1, 2, 3]
-        triple = PairwiseTriple(
-            gamma=MixingProfile(kind=PAIRWISE_GAMMA, ns=ns, values=[0.3, 0.2, 0.1]),
-            phi=MixingProfile(kind=PAIRWISE_PHI, ns=ns, values=[0.0, 0.1, 0.0]),
-            alpha=MixingProfile(kind=PAIRWISE_ALPHA, ns=ns, values=[0.5, 0.25, 0.125]),
-        )
-        back = triple_from_csv(triple_to_csv(triple))
-        for leg in ("gamma", "phi", "alpha"):
-            assert np.array_equal(getattr(back, leg).values,
-                                  getattr(triple, leg).values)
-        g, p, a = back.as_seqs()
-        assert g.eval(1) == 0.3 and p.eval(2) == 0.1 and a.eval(3) == 0.125
-
-    def test_pairwise_triple_checks_leg_kinds(self):
-        good = MixingProfile(kind=PAIRWISE_GAMMA, ns=[1], values=[0.1])
-        with pytest.raises(ValueError, match="leg"):
-            PairwiseTriple(gamma=good, phi=good, alpha=good)
 
 
 # ---------------------------------------------------------------------------
@@ -330,58 +302,3 @@ class TestBetaSandwich:
         assert prof.values[0] == 1.0  # 6/1 clamped into [0,1]
         assert np.all(np.diff(prof.values) <= 0)
 
-
-# ---------------------------------------------------------------------------
-# Empirical estimator
-
-
-class TestEmpiricalTildeAlpha:
-    def test_independent_pairs_read_zero(self):
-        rng = np.random.default_rng(7)
-        r = empirical_tilde_alpha(rng.random(4000), rng.random(4000))
-        assert r.value <= 3.0 * r.se
-        assert r.bins == 63 and r.samples == 4000
-
-    def test_identity_coupling_near_binned_maximum(self):
-        rng = np.random.default_rng(7)
-        x = rng.random(4000)
-        r = empirical_tilde_alpha(x, x)
-        # recompute the binned statistic analytically for the identity
-        # coupling: sorted equal-count bins against the pooled cdf
-        xs = np.sort(x)
-        t_grid = np.linspace(xs[0], xs[-1], 2048)
-        F = np.searchsorted(xs, t_grid, side="right") / len(xs)
-        acc = np.zeros_like(t_grid)
-        for c in np.array_split(xs, r.bins):
-            cdf = np.searchsorted(c, t_grid, side="right") / len(c)
-            acc += (len(c) / len(xs)) * np.abs(cdf - F)
-        assert r.raw == pytest.approx(acc.max(), abs=1e-12)
-        assert 0.38 <= r.value <= 0.5
-        assert r.raw > 0.47  # binned ceiling for a uniform marginal is ~1/2
-
-    def test_sticky_chain_estimate_decays_with_lag(self):
-        spec = DMRProcess(a=1.0)
-        est = {}
-        for n in (5, 50):
-            x0, xn = paired_sample(spec, n, seed=11, n_traj=4000)
-            est[n] = empirical_tilde_alpha(x0, xn)
-        assert est[50].value < est[5].value
-        assert est[5].value > 3 * est[5].se  # dependence actually detected
-
-    def test_reversed_roles_also_work(self):
-        spec = DMRProcess(a=1.0)
-        x0, xn = paired_sample(spec, 5, seed=11, n_traj=2000)
-        fwd = empirical_tilde_alpha(x0, xn)
-        rev = empirical_tilde_alpha(xn, x0)
-        assert 0.0 <= rev.value <= 1.0
-        assert rev.value > 3 * rev.se  # dependence visible in either order
-
-    def test_validation_errors(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="1000"):
-            empirical_tilde_alpha(rng.random(500), rng.random(500))
-        with pytest.raises(ValueError, match="per bin"):
-            empirical_tilde_alpha(rng.random(1200), rng.random(1200),
-                                  n_bins=100)
-        with pytest.raises(ValueError, match="matching"):
-            empirical_tilde_alpha(rng.random(2000), rng.random(1999))

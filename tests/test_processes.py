@@ -29,18 +29,32 @@ from bclab.processes import (
     init_uniform_count,
     lsv_calibration,
     make_generator,
-    paired_sample,
     process_from_json,
     process_step,
     process_to_json,
     simulate_ensemble,
-    simulate_hits,
-    stationary_init,
 )
 from bclab.seqcore import PowerLogSeq, constant_seq
 
 UNIT = NestedLeftFamily(radius=constant_seq(1.0))
 HALF = NestedLeftFamily(radius=constant_seq(0.5))
+
+
+def first_state(spec, seed):
+    """Trajectory 0's starting state, drawn as the ensemble draws it."""
+    return processes._init_vector(spec, [make_generator(seed, 0)])[0]
+
+
+def one_run(spec, family, n, seed):
+    """Trajectory 0's hit record."""
+    return simulate_ensemble(spec, family, n, seed, n_traj=1)[0]
+
+
+def states_at(spec, n, seed, n_traj):
+    """X_n of trajectories 0..n_traj-1, each from its stationary start."""
+    gens = [make_generator(seed, t) for t in range(n_traj)]
+    return processes._final_state(spec, n, gens,
+                                  processes._init_vector(spec, gens))
 
 
 class TestProcessStep:
@@ -136,7 +150,7 @@ class TestStationaryInit:
         assert init_from_uniforms(ARHalfProcess(), np.ones(n) * 0.9) == 0.0
 
     def test_lsv_init_stays_in_unit_interval(self):
-        x = stationary_init(LSVProcess(gamma=0.75), seed=5)
+        x = first_state(LSVProcess(gamma=0.75), seed=5)
         assert 0.0 <= x < 1.0
 
     def test_split_chains_consume_one_uniform(self):
@@ -145,8 +159,8 @@ class TestStationaryInit:
             assert init_uniform_count(spec) == 1
 
     def test_seed_determinism(self):
-        a = stationary_init(DMRProcess(a=1.0), seed=9)
-        b = stationary_init(DMRProcess(a=1.0), seed=9)
+        a = first_state(DMRProcess(a=1.0), seed=9)
+        b = first_state(DMRProcess(a=1.0), seed=9)
         assert a == b
 
 
@@ -163,7 +177,7 @@ class TestCheckpoints:
 
 class TestSimulateHits:
     def test_full_space_hits_every_step(self):
-        rec = simulate_hits(IIDProcess(), UNIT, 100, seed=1)
+        rec = one_run(IIDProcess(), UNIT, 100, seed=1)
         assert rec.hit_times.tolist() == list(range(1, 101))
 
     def test_harmonic_family_mean_matches_expectation(self):
@@ -176,7 +190,7 @@ class TestSimulateHits:
 
     def test_always_regenerating_chain_draws_iid_nu(self):
         spec = SplitChainProcess(s_kind="const", s_scale=1.0, nu_power=2.0)
-        rec = simulate_hits(spec, HALF, 400, seed=3)
+        rec = one_run(spec, HALF, 400, seed=3)
         assert rec.renewal_count == 400
         # X_k iid with cdf x^2: P(X < 1/2) = 1/4
         frac = len(rec.hit_times) / 400
@@ -185,13 +199,13 @@ class TestSimulateHits:
     def test_family_horizon_guard(self):
         fam = CustomFamily(table=(Interval.line(0, 1),) * 5)
         with pytest.raises(ValueError):
-            simulate_hits(IIDProcess(), fam, 10, seed=0)
+            simulate_ensemble(IIDProcess(), fam, 10, seed=0, n_traj=1)
 
     def test_matches_scalar_replay(self):
         for spec in (DMRProcess(a=1.0), CircleRWProcess(a=0.37, drift=0.0),
                      IIDProcess(), LSVProcess(gamma=0.6, burn_in=50)):
             n = 500
-            rec = simulate_hits(spec, HALF, n, seed=11)
+            rec = one_run(spec, HALF, n, seed=11)
             gen = make_generator(11, 0)
             x = init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
             hits, renewals = [], 0
@@ -207,7 +221,7 @@ class TestSimulateHits:
 
     def test_drift_shifts_the_test_frame(self):
         spec = CircleRWProcess(a=0.31, drift=0.25)
-        rec = simulate_hits(spec, HALF, 300, seed=13)
+        rec = one_run(spec, HALF, 300, seed=13)
         gen = make_generator(13, 0)
         x = init_from_uniforms(spec, gen.random(1))
         hits = []
@@ -221,8 +235,8 @@ class TestSimulateHits:
         fam = NestedLeftFamily(radius=PowerLogSeq(c=0.8, p=0.5))
         recs = simulate_ensemble(DMRProcess(a=1.0), fam, 600, seed=21, n_traj=4)
         for t in (0, 3):
-            solo = simulate_hits(DMRProcess(a=1.0), fam, 600, seed=21,
-                                 trajectory=t)
+            solo = processes._run_block(DMRProcess(a=1.0), 600, 21, [t],
+                                        fam.bounds(600))[0]
             assert recs[t].to_json() == solo.to_json()
 
     def test_parallel_partition_invariance(self):
@@ -236,14 +250,14 @@ class TestSimulateHits:
             assert a.hit_times.tolist() == b.hit_times.tolist()
 
     def test_hit_record_json_round_trip(self):
-        rec = simulate_hits(DMRProcess(a=1.0), HALF, 200, seed=1)
+        rec = one_run(DMRProcess(a=1.0), HALF, 200, seed=1)
         assert list(rec.to_json()) == ["trajectory", "hit_times",
                                        "renewal_count", "restarts"]
         back = HitRecord.from_json(rec.to_json())
         assert back.to_json() == rec.to_json()
 
     def test_hit_record_rejects_other_fields(self):
-        d = simulate_hits(DMRProcess(a=1.0), HALF, 200, seed=1).to_json()
+        d = one_run(DMRProcess(a=1.0), HALF, 200, seed=1).to_json()
         old = {**d, "seed": 1, "n": 200, "drift": 0.0,
                "s_checkpoints": [[200, 3]], "renewal_times": [1, 5]}
         with pytest.raises(ValueError, match="'drift', 'n', 'renewal_times', "
@@ -336,7 +350,7 @@ class TestHitRecordLine:
             assert ht.tolist() == json.loads(b"[" + body + b"]")
 
     def test_valid_non_canonical_lines_are_reserialized(self):
-        rec = simulate_hits(DMRProcess(a=1.0), HALF, 200, seed=1)
+        rec = one_run(DMRProcess(a=1.0), HALF, 200, seed=1)
         line = rec.to_line()
         assert line.startswith(b'{"hit_times":[')
         d = rec.to_json()
@@ -463,11 +477,8 @@ class TestCircleWalk:
         # a short family: without the guard its own horizon check would fire,
         # before any 2**26-step bounds were built
         short = CustomFamily(table=(Interval.line(0, 1),) * 5)
-        for run in (lambda: simulate_hits(spec, short, 2**26, seed=0),
-                    lambda: simulate_ensemble(spec, short, 2**26, 0, n_traj=2),
-                    lambda: paired_sample(spec, 2**26, seed=0, n_traj=2)):
-            with pytest.raises(ValueError, match=r"2\*\*26 - 1 steps"):
-                run()
+        with pytest.raises(ValueError, match=r"2\*\*26 - 1 steps"):
+            simulate_ensemble(spec, short, 2**26, 0, n_traj=2)
         edge = CircleState(0.5, 0.5, CIRCLE_MAX_STEPS)
         assert process_step(spec, edge, (0.9, 0.0))[0].j == CIRCLE_MAX_STEPS - 1
         with pytest.raises(ValueError, match=r"2\*\*26 - 1 net steps"):
@@ -504,7 +515,7 @@ class TestLockstepInit:
 class TestStationarity:
     @pytest.mark.parametrize("at", [100, 1000, 10_000])
     def test_dmr_marginal_is_invariant(self, at):
-        _, xn = paired_sample(DMRProcess(a=1.0), at, seed=31, n_traj=1000)
+        xn = states_at(DMRProcess(a=1.0), at, seed=31, n_traj=1000)
         ref = np.random.default_rng(77).random(1000)
         assert stats.ks_2samp(xn, ref).pvalue > 0.01
 
@@ -521,7 +532,7 @@ class TestStationarity:
 
     @pytest.mark.parametrize("at", [100, 1000])
     def test_circle_marginal_is_invariant(self, at):
-        _, xn = paired_sample(CircleRWProcess(), at, seed=32, n_traj=1000)
+        xn = states_at(CircleRWProcess(), at, seed=32, n_traj=1000)
         ref = np.random.default_rng(78).random(1000)
         assert stats.ks_2samp(xn, ref).pvalue > 0.01
 
@@ -638,7 +649,7 @@ class TestSerialization:
         specs = [
             IIDProcess(marginal="power", power=2.0),
             LSVProcess(gamma=0.75, burn_in=500),
-            ARHalfProcess(innovation="heavy", tail_p=3.0),
+            ARHalfProcess(),
             CircleRWProcess(a=0.25, drift=0.1),
             SplitChainProcess(s_kind="const", s_scale=0.5, nu_power=3.0, q1="nu"),
             DMRProcess(a=2.0),

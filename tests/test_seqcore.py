@@ -1,32 +1,18 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bclab.seqcore import (
-    INF_INDEX,
     GeometricSeq,
-    HorizonExhausted,
     PowerLogSeq,
-    QuantileFn,
-    SeqDomainError,
     TabulatedSeq,
-    UI_SAYS_NO,
-    UI_SAYS_YES,
     constant_seq,
     huber,
-    inverse_sequence,
-    is_finite_index,
     partial_sums,
     power_seq,
-    quantile_envelope,
-    quantile_from_weights,
     seq_from_json,
     seq_to_json,
-    ui_diagnostic,
 )
 
 # Oracle: harmonic sum computed in exact rational arithmetic.
@@ -90,65 +76,6 @@ class TestPartialSums:
         assert e.eval(2) == pytest.approx(1 + 0.5 + 0.25)
 
 
-class TestInverseSequence:
-    def test_geometric_hits_at_zero(self):
-        v = GeometricSeq(1.0, 0.5, start=0)
-        assert inverse_sequence(v, 1.0) == 0
-
-    def test_geometric_enumeration(self):
-        v = GeometricSeq(1.0, 0.5, start=0)
-        # v_0 = 1, v_1 = 0.5, v_2 = 0.25 <= 0.3
-        assert inverse_sequence(v, 0.3) == 2
-
-    def test_constant_above_u_is_infinite(self):
-        res = inverse_sequence(constant_seq(1.0), 0.5)
-        assert res is INF_INDEX
-        assert not is_finite_index(res)
-        assert res > 10**12
-
-    def test_tabulated_horizon_exhausted_is_not_infinity(self):
-        v = TabulatedSeq(np.array([0.5, 0.2, 0.1]))
-        with pytest.raises(HorizonExhausted):
-            inverse_sequence(v, 0.05)
-
-    def test_tabulated_lookup(self):
-        v = TabulatedSeq(np.array([0.5, 0.2, 0.1]))
-        assert inverse_sequence(v, 0.2) == 2
-
-    def test_strictly_positive_never_reaches_zero(self):
-        assert inverse_sequence(power_seq(1.0, 2.0), 0.0) is INF_INDEX
-
-    def test_rejects_increasing_input(self):
-        with pytest.raises(SeqDomainError):
-            inverse_sequence(TabulatedSeq(np.array([0.1, 0.2])), 0.05)
-
-    def test_large_answer_no_overflow(self):
-        # n^{-1} <= 1e-60 first at n = 10^60; log-space search must cope.
-        v = power_seq(1.0, 1.0)
-        m = inverse_sequence(v, 1e-60)
-        assert v.log_eval(m) <= math.log(1e-60) < v.log_eval(m - 1)
-
-    @given(
-        st.lists(
-            st.floats(min_value=0, max_value=10, allow_nan=False),
-            min_size=1,
-            max_size=30,
-        ),
-        st.floats(min_value=0, max_value=10, allow_nan=False),
-    )
-    @settings(max_examples=200)
-    def test_galois_property(self, raw, u):
-        vals = np.sort(np.asarray(raw))[::-1].copy()
-        v = TabulatedSeq(vals, start=0)
-        try:
-            m = inverse_sequence(v, u)
-        except HorizonExhausted:
-            assert np.all(vals > u)
-            return
-        assert v.eval(m) <= u
-        assert m == 0 or v.eval(m - 1) > u
-
-
 class TestClosedFormAnswers:
     def test_series_verdicts(self):
         assert power_seq(1.0, 2.0).series_converges() is True
@@ -181,148 +108,3 @@ class TestClosedFormAnswers:
             w = seq_from_json(seq_to_json(v))
             assert np.allclose(w.array(w.start, w.start + 2), v.array(v.start, v.start + 2))
 
-
-class TestQuantileFn:
-    def test_point_mass(self):
-        q = quantile_from_weights([(1.0, 1.0)])
-        assert q.eval(0.2) == 1.0
-        assert q.eval(1.0) == 1.0
-        assert q.mean() == pytest.approx(1.0)
-
-    def test_two_point_law(self):
-        q = quantile_from_weights([(0.0, 0.5), (2.0, 0.5)])
-        # top value occupies (0, 0.5], bottom (0.5, 1]
-        assert q.eval(0.3) == 2.0
-        assert q.eval(0.5) == 2.0
-        assert q.eval(0.7) == 0.0
-        assert q.eval(1.0) == 0.0
-        assert q.mean() == pytest.approx(1.0)
-
-    def test_mass_identity_pinned(self):
-        q = quantile_from_weights([(3.0, 1 / 3), (0.0, 2 / 3)])
-        assert q.integral(1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_partial_integrals(self):
-        q = quantile_from_weights([(0.0, 0.5), (2.0, 0.5)])
-        assert q.integral(0.25) == pytest.approx(0.5)
-        assert q.integral(0.5) == pytest.approx(1.0)
-        assert q.integral(0.75) == pytest.approx(1.0)
-
-    def test_rejects_bad_laws(self):
-        with pytest.raises(ValueError):
-            quantile_from_weights([(1.0, 0.4), (0.0, 0.4)])
-        with pytest.raises(ValueError):
-            quantile_from_weights([(1.0, -0.1), (0.0, 1.1)])
-
-    def test_mass_identity_over_random_laws(self):
-        # 1000 seeded discrete laws with up to 20 atoms.
-        for seed in range(1000):
-            rng = np.random.default_rng(seed)
-            k = int(rng.integers(1, 21))
-            vals = rng.uniform(0, 10, size=k)
-            w = rng.dirichlet(np.ones(k))
-            mean = float(np.dot(vals, w))
-            q = quantile_from_weights(list(zip(vals, w)))
-            assert abs(q.integral(1.0) - mean) <= 1e-9
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=100)
-    def test_quantile_nonincreasing(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 12))
-        vals = rng.uniform(0, 5, size=k)
-        w = rng.dirichlet(np.ones(k))
-        q = quantile_from_weights(list(zip(vals, w)))
-        us = np.linspace(0.01, 1.0, 50)
-        qs = [q.eval(u) for u in us]
-        assert np.all(np.diff(qs) <= 1e-12)
-
-
-class TestQuantileEnvelope:
-    def test_zero_at_origin(self):
-        fam = [quantile_from_weights([(1.0, 1.0)])]
-        assert quantile_envelope(fam, 0.0).value == 0.0
-
-    def test_constant_family(self):
-        fam = [quantile_from_weights([(1.0, 1.0)])]
-        assert quantile_envelope(fam, 0.5).value == pytest.approx(1.0)
-
-    def test_mean_one_family_at_full_mass(self):
-        fam = [
-            quantile_from_weights([(2.0, 0.5), (0.0, 0.5)]),
-            quantile_from_weights([(4.0, 0.25), (0.0, 0.75)]),
-            quantile_from_weights([(1.0, 1.0)]),
-        ]
-        out = quantile_envelope(fam, 1.0)
-        assert out.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_attaining_index(self):
-        fam = [
-            quantile_from_weights([(1.0, 1.0)]),
-            quantile_from_weights([(4.0, 0.25), (0.0, 0.75)]),
-        ]
-        assert quantile_envelope(fam, 0.25).attained_by == 1
-
-    def test_u_times_envelope_nondecreasing(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            fam = []
-            for _ in range(int(rng.integers(1, 6))):
-                k = int(rng.integers(1, 8))
-                vals = rng.uniform(0, 6, size=k)
-                w = rng.dirichlet(np.ones(k))
-                fam.append(quantile_from_weights(list(zip(vals, w))))
-            us = np.linspace(0.02, 1.0, 40)
-            prods = [u * quantile_envelope(fam, u).value for u in us]
-            assert np.all(np.diff(prods) >= -1e-12)
-
-    def test_envelope_nonincreasing_in_u(self):
-        fam = [quantile_from_weights([(5.0, 0.2), (1.0, 0.8)])]
-        us = np.linspace(0.05, 1.0, 30)
-        vals = [quantile_envelope(fam, u).value for u in us]
-        assert np.all(np.diff(vals) <= 1e-12)
-
-    def test_domain_errors(self):
-        fam = [quantile_from_weights([(1.0, 1.0)])]
-        with pytest.raises(ValueError):
-            quantile_envelope(fam, 1.5)
-        with pytest.raises(ValueError):
-            quantile_envelope([], 0.5)
-
-
-class TestUIDiagnostic:
-    def test_bounded_family_is_ui(self):
-        fam = [quantile_from_weights([(1.0, 1.0)])]
-        eps = np.geomspace(1.0, 1e-4, 20)
-        rep = ui_diagnostic(fam, eps)
-        assert rep.verdict == UI_SAYS_YES
-        assert np.allclose(rep.trace, eps)
-
-    def test_escaping_mass_family_is_not_ui(self):
-        # Q_n = n on (0, 1/n]: truncated integrals min(eps*n, 1); the sup
-        # over n <= 100 is exactly 1 on any eps >= 1/100.
-        fam = []
-        for n in range(1, 101):
-            if n == 1:
-                fam.append(quantile_from_weights([(1.0, 1.0)]))
-            else:
-                fam.append(quantile_from_weights([(n, 1.0 / n), (0.0, 1 - 1.0 / n)]))
-        eps = np.geomspace(1.0, 0.01, 15)
-        rep = ui_diagnostic(fam, eps)
-        assert np.allclose(rep.trace, 1.0)
-        assert rep.verdict == UI_SAYS_NO
-
-    def test_uniformly_bounded_by_m(self):
-        fam = [
-            quantile_from_weights([(5.0, 0.3), (2.0, 0.7)]),
-            quantile_from_weights([(4.0, 0.5), (0.0, 0.5)]),
-        ]
-        eps = np.geomspace(1.0, 1e-3, 25)
-        rep = ui_diagnostic(fam, eps)
-        assert np.all(rep.trace <= 5 * eps + 1e-12)
-        assert rep.verdict == UI_SAYS_YES
-
-    def test_rejects_increasing_grid(self):
-        fam = [quantile_from_weights([(1.0, 1.0)])]
-        with pytest.raises(ValueError):
-            ui_diagnostic(fam, [0.1, 0.5])
