@@ -21,8 +21,8 @@ meaningful at these sizes, and the exit code ignores them)::
 
     python3 scripts/run_reference_suite.py --out /tmp/smoke --quick
 
-Interval-map experiments need the cached occupation tables; the script
-builds any that are missing (see ``scripts/build_lsv_calibration.py``).
+The interval-map experiments read an occupation table cached under
+``BCLAB_CACHE``; the first run for a given table builds it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from bclab.processes import (
     DMRProcess,
     IIDProcess,
     LSVProcess,
-    calibration_path,
-    lsv_calibration,
 )
 from bclab.seqcore import power_seq
 
@@ -120,18 +118,6 @@ def build_suite(quick: bool):
     ]
 
 
-def ensure_calibrations(configs) -> None:
-    for _, cfg, _ in configs:
-        if isinstance(cfg.process, LSVProcess):
-            path = calibration_path(cfg.process.gamma, cfg.calibration_steps,
-                                    cfg.calibration_seed)
-            if not path.exists():
-                print(f"building occupation table for "
-                      f"gamma={cfg.process.gamma} ...", flush=True)
-            lsv_calibration(cfg.process.gamma, cfg.calibration_steps,
-                            cfg.calibration_seed)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description="run the reference experiment suite")
@@ -149,7 +135,6 @@ def main(argv=None) -> int:
         experiments = [e for e in experiments if args.only in e[0]]
         if not experiments:
             ap.error(f"no experiment name contains {args.only!r}")
-    ensure_calibrations(experiments)
 
     out_root = Path(args.out)
     failures = 0

@@ -34,14 +34,12 @@ from .criteria import (
     check_tilde,
 )
 from .harness import (
-    CalibrationMissingError,
     ExperimentConfig,
     ExperimentReport,
     Verdict,
     aggregate_verdict,
     config_from_json,
     config_to_json,
-    default_checkpoints,
     emit_report,
     load_run,
     run_digest,
@@ -84,6 +82,7 @@ from .seqcore import (
     TabulatedSeq,
     constant_seq,
     huber,
+    log_grid,
     partial_sums,
     power_seq,
 )

@@ -34,7 +34,6 @@ from .criteria import (
     check_tilde,
 )
 from .harness import (
-    CalibrationMissingError,
     _read_json,
     aggregate_verdict,
     config_from_json,
@@ -93,7 +92,7 @@ def _cmd_simulate(args) -> int:
     try:
         report = run_experiment(cfg)
         paths = emit_report(report, formats=formats)
-    except (CalibrationMissingError, ValueError) as e:
+    except (OSError, ValueError) as e:
         return _err(str(e))
 
     print(f"run digest {paths['digest']}")
@@ -120,19 +119,65 @@ def _cmd_simulate(args) -> int:
 
 
 def _seq_arg(obj):
-    if obj is None:
-        return None
     if not isinstance(obj, dict):
         raise ValueError(f"a sequence must be a JSON object, "
                          f"not {type(obj).__name__}")
     return seq_from_json(obj)
 
 
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _number(doc: dict, key: str, default=None):
+    """doc[key], which must be a JSON number; default when absent or null."""
+    v = doc.get(key)
+    if v is None:
+        return default
+    if not _is_number(v):
+        raise ValueError(f"{key!r} must be a JSON number or null")
+    return v
+
+
+def _path(doc: dict, key: str) -> str:
+    v = doc[key]
+    if not isinstance(v, str):
+        raise ValueError(f"{key!r} must be a JSON string")
+    return v
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+# what each alpha params key must hold, and its test
+_ALPHA_PARAM_TYPES = {
+    "a": ("a JSON number", _is_number),
+    "theta_grid": ("a list of JSON numbers", _numbers),
+    "doubling_window": ("a list of two JSON numbers",
+                        lambda v: _numbers(v) and len(v) == 2),
+}
+
+
+def _alpha_params(params) -> dict:
+    """alpha params whose values have the types the modes read; a key no
+    mode reads is left for check_alpha to reject."""
+    if params is None:
+        return {}
+    if not isinstance(params, dict):
+        raise ValueError("'params' must be a JSON object")
+    for key in params.keys() & _ALPHA_PARAM_TYPES.keys():
+        what, ok = _ALPHA_PARAM_TYPES[key]
+        if not ok(params[key]):
+            raise ValueError(f"params {key!r} must be {what}")
+    return params
+
+
 def _rate_arg(obj, kind_default):
     """A decay-rate input: sequence JSON or a profile CSV reference."""
     if isinstance(obj, dict) and "profile_csv" in obj:
         check_fields("profile reference", obj, ("profile_csv", "kind"))
-        text = Path(obj["profile_csv"]).read_text()
+        text = Path(_path(obj, "profile_csv")).read_text()
         return profile_from_csv(text, obj.get("kind", kind_default))
     return _seq_arg(obj)
 
@@ -163,23 +208,23 @@ def _dispatch_criteria(doc: dict):
         return check_l2(_seq_arg(doc["e"]), _seq_arg(doc["var"]),
                         horizon=horizon)
     if check == "alpha":
-        params = doc.get("params")
-        if params is not None and not isinstance(params, dict):
-            raise ValueError("'params' must be a JSON object")
-        return check_alpha(_rate_arg(doc.get("alpha"), "alpha_inf1"),
+        alpha = doc.get("alpha")
+        return check_alpha(None if alpha is None
+                           else _rate_arg(alpha, "alpha_inf1"),
                            _seq_arg(doc["mu"]), doc["mode"],
-                           params=params, horizon=horizon)
+                           params=_alpha_params(doc.get("params")),
+                           horizon=horizon)
     if check == "beta-strong":
-        q = float(doc.get("qstar_const", 1.0))
+        q = float(_number(doc, "qstar_const", 1.0))
         return check_beta_strong(_rate_arg(doc["beta"], "beta_inf1"),
                                  lambda u: q,
-                                 qstar_bound=doc.get("qstar_bound"),
+                                 qstar_bound=_number(doc, "qstar_bound"),
                                  horizon=horizon)
     if check == "tilde":
         return check_tilde(_rate_arg(doc["rate"], "tilde_beta11"),
-                           _seq_arg(doc["mu"]), doc.get("lq_bound"),
-                           float(doc.get("p", 1.0)), doc.get("mode", "i"),
-                           limsup_floor=doc.get("limsup_floor"),
+                           _seq_arg(doc["mu"]), _number(doc, "lq_bound"),
+                           float(_number(doc, "p", 1.0)), doc.get("mode", "i"),
+                           limsup_floor=_number(doc, "limsup_floor"),
                            horizon=horizon)
     if check == "pairwise":
         return check_pairwise(_seq_arg(doc["gamma"]), _seq_arg(doc["phi"]),
@@ -194,13 +239,18 @@ def _dispatch_criteria(doc: dict):
     if check == "f":
         if doc.get("mode", "ii") != "i" and "subsequence" in doc:
             raise ValueError("'subsequence' applies to f mode 'i' only")
-        cfg, records = load_run(doc["run"])
+        cfg, records = load_run(_path(doc, "run"))
+        sub = doc.get("subsequence")
+        if sub is not None and not (isinstance(sub, list) and all(
+                type(k) is int and 1 <= k <= cfg.n for k in sub)):
+            raise ValueError(f"'subsequence' must list JSON integers "
+                             f"within [1, {cfg.n}]")
         report = report_from_records(cfg, records)
         ens = PathEnsemble(report.checkpoints, report.s_values)
         masses = cfg.family.measures(marginal_measure(cfg), cfg.n)
         e_seq = TabulatedSeq(np.cumsum(masses))
         return check_f_criteria(ens, e_seq, doc.get("mode", "ii"),
-                                subsequence=doc.get("subsequence"),
+                                subsequence=sub,
                                 mu_A=TabulatedSeq(masses))
 
 
@@ -275,7 +325,7 @@ def _cmd_report(args) -> int:
                   f"{recorded['run_digest']}; nothing written", file=sys.stderr)
             return EXIT_FAIL
         emit_report(report, out_dir=args.run, formats=[args.format])
-    except (OSError, KeyError, ValueError, CalibrationMissingError) as e:
+    except (OSError, KeyError, ValueError) as e:
         return _err(str(e))
     print(f"run digest {digest}")
     return EXIT_OK

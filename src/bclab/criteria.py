@@ -59,6 +59,7 @@ from .seqcore import (
     TabulatedSeq,
     check_fields,
     huber,
+    log_grid,
     partial_sums,
 )
 
@@ -144,19 +145,6 @@ class CriterionReport:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CriterionReport":
-        d = json.loads(text)
-        return cls(
-            criterion=d["criterion"],
-            inputs_digest=d["inputs_digest"],
-            horizon=int(d["horizon"]),
-            ns=np.asarray(d["ns"], dtype=np.int64),
-            trace=np.asarray(d["trace"], dtype=float),
-            verdict=d["verdict"],
-            diagnostics=d["diagnostics"],
-        )
-
 
 def _plain(obj):
     """Recursively convert numpy scalars/arrays into JSON-safe values."""
@@ -179,7 +167,7 @@ def _plain(obj):
 
 
 # --------------------------------------------------------------------------
-# digests and grids
+# digests
 # --------------------------------------------------------------------------
 
 
@@ -223,19 +211,6 @@ def _seq_fingerprint(seq) -> dict:
 def _digest(**parts) -> str:
     text = json.dumps(_plain(parts), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _log_grid(lo: int, hi: int, per_decade: int = 8) -> np.ndarray:
-    """Roughly geometric integer grid from lo to hi inclusive, deduplicated."""
-    lo = int(max(lo, 1))
-    hi = int(hi)
-    if hi < lo:
-        raise ValueError("empty grid: horizon below sequence start")
-    j_hi = int(math.ceil(per_decade * math.log10(hi))) if hi > 1 else 0
-    raw = np.round(10 ** (np.arange(j_hi + 1) / per_decade)).astype(np.int64)
-    raw = raw[(raw >= lo) & (raw <= hi)]
-    grid = np.unique(np.concatenate([raw, [lo, hi]]))
-    return grid
 
 
 def _resolve_horizon(requested, *seqs, default: int = DEFAULT_HORIZON) -> int:
@@ -525,7 +500,7 @@ def _eval_at(seq, ns):
 
 def _on_grid(seq, horizon):
     """(grid, values): seq on the log grid from its first index to horizon."""
-    grid = _log_grid(getattr(seq, "start", 1), horizon)
+    grid = log_grid(getattr(seq, "start", 1), horizon)
     return grid, _eval_at(seq, grid)
 
 
@@ -679,8 +654,8 @@ def check_l2(e_seq: RealSeq, var_model: RealSeq, horizon=None) -> CriterionRepor
         raise ValueError("length mismatch: E and Var tables cover different horizons")
     horizon = _resolve_horizon(horizon, e_seq, var_seq)
     digest = _digest(op="l2", e=_seq_fingerprint(e_seq), var=_seq_fingerprint(var_seq))
-    grid = _log_grid(max(getattr(e_seq, "start", 1), getattr(var_seq, "start", 1)),
-                     horizon)
+    grid = log_grid(max(getattr(e_seq, "start", 1), getattr(var_seq, "start", 1)),
+                    horizon)
     e_vals = _eval_at(e_seq, grid)
     if not _is_nondecreasing(e_vals):
         return _precondition_report(
@@ -893,7 +868,7 @@ def check_pairwise(
     if e_vals[-1] <= 0:
         raise ValueError("p carries no mass")
     inner = _pairwise_inner_sums(alpha_vals, p_vals)
-    grid = _log_grid(1, horizon)
+    grid = log_grid(1, horizon)
     gi = grid - 1  # positions into the dense arrays
 
     e_pl = _pl_partial_sum_asym(_pl_shape(mu_B))
@@ -987,9 +962,10 @@ def check_alpha(
 ) -> CriterionReport:
     """Criteria driven by the alpha(infinity, 1) dependence rate.
 
-    ``alpha`` is a MixingProfile (kind alpha_inf1) or a RealSeq; ``mu_A``
-    gives the event masses mu(A_n).  ``params`` options (a key the mode
-    does not read raises ValueError):
+    ``alpha`` is a MixingProfile (kind alpha_inf1) or a RealSeq, or None
+    in the poly modes, which do not read it; ``mu_A`` gives the event
+    masses mu(A_n).  ``params`` options (a key the mode does not read
+    raises ValueError):
 
     * ``a`` — the polynomial decay exponent (required by poly modes);
     * ``theta_grid`` — witness exponents for ``mode='strong'``;
@@ -1084,6 +1060,8 @@ def check_alpha(
         )
 
     # the other modes read alpha's values
+    if alpha is None:
+        raise ValueError(f"mode {mode!r} needs alpha")
     a_ns, a_vals = rate.on_grid(horizon)
     if len(a_vals) == 0:
         raise ValueError("alpha has no entries at or below the horizon")
@@ -1327,8 +1305,7 @@ def check_beta_strong(
     for i, (n, b) in enumerate(zip(b_ns, b_vals)):
         if b <= 0:
             continue
-        q_raw = qstar(float(b))
-        q = float(getattr(q_raw, "value", q_raw))
+        q = float(qstar(float(b)))
         if q < 1 - 1e-12:
             raise ValueError("qstar returned a value below 1 at a positive argument")
         q_vals[i] = q

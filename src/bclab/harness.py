@@ -36,25 +36,22 @@ from .processes import (
     LSVProcess,
     ProcessSpec,
     SplitChainProcess,
-    calibration_path,
     check_horizon,
     lsv_calibration,
     process_from_json,
     process_to_json,
     simulate_ensemble,
 )
-from .seqcore import TabulatedSeq, check_fields
+from .seqcore import TabulatedSeq, check_fields, log_grid
 
 __all__ = [
     "CRITERIA_TOKENS",
-    "CalibrationMissingError",
     "ExperimentConfig",
     "ExperimentReport",
     "Verdict",
     "aggregate_verdict",
     "config_from_json",
     "config_to_json",
-    "default_checkpoints",
     "emit_report",
     "load_run",
     "marginal_measure",
@@ -72,23 +69,6 @@ BC_MIN_GROWTH = 1.0
 L1_DECAY_FACTOR = 0.9
 SBC_MEAN_BAND = (0.8, 1.2)
 SBC_QUANTILE_BAND = (0.5, 1.5)
-
-
-class CalibrationMissingError(RuntimeError):
-    """An LSV run needs an occupation-measure table that is not on disk."""
-
-
-def default_checkpoints(n: int) -> list:
-    """Geometric grid of about 8 points per decade, always ending at n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    js = np.arange(0, int(np.ceil(8 * np.log10(max(n, 1)))) + 1)
-    grid = np.unique(np.round(10 ** (js / 8.0)).astype(int))
-    grid = grid[(grid >= 1) & (grid <= n)]
-    out = grid.tolist()
-    if not out or out[-1] != n:
-        out.append(n)
-    return out
 
 
 @dataclass
@@ -116,7 +96,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.checkpoints is None:
-            self.checkpoints = tuple(default_checkpoints(int(self.n)))
+            self.checkpoints = tuple(log_grid(1, int(self.n)).tolist())
         else:
             self.checkpoints = tuple(int(c) for c in self.checkpoints)
         self.criteria = tuple(self.criteria)
@@ -205,8 +185,8 @@ def marginal_measure(cfg: ExperimentConfig) -> MeasureOracle:
 
     Explicit ``cfg.measure`` wins; otherwise iid, circle-walk, and every
     split chain (the sticky chain included) have closed forms, and the
-    interval map loads its cached occupation table (raising
-    CalibrationMissingError when the table has not been built).
+    interval map reads its occupation table, built and cached on first
+    use.
     """
     if cfg.measure is not None:
         return cfg.measure
@@ -220,17 +200,8 @@ def marginal_measure(cfg: ExperimentConfig) -> MeasureOracle:
     if isinstance(p, SplitChainProcess):
         return PowerMeasure(p.invariant_power())
     if isinstance(p, LSVProcess):
-        path = calibration_path(p.gamma, cfg.calibration_steps,
-                                cfg.calibration_seed)
-        if not path.exists():
-            raise CalibrationMissingError(
-                f"no occupation table for gamma={p.gamma} "
-                f"(steps={cfg.calibration_steps}, seed={cfg.calibration_seed}); "
-                f"build it with scripts/build_lsv_calibration.py or pass an "
-                f"explicit measure")
-        cal = lsv_calibration(p.gamma, cfg.calibration_steps,
-                              cfg.calibration_seed)
-        return cal.as_measure()
+        return lsv_calibration(p.gamma, cfg.calibration_steps,
+                               cfg.calibration_seed).as_measure()
     raise ValueError(
         f"no closed-form stationary marginal for variant {p.variant!r}; "
         f"set cfg.measure explicitly")
@@ -327,7 +298,7 @@ def report_from_records(cfg: ExperimentConfig, records: list,
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate the configured ensemble and compute every statistic."""
     cfg.validate()
-    marginal_measure(cfg)  # fail before simulating if E_n is unavailable
+    marginal_measure(cfg)  # fail, or build a table, before simulating
     t0 = time.perf_counter()
     records = simulate_ensemble(cfg.process, cfg.family, cfg.n, cfg.seed,
                                 cfg.n_traj)
@@ -531,19 +502,18 @@ def emit_report(report: ExperimentReport, out_dir=None,
     """Write run artifacts; returns {name: path} plus the run digest.
 
     ``config.json`` and ``criteria.json`` are always written; formats
-    select ``hits.jsonl``, ``summary.csv``, ``summary.md`` ("md-summary"
-    is accepted as an alias).  ``manifest.json`` holds the sha256 of each
-    file, the run digest, the wall clock and the timestamp; the hashes of
-    files this call does not rewrite are kept when the manifest already
-    there records the same run digest.  A failed write leaves
-    ``manifest.json`` describing the partial results.
+    select ``hits.jsonl``, ``summary.csv`` and ``summary.md``.
+    ``manifest.json`` holds the sha256 of each file, the run digest, the
+    wall clock and the timestamp; the hashes of files this call does not
+    rewrite are kept when the manifest already there records the same run
+    digest.  A failed write leaves ``manifest.json`` describing the
+    partial results.
     """
     out = out_dir or report.config.out_dir
     if not out:
         raise ValueError("no output directory configured")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    formats = [("md" if f == "md-summary" else f) for f in formats]
     unknown = [f for f in formats if f not in ("csv", "jsonl", "md")]
     if unknown:
         raise ValueError(f"unknown report formats {unknown}")

@@ -25,8 +25,6 @@ class Interval:
     space: str = LINE
     lo: float = 0.0
     hi: float = 0.0
-    closed_lo: bool = True
-    closed_hi: bool = False
     full: bool = False  # torus only: the whole circle
 
     def __post_init__(self):

@@ -14,20 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import NONINCREASING, TabulatedSeq
+from .seqcore import TabulatedSeq
 
 ALPHA_INF1 = "alpha_inf1"
 BETA_INF1 = "beta_inf1"
 TILDE_BETA11 = "tilde_beta11"
 TILDE_BETA_REV = "tilde_beta_rev"
 TILDE_PHI11 = "tilde_phi11"
-PAIRWISE_GAMMA = "pairwise_gamma"
-PAIRWISE_PHI = "pairwise_phi"
-PAIRWISE_ALPHA = "pairwise_alpha"
 
-_KINDS = (ALPHA_INF1, BETA_INF1, TILDE_BETA11, TILDE_BETA_REV, TILDE_PHI11,
-          PAIRWISE_GAMMA, PAIRWISE_PHI, PAIRWISE_ALPHA)
-_MONOTONE_KINDS = (ALPHA_INF1, BETA_INF1, PAIRWISE_GAMMA)
+_KINDS = (ALPHA_INF1, BETA_INF1, TILDE_BETA11, TILDE_BETA_REV, TILDE_PHI11)
+_MONOTONE_KINDS = (ALPHA_INF1, BETA_INF1)
 
 PROVENANCE = ("analytic-bound", "computed", "empirical")
 
@@ -66,17 +62,7 @@ class MixingProfile:
         """Dense RealSeq view; requires consecutive lags."""
         if len(self.ns) > 1 and np.any(np.diff(self.ns) != 1):
             raise ValueError("profile lags are not consecutive")
-        return TabulatedSeq(values=self.values, start=int(self.ns[0]),
-                            monotone=NONINCREASING
-                            if self.kind in _MONOTONE_KINDS else "none")
-
-    def fitted_exponent(self) -> float:
-        """Slope of -log(value) against log(n), ignoring zero entries."""
-        keep = self.values > 0
-        if keep.sum() < 2:
-            return 0.0
-        return float(-np.polyfit(np.log(self.ns[keep]),
-                                 np.log(self.values[keep]), 1)[0])
+        return TabulatedSeq(values=self.values, start=int(self.ns[0]))
 
 
 def profile_to_csv(profile: MixingProfile, stream=None) -> str:
@@ -126,7 +112,7 @@ class CircleTildeBeta:
 
 
 def circle_tilde_beta(n: int, a: float, k_max: int = 100_000,
-                      x_grid: int = 4096, tol: float = None) -> CircleTildeBeta:
+                      x_grid: int = 4096) -> CircleTildeBeta:
     """E_x sup_t |P(X_n <= t | X_0 = x) - t| for the +-a walk on the circle.
 
     The conditional cdf deviation factors as phi(x) - phi(x - t) with
@@ -139,10 +125,6 @@ def circle_tilde_beta(n: int, a: float, k_max: int = 100_000,
     if n < 1 or k_max < 1:
         raise ValueError("need n >= 1 and k_max >= 1")
     tail = 1.0 / (math.pi * k_max)
-    if tol is not None and tail > tol:
-        raise ValueError(
-            f"k_max={k_max} leaves tail bound {tail:.3g} above tolerance {tol:.3g}"
-        )
     M = 1 << max(int(np.ceil(np.log2(2 * k_max + 2))), int(np.ceil(np.log2(max(x_grid, 2)))))
     k = np.arange(1, k_max + 1)
     rho = np.cos(2.0 * np.pi * k * a) ** n

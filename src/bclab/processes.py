@@ -798,9 +798,6 @@ class LSVCalibration:
                     * (self.edges[below] / r0) ** (1.0 - self.gamma))
         return TabulatedCdfMeasure(self.edges, F)
 
-    def mass_below(self, eps) -> np.ndarray:
-        return self.as_measure().cdf(eps)
-
 
 def _calibration_edges() -> np.ndarray:
     # geometric cells from 1e-30 up to 1, plus an exact zero edge: resolves
@@ -809,32 +806,37 @@ def _calibration_edges() -> np.ndarray:
     return np.concatenate(([0.0], geo))
 
 
-def calibration_path(gamma: float, steps: int, seed: int,
-                     cache_dir=None) -> Path:
-    if cache_dir is None:
-        cache_dir = os.environ.get(
-            "BCLAB_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "bclab")
-        )
-    return Path(cache_dir) / f"lsv-cal-g{gamma:.6f}-s{steps}-r{seed}.npz"
+def _calibration_path(gamma: float, steps: int, seed: int) -> Path:
+    """Cache file of one table; repr spells gamma exactly."""
+    cache = os.environ.get(
+        "BCLAB_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "bclab"))
+    return Path(cache) / f"lsv-cal-g{gamma!r}-s{steps}-r{seed}.npz"
 
 
-def lsv_calibration(gamma: float, steps: int = 10_000_000, seed: int = 0,
-                    cache_dir=None, refresh: bool = False) -> LSVCalibration:
+def lsv_calibration(gamma: float, steps: int = 10_000_000,
+                    seed: int = 0) -> LSVCalibration:
     """Occupation-measure table from one long orbit, cached to disk.
 
     The invariant density has no closed form; a single calibrated orbit
     (burn-in discarded) supplies mu-estimates for interval masses.  The
-    cache file carries a version header and the build parameters.
+    table is built on first use and cached under ``BCLAB_CACHE`` (default
+    ``~/.cache/bclab``); a cached file is used only when its version and
+    stored (gamma, steps, seed) equal the requested ones.  It is written
+    to a temporary file beside its place and moved there, so a reader
+    never sees a partial table.
     """
+    gamma, steps, seed = float(gamma), int(steps), int(seed)
     spec = LSVProcess(gamma=gamma)
     spec.validate()
-    path = calibration_path(gamma, steps, seed, cache_dir)
-    if path.exists() and not refresh:
+    path = _calibration_path(gamma, steps, seed)
+    if path.exists():
         with np.load(path) as z:
-            if int(z["version"]) == CALIBRATION_VERSION:
-                return LSVCalibration(gamma=float(z["gamma"]),
-                                      edges=z["edges"], counts=z["counts"],
-                                      steps=int(z["steps"]), seed=int(z["seed"]))
+            if (int(z["version"]) == CALIBRATION_VERSION
+                    and float(z["gamma"]) == gamma
+                    and int(z["steps"]) == steps and int(z["seed"]) == seed):
+                return LSVCalibration(gamma=gamma, edges=z["edges"],
+                                      counts=z["counts"], steps=steps,
+                                      seed=seed)
     edges = _calibration_edges()
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
 
@@ -866,7 +868,13 @@ def lsv_calibration(gamma: float, steps: int = 10_000_000, seed: int = 0,
         counts += np.histogram(buf[:m], bins=edges)[0]
         done += m
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, version=CALIBRATION_VERSION, gamma=gamma, edges=edges,
-             counts=counts, steps=steps, seed=seed)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, version=CALIBRATION_VERSION, gamma=gamma, edges=edges,
+                     counts=counts, steps=steps, seed=seed)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return LSVCalibration(gamma=gamma, edges=edges, counts=counts,
                           steps=steps, seed=seed)

@@ -7,21 +7,18 @@ arrays with a finite horizon.  Everything here is pure and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-NONINCREASING = "nonincreasing"
-NONDECREASING = "nondecreasing"
-NO_MONOTONE = "none"
-
-
-class HorizonExhausted(Exception):
-    """An index beyond a tabulated sequence's horizon."""
-
 
 class SeqDomainError(ValueError):
     """Inputs outside a sequence's declared domain or contract."""
+
+
+class HorizonExhausted(SeqDomainError):
+    """An index beyond a tabulated sequence's horizon."""
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +29,6 @@ class RealSeq:
     """Base class: a sequence v_n of finite nonnegative reals, n >= start."""
 
     start: int = 1
-    monotone: str = NO_MONOTONE
 
     @property
     def horizon(self):
@@ -56,14 +52,6 @@ class RealSeq:
         """Exact integral-test answer for sum(v_n), or None."""
         return None
 
-    def powered(self, e: float):
-        """Closed form of v_n**e, or None."""
-        return None
-
-    def scaled_by_power(self, s: float):
-        """Closed form of n**s * v_n, or None."""
-        return None
-
     def check_nonincreasing(self, upto: int) -> bool:
         vals = self.array(self.start, upto)
         return bool(np.all(np.diff(vals) <= 1e-15))
@@ -80,7 +68,6 @@ class RealSeq:
 class TabulatedSeq(RealSeq):
     values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     start: int = 1
-    monotone: str = NO_MONOTONE
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -129,16 +116,6 @@ class PowerLogSeq(RealSeq):
             raise SeqDomainError("power terms need start >= 1")
         if self.q != 0 and self.start + self.shift < 2:
             raise SeqDomainError("log terms need start + shift >= 2 so log > 0")
-
-    @property
-    def monotone(self):
-        if self.c == 0 or (self.p == 0 and self.q == 0):
-            return NONINCREASING  # constant counts as both; callers want this one
-        if self.p >= 0 and self.q >= 0:
-            return NONINCREASING
-        if self.p <= 0 and self.q <= 0:
-            return NONDECREASING
-        return NO_MONOTONE
 
     def eval(self, n: int) -> float:
         self._require_in_domain(n)
@@ -191,10 +168,6 @@ class GeometricSeq(RealSeq):
         if self.c < 0 or self.r < 0:
             raise SeqDomainError("geometric sequence needs c, r >= 0")
 
-    @property
-    def monotone(self):
-        return NONINCREASING if self.r <= 1 else NONDECREASING
-
     def eval(self, n: int) -> float:
         self._require_in_domain(n)
         return float(self.c * self.r**n)
@@ -228,15 +201,27 @@ def power_seq(c: float, p: float, start: int = 1) -> PowerLogSeq:
 
 
 # ---------------------------------------------------------------------------
-# Prefix sums
+# Prefix sums and the checkpoint grid
 
 
-def partial_sums(v: RealSeq, n: int) -> TabulatedSeq:
-    """Prefix-sum sequence E_m = sum(v_k, k = start..m) for m up to start+n-1."""
-    if n < 1:
-        raise SeqDomainError("partial_sums needs n >= 1")
-    vals = v.array(v.start, v.start + n - 1)
-    return TabulatedSeq(np.cumsum(vals), start=v.start, monotone=NONDECREASING)
+def partial_sums(v: RealSeq, hi: int) -> TabulatedSeq:
+    """Prefix-sum sequence E_m = sum(v_k, k = start..m) for m up to hi."""
+    if hi < v.start:
+        raise SeqDomainError(f"partial_sums needs hi >= start = {v.start}")
+    return TabulatedSeq(np.cumsum(v.array(v.start, hi)), start=v.start)
+
+
+def log_grid(lo: int, hi: int) -> np.ndarray:
+    """Integers round(10**(j/8)) within [lo, hi], about 8 per decade, plus
+    lo and hi themselves: the checkpoint grid of runs and criteria."""
+    lo = int(max(lo, 1))
+    hi = int(hi)
+    if hi < lo:
+        raise ValueError("empty grid: horizon below sequence start")
+    j_hi = int(math.ceil(8 * math.log10(hi))) if hi > 1 else 0
+    raw = np.round(10 ** (np.arange(j_hi + 1) / 8)).astype(np.int64)
+    raw = raw[(raw >= lo) & (raw <= hi)]
+    return np.unique(np.concatenate([raw, [lo, hi]]))
 
 
 # ---------------------------------------------------------------------------

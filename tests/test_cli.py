@@ -67,6 +67,22 @@ class TestSimulate:
         assert "null-recurrent" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_interval_map_cold_cache_exit_0(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setenv("BCLAB_CACHE", str(tmp_path / "cache"))
+        cfg = write_json(tmp_path / "cfg.json", {
+            **HARMONIC_CFG, "process": {"variant": "lsv", "gamma": 0.6,
+                                        "burn_in": 100},
+            "calibration_steps": 100_000})
+        digests = []
+        for run in ("cold", "warm"):
+            assert main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / run)]) == 0
+            digests.append(capsys.readouterr().out.split()[2])
+        assert digests[0] == digests[1]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [
+            "lsv-cal-g0.6-s100000-r0.npz"]
+
     def test_missing_out_dir_exit_4(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
         assert main(["simulate", "--config", cfg]) == 4
@@ -324,8 +340,20 @@ def test_deeply_nested_json_exit_4(tmp_path, capsys, command, target):
     ({"check": "alpha", "mode": "L1", "mu": {"p": 0.5}, "params": [1]},
      "'params' must be a JSON object"),
     (None, "manifest.json must be a JSON object"),
+    ({"check": "beta-strong", "beta": {"p": 2}, "qstar_const": [1]},
+     "'qstar_const' must be a JSON number or null"),
+    ({"check": "tilde", "rate": {"p": 2}, "mu": {"p": 0.5}, "mode": "ii",
+      "lq_bound": "x"}, "'lq_bound' must be a JSON number or null"),
+    ({"check": "alpha", "mode": "poly-1", "mu": {"p": 0.5},
+      "params": {"a": [1]}}, "params 'a' must be a JSON number"),
+    ({"check": "alpha", "mode": "L1", "mu": {"p": 0.5}, "alpha": None},
+     "mode 'L1' needs alpha"),
+    ({"check": "renewal", "nu": None},
+     "a sequence must be a JSON object, not NoneType"),
+    ({"check": "f", "run": ["x"]}, "'run' must be a JSON string"),
 ], ids=["nested-string", "horizon-string", "sequence-list", "params-list",
-        "manifest-list"])
+        "manifest-list", "qstar-const-list", "lq-bound-string",
+        "params-a-list", "alpha-null", "sequence-null", "run-list"])
 def test_wrongly_typed_value_exit_4(tmp_path, capsys, doc, error):
     if doc is None:
         cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
@@ -338,3 +366,17 @@ def test_wrongly_typed_value_exit_4(tmp_path, capsys, doc, error):
     capsys.readouterr()
     assert main(argv) == 4
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"check": "alpha", "mode": "poly-2", "params": {"a": 1.0}},
+    {"check": "alpha", "mode": "L1", "alpha": {"p": 2.0}},
+    {"check": "tilde", "mode": "v", "rate": {"p": 2.0}},
+], ids=["alpha-poly-2", "alpha-L1", "tilde-v"])
+def test_masses_from_index_0_give_a_verdict(tmp_path, capsys, doc):
+    # E_n sums mu(A_0..A_n): it must reach the horizon, not stop one short
+    spec = {**doc, "mu": {"template": "geometric", "r": 0.5, "start": 0},
+            "horizon": 1000}
+    code = main(["criteria", "--spec", write_json(tmp_path / "c.json", spec)])
+    assert code in (0, 2, 3)
+    assert "verdict " in capsys.readouterr().out

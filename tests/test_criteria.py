@@ -5,6 +5,7 @@ algebra, integral tests, two-point laws); Monte Carlo inputs use seeded
 generators and tolerance bands derived from CLT error bars.
 """
 
+import json
 import math
 import re
 
@@ -20,7 +21,6 @@ from bclab.criteria import (
     SATISFIED,
     UNDECIDED,
     VIOLATED,
-    CriterionReport,
     PathEnsemble,
     check_alpha,
     check_beta_strong,
@@ -67,16 +67,17 @@ def bernoulli_ensemble(mass_fn, h, n_paths, seed):
 
 
 class TestReportPlumbing:
-    def test_json_round_trip(self):
+    def test_to_json_is_plain(self):
         rep = check_l2(LOG_SEQ, LOG_SEQ, horizon=10**5)
-        back = CriterionReport.from_json(rep.to_json())
-        assert back.criterion == rep.criterion
-        assert back.verdict == rep.verdict
-        assert back.inputs_digest == rep.inputs_digest
-        assert np.array_equal(back.ns, rep.ns)
-        assert np.allclose(back.trace, rep.trace)
-        # clauses survive as plain dicts
-        assert back.clause("E-diverges")["outcome"] == HOLDS
+        back = json.loads(rep.to_json())
+        assert back["criterion"] == rep.criterion
+        assert back["verdict"] == rep.verdict
+        assert back["inputs_digest"] == rep.inputs_digest
+        assert back["ns"] == rep.ns.tolist()
+        assert np.allclose(back["trace"], rep.trace)
+        # clauses as plain dicts
+        clauses = {c["name"]: c for c in back["diagnostics"]["clauses"]}
+        assert clauses["E-diverges"]["outcome"] == HOLDS
 
     def test_digest_separates_inputs(self):
         a = check_l2(LOG_SEQ, LOG_SEQ, horizon=10**4)

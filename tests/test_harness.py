@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bclab.harness import (
-    CalibrationMissingError,
     ExperimentConfig,
     aggregate_verdict,
     config_from_json,
@@ -118,11 +117,16 @@ class TestMarginalMeasure:
         with pytest.raises(ValueError, match="no closed-form"):
             marginal_measure(small_cfg(process=ARHalfProcess()))
 
-    def test_lsv_missing_calibration(self):
-        cfg = small_cfg(process=LSVProcess(gamma=0.123456),
-                        calibration_steps=999)
-        with pytest.raises(CalibrationMissingError, match="occupation table"):
-            marginal_measure(cfg)
+    def test_lsv_cold_cache_builds_table(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BCLAB_CACHE", str(tmp_path))
+        cfg = small_cfg(process=LSVProcess(gamma=0.6, burn_in=100),
+                        calibration_steps=200_000)
+        cold = run_digest(run_experiment(cfg))
+        table, = tmp_path.iterdir()  # the table alone, no temporary file
+        assert table.name == "lsv-cal-g0.6-s200000-r0.npz"
+        built = table.stat().st_mtime_ns
+        assert run_digest(run_experiment(cfg)) == cold
+        assert table.stat().st_mtime_ns == built  # the warm run loaded it
 
 
 class TestRunExperiment:
@@ -269,7 +273,7 @@ class TestEmitAndReload:
 
     def test_format_selection(self, tmp_path):
         rep = run_experiment(small_cfg())
-        emit_report(rep, out_dir=tmp_path, formats=("md-summary",))
+        emit_report(rep, out_dir=tmp_path, formats=("md",))
         names = {p.name for p in tmp_path.iterdir()}
         assert "summary.md" in names and "hits.jsonl" not in names
         with pytest.raises(ValueError, match="unknown report formats"):
@@ -359,8 +363,7 @@ class TestReferenceDigests:
         "iid-harmonic", "sticky-divergent-boundary",
         "sticky-convergent-boundary", "interval-map-shrinking",
         "interval-map-window", "circle-golden"])
-    def test_quick_suite_reverifies(self, name, tmp_path, lsv_cal_075,
-                                    lsv_cal_040):
+    def test_quick_suite_reverifies(self, name, tmp_path):
         cfg = reference_suite(quick=True)[name]
         digest = emit_report(run_experiment(cfg), out_dir=tmp_path)["digest"]
         again = report_from_records(*load_run(tmp_path))
@@ -369,6 +372,17 @@ class TestReferenceDigests:
         # every line was canonical, so every record kept the line it was read
         # from instead of serializing its hit times again
         assert all(r.to_line() is r.to_line() for r in again.records)
+
+    # the interval map, whose expected counts come from the occupation table
+    @pytest.mark.parametrize("name, digest", [
+        ("interval-map-shrinking",
+         "0ec96ef5285c1cfdebf8305454b39005628dc6917ba56a782555f1cf1955d9e4"),
+        ("interval-map-window",
+         "eb0fecf050b5c9bd3e148e33a65dc00cea428cd91713db3b7a941676f02e0ad4"),
+    ], ids=["interval-map-shrinking", "interval-map-window"])
+    def test_quick_interval_map_digest_pinned(self, name, digest):
+        cfg = reference_suite(quick=True)[name]
+        assert run_digest(run_experiment(cfg)) == digest
 
     # the variants stepped a whole chunk at a time (circle walk and iid)
     @pytest.mark.parametrize("name, digest, sha", [

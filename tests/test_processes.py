@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bclab import processes
-from bclab.harness import default_checkpoints
 from bclab.intervals import CustomFamily, Interval, NestedLeftFamily
 from bclab.processes import (
     ARHalfProcess,
@@ -34,7 +33,7 @@ from bclab.processes import (
     process_to_json,
     simulate_ensemble,
 )
-from bclab.seqcore import PowerLogSeq, constant_seq
+from bclab.seqcore import PowerLogSeq, constant_seq, log_grid
 
 UNIT = NestedLeftFamily(radius=constant_seq(1.0))
 HALF = NestedLeftFamily(radius=constant_seq(0.5))
@@ -166,13 +165,13 @@ class TestStationaryInit:
 
 class TestCheckpoints:
     def test_grid_is_increasing_and_ends_at_n(self):
-        cps = default_checkpoints(12345)
+        cps = log_grid(1, 12345).tolist()
         assert cps[0] == 1 and cps[-1] == 12345
         assert all(b > a for a, b in zip(cps, cps[1:]))
 
     def test_small_n(self):
-        assert default_checkpoints(1) == [1]
-        assert default_checkpoints(3)[-1] == 3
+        assert log_grid(1, 1).tolist() == [1]
+        assert log_grid(1, 3)[-1] == 3
 
 
 class TestSimulateHits:
@@ -587,32 +586,52 @@ class TestStationarity:
         assert stats.chisquare(obs, exp).pvalue > 0.01
 
 
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """An empty table cache of the test's own."""
+    monkeypatch.setenv("BCLAB_CACHE", str(tmp_path))
+    return tmp_path
+
+
 class TestCalibration:
-    def test_occupation_exponent_near_one_minus_gamma(self, tmp_path):
+    def test_occupation_exponent_near_one_minus_gamma(self, cache):
         for gamma in (0.4, 0.75):
-            cal = lsv_calibration(gamma, steps=1_000_000, seed=1,
-                                  cache_dir=tmp_path)
+            cal = lsv_calibration(gamma, steps=1_000_000, seed=1)
             eps = np.geomspace(1e-4, 1e-1, 7)
-            mass = cal.mass_below(eps)
+            mass = cal.as_measure().cdf(eps)
             slope = np.polyfit(np.log(eps), np.log(mass), 1)[0]
             assert abs(slope - (1 - gamma)) < 0.1, gamma
 
-    def test_cache_round_trip(self, tmp_path):
-        a = lsv_calibration(0.5, steps=200_000, seed=2, cache_dir=tmp_path)
-        b = lsv_calibration(0.5, steps=200_000, seed=2, cache_dir=tmp_path)
+    def test_cache_round_trip(self, cache):
+        a = lsv_calibration(0.5, steps=200_000, seed=2)
+        b = lsv_calibration(0.5, steps=200_000, seed=2)
         assert np.array_equal(a.counts, b.counts)
         assert b.steps == 200_000
 
-    def test_measure_integrates_to_one(self, tmp_path):
-        cal = lsv_calibration(0.6, steps=200_000, seed=3, cache_dir=tmp_path)
+    def test_nearby_gamma_never_loads_another_table(self, cache):
+        a = lsv_calibration(0.4, steps=200_000, seed=2)
+        b = lsv_calibration(0.4000001, steps=200_000, seed=2)
+        assert (a.gamma, b.gamma) == (0.4, 0.4000001)
+        assert not np.array_equal(a.counts, b.counts)
+        assert len(list(cache.iterdir())) == 2
+        # a file in b's place that holds a's table is rebuilt, not read
+        path_a = processes._calibration_path(0.4, 200_000, 2)
+        path_b = processes._calibration_path(0.4000001, 200_000, 2)
+        path_b.write_bytes(path_a.read_bytes())
+        again = lsv_calibration(0.4000001, steps=200_000, seed=2)
+        assert again.gamma == 0.4000001
+        assert np.array_equal(again.counts, b.counts)
+
+    def test_measure_integrates_to_one(self, cache):
+        cal = lsv_calibration(0.6, steps=200_000, seed=3)
         m = cal.as_measure()
         assert m.cdf(1.0) == pytest.approx(1.0)
         assert m.cdf(0.0) == pytest.approx(0.0)
 
-    def test_power_law_tail_below_junction(self, tmp_path):
+    def test_power_law_tail_below_junction(self, cache):
         gamma = 0.6
-        lsv_calibration(gamma, steps=200_000, seed=3, cache_dir=tmp_path)
-        cal = lsv_calibration(gamma, steps=200_000, seed=3, cache_dir=tmp_path)
+        lsv_calibration(gamma, steps=200_000, seed=3)
+        cal = lsv_calibration(gamma, steps=200_000, seed=3)
         raw = cal.cdf_values()
         assert raw[1] == 0.0  # the orbit never visits the deepest cell
         m = cal.as_measure()
@@ -630,8 +649,8 @@ class TestCalibration:
         slope = np.diff(np.log(m.cdf(lo))) / np.diff(np.log(lo))
         np.testing.assert_allclose(slope, 1 - gamma, rtol=1e-9)
 
-    def test_junction_has_enough_entries(self, tmp_path):
-        cal = lsv_calibration(0.75, steps=200_000, seed=4, cache_dir=tmp_path)
+    def test_junction_has_enough_entries(self, cache):
+        cal = lsv_calibration(0.75, steps=200_000, seed=4)
         r0 = cal.tail_radius()
         assert 0.0 < r0 <= 0.5
         # entries into [0, r) are the orbit's visits to [1/2, 1/2 + r/2)
