@@ -21,8 +21,8 @@ meaningful at these sizes, and the exit code ignores them)::
 
     python3 scripts/run_reference_suite.py --out /tmp/smoke --quick
 
-The interval-map experiments read an occupation table cached under
-``BCLAB_CACHE``; the first run for a given table builds it.
+The interval-map experiments need no prebuilt data: their invariant law
+is computed from the map's transfer operator, once per gamma.
 """
 
 from __future__ import annotations

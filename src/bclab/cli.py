@@ -39,7 +39,6 @@ from .harness import (
     config_from_json,
     emit_report,
     load_run,
-    marginal_measure,
     report_from_records,
     run_digest,
     run_experiment,
@@ -247,11 +246,9 @@ def _dispatch_criteria(doc: dict):
                              f"within [1, {cfg.n}]")
         report = report_from_records(cfg, records)
         ens = PathEnsemble(report.checkpoints, report.s_values)
-        masses = cfg.family.measures(marginal_measure(cfg), cfg.n)
-        e_seq = TabulatedSeq(np.cumsum(masses))
-        return check_f_criteria(ens, e_seq, doc.get("mode", "ii"),
-                                subsequence=sub,
-                                mu_A=TabulatedSeq(masses))
+        return check_f_criteria(ens, TabulatedSeq(np.cumsum(report.masses)),
+                                doc.get("mode", "ii"), subsequence=sub,
+                                mu_A=TabulatedSeq(report.masses))
 
 
 def _cmd_criteria(args) -> int:

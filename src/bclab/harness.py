@@ -91,8 +91,6 @@ class ExperimentConfig:
     criteria: tuple = ()
     measure: MeasureOracle = None
     out_dir: str = None
-    calibration_steps: int = 10_000_000
-    calibration_seed: int = 0
 
     def __post_init__(self):
         if self.checkpoints is None:
@@ -123,8 +121,6 @@ class ExperimentConfig:
                 f"unknown criteria tokens {bad}; supported: {list(CRITERIA_TOKENS)}")
         if self.criteria and self.n_traj < 100:
             raise ValueError("criteria evaluation needs n_traj >= 100")
-        if self.calibration_steps < 1:
-            raise ValueError("calibration_steps must be positive")
 
     def digest(self) -> str:
         """Hash of the experiment content; where it is written never enters."""
@@ -142,8 +138,6 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
         "criteria": list(cfg.criteria),
         "measure": None if cfg.measure is None else measure_to_json(cfg.measure),
         "out_dir": cfg.out_dir,
-        "calibration_steps": int(cfg.calibration_steps),
-        "calibration_seed": int(cfg.calibration_seed),
     }
     return d
 
@@ -171,8 +165,6 @@ def config_from_json(d: dict) -> ExperimentConfig:
             measure=(measure_from_json(d["measure"])
                      if d.get("measure") is not None else None),
             out_dir=d.get("out_dir"),
-            calibration_steps=int(d.get("calibration_steps", 10_000_000)),
-            calibration_seed=int(d.get("calibration_seed", 0)),
         )
     except KeyError as e:
         raise ValueError(f"config missing required field {e.args[0]!r}") from e
@@ -185,8 +177,7 @@ def marginal_measure(cfg: ExperimentConfig) -> MeasureOracle:
 
     Explicit ``cfg.measure`` wins; otherwise iid, circle-walk, and every
     split chain (the sticky chain included) have closed forms, and the
-    interval map reads its occupation table, built and cached on first
-    use.
+    interval map's law is solved from its transfer operator once per gamma.
     """
     if cfg.measure is not None:
         return cfg.measure
@@ -200,8 +191,7 @@ def marginal_measure(cfg: ExperimentConfig) -> MeasureOracle:
     if isinstance(p, SplitChainProcess):
         return PowerMeasure(p.invariant_power())
     if isinstance(p, LSVProcess):
-        return lsv_calibration(p.gamma, cfg.calibration_steps,
-                               cfg.calibration_seed).as_measure()
+        return lsv_calibration(p.gamma)
     raise ValueError(
         f"no closed-form stationary marginal for variant {p.variant!r}; "
         f"set cfg.measure explicitly")
@@ -212,8 +202,9 @@ class ExperimentReport:
     """Run outputs: records, checkpoint statistics, criterion reports.
 
     All statistics are pure functions of (config, records); ``s_values``
-    is the trajectory-by-checkpoint hit-count matrix and ``hits_jsonl``
-    the records serialized once, as ``hits.jsonl`` holds them.
+    is the trajectory-by-checkpoint hit-count matrix, ``masses`` holds
+    mu(A_k) for k = 1..n and ``hits_jsonl`` the records serialized once,
+    as ``hits.jsonl`` holds them.
     """
 
     config: ExperimentConfig
@@ -228,6 +219,7 @@ class ExperimentReport:
     hit_frac_late: np.ndarray
     record_digests: list
     hits_jsonl: bytes = field(repr=False)
+    masses: np.ndarray = field(repr=False)
     criteria: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
     timestamp: str = ""
@@ -290,15 +282,15 @@ def report_from_records(cfg: ExperimentConfig, records: list,
         config=cfg, records=records, checkpoints=cps, e_checkpoints=e_cp,
         s_values=s, mean_ratio=mean_ratio, median_s=median_s, q10=q10,
         q90=q90, hit_frac_late=hit_frac_late, record_digests=digests,
-        hits_jsonl=hits_jsonl, criteria=criteria, wall_clock_s=wall_clock_s,
-        timestamp=timestamp,
+        hits_jsonl=hits_jsonl, masses=masses, criteria=criteria,
+        wall_clock_s=wall_clock_s, timestamp=timestamp,
     )
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate the configured ensemble and compute every statistic."""
     cfg.validate()
-    marginal_measure(cfg)  # fail, or build a table, before simulating
+    marginal_measure(cfg)  # fail, or solve for the law, before simulating
     t0 = time.perf_counter()
     records = simulate_ensemble(cfg.process, cfg.family, cfg.n, cfg.seed,
                                 cfg.n_traj)
@@ -507,7 +499,7 @@ def emit_report(report: ExperimentReport, out_dir=None,
     wall clock and the timestamp; the hashes of files this call does not
     rewrite are kept when the manifest already there records the same run
     digest.  A failed write leaves ``manifest.json`` describing the
-    partial results.
+    partial results and raises OSError naming them.
     """
     out = out_dir or report.config.out_dir
     if not out:
@@ -546,8 +538,8 @@ def emit_report(report: ExperimentReport, out_dir=None,
                 json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         except OSError:
             pass
-        raise RuntimeError(
-            f"partial results in {out}: failed writing {name}") from e
+        raise OSError(
+            f"partial results in {out}: failed writing {name}: {e}") from e
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     paths = {name: str(out / name) for name in payloads}

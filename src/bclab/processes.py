@@ -9,12 +9,12 @@ ensemble driver and the scalar process_step walk identical trajectories.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -90,11 +90,11 @@ class LSVProcess(ProcessSpec):
 
     theta(x) = x(1 + (2x)**gamma) on [0, 1/2), 2x - 1 on [1/2, 1]; slower
     mixing as gamma grows.  Deterministic once started, so steps consume
-    no randomness; the start is one uniform followed by burn-in.
+    no randomness; the start is the invariant law's inverse cdf at one
+    uniform.
     """
 
     gamma: float
-    burn_in: int = 10_000
 
     variant = "lsv"
     uniforms_per_step = 0
@@ -102,8 +102,6 @@ class LSVProcess(ProcessSpec):
     def validate(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("lsv needs gamma in (0,1)")
-        if self.burn_in < 0:
-            raise ValueError("negative burn-in")
 
 
 @dataclass(frozen=True)
@@ -298,7 +296,9 @@ class CircleState(float):
 def lsv_map(x, gamma: float):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     low = arr < 0.5
-    out = np.where(low, arr * (1.0 + (2.0 * arr) ** gamma), 2.0 * arr - 1.0)
+    two = 2.0 * arr
+    # np.power, not **, which takes sqrt at gamma = 1/2: the kernel's ufunc
+    out = np.where(low, arr * (1.0 + np.power(two, gamma)), two - 1.0)
     out = np.minimum(out, _BELOW_ONE)
     return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -352,8 +352,8 @@ def init_from_uniforms(spec: ProcessSpec, us) -> float:
     """Deterministic map from the consumed uniforms to the starting state.
 
     Exact for IID, CircleRW (Haar), every split chain including dmr (inverse
-    cdf of x**invariant_power() from one uniform), and the dyadic ARHalf
-    series; burn-in iteration for LSV.
+    cdf of x**invariant_power() from one uniform), LSV (inverse of the
+    lsv_calibration cdf from one uniform) and the dyadic ARHalf series.
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     if isinstance(spec, IIDProcess):
@@ -363,10 +363,8 @@ def init_from_uniforms(spec: ProcessSpec, us) -> float:
     if isinstance(spec, SplitChainProcess):
         return float(array_pow(us[0], 1.0 / spec.invariant_power()))
     if isinstance(spec, LSVProcess):
-        x = float(us[0])
-        for _ in range(spec.burn_in):
-            x = float(lsv_map(x, spec.gamma))
-        return x
+        law = lsv_calibration(spec.gamma)
+        return float(np.interp(us[0], law.Fs, law.xs))
     if isinstance(spec, ARHalfProcess):
         bits = (us < 0.5).astype(float)
         weights = 2.0 ** -np.arange(len(us))
@@ -509,15 +507,8 @@ _CELLS = 1 << 21
 
 
 def _init_vector(spec, gens):
-    """Starting states for the trajectories of gens, one stream each.
-
-    The interval-map burn-in runs through the stepping kernel in lockstep
-    across the width; each state equals init_from_uniforms on its stream's
-    first init_uniform_count values.
-    """
-    if isinstance(spec, LSVProcess):
-        x = np.array([g.random() for g in gens])
-        return _final_state(spec, spec.burn_in, gens, x)
+    """Starting states for the trajectories of gens: init_from_uniforms on
+    each stream's first init_uniform_count values."""
     count = init_uniform_count(spec)
     return np.array([init_from_uniforms(spec, g.random(count)) for g in gens])
 
@@ -526,13 +517,24 @@ def _advance_rows(spec, x, U, xs_buf, flags_buf):
     """Fill xs_buf[i] with the state after step i of this chunk, row by row."""
     m = xs_buf.shape[0]
     if isinstance(spec, LSVProcess):
+        # lsv_map written into the rows in place: the same operations in
+        # the same order, so the states are bit for bit those of lsv_map
         g = spec.gamma
+        low = np.empty(x.shape, dtype=bool)
+        two = np.empty(x.shape)
+        left = np.empty(x.shape)
         for i in range(m):
-            low = x < 0.5
-            x = np.where(low, x * (1.0 + (2.0 * x) ** g), 2.0 * x - 1.0)
-            np.minimum(x, _BELOW_ONE, out=x)
-            xs_buf[i] = x
-        return x
+            row = xs_buf[i]
+            np.less(x, 0.5, out=low)
+            np.multiply(x, 2.0, out=two)
+            np.power(two, g, out=left)
+            left += 1.0
+            left *= x
+            np.subtract(two, 1.0, out=row)
+            np.copyto(row, left, where=low)
+            np.minimum(row, _BELOW_ONE, out=row)
+            x = row
+        return x.copy()
     if isinstance(spec, ARHalfProcess):
         for i in range(m):
             x = 0.5 * x + (U[i, :, 0] < 0.5)
@@ -638,13 +640,6 @@ def _row_chunks(spec, n, gens, x, rows):
         yield c0, xs[:m], fl
 
 
-def _final_state(spec, n, gens, x):
-    """States of the trajectories of gens after n lockstep steps from x."""
-    for _, xs, _ in _chunks(spec, n, gens, x):
-        x = xs[-1].copy()
-    return x
-
-
 def _scatter(mask, c0):
     """(column, step times) for every column of mask with a True entry.
 
@@ -743,138 +738,164 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
 
 
 # ---------------------------------------------------------------------------
-# LSV occupation-measure calibration
+# The interval map's invariant law
 
-CALIBRATION_VERSION = 1
-
-# orbit entries into [0, r) the table must hold before its cdf is trusted at r
-TAIL_ENTRIES = 1000
-
-
-@dataclass
-class LSVCalibration:
-    gamma: float
-    edges: np.ndarray  # increasing, edges[0] = 0, edges[-1] = 1
-    counts: np.ndarray  # occupation counts per cell
-    steps: int
-    seed: int
-
-    def cdf_values(self) -> np.ndarray:
-        """Raw occupation cdf at the edges (zero below the deepest visit)."""
-        c = np.concatenate(([0.0], np.cumsum(self.counts)))
-        return c / c[-1]
-
-    def tail_radius(self) -> float:
-        """Junction r0 below which as_measure replaces the table by its tail.
-
-        The orbit enters [0, r) only through the right-branch preimage
-        [1/2, 1/2 + r/2), so the table's occupation of that preimage counts
-        the separate entries below r.  r0 is the smallest edge with at least
-        TAIL_ENTRIES entries (at most 1/2): deeper, few long excursions
-        reach the radius and the table is biased low.  At 1e7 steps this
-        gives r0 of a few 1e-4.
-        """
-        c = np.concatenate(([0.0], np.cumsum(self.counts, dtype=float)))
-        radii = self.edges[(self.edges > 0.0) & (self.edges <= 0.5)]
-        entries = (np.interp(0.5 + radii / 2.0, self.edges, c)
-                   - np.interp(0.5, self.edges, c))
-        enough = np.nonzero(entries >= TAIL_ENTRIES)[0]
-        return float(radii[enough[0]] if enough.size else radii[-1])
-
-    def as_measure(self) -> TabulatedCdfMeasure:
-        """mu: the table above r0 = tail_radius(), F(r0) (r/r0)**(1-gamma) below.
-
-        The invariant density behaves like x**-gamma near the neutral fixed
-        point (Liverani, Saussol and Vaienti, ETDS 1999), so
-        mu[0, r) ~ C r**(1-gamma): the exponent comes from theory and the
-        constant from the table at r0, which keeps the cdf continuous,
-        nondecreasing and positive on (0, 1].  The tail is computed from
-        the stored counts, so tables cached before it existed get it too.
-        """
-        F = self.cdf_values()
-        r0 = self.tail_radius()
-        below = (self.edges > 0.0) & (self.edges < r0)
-        F[below] = (np.interp(r0, self.edges, F)
-                    * (self.edges[below] / r0) ** (1.0 - self.gamma))
-        return TabulatedCdfMeasure(self.edges, F)
+# cdf edges: geometric cells from 1e-30 up to 1, plus an exact zero edge,
+# resolve the x**-gamma density blowup at 0 across many decades
+_LAW_EDGES = np.concatenate(([0.0], np.geomspace(1e-30, 1.0, 1801)))
+_LAW_EDGES.flags.writeable = False
+_LAW_NODES = 48  # Chebyshev-Lobatto nodes of the density on [1/2, 1]
+_LAW_TERMS = 400  # orbit terms summed one by one
+# u = (2x)**-gamma from which an orbit's remaining terms are summed in
+# closed form at once; that remainder's relative error is about 0.04/u**2
+_LAW_JUNCTION = 300.0
+# orbit points below this radius enter through Taylor moments at 0
+_TAYLOR_RADIUS = 1.0 / 64
+_TAYLOR_ORDER = 10
 
 
-def _calibration_edges() -> np.ndarray:
-    # geometric cells from 1e-30 up to 1, plus an exact zero edge: resolves
-    # the polynomial density blowup at 0 across many decades
-    geo = np.geomspace(1e-30, 1.0, 1801)
-    return np.concatenate(([0.0], geo))
+def _left_preimage(s, t, gamma):
+    """s' with s'(1 + s'**gamma) = s, given t = s**gamma.
 
-
-def _calibration_path(gamma: float, steps: int, seed: int) -> Path:
-    """Cache file of one table; repr spells gamma exactly."""
-    cache = os.environ.get(
-        "BCLAB_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "bclab"))
-    return Path(cache) / f"lsv-cal-g{gamma!r}-s{steps}-r{seed}.npz"
-
-
-def lsv_calibration(gamma: float, steps: int = 10_000_000,
-                    seed: int = 0) -> LSVCalibration:
-    """Occupation-measure table from one long orbit, cached to disk.
-
-    The invariant density has no closed form; a single calibrated orbit
-    (burn-in discarded) supplies mu-estimates for interval masses.  The
-    table is built on first use and cached under ``BCLAB_CACHE`` (default
-    ``~/.cache/bclab``); a cached file is used only when its version and
-    stored (gamma, steps, seed) equal the requested ones.  It is written
-    to a temporary file beside its place and moved there, so a reader
-    never sees a partial table.
+    s = 2x: this is the left-branch inverse phi in doubled coordinates.
+    Newton's method on a convex increasing function, started left of the
+    root, then converges monotonically and quadratically, with a
+    contraction factor below 1: after a relative step below 1e-9 the next
+    iterate is exact to rounding.
     """
-    gamma, steps, seed = float(gamma), int(steps), int(seed)
-    spec = LSVProcess(gamma=gamma)
+    s_new = s / (1.0 + t)
+    for _ in range(64):
+        t = s_new**gamma
+        nxt = (s + gamma * s_new * t) / (1.0 + (1.0 + gamma) * t)
+        if (np.abs(nxt - s_new) <= 1e-9 * nxt).all():
+            return nxt
+        s_new = nxt
+    raise RuntimeError("left-branch inverse did not converge")
+
+
+def _orbit_sums(x0, n_nodes, gamma, terms, junction):
+    """Moments of the backward orbits x_k = phi**k(x0) of each start.
+
+    Returns (mom, far): mom[i, p] sums w_k x_k**p over the orbit points
+    below _TAYLOR_RADIUS, with w_k = (phi**k)'(x0) for the first n_nodes
+    starts and w_k = x_k for the others; far holds the other points as
+    arrays (start index, x_k, w_k).  The first `terms` points are taken one
+    by one and the rest in closed form: with u = (2x)**-gamma, phi raises u
+    by gamma - gamma(1 + gamma)/(2u) + O(u**-2), so
+        sum_j x_j**q = x**q (u/(q - gamma) + 1/2 + (1 + gamma)/(2q)),
+    and its derivative gives the weighted sums.  A start with u at or above
+    the junction takes the closed form at once.
+    """
+    s = 2.0 * x0
+    t = s**gamma
+    nodes = np.arange(x0.size) < n_nodes
+    idx = np.flatnonzero(nodes | (t * junction > 1.0))
+    si, ti = s[idx], t[idx]
+    # column i: w_k, w_k x_k, w_k x_k**2, ...
+    pw = np.empty((_TAYLOR_ORDER, idx.size))
+    pw[0] = np.where(nodes[idx], 1.0, 0.5 * si)
+    acc = np.zeros_like(pw)
+    far, far_phase = [], True
+    for _ in range(terms):
+        x = 0.5 * si
+        w = pw[0].copy()
+        for p in range(1, _TAYLOR_ORDER):
+            np.multiply(pw[p - 1], x, out=pw[p])
+        if far_phase:  # orbit points only ever move toward 0
+            out = x > _TAYLOR_RADIUS
+            far_phase = out.any()
+            if far_phase:
+                far.append((idx[out], x[out], w[out]))
+                pw[:, out] = 0.0
+        acc += pw
+        si = _left_preimage(si, ti, gamma)
+        ti = si**gamma
+        pw[0, :n_nodes] = w[:n_nodes] / (1.0 + (1.0 + gamma) * ti[:n_nodes])
+        pw[0, n_nodes:] = 0.5 * si[n_nodes:]
+    s[idx], t[idx] = si, ti
+    x, u = 0.5 * s[:, None], 1.0 / t[:, None]
+    w = pw[0, :n_nodes, None]
+    p = np.arange(_TAYLOR_ORDER)
+    q = p + 1
+    mom = x * x**p * (u / (q - gamma) + 0.5 + (1 + gamma) / (2 * q))
+    mom[:n_nodes] = (w * x[:n_nodes]**p
+                     * (u[:n_nodes] + (p + 2 + gamma) / 2) / q)
+    mom[idx] += acc.T
+    return mom, tuple(np.concatenate(a) for a in zip(*far))
+
+
+def _invariant_cdf(gamma, at=_LAW_EDGES, nodes=_LAW_NODES, terms=_LAW_TERMS,
+                   junction=_LAW_JUNCTION):
+    """F(x) = mu[0, x) at the points `at` of [0, 1], which must end at 1.
+
+    phi is the inverse of the left branch, g(x) = h((1 + x)/2)/2 for the
+    invariant density h, and G(x) = int_0^x g.  Invariance gives, on
+    Y = [1/2, 1], h(y) = sum_k (phi**k)'(y) g(phi**k(y)): the first-return
+    operator on Y, whose spectral gap (Young, Israel J. Math. 1999) makes h
+    smooth there.  h is solved for by Chebyshev collocation, and then
+    F(r) = sum_k G(phi**k(r)), normalized so that F(1) = 1.  g and G are
+    Taylor series near 0, so both sums are linear in the orbit moments.
+    """
+    j = np.arange(nodes)
+    theta = np.pi * j / (nodes - 1)
+    # node values -> Chebyshev coefficients of h(t), t = 4y - 3 = 2x - 1
+    to_coef = np.linalg.inv(np.cos(np.outer(theta, j)))
+    # Taylor coefficients of g at 0 from T_j^(p)(-1)
+    dT = np.ones((_TAYLOR_ORDER, nodes))
+    for p in range(1, _TAYLOR_ORDER):
+        dT[p] = -dT[p - 1] * (j**2 - (p - 1)**2) / (2 * p - 1)
+    dT *= (-1.0)**j
+    p = np.arange(_TAYLOR_ORDER)
+    fact = np.cumprod(np.maximum(p, 1))
+    taylor = (0.5 * 2.0**p / fact)[:, None] * (dT @ to_coef)
+
+    y = 0.75 + 0.25 * np.cos(theta)
+    if at[-1] != 1.0:
+        raise ValueError("the points must end at 1, where F is normalized")
+    r = at[at > 0]
+    # the node orbits start far from 0, so far is never empty
+    mom, (fi, fx, fw) = _orbit_sums(np.concatenate((y, r)), nodes, gamma,
+                                    terms, junction)
+    # collocation: h(y_i) = (M h)_i, with the far points evaluated in full
+    M = mom[:nodes] @ taylor
+    of_node = fi < nodes
+    rows = np.cos(np.outer(np.arccos(2.0 * fx[of_node] - 1.0), j)) @ to_coef
+    np.add.at(M, fi[of_node], 0.5 * fw[of_node, None] * rows)
+    A = M - np.eye(nodes)
+    # one equation traded for the normalization int_Y h = 1
+    cheb_int = np.zeros(nodes)
+    cheb_int[::2] = 2.0 / (1.0 - j[::2]**2)
+    A[0] = 0.25 * cheb_int @ to_coef
+    rhs = np.zeros(nodes)
+    rhs[0] = 1.0
+    h = np.linalg.solve(A, rhs)
+
+    c = to_coef @ h
+    G = np.polynomial.chebyshev.chebint(c, lbnd=-1) / 4.0
+    F = mom[nodes:] @ ((taylor @ h) / (p + 1))
+    F += np.bincount(fi[~of_node] - nodes, minlength=r.size,
+                     weights=np.polynomial.chebyshev.chebval(
+                         2.0 * fx[~of_node] - 1.0, G))
+    out = np.zeros(len(at))
+    out[at > 0] = F / F[-1]
+    return out
+
+
+@functools.cache
+def lsv_calibration(gamma: float) -> TabulatedCdfMeasure:
+    """The interval map's invariant law mu, computed once per gamma.
+
+    The cdf at _LAW_EDGES from the map's transfer operator
+    (_invariant_cdf): deterministic, exact to about 1e-6 relative, with the
+    tail mu[0, r) ~ C r**(1 - gamma) of Liverani, Saussol and Vaienti (ETDS
+    1999).  Its arrays are read-only, as every caller shares them.
+    """
+    spec = LSVProcess(gamma=float(gamma))
     spec.validate()
-    path = _calibration_path(gamma, steps, seed)
-    if path.exists():
-        with np.load(path) as z:
-            if (int(z["version"]) == CALIBRATION_VERSION
-                    and float(z["gamma"]) == gamma
-                    and int(z["steps"]) == steps and int(z["seed"]) == seed):
-                return LSVCalibration(gamma=gamma, edges=z["edges"],
-                                      counts=z["counts"], steps=steps,
-                                      seed=seed)
-    edges = _calibration_edges()
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-
-    def start(restart):
-        # scalar Python floats, so cached and rebuilt tables agree bit for bit
-        x = float(make_generator(seed, 0, restart).random(1)[0])
-        for _ in range(spec.burn_in):
-            x = x * (1.0 + (2.0 * x) ** gamma) if x < 0.5 else 2.0 * x - 1.0
-            x = min(x, _BELOW_ONE)
-        return x
-
-    x = start(0)
-    buf = np.empty(1 << 20)
-    done = 0
-    restart = 0
-    while done < steps:
-        m = min(len(buf), steps - done)
-        for i in range(m):
-            x = x * (1.0 + (2.0 * x) ** gamma) if x < 0.5 else 2.0 * x - 1.0
-            if x > _BELOW_ONE:
-                x = _BELOW_ONE
-            buf[i] = x
-        if buf[:m].min() < _DEGENERATE:
-            restart += 1
-            if restart > 8:
-                raise RuntimeError("calibration orbit degenerate repeatedly")
-            x = start(restart)
-            continue
-        counts += np.histogram(buf[:m], bins=edges)[0]
-        done += m
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            np.savez(f, version=CALIBRATION_VERSION, gamma=gamma, edges=edges,
-                     counts=counts, steps=steps, seed=seed)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return LSVCalibration(gamma=gamma, edges=edges, counts=counts,
-                          steps=steps, seed=seed)
+    F = _invariant_cdf(spec.gamma)
+    if not (np.all(np.isfinite(F)) and np.all(np.diff(F) > 0)):
+        raise RuntimeError(f"invariant law for gamma = {gamma!r} is not a "
+                           f"strictly increasing cdf")
+    law = TabulatedCdfMeasure(_LAW_EDGES, F)
+    law.xs.flags.writeable = law.Fs.flags.writeable = False
+    return law

@@ -1,7 +1,7 @@
 """Sequence primitives shared by the rest of the package.
 
-Real sequences come in two kinds: closed-form templates (power-log and
-geometric) that expose exact limit and summability answers, and tabulated
+Real sequences are closed-form templates (power-log, which also answers
+limit and summability questions exactly, and geometric) or tabulated
 arrays with a finite horizon.  Everything here is pure and deterministic.
 """
 
@@ -41,16 +41,6 @@ class RealSeq:
     def array(self, lo: int, hi: int) -> np.ndarray:
         """Values v_lo..v_hi inclusive."""
         raise NotImplementedError
-
-    # Closed-form escape hatches; tabulated sequences answer None ("unknown").
-
-    def limit_kind(self):
-        """One of 'zero', 'inf', 'const', or None when not provable."""
-        return None
-
-    def series_converges(self):
-        """Exact integral-test answer for sum(v_n), or None."""
-        return None
 
     def check_nonincreasing(self, upto: int) -> bool:
         vals = self.array(self.start, upto)
@@ -132,6 +122,7 @@ class PowerLogSeq(RealSeq):
         return out
 
     def limit_kind(self):
+        """One of 'zero', 'inf' or 'const': the limit of v_n."""
         if self.c == 0:
             return "zero"
         if self.p > 0 or (self.p == 0 and self.q > 0):
@@ -141,6 +132,7 @@ class PowerLogSeq(RealSeq):
         return "const"
 
     def series_converges(self):
+        """Exact integral-test answer for sum(v_n)."""
         if self.c == 0:
             return True
         if self.p > 1:
@@ -177,18 +169,6 @@ class GeometricSeq(RealSeq):
         ns = np.arange(lo, hi + 1, dtype=float)
         with np.errstate(over="ignore"):
             return self.c * self.r**ns
-
-    def limit_kind(self):
-        if self.c == 0 or self.r < 1:
-            return "zero"
-        if self.r == 1:
-            return "const"
-        return "inf"
-
-    def series_converges(self):
-        if self.c == 0:
-            return True
-        return self.r < 1
 
 
 def constant_seq(c: float, start: int = 1) -> PowerLogSeq:

@@ -1,5 +1,5 @@
-"""Shared fixtures: disk-cached interval-map calibrations and the big
-reference run reused by several acceptance checks."""
+"""Shared fixture: the big reference run reused by several acceptance
+checks."""
 
 import time
 
@@ -7,20 +7,8 @@ import pytest
 
 from bclab.harness import ExperimentConfig, run_experiment
 from bclab.intervals import NestedLeftFamily
-from bclab.processes import IIDProcess, lsv_calibration
+from bclab.processes import IIDProcess
 from bclab.seqcore import power_seq
-
-CAL_STEPS = 10_000_000
-
-
-@pytest.fixture(scope="session")
-def lsv_cal_075():
-    return lsv_calibration(0.75, CAL_STEPS, 0)
-
-
-@pytest.fixture(scope="session")
-def lsv_cal_040():
-    return lsv_calibration(0.4, CAL_STEPS, 0)
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ from pilot runs; every simulation is seeded and deterministic.
 Check 4 runs the intermittent map with gamma = 0.75 against A_k =
 [0, k^-4), targets at the critical exponent 1/(1 - gamma): the masses
 behave like C/k, so E_n diverges like C ln n while the hits stop.  Its
-growth clause asks that E_n rise by equal decades at the rate C the
-occupation table resolves, and by at most the analytic cap 5/3 between
+growth clause asks that E_n rise by equal decades at the rate C of the
+invariant law's tail, and by at most the analytic cap 5/3 between
 n = 1e3 and 1e5.  A 2x rise is out of reach of any correct program:
 with mu(A_k) ~ C/k the ratio is at most about 1 + ln 100 / H_1000,
 roughly 1.62.
@@ -89,23 +89,22 @@ def test_criterion_03_sticky_chain_convergent_boundary():
                 f"late-window hit fraction {frac:.3f} <= 0.10")
 
 
-def test_criterion_04_slow_mixing_shrinking_target(lsv_cal_075):
+def test_criterion_04_slow_mixing_shrinking_target():
     cfg = ExperimentConfig(
         process=LSVProcess(gamma=0.75),
         family=NestedLeftFamily(radius=power_seq(1.0, 4.0)),
         n=10**5, n_traj=100, seed=0,
-        measure=lsv_cal_075.as_measure(),
     )
     report = run_experiment(cfg)
-    e = np.cumsum(cfg.family.measures(cfg.measure, cfg.n))
+    mu = marginal_measure(cfg)
+    e = np.cumsum(cfg.family.measures(mu, cfg.n))
     growth = float(e[10**5 - 1] / e[10**3 - 1])
     # mu[0, r) ~ C r^(1 - gamma) makes mu(A_k) ~ C/k: every decade of n
-    # adds C ln 10, with C the constant the table resolves on [1e-3, 1e-1]
+    # adds C ln 10, with C the law's constant on [1e-3, 1e-1]
     inc = np.array([e[10**4 - 1] - e[10**3 - 1], e[10**5 - 1] - e[10**4 - 1]])
-    r = lsv_cal_075.edges[(lsv_cal_075.edges >= 1e-3)
-                          & (lsv_cal_075.edges <= 1e-1)]
-    c_table = float(np.mean(cfg.measure.cdf(r) / r ** (1 - cfg.process.gamma)))
-    rate_err = float(inc.mean() / np.log(10) / c_table - 1.0)
+    r = mu.xs[(mu.xs >= 1e-3) & (mu.xs <= 1e-1)]
+    c_law = float(np.mean(mu.cdf(r) / r ** (1 - cfg.process.gamma)))
+    rate_err = float(inc.mean() / np.log(10) / c_law - 1.0)
     log_ok = (inc.min() > 0 and abs(inc[1] / inc[0] - 1.0) <= 0.05
               and abs(rate_err) <= 0.25 and growth <= 5 / 3)
     # float64 states near 0 are multiples of 2^-52; the final window's
@@ -119,17 +118,16 @@ def test_criterion_04_slow_mixing_shrinking_target(lsv_cal_075):
     assert line(4, ok,
                 f"calibrated E growth {growth:.3f}x <= 5/3, decade increments "
                 f"{inc[0]:.4f}, {inc[1]:.4f} (within 5%), increment/ln 10 "
-                f"{rate_err:+.1%} from table constant {c_table:.3f} (within "
+                f"{rate_err:+.1%} from law constant {c_law:.3f} (within "
                 f"25%), late-window fraction {frac_res:.3f} at {cps[j]} and "
                 f"{frac:.3f} at {cps[-1]} <= 0.10")
 
 
-def test_criterion_05_interval_map_consecutive_window_band(lsv_cal_040):
+def test_criterion_05_interval_map_consecutive_window_band():
     cfg = ExperimentConfig(
         process=LSVProcess(gamma=0.4),
         family=TorusConsecutiveFamily(b0=0.0, steps=power_seq(1.0, 0.5)),
         n=10**5, n_traj=100, seed=0,
-        measure=lsv_cal_040.as_measure(),
     )
     report = run_experiment(cfg)
     mean = float(report.mean_ratio[-1])

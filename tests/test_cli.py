@@ -67,21 +67,29 @@ class TestSimulate:
         assert "null-recurrent" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    def test_interval_map_cold_cache_exit_0(self, tmp_path, monkeypatch,
-                                            capsys):
-        monkeypatch.setenv("BCLAB_CACHE", str(tmp_path / "cache"))
+    def test_interval_map_cold_cache_exit_0(self, tmp_path, capsys):
+        # the invariant law is solved in the process, with no cache to fill
         cfg = write_json(tmp_path / "cfg.json", {
-            **HARMONIC_CFG, "process": {"variant": "lsv", "gamma": 0.6,
-                                        "burn_in": 100},
-            "calibration_steps": 100_000})
+            **HARMONIC_CFG, "process": {"variant": "lsv", "gamma": 0.6}})
         digests = []
         for run in ("cold", "warm"):
             assert main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / run)]) == 0
             digests.append(capsys.readouterr().out.split()[2])
         assert digests[0] == digests[1]
-        assert [p.name for p in (tmp_path / "cache").iterdir()] == [
-            "lsv-cal-g0.6-s100000-r0.npz"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.json", "cold", "warm"]
+
+    def test_partial_write_exit_4(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
+        out = tmp_path / "run"
+        (out / "hits.jsonl").mkdir(parents=True)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: partial results in {out}: failed writing hits.jsonl" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == "hits.jsonl"
+        assert sorted(manifest["complete"]) == ["config.json", "criteria.json"]
 
     def test_missing_out_dir_exit_4(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
@@ -104,9 +112,11 @@ class TestSimulate:
          "hj"),
         ({**HARMONIC_CFG, "measure": {"kind": "power", "a": 1.0, "b": 2.0}},
          "b"),
+        ({**HARMONIC_CFG, "process": {"variant": "lsv", "gamma": 0.5},
+          "calibration_steps": 10**7}, "calibration_steps"),
     ], ids=["misspelt-process-field", "preset-fixed-field", "misspelt-seed",
             "family-field", "sequence-field", "interval-field",
-            "measure-field"])
+            "measure-field", "retired-calibration-field"])
     def test_unknown_config_field_exit_4(self, tmp_path, capsys, doc, field):
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert main(["simulate", "--config", cfg,

@@ -34,6 +34,7 @@ from bclab.processes import (
     IIDProcess,
     LSVProcess,
     SplitChainProcess,
+    lsv_calibration,
 )
 from bclab.seqcore import TabulatedSeq, constant_seq, power_seq
 
@@ -117,16 +118,14 @@ class TestMarginalMeasure:
         with pytest.raises(ValueError, match="no closed-form"):
             marginal_measure(small_cfg(process=ARHalfProcess()))
 
-    def test_lsv_cold_cache_builds_table(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BCLAB_CACHE", str(tmp_path))
-        cfg = small_cfg(process=LSVProcess(gamma=0.6, burn_in=100),
-                        calibration_steps=200_000)
+    def test_lsv_cold_cache_builds_table(self):
+        # the law is built from gamma alone on first use, then shared
+        cfg = small_cfg(process=LSVProcess(gamma=0.6))
         cold = run_digest(run_experiment(cfg))
-        table, = tmp_path.iterdir()  # the table alone, no temporary file
-        assert table.name == "lsv-cal-g0.6-s200000-r0.npz"
-        built = table.stat().st_mtime_ns
+        m = marginal_measure(cfg)
+        assert isinstance(m, TabulatedCdfMeasure)
+        assert m is lsv_calibration(0.6)
         assert run_digest(run_experiment(cfg)) == cold
-        assert table.stat().st_mtime_ns == built  # the warm run loaded it
 
 
 class TestRunExperiment:
@@ -337,10 +336,11 @@ class TestReferenceDigests:
 
     @pytest.mark.parametrize("name, digest", [
         ("sticky-divergent-boundary",
-         "f1a935bd481ff1d981f0b2a3237c62e3f370967383bac0dbc47f50db28511bb0"),
+         "7989f7ca54712da2c6cb593bf4da21ed877edf55e0bff5f7cfb1b0fd9fcee7cb"),
         ("sticky-convergent-boundary",
-         "0766caa863812a3c56481e8d16192ddc607e96bc2811ddbbfa534b802498d21d"),
-    ])
+         "6f830261fdfba282880ed926006ae201d6733514f42854f5168cc15dd7a4ab01"),
+    ], ids=["sticky-divergent-boundary-full-digest",
+            "sticky-convergent-boundary-full-digest"])
     def test_quick_sticky_digest_pinned(self, name, digest):
         cfg = reference_suite(quick=True)[name]
         assert run_digest(run_experiment(cfg)) == digest
@@ -373,12 +373,12 @@ class TestReferenceDigests:
         # from instead of serializing its hit times again
         assert all(r.to_line() is r.to_line() for r in again.records)
 
-    # the interval map, whose expected counts come from the occupation table
+    # the interval map, whose expected counts come from its invariant law
     @pytest.mark.parametrize("name, digest", [
         ("interval-map-shrinking",
-         "0ec96ef5285c1cfdebf8305454b39005628dc6917ba56a782555f1cf1955d9e4"),
+         "5d0fea0f53beaa06dfd1253608abed661c4bc6e54645992f38202d6bc81577fe"),
         ("interval-map-window",
-         "eb0fecf050b5c9bd3e148e33a65dc00cea428cd91713db3b7a941676f02e0ad4"),
+         "7044612e2bcc51d0a6d1e9cdcc6287f9d0b7efdd71a065391c1a530c1cd63510"),
     ], ids=["interval-map-shrinking", "interval-map-window"])
     def test_quick_interval_map_digest_pinned(self, name, digest):
         cfg = reference_suite(quick=True)[name]
@@ -387,10 +387,10 @@ class TestReferenceDigests:
     # the variants stepped a whole chunk at a time (circle walk and iid)
     @pytest.mark.parametrize("name, digest, sha", [
         ("circle-golden",
-         "849b1d305adcd584a74661f50d67e2cda4275af00e5d579a2f9b6d258d1f2695",
+         "7d007d9f8bac8b2e03eb83fc0d00047ab6ad2f4c4eda34f79caf016b8f2e681a",
          "ebc2a4864c286ec132cc4beb6166c96d2fc07a8986ff57e3142d3e9de5377fda"),
         ("iid-harmonic",
-         "eb471b553b21b84af19251df0a4988b78922832b0e8495d7ade0f0efcc38c12f",
+         "4b3b6ce7dabc6aae42471253c7c4d133c2b118ee0e0a3edce7582c927b5b4499",
          "3bf4ff6025a29b6ece85cf752eb0e460785a88bc8903b7deeb572c4f7b6b994d"),
     ], ids=["circle-golden", "iid-harmonic"])
     def test_quick_whole_chunk_runs_pinned(self, name, digest, sha, tmp_path):

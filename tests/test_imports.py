@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and every library
+name the benchmark's tracer patches exists.
 
 No linter ships with the project, so this walks the sources with ast: a
 name bound by a top-level import must be read somewhere in its module or
@@ -7,11 +8,13 @@ it is exempt.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bclab"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -46,3 +49,30 @@ def test_guard_sees_unused_and_used_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def traced_names(source: str) -> tuple:
+    """([(bclab module, attribute)], [method]) that perfbench/tracing.py's
+    TRACED_FUNCTIONS and TRACED_METHODS name, read without importing it."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name: a.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module == "bclab"
+               for a in node.names}
+    values = {t.id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) for t in node.targets
+              if isinstance(t, ast.Name)}
+    functions = [(modules[e.elts[0].id], e.elts[1].value)
+                 for e in values["TRACED_FUNCTIONS"].elts]
+    return functions, ast.literal_eval(values["TRACED_METHODS"])
+
+
+def test_benchmark_tracing_hooks_resolve():
+    # a rename here would make the benchmark's --trace 1 fail at install
+    functions, methods = traced_names(TRACING.read_text())
+    assert len(functions) >= 10
+    for module, attr in functions:
+        assert callable(getattr(importlib.import_module(f"bclab.{module}"),
+                                attr, None)), (module, attr)
+    intervals = importlib.import_module("bclab.intervals")
+    for attr in methods:
+        assert callable(getattr(intervals.IntervalFamily, attr, None)), attr

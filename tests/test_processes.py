@@ -1,7 +1,11 @@
 from fractions import Fraction
+from pathlib import Path
 
+import hashlib
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,11 +26,11 @@ from bclab.processes import (
     IIDProcess,
     LSVProcess,
     SplitChainProcess,
-    TAIL_ENTRIES,
     circle_position,
     init_from_uniforms,
     init_uniform_count,
     lsv_calibration,
+    lsv_map,
     make_generator,
     process_from_json,
     process_step,
@@ -52,8 +56,10 @@ def one_run(spec, family, n, seed):
 def states_at(spec, n, seed, n_traj):
     """X_n of trajectories 0..n_traj-1, each from its stationary start."""
     gens = [make_generator(seed, t) for t in range(n_traj)]
-    return processes._final_state(spec, n, gens,
-                                  processes._init_vector(spec, gens))
+    x = processes._init_vector(spec, gens)
+    for _, xs, _ in processes._chunks(spec, n, gens, x):
+        x = xs[-1].copy()
+    return x
 
 
 class TestProcessStep:
@@ -202,7 +208,8 @@ class TestSimulateHits:
 
     def test_matches_scalar_replay(self):
         for spec in (DMRProcess(a=1.0), CircleRWProcess(a=0.37, drift=0.0),
-                     IIDProcess(), LSVProcess(gamma=0.6, burn_in=50)):
+                     IIDProcess(), LSVProcess(gamma=0.6),
+                     LSVProcess(gamma=0.5)):
             n = 500
             rec = one_run(spec, HALF, n, seed=11)
             gen = make_generator(11, 0)
@@ -410,12 +417,12 @@ class TestDegenerateRestart:
     def test_restarted_records_replay_their_restart_stream(self, monkeypatch):
         # a high underflow floor makes a few gamma = 0.75 orbits "degenerate"
         monkeypatch.setattr(processes, "_DEGENERATE", 1e-4)
-        spec = LSVProcess(gamma=0.75, burn_in=50)
+        spec = LSVProcess(gamma=0.75)
         n, seed = 2000, 3
         recs = simulate_ensemble(spec, HALF, n, seed=seed, n_traj=40)
         assert [r.trajectory for r in recs] == list(range(40))
         restarted = [r for r in recs if r.restarts]
-        assert len(restarted) == 5
+        assert len(restarted) == 6
         for rec in restarted:
             assert rec.restarts >= 1
             # every earlier stream underflows; the recorded one does not
@@ -438,7 +445,7 @@ class TestChunkInvariance:
     @pytest.mark.parametrize("spec", [
         DMRProcess(a=1.0),
         CircleRWProcess(a=0.37, drift=0.2),
-        LSVProcess(gamma=0.6, burn_in=200),
+        LSVProcess(gamma=0.6),
         IIDProcess(marginal="power", power=0.4),
     ], ids=["dmr-capped", "circle-drift", "lsv", "iid-power"])
     def test_tiny_chunks_and_workers_match_default(self, monkeypatch, spec):
@@ -498,8 +505,8 @@ class TestLockstepInit:
     @pytest.mark.parametrize("spec", [
         LSVProcess(gamma=0.4),
         LSVProcess(gamma=0.75),
-        LSVProcess(gamma=0.5, burn_in=0),
-    ], ids=["lsv-0.4", "lsv-0.75", "lsv-no-burn-in"])
+        LSVProcess(gamma=0.5),
+    ], ids=["lsv-0.4", "lsv-0.75", "lsv-0.5"])
     def test_matches_scalar_init(self, spec):
         count = init_uniform_count(spec)
         gens = [make_generator(7, t) for t in range(64)]
@@ -586,88 +593,118 @@ class TestStationarity:
         assert stats.chisquare(obs, exp).pvalue > 0.01
 
 
-@pytest.fixture
-def cache(tmp_path, monkeypatch):
-    """An empty table cache of the test's own."""
-    monkeypatch.setenv("BCLAB_CACHE", str(tmp_path))
-    return tmp_path
+def orbit_cdf(gamma, radii, width=20_000, burn_in=1000, spacing=100,
+              snapshots=20):
+    """Empirical cdf at radii of interval-map states sampled from orbits
+    started uniformly, after burn_in steps and then every spacing steps,
+    and the number of states it counts."""
+    x = np.random.default_rng(5).random(width)
+    counts = np.zeros(len(radii))
+    for k in range(1, burn_in + spacing * (snapshots - 1) + 1):
+        x = lsv_map(x, gamma)
+        if k >= burn_in and (k - burn_in) % spacing == 0:
+            counts += (x[:, None] < radii).sum(axis=0)
+    return counts / (width * snapshots), width * snapshots
 
 
 class TestCalibration:
-    def test_occupation_exponent_near_one_minus_gamma(self, cache):
+    """The invariant law solved from the transfer operator."""
+
+    def test_occupation_exponent_near_one_minus_gamma(self):
         for gamma in (0.4, 0.75):
-            cal = lsv_calibration(gamma, steps=1_000_000, seed=1)
-            eps = np.geomspace(1e-4, 1e-1, 7)
-            mass = cal.as_measure().cdf(eps)
+            eps = np.geomspace(1e-12, 1e-9, 7)
+            mass = lsv_calibration(gamma).cdf(eps)
             slope = np.polyfit(np.log(eps), np.log(mass), 1)[0]
-            assert abs(slope - (1 - gamma)) < 0.1, gamma
+            assert abs(slope - (1 - gamma)) < 1e-3, gamma
 
-    def test_cache_round_trip(self, cache):
-        a = lsv_calibration(0.5, steps=200_000, seed=2)
-        b = lsv_calibration(0.5, steps=200_000, seed=2)
-        assert np.array_equal(a.counts, b.counts)
-        assert b.steps == 200_000
+    def test_cache_round_trip(self):
+        # memoized per gamma: later calls share the first solve's arrays
+        a = lsv_calibration(0.5)
+        assert lsv_calibration(0.5) is a
+        assert not a.Fs.flags.writeable and not a.xs.flags.writeable
+        assert np.array_equal(a.Fs, processes._invariant_cdf(0.5))
 
-    def test_nearby_gamma_never_loads_another_table(self, cache):
-        a = lsv_calibration(0.4, steps=200_000, seed=2)
-        b = lsv_calibration(0.4000001, steps=200_000, seed=2)
-        assert (a.gamma, b.gamma) == (0.4, 0.4000001)
-        assert not np.array_equal(a.counts, b.counts)
-        assert len(list(cache.iterdir())) == 2
-        # a file in b's place that holds a's table is rebuilt, not read
-        path_a = processes._calibration_path(0.4, 200_000, 2)
-        path_b = processes._calibration_path(0.4000001, 200_000, 2)
-        path_b.write_bytes(path_a.read_bytes())
-        again = lsv_calibration(0.4000001, steps=200_000, seed=2)
-        assert again.gamma == 0.4000001
-        assert np.array_equal(again.counts, b.counts)
+    def test_nearby_gamma_never_loads_another_table(self):
+        a = lsv_calibration(0.4)
+        b = lsv_calibration(0.4000001)
+        assert a is not b
+        assert not np.array_equal(a.Fs, b.Fs)
+        np.testing.assert_allclose(a.Fs[1:], b.Fs[1:], rtol=1e-4)
 
-    def test_measure_integrates_to_one(self, cache):
-        cal = lsv_calibration(0.6, steps=200_000, seed=3)
-        m = cal.as_measure()
-        assert m.cdf(1.0) == pytest.approx(1.0)
-        assert m.cdf(0.0) == pytest.approx(0.0)
+    def test_measure_integrates_to_one(self):
+        for gamma in (0.2, 0.6, 0.95):
+            m = lsv_calibration(gamma)
+            assert m.cdf(1.0) == 1.0 and m.cdf(0.0) == 0.0
+            assert np.all(np.diff(m.Fs) > 0)
 
-    def test_power_law_tail_below_junction(self, cache):
-        gamma = 0.6
-        lsv_calibration(gamma, steps=200_000, seed=3)
-        cal = lsv_calibration(gamma, steps=200_000, seed=3)
-        raw = cal.cdf_values()
-        assert raw[1] == 0.0  # the orbit never visits the deepest cell
-        m = cal.as_measure()
-        r = np.geomspace(1e-30, 1.0, 4001)
-        F = m.cdf(r)
-        assert np.all(F > 0) and np.all(np.diff(F) >= 0)
-        assert m.cdf(0.0) == 0.0 and m.cdf(1.0) == 1.0
-        r0 = cal.tail_radius()
-        table_at_r0 = np.interp(r0, cal.edges, raw)
-        assert m.cdf(r0) == pytest.approx(table_at_r0, rel=1e-12)
-        assert m.cdf(r0 * (1 - 1e-9)) == pytest.approx(table_at_r0, rel=1e-6)
-        np.testing.assert_array_equal(m.cdf(r[r >= r0]),
-                                      np.interp(r[r >= r0], cal.edges, raw))
-        lo = cal.edges[(cal.edges > 0) & (cal.edges < r0)]
-        slope = np.diff(np.log(m.cdf(lo))) / np.diff(np.log(lo))
-        np.testing.assert_allclose(slope, 1 - gamma, rtol=1e-9)
+    def test_power_law_tail_below_junction(self):
+        # below the junction u = (2r)**-gamma = 300 the cdf is the
+        # closed-form remainder alone: its local exponent tends to
+        # 1 - gamma, and it meets the orbit sums above without a kink
+        for gamma in (0.4, 0.6, 0.75):
+            m = lsv_calibration(gamma)
+            r = m.xs[1:]
+            slope = np.diff(np.log(m.Fs[1:])) / np.diff(np.log(r))
+            deep = r[1:] < 1e-22
+            np.testing.assert_allclose(slope[deep], 1 - gamma, rtol=1e-6)
+            junction = 0.5 * processes._LAW_JUNCTION ** (-1 / gamma)
+            near = np.abs(np.log(r[1:] / junction)) < 0.5
+            # a relative step of 1e-6 in F would change the slope by 3e-5
+            assert np.all(np.abs(np.diff(slope[near])) < 4e-5), gamma
 
-    def test_junction_has_enough_entries(self, cache):
-        cal = lsv_calibration(0.75, steps=200_000, seed=4)
-        r0 = cal.tail_radius()
-        assert 0.0 < r0 <= 0.5
-        # entries into [0, r) are the orbit's visits to [1/2, 1/2 + r/2)
-        c = np.concatenate(([0.0], np.cumsum(cal.counts)))
-        entries = (np.interp(0.5 + r0 / 2, cal.edges, c)
-                   - np.interp(0.5, cal.edges, c))
-        assert entries >= TAIL_ENTRIES
-        below = cal.edges[np.searchsorted(cal.edges, r0) - 1]
-        assert (np.interp(0.5 + below / 2, cal.edges, c)
-                - np.interp(0.5, cal.edges, c)) < TAIL_ENTRIES
+    @pytest.mark.parametrize("gamma", [0.4, 0.75])
+    def test_functional_equation_residual(self, gamma):
+        # T pushes mu forward to mu: F(x) = F(phi(x)) + F((x + 1)/2) - F(1/2)
+        x = np.geomspace(1e-8, 1.0, 81)
+        s = processes._left_preimage(2 * x, (2 * x) ** gamma, gamma)
+        phi_x = s / 2
+        np.testing.assert_allclose(phi_x * (1 + s ** gamma), x, rtol=1e-14)
+        at = np.unique(np.concatenate((x, phi_x, (x + 1) / 2, [0.5])))
+        F = dict(zip(at, processes._invariant_cdf(gamma, at)))
+        lhs = np.array([F[v] for v in x])
+        rhs = np.array([F[a] + F[b] - F[0.5]
+                        for a, b in zip(phi_x, (x + 1) / 2)])
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("gamma", [0.4, 0.75])
+    def test_converged_in_nodes_and_terms(self, gamma):
+        base = lsv_calibration(gamma).Fs[1:]
+        finer = processes._invariant_cdf(gamma, nodes=64, terms=1200,
+                                         junction=900.0)[1:]
+        np.testing.assert_allclose(finer, base, rtol=1e-4, atol=0)
+
+    def test_matches_fresh_orbit_histogram(self):
+        gamma = 0.4
+        radii = np.geomspace(1e-2, 1.0, 9)[:-1]
+        emp, n = orbit_cdf(gamma, radii)
+        F = lsv_calibration(gamma).cdf(radii)
+        se = np.sqrt(F * (1 - F) / n)
+        assert np.all(np.abs(emp - F) <= 4 * se), (emp - F) / se
+
+    def test_bit_identical_across_processes(self):
+        code = ("import hashlib; from bclab.processes import lsv_calibration;"
+                " print(hashlib.sha256(lsv_calibration(0.75).Fs.tobytes())"
+                ".hexdigest())")
+        env_path = str(Path(processes.__file__).parents[1])
+        runs = {subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True,
+                               env={"PYTHONPATH": env_path}).stdout.strip()
+                for _ in range(2)}
+        here = hashlib.sha256(lsv_calibration(0.75).Fs.tobytes()).hexdigest()
+        assert runs == {here}
+
+    @pytest.mark.parametrize("gamma", [0.4, 0.75])
+    @pytest.mark.parametrize("at", [0, 100, 1000])
+    def test_exact_starts_are_stationary(self, gamma, at):
+        xn = states_at(LSVProcess(gamma=gamma), at, seed=37, n_traj=2000)
+        assert stats.kstest(xn, lsv_calibration(gamma).cdf).pvalue > 0.01
 
 
 class TestSerialization:
     def test_process_json_round_trip(self):
         specs = [
             IIDProcess(marginal="power", power=2.0),
-            LSVProcess(gamma=0.75, burn_in=500),
+            LSVProcess(gamma=0.75),
             ARHalfProcess(),
             CircleRWProcess(a=0.25, drift=0.1),
             SplitChainProcess(s_kind="const", s_scale=0.5, nu_power=3.0, q1="nu"),
@@ -683,16 +720,17 @@ class TestSerialization:
 
     def test_json_holds_init_fields_in_declaration_order(self):
         assert list(process_to_json(LSVProcess(gamma=0.75))) == [
-            "variant", "gamma", "burn_in"]
+            "variant", "gamma"]
         assert list(process_to_json(SplitChainProcess())) == [
             "variant", "s_kind", "s_scale", "nu_power", "q1"]
         assert process_to_json(DMRProcess(a=2.0)) == {"variant": "dmr", "a": 2.0}
 
     def test_fields_coerced_and_required(self):
-        spec = process_from_json({"variant": "lsv", "gamma": "0.5",
-                                  "burn_in": 100.0})
-        assert spec == LSVProcess(gamma=0.5, burn_in=100)
-        assert type(spec.burn_in) is int
+        spec = process_from_json({"variant": "lsv", "gamma": "0.5"})
+        assert spec == LSVProcess(gamma=0.5)
+        assert type(spec.gamma) is float
+        spec = process_from_json({"variant": "dmr", "a": 2})
+        assert spec == DMRProcess(a=2.0) and type(spec.a) is float
         assert process_from_json({"variant": "dmr"}) == DMRProcess(a=1.0)
         with pytest.raises(ValueError, match="missing required field 'gamma'"):
             process_from_json({"variant": "lsv"})

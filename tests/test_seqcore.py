@@ -83,7 +83,6 @@ class TestClosedFormAnswers:
         assert power_seq(1.0, 1.0).series_converges() is False
         assert PowerLogSeq(c=1, p=1, q=2, shift=1).series_converges() is True
         assert PowerLogSeq(c=1, p=0, q=1, shift=2).series_converges() is False
-        assert GeometricSeq(1.0, 0.5).series_converges() is True
 
     def test_limit_kinds(self):
         assert power_seq(1.0, 0.3).limit_kind() == "zero"
