@@ -1,10 +1,11 @@
 """Stationary process samplers and hit recording.
 
 Every trajectory owns a counter-based random stream derived from
-(seed, trajectory id), and every step of a given process variant consumes
-a fixed number of uniforms from that stream, so results are reproducible
-no matter how trajectories are scheduled or batched.  The vectorized
-ensemble driver and the scalar process_step walk identical trajectories.
+(seed, trajectory id).  Each process variant has a per-step draw budget,
+defined once by step_draws, and each stream is consumed in step order, so
+results are reproducible no matter how trajectories are scheduled or
+batched.  The vectorized ensemble driver and the scalar process_step,
+fed from step_draws, walk identical trajectories.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class ProcessSpec:
     """Base class; subclasses are frozen dataclasses with a `variant` tag."""
 
     variant = "abstract"
-    uniforms_per_step = 2
 
     def validate(self):
         pass
@@ -97,7 +97,6 @@ class LSVProcess(ProcessSpec):
     gamma: float
 
     variant = "lsv"
-    uniforms_per_step = 0
 
     def validate(self):
         if not 0.0 < self.gamma < 1.0:
@@ -243,7 +242,8 @@ def process_from_json(d: dict) -> ProcessSpec:
 # Circle positions
 
 # a = H 2**-27 + lo with H an integer; j H stays below 2**53, so it is exact
-# in int64 and float64, while |j| < 2**26
+# in int64 and float64, while |j| < 2**26.  Only its low 27 bits are used,
+# so in int32, where j H wraps modulo 2**32, it gives the same bits.
 _CIRCLE_BITS = 27
 CIRCLE_MAX_STEPS = 2**26 - 1
 
@@ -256,7 +256,8 @@ def check_horizon(spec: ProcessSpec, n: int):
 
 
 def circle_position(a: float, x0, j: np.ndarray, out=None) -> np.ndarray:
-    """x0 + j a mod 1 for an int64 array j of net +a step counts, |j| < 2**26.
+    """x0 + j a mod 1 for an int32 or int64 array j of net +a step counts,
+    |j| < 2**26.
 
     With a = H 2**-27 + lo (H an integer, |lo| <= 2**-28) the fractional
     part of j H 2**-27 is exact integer arithmetic, and |j lo| < 1/4 adds
@@ -303,26 +304,52 @@ def lsv_map(x, gamma: float):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def process_step(spec: ProcessSpec, state: float, uniforms) -> tuple:
-    """Advance one step using two uniforms; returns (next state, regen flag).
+_WORD_BITS = 64
 
-    The flag is 1 only when a split chain regenerates this step; variants
-    that need fewer than two uniforms ignore the rest.
+
+def step_draws(spec: ProcessSpec, gen, m: int) -> np.ndarray:
+    """The draws of the next m steps of the stream gen, one row per step.
+
+    This is each variant's per-step draw budget, defined here alone: the
+    ensemble kernel takes its draws from it, and process_step reads a row.
+    - circle-rw: one bit.  Step 64 i + b reads bit b of raw word i, least
+      significant bit first, and a 0 bit is a +a step.  A call starts on a
+      fresh word: m steps take ceil(m / 64) words.
+    - iid: one uniform.
+    - lsv: none; the map is deterministic once started.
+    - split chains (dmr included) and ar-half: two uniforms.
+    A uniform is Generator.random's, one 64-bit word.  Consecutive calls
+    draw what one call for all their steps would, provided every circle-rw
+    call but the last covers a multiple of 64 steps.
     """
-    u1, u2 = float(uniforms[0]), float(uniforms[1])
+    if isinstance(spec, CircleRWProcess):
+        words = gen.bit_generator.random_raw(-(-m // _WORD_BITS))
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(octets, count=m, bitorder="little")[:, None]
+    if isinstance(spec, LSVProcess):
+        return np.empty((m, 0))
+    return gen.random((m, 1 if isinstance(spec, IIDProcess) else 2))
+
+
+def process_step(spec: ProcessSpec, state: float, draws) -> tuple:
+    """Advance one step on its draws, a row of step_draws; returns
+    (next state, regen flag).
+
+    The flag is 1 only when a split chain regenerates this step.
+    """
     if isinstance(spec, IIDProcess):
-        return float(spec._inverse(u1)), 0
+        return float(spec._inverse(float(draws[0]))), 0
     if isinstance(spec, LSVProcess):
         if not 0.0 <= state <= 1.0:
             raise ValueError("lsv state outside [0,1]")
         return float(lsv_map(state, spec.gamma)), 0
     if isinstance(spec, ARHalfProcess):
-        return 0.5 * state + (1.0 if u1 < 0.5 else 0.0), 0
+        return 0.5 * state + (1.0 if draws[0] < 0.5 else 0.0), 0
     if isinstance(spec, CircleRWProcess):
         # a plain float state starts a walk there
         x0, j = ((state.x0, state.j) if isinstance(state, CircleState)
                  else (float(state), 0))
-        j += 1 if u1 < 0.5 else -1
+        j += -1 if draws[0] else 1
         if abs(j) > CIRCLE_MAX_STEPS:
             raise ValueError("circle-rw walk beyond 2**26 - 1 net steps")
         x = float(circle_position(spec.a, x0, np.array([j]))[0])
@@ -333,6 +360,7 @@ def process_step(spec: ProcessSpec, state: float, uniforms) -> tuple:
         s = float(spec.s_of(state))
         if not 0.0 <= s <= 1.0:
             raise ValueError("s(x) outside [0,1]")
+        u1, u2 = float(draws[0]), float(draws[1])
         if u1 <= s:
             return float(spec.nu_inverse(u2)), 1
         if spec.q1 == "delta":
@@ -501,8 +529,9 @@ class HitRecord:
 # ---------------------------------------------------------------------------
 # Vectorized ensemble driver
 
-# states per chunk across the width: bounds the uniforms, states and hit
-# masks held at once, whatever the number of trajectories
+# states per chunk across the width: bounds the draws, states and hit masks
+# held at once, whatever the number of trajectories.  circle-rw chunks are
+# whole words of steps, so they hold at most max(_CELLS, 64 * width).
 _CELLS = 1 << 21
 
 
@@ -575,44 +604,38 @@ def _chunks(spec, n, gens, x):
     return _row_chunks(spec, n, gens, x, rows)
 
 
-def _step_words(gens, m):
-    """(t, w) per stream t: w holds the raw 64-bit word of the first uniform
-    of each of its next m steps, drawn as one contiguous block.
-
-    Both uniforms of every step are consumed, as by process_step.
-    Generator.random makes the uniform (w >> 11) 2**-53 of a word w, so
-    u < 1/2 exactly when w < 2**63.
-    """
-    for t, g in enumerate(gens):
-        yield t, g.bit_generator.random_raw(2 * m)[::2]
-
-
 def _iid_chunks(spec, n, gens, rows):
-    """Each step's state is the marginal's inverse cdf at its first uniform."""
+    """Each step's state is the marginal's inverse cdf at its uniform."""
     xs = np.empty((len(gens), rows))  # trajectory-major
     for c0 in range(0, n, rows):
         m = min(rows, n - c0)
-        for t, w in _step_words(gens, m):
-            xs[t, :m] = spec._inverse((w >> 11) * 2.0**-53)
+        for t, g in enumerate(gens):
+            xs[t, :m] = spec._inverse(step_draws(spec, g, m)[:, 0])
         yield c0, xs[:, :m].T, None
 
 
 def _circle_chunks(spec, n, gens, x, rows):
     """x_k = x_0 + j_k a mod 1 for a whole chunk: j_k is a cumsum of the
-    +-1 steps, carried across chunks, and circle_position needs no loop."""
+    +-1 steps, carried across chunks, and circle_position needs no loop.
+
+    Every chunk but the last is whole words of steps, so each starts on a
+    fresh word of every stream.  j fits int32, since |j| < 2**26.
+    """
+    if rows < n:
+        rows = max(_WORD_BITS, rows - rows % _WORD_BITS)
     width = len(gens)
     xs = np.empty((width, rows))  # trajectory-major
     steps = np.empty((width, rows), dtype=np.int8)
-    j = np.empty((width, rows), dtype=np.int64)
-    x0, j_end = x[:, None], np.zeros((width, 1), dtype=np.int64)
+    j = np.empty((width, rows), dtype=np.int32)
+    x0, j_end = x[:, None], np.zeros((width, 1), dtype=np.int32)
     for c0 in range(0, n, rows):
         m = min(rows, n - c0)
-        for t, w in _step_words(gens, m):
-            np.less(w, 1 << 63, out=steps[t, :m])  # u < 1/2: a +a step
+        for t, g in enumerate(gens):
+            steps[t, :m] = step_draws(spec, g, m)[:, 0]
         s = steps[:, :m]
-        s *= 2
-        s -= 1
-        jm = np.cumsum(s, axis=1, dtype=np.int64, out=j[:, :m])
+        s *= -2  # bit 0: a +a step
+        s += 1
+        jm = np.cumsum(s, axis=1, dtype=np.int32, out=j[:, :m])
         jm += j_end
         j_end = jm[:, -1:].copy()
         circle_position(spec.a, x0, jm, out=xs[:, :m])
@@ -620,23 +643,22 @@ def _circle_chunks(spec, n, gens, x, rows):
 
 
 def _row_chunks(spec, n, gens, x, rows):
-    """Chunks of the variants stepped row by row: U[i, t] holds the two
-    uniforms of step i of trajectory t."""
+    """Chunks of the variants stepped row by row: U[i, t] holds the draws
+    of step i of trajectory t."""
     width = len(gens)
     xs = np.empty((rows, width))
     flags = (np.empty((rows, width), dtype=bool)
              if isinstance(spec, SplitChainProcess) else None)
-    U = draw = None
-    if spec.uniforms_per_step:
-        U, draw = np.empty((rows, width, 2)), np.empty((rows, 2))
+    U = None
     for c0 in range(0, n, rows):
         m = min(rows, n - c0)
-        if U is not None:
-            for t, g in enumerate(gens):
-                g.random(out=draw[:m])
-                U[:m, t] = draw[:m]
+        for t, g in enumerate(gens):
+            draws = step_draws(spec, g, m)
+            if U is None:
+                U = np.empty((rows, width, draws.shape[1]))
+            U[:m, t] = draws
         fl = None if flags is None else flags[:m]
-        x = _advance_rows(spec, x, None if U is None else U[:m], xs[:m], fl)
+        x = _advance_rows(spec, x, U[:m], xs[:m], fl)
         yield c0, xs[:m], fl
 
 
@@ -677,8 +699,11 @@ def _run_block(spec, n, seed, traj_ids, bounds, restart=0):
         bhi = hi[c0 : c0 + m, None]
         bw = wraps[c0 : c0 + m, None]
         bf = full[c0 : c0 + m, None]
-        hit = np.where(bw, (pts >= blo) | (pts < bhi), (pts >= blo) & (pts < bhi))
-        hit |= bf
+        hit = (pts >= blo) & (pts < bhi)
+        if bw.any():
+            hit = np.where(bw, (pts >= blo) | (pts < bhi), hit)
+        if bf.any():
+            hit |= bf
         for j, times in _scatter(hit, c0):
             hits[j].append(times)
         if flags is not None:

@@ -387,11 +387,11 @@ class TestReferenceDigests:
     # the variants stepped a whole chunk at a time (circle walk and iid)
     @pytest.mark.parametrize("name, digest, sha", [
         ("circle-golden",
-         "7d007d9f8bac8b2e03eb83fc0d00047ab6ad2f4c4eda34f79caf016b8f2e681a",
-         "ebc2a4864c286ec132cc4beb6166c96d2fc07a8986ff57e3142d3e9de5377fda"),
+         "9937d6478c08ce008c98ac05e6a9d7e3ff5acaedfa2e3a5299b24463a6aa7b1c",
+         "e3e6d1602c4966aa72188ec4e4df2021fe82ca2d8486b5c6763676aa76cf1dc0"),
         ("iid-harmonic",
-         "4b3b6ce7dabc6aae42471253c7c4d133c2b118ee0e0a3edce7582c927b5b4499",
-         "3bf4ff6025a29b6ece85cf752eb0e460785a88bc8903b7deeb572c4f7b6b994d"),
+         "40169a82ebf8d4dc332fe169a6b587a5ea909183a438161efc9947717e80ad27",
+         "ab2e9a62cf8151f4e0b3bddf18d939c4cda892e401a95d291640ee5082625da3"),
     ], ids=["circle-golden", "iid-harmonic"])
     def test_quick_whole_chunk_runs_pinned(self, name, digest, sha, tmp_path):
         report = run_experiment(reference_suite(quick=True)[name])

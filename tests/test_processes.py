@@ -36,6 +36,7 @@ from bclab.processes import (
     process_step,
     process_to_json,
     simulate_ensemble,
+    step_draws,
 )
 from bclab.seqcore import PowerLogSeq, constant_seq, log_grid
 
@@ -64,22 +65,22 @@ def states_at(spec, n, seed, n_traj):
 
 class TestProcessStep:
     def test_lsv_right_branch_at_half(self):
-        nxt, flag = process_step(LSVProcess(gamma=0.5), 0.5, (0.1, 0.9))
+        nxt, flag = process_step(LSVProcess(gamma=0.5), 0.5, ())
         assert nxt == 0.0 and flag == 0
 
     def test_lsv_left_branch_quarter(self):
-        nxt, _ = process_step(LSVProcess(gamma=0.5), 0.25, (0.0, 0.0))
+        nxt, _ = process_step(LSVProcess(gamma=0.5), 0.25, ())
         assert nxt == pytest.approx(0.25 * (1 + np.sqrt(0.5)), abs=1e-12)
         assert nxt == pytest.approx(0.426776695, abs=1e-8)
 
     def test_lsv_rejects_bad_state(self):
         with pytest.raises(ValueError):
-            process_step(LSVProcess(gamma=0.5), 1.5, (0.0, 0.0))
+            process_step(LSVProcess(gamma=0.5), 1.5, ())
 
     def test_circle_both_coins_wrap_to_same_point(self):
         spec = CircleRWProcess(a=0.5)
-        heads, _ = process_step(spec, 0.3, (0.2, 0.0))
-        tails, _ = process_step(spec, 0.3, (0.8, 0.0))
+        heads, _ = process_step(spec, 0.3, (0,))
+        tails, _ = process_step(spec, 0.3, (1,))
         assert heads == pytest.approx(0.8)
         assert tails == pytest.approx(0.8)
 
@@ -215,9 +216,8 @@ class TestSimulateHits:
             gen = make_generator(11, 0)
             x = init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
             hits, renewals = [], 0
-            for k in range(1, n + 1):
-                u = gen.random(2) if spec.uniforms_per_step else (0.0, 0.0)
-                x, flag = process_step(spec, x, u)
+            for k, draws in enumerate(step_draws(spec, gen, n), start=1):
+                x, flag = process_step(spec, x, draws)
                 renewals += flag
                 if x < 0.5:
                     hits.append(k)
@@ -231,8 +231,8 @@ class TestSimulateHits:
         gen = make_generator(13, 0)
         x = init_from_uniforms(spec, gen.random(1))
         hits = []
-        for k in range(1, 301):
-            x, _ = process_step(spec, x, gen.random(2))
+        for k, draws in enumerate(step_draws(spec, gen, 300), start=1):
+            x, _ = process_step(spec, x, draws)
             if (x - 0.25 * k) % 1.0 < 0.5:
                 hits.append(k)
         assert rec.hit_times.tolist() == hits
@@ -404,9 +404,8 @@ def scalar_replay(spec, n, gen, threshold=0.5):
     """(lowest state, hit times of [0, threshold)) stepping gen with process_step."""
     x = init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
     lowest, hits = np.inf, []
-    for k in range(1, n + 1):
-        u = gen.random(2) if spec.uniforms_per_step else (0.0, 0.0)
-        x, _ = process_step(spec, x, u)
+    for k, draws in enumerate(step_draws(spec, gen, n), start=1):
+        x, _ = process_step(spec, x, draws)
         lowest = min(lowest, x)
         if x < threshold:
             hits.append(k)
@@ -461,10 +460,16 @@ class TestCircleWalk:
     @pytest.mark.parametrize("a", [0.31, GOLDEN_CONJUGATE], ids=["0.31", "golden"])
     def test_closed_form_within_an_ulp(self, a):
         rng = np.random.default_rng(8)
+        edge = CIRCLE_MAX_STEPS
         js = np.concatenate((np.arange(-1000, 1001), [-10**6, 10**6],
-                             rng.integers(-10**6, 10**6, 2000)))
+                             [-edge, -edge + 1, edge - 1, edge],
+                             rng.integers(-10**6, 10**6, 2000),
+                             rng.integers(-edge, edge + 1, 200)))
         for x0 in (0.0, 0.3, float(rng.random()), 1.0 - 2.0**-53):
             got = circle_position(a, x0, js.copy())
+            # the kernel's int32 walk: j H wraps, its low 27 bits do not
+            got32 = circle_position(a, x0, js.astype(np.int32))
+            assert got32.tobytes() == got.tobytes()
             assert ((got >= 0.0) & (got < 1.0)).all()
             for x, j in zip(got.tolist(), js.tolist()):
                 d = abs(Fraction(x) - (Fraction(x0) + j * Fraction(a)) % 1)
@@ -472,9 +477,9 @@ class TestCircleWalk:
 
     def test_scalar_state_carries_start_and_net_steps(self):
         spec = CircleRWProcess(a=0.31)
-        x, _ = process_step(spec, 0.25, (0.1, 0.9))  # a plain float starts a walk
-        x, _ = process_step(spec, x, (0.7, 0.9))
-        x, _ = process_step(spec, x, (0.2, 0.9))
+        x, _ = process_step(spec, 0.25, (0,))  # a plain float starts a walk
+        x, _ = process_step(spec, x, (1,))
+        x, _ = process_step(spec, x, (0,))
         assert isinstance(x, CircleState) and (x.x0, x.j) == (0.25, 1)
         assert x == circle_position(0.31, 0.25, np.array([1]))[0]
 
@@ -486,19 +491,46 @@ class TestCircleWalk:
         with pytest.raises(ValueError, match=r"2\*\*26 - 1 steps"):
             simulate_ensemble(spec, short, 2**26, 0, n_traj=2)
         edge = CircleState(0.5, 0.5, CIRCLE_MAX_STEPS)
-        assert process_step(spec, edge, (0.9, 0.0))[0].j == CIRCLE_MAX_STEPS - 1
+        assert process_step(spec, edge, (1,))[0].j == CIRCLE_MAX_STEPS - 1
         with pytest.raises(ValueError, match=r"2\*\*26 - 1 net steps"):
-            process_step(spec, edge, (0.1, 0.0))
+            process_step(spec, edge, (0,))
 
-    def test_step_words_are_the_uniforms_process_step_reads(self):
+    def test_step_reads_one_bit_of_a_raw_word_lsb_first(self):
+        bits = step_draws(CircleRWProcess(), make_generator(4, 0), 150)
+        words = make_generator(4, 0).bit_generator.random_raw(3)
+        want = [int(words[k // 64]) >> (k % 64) & 1 for k in range(150)]
+        assert bits.shape == (150, 1) and bits[:, 0].tolist() == want
+
+
+class TestDrawBudget:
+    @pytest.mark.parametrize("spec, words", [
+        (CircleRWProcess(a=0.37), 16),
+        (IIDProcess(marginal="power", power=0.4), 1000),
+        (LSVProcess(gamma=0.6), 0),
+        (DMRProcess(a=1.0), 2000),
+        (SplitChainProcess(s_kind="const", s_scale=0.3, q1="nu"), 2000),
+        (ARHalfProcess(), 2000),
+    ], ids=["circle-rw", "iid", "lsv", "dmr", "split-chain", "ar-half"])
+    @pytest.mark.parametrize("cells", [1 << 21, 3 * 3],
+                             ids=["one-chunk", "tiny-chunks"])
+    def test_kernel_and_scalar_reference_continue_at_the_same_word(
+            self, monkeypatch, spec, words, cells):
+        n = 1000  # not a whole number of 64-step words
+        monkeypatch.setattr(processes, "_CELLS", cells)
         gens = [make_generator(4, t) for t in range(3)]
+        for _ in processes._chunks(spec, n, gens,
+                                   processes._init_vector(spec, gens)):
+            pass
         scalar = [make_generator(4, t) for t in range(3)]
-        for t, w in processes._step_words(gens, 50):
-            u = scalar[t].random((50, 2))[:, 0]
-            assert ((w >> 11) * 2.0**-53).tolist() == u.tolist()
-            assert ((w < 2**63) == (u < 0.5)).all()
-        # both uniforms of every step were consumed
-        assert [g.random() for g in gens] == [g.random() for g in scalar]
+        budget = [make_generator(4, t) for t in range(3)]
+        for s, b in zip(scalar, budget):
+            s.random(init_uniform_count(spec))
+            assert len(step_draws(spec, s, n)) == n
+            b.random(init_uniform_count(spec))
+            b.bit_generator.random_raw(words)
+        nxt = [[int(g.bit_generator.random_raw()) for g in gs]
+               for gs in (gens, scalar, budget)]
+        assert nxt[0] == nxt[1] == nxt[2]
 
 
 class TestLockstepInit:
