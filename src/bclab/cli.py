@@ -51,7 +51,7 @@ from .mixing import (
     profile_to_csv,
 )
 from .processes import GOLDEN_CONJUGATE
-from .seqcore import TabulatedSeq, check_fields, seq_from_json
+from .seqcore import TabulatedSeq, check_fields, is_number, seq_from_json
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -124,16 +124,12 @@ def _seq_arg(obj):
     return seq_from_json(obj)
 
 
-def _is_number(v) -> bool:
-    return type(v) in (int, float)
-
-
 def _number(doc: dict, key: str, default=None):
     """doc[key], which must be a JSON number; default when absent or null."""
     v = doc.get(key)
     if v is None:
         return default
-    if not _is_number(v):
+    if not is_number(v):
         raise ValueError(f"{key!r} must be a JSON number or null")
     return v
 
@@ -146,12 +142,12 @@ def _path(doc: dict, key: str) -> str:
 
 
 def _numbers(v) -> bool:
-    return isinstance(v, list) and all(map(_is_number, v))
+    return isinstance(v, list) and all(map(is_number, v))
 
 
 # what each alpha params key must hold, and its test
 _ALPHA_PARAM_TYPES = {
-    "a": ("a JSON number", _is_number),
+    "a": ("a JSON number", is_number),
     "theta_grid": ("a list of JSON numbers", _numbers),
     "doubling_window": ("a list of two JSON numbers",
                         lambda v: _numbers(v) and len(v) == 2),

@@ -42,7 +42,7 @@ from .processes import (
     process_to_json,
     simulate_ensemble,
 )
-from .seqcore import TabulatedSeq, check_fields, log_grid
+from .seqcore import TabulatedSeq, check_fields, json_list, json_value, log_grid
 
 __all__ = [
     "CRITERIA_TOKENS",
@@ -157,10 +157,11 @@ def config_from_json(d: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(
             process=process_from_json(d["process"]),
             family=family_from_json(d["family"]),
-            n=int(d["n"]),
-            n_traj=int(d["n_traj"]),
-            seed=int(d.get("seed", 0)),
-            checkpoints=d.get("checkpoints"),
+            n=json_value("config n", d["n"], int),
+            n_traj=json_value("config n_traj", d["n_traj"], int),
+            seed=json_value("config seed", d.get("seed", 0), int),
+            checkpoints=(None if d.get("checkpoints") is None else
+                         json_list("config checkpoints", d["checkpoints"], int)),
             criteria=tuple(d.get("criteria", ())),
             measure=(measure_from_json(d["measure"])
                      if d.get("measure") is not None else None),

@@ -1,11 +1,11 @@
 """Interval algebra on the line and the torus, with measure oracles.
 
-Intervals are stored half-open [lo, hi) internally; closure flags are kept
-as metadata only and ignored by the Lebesgue-type oracles, which removes
-any ambiguity at shared endpoints.  Torus intervals may wrap (lo > hi) and
-are split lazily into at most two line pieces inside algorithms.  All piece
-manipulation below only ever copies existing endpoints, never invents new
-floats, so set identities hold exactly on point grids.
+Intervals are half-open [lo, hi), which removes any ambiguity at shared
+endpoints.  Torus intervals may wrap (lo > hi) and are split lazily into at
+most two line pieces inside algorithms.  All piece manipulation below only
+ever copies existing endpoints, never invents new floats, so set identities
+hold exactly on point grids.  A family of targets A_k is defined once, by
+its vector form bounds(upto); its Interval objects are read from those rows.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seqcore import RealSeq, check_fields, seq_from_json, seq_to_json
+from .seqcore import (RealSeq, check_fields, json_list, json_value, seq_from_json,
+                      seq_to_json)
 
 LINE = "line"
 TORUS = "torus"
@@ -75,17 +76,10 @@ class Interval:
         """Split into nonempty half-open line pieces (on [0,1) for the torus)."""
         if self.is_empty:
             return []
-        if self.space == LINE:
-            return [(self.lo, self.hi)]
         if self.full:
             return [(0.0, 1.0)]
         if self.wraps:
-            out = []
-            if self.lo < 1.0:
-                out.append((self.lo, 1.0))
-            if self.hi > 0.0:
-                out.append((0.0, self.hi))
-            return out
+            return [(self.lo, 1.0)] + ([(0.0, self.hi)] if self.hi > 0.0 else [])
         return [(self.lo, self.hi)]
 
     def contains(self, x):
@@ -136,10 +130,6 @@ def subtract_pieces(a, b):
         if cur < hi:
             out.append((cur, hi))
     return out
-
-
-def pieces_covered_by(a, b) -> bool:
-    return not subtract_pieces(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +212,8 @@ class TabulatedCdfMeasure(MeasureOracle):
 
 
 class IntervalFamily:
-    """Indexed family A_k, k >= 1.  Subclasses define interval(k)."""
+    """Indexed family A_k, k >= 1, defined by its vector form: a subclass
+    gives bounds(upto), and the Interval objects are read from its rows."""
 
     space: str = LINE
 
@@ -230,24 +221,24 @@ class IntervalFamily:
     def horizon(self):
         return None
 
-    def interval(self, k: int) -> Interval:
+    def bounds(self, upto: int):
+        """Arrays (lo, hi, wraps, full) for k = 1..upto, as hit tests read
+        them; lo and hi of a full row are not read."""
         raise NotImplementedError
 
     def intervals(self, lo: int, hi: int):
-        return [self.interval(k) for k in range(lo, hi + 1)]
+        """A_lo..A_hi: a full row is the whole torus, any other row
+        Interval(space, lo, hi)."""
+        if lo < 1:
+            raise IndexError(f"family indices start at 1, not {lo}")
+        if hi < lo:
+            return []
+        los, his, _, full = (a[lo - 1:].tolist() for a in self.bounds(hi))
+        return [Interval.full_torus() if f else Interval(self.space, a, b)
+                for a, b, f in zip(los, his, full)]
 
-    def bounds(self, upto: int):
-        """Vector form for hit tests: arrays (lo, hi, wraps, full) for k=1..upto."""
-        lo = np.empty(upto)
-        hi = np.empty(upto)
-        wraps = np.zeros(upto, dtype=bool)
-        full = np.zeros(upto, dtype=bool)
-        for k in range(1, upto + 1):
-            iv = self.interval(k)
-            lo[k - 1], hi[k - 1] = iv.lo, iv.hi
-            wraps[k - 1] = iv.wraps
-            full[k - 1] = iv.full
-        return lo, hi, wraps, full
+    def interval(self, k: int) -> Interval:
+        return self.intervals(k, k)[0]
 
     def measures(self, oracle: MeasureOracle, upto: int) -> np.ndarray:
         """mu(A_k) for k = 1..upto, exact through the oracle cdf."""
@@ -261,7 +252,8 @@ class IntervalFamily:
 
 @dataclass(frozen=True)
 class NestedLeftFamily(IntervalFamily):
-    """A_k = [0, r_k) with nonincreasing radii."""
+    """A_k = [0, r_k) with nonincreasing radii; on the torus a radius
+    >= 1 makes A_k the whole circle."""
 
     radius: RealSeq = None
     space: str = LINE
@@ -270,20 +262,11 @@ class NestedLeftFamily(IntervalFamily):
     def horizon(self):
         return self.radius.horizon
 
-    def interval(self, k: int) -> Interval:
-        r = self.radius.eval(k)
-        if self.space == TORUS:
-            return Interval.full_torus() if r >= 1 else Interval.torus(0.0, r)
-        return Interval.line(0.0, r)
-
     def bounds(self, upto: int):
         r = self.radius.array(1, upto)
-        lo = np.zeros(upto)
+        full = r >= 1.0 if self.space == TORUS else np.zeros(upto, dtype=bool)
         wraps = np.zeros(upto, dtype=bool)
-        if self.space == TORUS:
-            full = r >= 1.0
-            return lo, np.where(full, 0.0, r), wraps, full
-        return lo, r, wraps, np.zeros(upto, dtype=bool)
+        return np.zeros(upto), np.where(full, 0.0, r), wraps, full
 
     def check_nested(self, upto: int) -> bool:
         return self.radius.check_nonincreasing(upto)
@@ -291,20 +274,17 @@ class NestedLeftFamily(IntervalFamily):
 
 @dataclass(frozen=True)
 class NestedWindowFamily(IntervalFamily):
-    """A_k = [l_k, r_k) with l nondecreasing and r nonincreasing."""
+    """A_k = [l_k, r_k) on the line with l nondecreasing and r
+    nonincreasing; an empty window sits at l_k."""
 
     left: RealSeq = None
     right: RealSeq = None
-    space: str = LINE
+    space: str = field(default=LINE, init=False)
 
     @property
     def horizon(self):
         hs = [h for h in (self.left.horizon, self.right.horizon) if h is not None]
         return min(hs) if hs else None
-
-    def interval(self, k: int) -> Interval:
-        lo, hi = self.left.eval(k), self.right.eval(k)
-        return Interval.line(lo, max(lo, hi))
 
     def bounds(self, upto: int):
         lo = self.left.array(1, upto).astype(float)
@@ -329,32 +309,15 @@ class TorusConsecutiveFamily(IntervalFamily):
     b0: float = 0.0
     steps: RealSeq = None
     space: str = field(default=TORUS, init=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def horizon(self):
         return self.steps.horizon
 
-    def _endpoints(self, upto: int):
-        # b[k] = b_k, window k runs from b[k-1] to b[k]
-        if self._cache.get("upto", 0) < upto:
-            a = self.steps.array(1, upto)
-            b = (self.b0 + np.concatenate(([0.0], np.cumsum(a)))) % 1.0
-            self._cache.update(upto=upto, a=a, b=b)
-        a, b = self._cache["a"], self._cache["b"]
-        return a[:upto], b[: upto + 1]
-
-    def interval(self, k: int) -> Interval:
-        a, b = self._endpoints(k)
-        if a[k - 1] >= 1.0:
-            return Interval.full_torus()
-        lo, hi = float(b[k - 1]), float(b[k])
-        if lo == hi:  # zero-length step
-            return Interval(TORUS, lo, hi)
-        return Interval.torus(lo, hi)
-
     def bounds(self, upto: int):
-        a, b = self._endpoints(upto)
+        a = self.steps.array(1, upto)
+        # b[k] = b_k: window k runs from b[k-1] to b[k]
+        b = (self.b0 + np.concatenate(([0.0], np.cumsum(a)))) % 1.0
         lo, hi = b[:-1], b[1:]
         full = a >= 1.0
         wraps = (lo > hi) & ~full
@@ -363,6 +326,8 @@ class TorusConsecutiveFamily(IntervalFamily):
 
 @dataclass(frozen=True)
 class CustomFamily(IntervalFamily):
+    """A finite family given by its table of intervals, A_k = table[k-1]."""
+
     table: tuple = ()
     space: str = LINE
 
@@ -375,10 +340,14 @@ class CustomFamily(IntervalFamily):
     def horizon(self):
         return len(self.table)
 
-    def interval(self, k: int) -> Interval:
-        if not 1 <= k <= len(self.table):
+    def bounds(self, upto: int):
+        if upto > len(self.table):
             raise IndexError(f"family defined for k = 1..{len(self.table)}")
-        return self.table[k - 1]
+        ivs = self.table[:upto]
+        return (np.array([iv.lo for iv in ivs], dtype=float),
+                np.array([iv.hi for iv in ivs], dtype=float),
+                np.array([iv.wraps for iv in ivs], dtype=bool),
+                np.array([iv.full for iv in ivs], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +362,8 @@ class DisjointCover:
     gammas: list
     provenance: list
 
-    def nonempty(self):
-        return [(g, s) for g, s in zip(self.gammas, self.provenance) if not g.is_empty]
 
-
-def disjointify(family, m: int = None) -> DisjointCover:
+def disjointify(family) -> DisjointCover:
     """Greedy disjoint cover of a finite interval list, preserving the union.
 
     Follows an emptying induction: when a previously kept piece set turns
@@ -408,25 +374,20 @@ def disjointify(family, m: int = None) -> DisjointCover:
     index may own up to two output arcs.
     """
     ivs = list(family)
-    if m is None:
-        m = len(ivs)
-    if m < 1 or m != len(ivs):
-        raise ValueError("m must equal the family length and be >= 1")
+    if not ivs:
+        raise ValueError("disjointify needs at least one interval")
     spaces = {iv.space for iv in ivs}
     if len(spaces) > 1:
         raise ValueError("mixed spaces")
     space = spaces.pop()
 
     slots = [ivs[0].pieces()]
-    for i in range(1, m):
+    for i in range(1, len(ivs)):
         new = ivs[i].pieces()
         for k in range(i):
-            if slots[k] and pieces_covered_by(slots[k], new):
+            if slots[k] and not subtract_pieces(slots[k], new):
                 slots[k] = []
-        kept = []
-        for k in range(i):
-            kept.extend(slots[k])
-        slots.append(subtract_pieces(new, kept))
+        slots.append(subtract_pieces(new, [p for slot in slots for p in slot]))
 
     gammas, provenance = [], []
     for k, pieces in enumerate(slots):
@@ -480,15 +441,12 @@ def limsup_probe(family, measure: MeasureOracle, horizons,
     trace = np.array(
         [measure.measure_union(family.intervals(m, tail)) for m in ms]
     )
+    floor = trace[-1]
     if len(trace) >= 3:
         ta, tb, tc = trace[-3:]
         denom = (tc - tb) - (tb - ta)
         if abs(denom) > 1e-15:
             floor = tc - (tc - tb) ** 2 / denom
-        else:
-            floor = tc
-    else:
-        floor = trace[-1]
     floor = float(min(max(floor, 0.0), trace[-1]))
     return LimsupReport(ms, trace, floor, tail)
 
@@ -506,8 +464,10 @@ def interval_to_json(iv: Interval) -> dict:
 
 def interval_from_json(d: dict) -> Interval:
     check_fields("interval", d, ("space", "lo", "hi", "full"))
-    return Interval(d.get("space", LINE), float(d.get("lo", 0.0)),
-                    float(d.get("hi", 0.0)), full=bool(d.get("full", False)))
+    return Interval(d.get("space", LINE),
+                    json_value("interval lo", d.get("lo", 0.0), float),
+                    json_value("interval hi", d.get("hi", 0.0), float),
+                    full=json_value("interval full", d.get("full", False), bool))
 
 
 def family_to_json(fam: IntervalFamily) -> dict:
@@ -546,8 +506,8 @@ def family_from_json(d: dict) -> IntervalFamily:
         return NestedWindowFamily(left=seq_from_json(d["left"]),
                                   right=seq_from_json(d["right"]))
     if t == "torus-consecutive":
-        return TorusConsecutiveFamily(b0=float(d.get("b0", 0.0)),
-                                      steps=seq_from_json(d["steps"]))
+        b0 = json_value("family b0", d.get("b0", 0.0), float)
+        return TorusConsecutiveFamily(b0=b0, steps=seq_from_json(d["steps"]))
     return CustomFamily(
         table=tuple(interval_from_json(x) for x in d["intervals"]),
         space=d.get("space", LINE))
@@ -573,7 +533,9 @@ def measure_from_json(d: dict) -> MeasureOracle:
         raise ValueError(f"unknown measure kind {k!r}")
     check_fields(f"measure {k!r}", d, ("kind",) + _MEASURE_FIELDS[k])
     if k == "lebesgue":
-        return LebesgueMeasure(tuple(d.get("support", (0.0, 1.0))))
+        return LebesgueMeasure(json_list("measure support",
+                                         d.get("support", [0.0, 1.0]), float))
     if k == "power":
-        return PowerMeasure(float(d["a"]))
-    return TabulatedCdfMeasure(d["xs"], d["Fs"])
+        return PowerMeasure(json_value("measure a", d["a"], float))
+    return TabulatedCdfMeasure(json_list("measure xs", d["xs"], float),
+                               json_list("measure Fs", d["Fs"], float))

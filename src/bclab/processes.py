@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .intervals import IntervalFamily, TabulatedCdfMeasure
-from .seqcore import check_fields
+from .seqcore import check_fields, json_value
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -207,7 +207,7 @@ class DMRProcess(SplitChainProcess):
 _VARIANTS = {cls.variant: cls for cls in (
     IIDProcess, LSVProcess, ARHalfProcess, CircleRWProcess,
     SplitChainProcess, DMRProcess)}
-_COERCE = {"float": float, "int": int, "str": str}
+_FIELD_TYPES = {"float": float, "int": int, "str": str}
 
 
 def process_to_json(spec: ProcessSpec) -> dict:
@@ -221,7 +221,7 @@ def process_to_json(spec: ProcessSpec) -> dict:
 
 def process_from_json(d: dict) -> ProcessSpec:
     """Spec from its JSON: "variant" and init fields only, those without a
-    default required, each value coerced to its annotated type."""
+    default required, each value a JSON value of its annotated type."""
     v = d.get("variant")
     if v not in _VARIANTS:
         raise ValueError(f"unknown process variant {v!r}")
@@ -230,7 +230,8 @@ def process_from_json(d: dict) -> ProcessSpec:
     kw = {}
     for name, f in init.items():
         if name in d:
-            kw[name] = _COERCE[f.type](d[name])
+            kw[name] = json_value(f"process {v!r} {name}", d[name],
+                                  _FIELD_TYPES[f.type])
         elif f.default is MISSING:
             raise ValueError(f"process {v!r} missing required field {name!r}")
     spec = _VARIANTS[v](**kw)

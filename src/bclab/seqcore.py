@@ -36,7 +36,9 @@ class RealSeq:
         return None
 
     def eval(self, n: int) -> float:
-        raise NotImplementedError
+        """v_n, read from the vector form."""
+        self._require_in_domain(n)
+        return float(self.array(n, n)[0])
 
     def array(self, lo: int, hi: int) -> np.ndarray:
         """Values v_lo..v_hi inclusive."""
@@ -73,10 +75,6 @@ class TabulatedSeq(RealSeq):
     def horizon(self):
         return self.start + len(self.values) - 1
 
-    def eval(self, n: int) -> float:
-        self._require_in_domain(n)
-        return float(self.values[n - self.start])
-
     def array(self, lo: int, hi: int) -> np.ndarray:
         self._require_in_domain(lo)
         self._require_in_domain(hi)
@@ -106,10 +104,6 @@ class PowerLogSeq(RealSeq):
             raise SeqDomainError("power terms need start >= 1")
         if self.q != 0 and self.start + self.shift < 2:
             raise SeqDomainError("log terms need start + shift >= 2 so log > 0")
-
-    def eval(self, n: int) -> float:
-        self._require_in_domain(n)
-        return float(self.array(n, n)[0])
 
     def array(self, lo: int, hi: int) -> np.ndarray:
         self._require_in_domain(lo)
@@ -159,10 +153,6 @@ class GeometricSeq(RealSeq):
     def __post_init__(self):
         if self.c < 0 or self.r < 0:
             raise SeqDomainError("geometric sequence needs c, r >= 0")
-
-    def eval(self, n: int) -> float:
-        self._require_in_domain(n)
-        return float(self.c * self.r**n)
 
     def array(self, lo: int, hi: int) -> np.ndarray:
         self._require_in_domain(lo)
@@ -224,22 +214,13 @@ def huber(x):
 
 def seq_to_json(v: RealSeq) -> dict:
     if isinstance(v, PowerLogSeq):
-        return {
-            "template": "powerlog",
-            "c": v.c,
-            "p": v.p,
-            "q": v.q,
-            "shift": v.shift,
-            "start": v.start,
-        }
+        return {"template": "powerlog", "c": v.c, "p": v.p, "q": v.q,
+                "shift": v.shift, "start": v.start}
     if isinstance(v, GeometricSeq):
         return {"template": "geometric", "c": v.c, "r": v.r, "start": v.start}
     if isinstance(v, TabulatedSeq):
-        return {
-            "template": "tabulated",
-            "values": [float(x) for x in v.values],
-            "start": v.start,
-        }
+        return {"template": "tabulated", "values": v.values.tolist(),
+                "start": v.start}
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
@@ -251,8 +232,34 @@ def check_fields(what: str, d: dict, allowed) -> None:
         raise ValueError(f"{what} has unknown fields {unknown}")
 
 
-# template: (constructor, {field: default}); each value is coerced to the
-# type of its default
+# the json.loads types each field type accepts; a bool is no integer
+_JSON_KINDS = {int: ((int,), "integer"), float: ((int, float), "number"),
+               str: ((str,), "string"), bool: ((bool,), "boolean")}
+
+
+def is_number(v) -> bool:
+    return type(v) in _JSON_KINDS[float][0]
+
+
+def json_value(what: str, v, kind: type):
+    """v as kind, if it is a JSON value of that kind; never converts, so
+    1000.7 is no integer and "0.5" no number."""
+    types, name = _JSON_KINDS[kind]
+    if type(v) not in types:
+        raise ValueError(f"{what} must be a JSON {name}, not {v!r}")
+    return kind(v)
+
+
+def json_list(what: str, v, kind: type) -> list:
+    """v, if it is a JSON list of values of one kind (see json_value)."""
+    types, name = _JSON_KINDS[kind]
+    if not isinstance(v, list) or any(type(x) not in types for x in v):
+        raise ValueError(f"{what} must be a list of JSON {name}s")
+    return v
+
+
+# template: (constructor, {field: default}); each value must have the
+# JSON type of its default
 _SEQ_TEMPLATES = {
     "powerlog": (PowerLogSeq,
                  {"c": 1.0, "p": 0.0, "q": 0.0, "shift": 0.0, "start": 1}),
@@ -266,11 +273,12 @@ def seq_from_json(obj: dict) -> RealSeq:
     kind = obj.get("template", "powerlog")
     if kind == "tabulated":
         check_fields("sequence 'tabulated'", obj, ("template", "values", "start"))
-        return TabulatedSeq(
-            np.asarray(obj["values"], dtype=float), start=int(obj.get("start", 1))
-        )
+        values = json_list("sequence 'tabulated' values", obj["values"], float)
+        start = json_value("sequence 'tabulated' start", obj.get("start", 1), int)
+        return TabulatedSeq(np.asarray(values, dtype=float), start=start)
     if kind not in _SEQ_TEMPLATES:
         raise ValueError(f"unknown sequence template {kind!r}")
     make, defaults = _SEQ_TEMPLATES[kind]
     check_fields(f"sequence {kind!r}", obj, ("template", *defaults))
-    return make(**{k: type(v)(obj.get(k, v)) for k, v in defaults.items()})
+    return make(**{k: json_value(f"sequence {kind!r} {k}", obj.get(k, v), type(v))
+                   for k, v in defaults.items()})

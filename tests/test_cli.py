@@ -137,6 +137,55 @@ class TestSimulate:
         assert not (tmp_path / "r").exists()
 
 
+    @pytest.mark.parametrize("doc, error", [
+        ({**HARMONIC_CFG, "n": 1000.7}, "config n must be a JSON integer"),
+        ({**HARMONIC_CFG, "n_traj": "20"},
+         "config n_traj must be a JSON integer"),
+        ({**HARMONIC_CFG, "n_traj": True},
+         "config n_traj must be a JSON integer"),
+        ({**HARMONIC_CFG, "seed": 1.9}, "config seed must be a JSON integer"),
+        ({**HARMONIC_CFG, "checkpoints": [10.5, 1000]},
+         "config checkpoints must be a list of JSON integers"),
+        ({**HARMONIC_CFG, "process": {"variant": "lsv", "gamma": "0.5"}},
+         "process 'lsv' gamma must be a JSON number"),
+        ({**HARMONIC_CFG, "process": {"variant": "dmr", "a": True}},
+         "process 'dmr' a must be a JSON number"),
+        ({**HARMONIC_CFG, "family": {
+            **HARMONIC_CFG["family"],
+            "radius": {**HARMONIC_CFG["family"]["radius"], "start": 1.9}}},
+         "sequence 'powerlog' start must be a JSON integer"),
+        ({**HARMONIC_CFG, "family": {
+            **HARMONIC_CFG["family"],
+            "radius": {**HARMONIC_CFG["family"]["radius"], "c": "1.0"}}},
+         "sequence 'powerlog' c must be a JSON number"),
+    ], ids=["n-float", "n-traj-string", "n-traj-bool", "seed-float",
+            "checkpoint-float", "gamma-string", "dmr-a-bool",
+            "sequence-start-float", "sequence-c-string"])
+    def test_wrongly_typed_config_value_exit_4(self, tmp_path, capsys, doc,
+                                               error):
+        # nothing is truncated or converted: a bad value is a config error
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 4
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_readme_quick_start_verbatim(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(
+            r"cat > harmonic\.json <<'EOF'\n(.*?\n)EOF\n\nbclab simulate "
+            r"--config harmonic\.json --out runs/harmonic --predict SBC\n"
+            r"```\n\n```\n(.*?)\n```", readme, re.S)
+        cfg = tmp_path / "harmonic.json"
+        cfg.write_text(example[1])
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "runs" / "harmonic"),
+                     "--predict", "SBC"])
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == example[2].splitlines()
+        assert len(printed) == 3 and code == 0
+
+
 class TestCriteria:
     def test_satisfied_exit_0(self, tmp_path, capsys):
         spec = write_json(tmp_path / "c.json", {

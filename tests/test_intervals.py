@@ -9,6 +9,7 @@ from bclab.intervals import (
     LebesgueMeasure,
     NestedLeftFamily,
     NestedWindowFamily,
+    TORUS,
     PowerMeasure,
     TabulatedCdfMeasure,
     TorusConsecutiveFamily,
@@ -21,7 +22,13 @@ from bclab.intervals import (
     normalize_pieces,
     subtract_pieces,
 )
-from bclab.seqcore import PowerLogSeq, TabulatedSeq, constant_seq
+from bclab.seqcore import (
+    GeometricSeq,
+    HorizonExhausted,
+    PowerLogSeq,
+    TabulatedSeq,
+    constant_seq,
+)
 
 
 def L(lo, hi):
@@ -266,8 +273,8 @@ class TestFamilies:
         lo, hi, wraps, full = fam.bounds(40)
         for k in (1, 7, 23, 40):
             iv = fam.interval(k)
-            assert lo[k - 1] == pytest.approx(iv.lo)
-            assert hi[k - 1] == pytest.approx(iv.hi)
+            assert lo[k - 1] == iv.lo
+            assert hi[k - 1] == iv.hi
             assert wraps[k - 1] == iv.wraps
 
     def test_measures_vectorized(self):
@@ -295,3 +302,63 @@ class TestFamilies:
             for k in (1, 2):
                 a, b = fam.interval(k), fam2.interval(k)
                 assert (a.lo, a.hi, a.full) == (b.lo, b.hi, b.full)
+
+
+class TestVectorForm:
+    """Sequences and families are defined once, by array and bounds: eval,
+    interval and intervals read that form bit for bit."""
+
+    N = 2000
+    GEOMETRIC = GeometricSeq(c=1.0, r=0.9)
+
+    @pytest.mark.parametrize("seq", [
+        PowerLogSeq(c=0.7, p=0.6, q=1.5, shift=1.0),
+        GEOMETRIC,
+        TabulatedSeq(values=np.random.default_rng(5).random(N)),
+    ], ids=["powerlog", "geometric", "tabulated"])
+    def test_eval_is_array_bit_for_bit(self, seq):
+        want = seq.array(1, self.N)
+        got = np.array([seq.eval(k) for k in range(1, self.N + 1)])
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, f"{differ.size} of {self.N} indices differ"
+
+    @pytest.mark.parametrize("fam", [
+        NestedLeftFamily(radius=GEOMETRIC),
+        NestedLeftFamily(radius=PowerLogSeq(c=1.5, p=0.5), space=TORUS),
+        NestedWindowFamily(left=PowerLogSeq(c=0.2, p=-0.1),
+                           right=GeometricSeq(c=0.9, r=0.999)),
+        TorusConsecutiveFamily(b0=0.37, steps=TabulatedSeq(
+            values=np.tile([0.3, 1.0, 0.45, 0.0, 2.5], N // 5))),
+        CustomFamily(table=tuple(
+            [Interval.torus(0.8, 0.1), Interval.full_torus(),
+             Interval.torus(0.25, 0.5), Interval.torus(0.3, 0.3)] * (N // 4)),
+            space=TORUS),
+    ], ids=["nested-left-geometric", "nested-left-torus-full",
+            "nested-window", "torus-consecutive-wrapped-full", "custom-torus"])
+    def test_intervals_are_bounds_rows(self, fam):
+        lo, hi, wraps, full = fam.bounds(self.N)
+        want = [Interval.full_torus() if f else Interval(fam.space, float(a), float(b))
+                for a, b, f in zip(lo, hi, full)]
+        got = fam.intervals(1, self.N)
+        differ = [k for k, (g, w) in enumerate(zip(got, want), 1) if g != w]
+        assert len(got) == self.N and not differ, (
+            f"{len(differ)} of {self.N} intervals differ")
+        assert [iv.wraps for iv in got] == wraps.tolist()
+        for k in (1, 2, 5, 997, self.N):
+            assert fam.interval(k) == want[k - 1]
+        assert fam.intervals(7, 11) == want[6:11]
+
+    def test_indices_outside_the_family_raise(self):
+        left = NestedLeftFamily(radius=TabulatedSeq(values=np.full(5, 0.5)))
+        custom = CustomFamily(table=(L(0.0, 0.5), L(0.5, 1.0)))
+        for fam in (left, custom, NestedLeftFamily(radius=self.GEOMETRIC)):
+            with pytest.raises(IndexError):
+                fam.interval(0)
+            with pytest.raises(IndexError):
+                fam.intervals(0, 2)
+        with pytest.raises(HorizonExhausted):
+            left.interval(6)
+        with pytest.raises(IndexError):
+            custom.interval(3)
+        with pytest.raises(IndexError):
+            custom.bounds(3)

@@ -758,9 +758,11 @@ class TestSerialization:
         assert process_to_json(DMRProcess(a=2.0)) == {"variant": "dmr", "a": 2.0}
 
     def test_fields_coerced_and_required(self):
-        spec = process_from_json({"variant": "lsv", "gamma": "0.5"})
-        assert spec == LSVProcess(gamma=0.5)
-        assert type(spec.gamma) is float
+        for bad in ("0.5", True, None):
+            with pytest.raises(ValueError, match="gamma must be a JSON number"):
+                process_from_json({"variant": "lsv", "gamma": bad})
+        with pytest.raises(ValueError, match="a must be a JSON number"):
+            process_from_json({"variant": "dmr", "a": True})
         spec = process_from_json({"variant": "dmr", "a": 2})
         assert spec == DMRProcess(a=2.0) and type(spec.a) is float
         assert process_from_json({"variant": "dmr"}) == DMRProcess(a=1.0)
