@@ -169,6 +169,9 @@ class LebesgueMeasure(MeasureOracle):
     """
 
     def __init__(self, support=(0.0, 1.0)):
+        if len(support) != 2:
+            raise ValueError(f"support must be two numbers [a, b], "
+                             f"not {len(support)}")
         self.a, self.b = float(support[0]), float(support[1])
         if not self.b > self.a:
             raise ValueError("empty support")
@@ -200,6 +203,8 @@ class TabulatedCdfMeasure(MeasureOracle):
             raise ValueError("need matching 1-d arrays with >= 2 nodes")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(Fs) < 0):
             raise ValueError("xs strictly increasing, Fs nondecreasing")
+        if not np.all((Fs >= 0.0) & (Fs <= 1.0)):
+            raise ValueError("a cdf's Fs must lie in [0, 1]")
         self.xs, self.Fs = xs, Fs
 
     def cdf(self, x):

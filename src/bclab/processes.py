@@ -406,14 +406,60 @@ def init_from_uniforms(spec: ProcessSpec, us) -> float:
 
 
 # A hits.jsonl line as to_line writes it: compact JSON, keys sorted.  The
-# hit-time list's text is checked by parsing it (_canonical_hits).
+# hit-time list's text is written by _hits_body and checked by parsing it
+# (_canonical_hits).
 _CANONICAL_LINE = re.compile(
     rb'\{"hit_times":\[(.*)\],"renewal_count":(0|[1-9][0-9]*),'
     rb'"restarts":(0|[1-9][0-9]*),"trajectory":(0|[1-9][0-9]*)\}')
+_LINE = (b'{"hit_times":[%s],"renewal_count":%d,"restarts":%d,'
+         b'"trajectory":%d}')
 # 1, 10, ..., 10**17: the insertion point of v >= 1 is its digit count,
 # capped at 18
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
+# -(10**18 - 1), ..., -99, -9, 0, 10, 100, ..., 10**18: the insertion point
+# (side="right") of an int64 with d digits is 18 + d if it is >= 0, and
+# 19 - d if it is negative
+_SIGNED_DIGITS = np.array([-(10**k - 1) for k in range(18, 0, -1)] + [0]
+                          + [10**k for k in range(1, 19)], dtype=np.int64)
 _RECORD_KEYS = ("trajectory", "hit_times", "renewal_count", "restarts")
+
+
+def _hits_body(ht: np.ndarray) -> bytes:
+    """The text json.dumps writes between the brackets of ht.tolist(), for
+    any int64 array ht: the mirror of _canonical_hits.
+
+    Values are written in runs of one sign and digit count (a sorted list
+    of hit times has at most 19), each run as one fixed-width block of
+    characters: '-' if negative, the digits, then ','.
+    """
+    if ht.size == 0:
+        return b""
+    kind = np.searchsorted(_SIGNED_DIGITS, ht, side="right")
+    cuts = (np.flatnonzero(np.diff(kind)) + 1).tolist()
+    runs = []  # (start, end, negative, digits)
+    for s, e in zip([0, *cuts], [*cuts, ht.size]):
+        k = int(kind[s])
+        runs.append((s, e, int(k < 19), 19 - k if k < 19 else k - 18))
+    out = np.empty(sum((e - s) * (sign + d + 1) for s, e, sign, d in runs),
+                   dtype=np.uint8)
+    at = 0
+    for s, e, sign, d in runs:
+        block = out[at:at + (e - s) * (sign + d + 1)].reshape(e - s, -1)
+        at += block.size
+        if sign:
+            block[:, 0] = ord("-")
+        # the digits from the last, of |v| (2**63 included: negation wraps
+        # in unsigned integers), by uint32 division where every value fits
+        v = ht[s:e].astype(np.uint32 if d <= 9 else np.uint64)
+        if sign:
+            v = -v
+        for c in range(sign + d - 1, sign, -1):
+            q = v // 10
+            block[:, c] = v - 10 * q + ord("0")
+            v = q
+        block[:, sign] = v + ord("0")
+        block[:, -1] = ord(",")
+    return out[:-1].tobytes()
 
 
 def _canonical_hits(body: bytes):
@@ -458,20 +504,13 @@ class HitRecord:
         ht.flags.writeable = False
         object.__setattr__(self, "hit_times", ht)
 
-    def to_json(self) -> dict:
-        return {
-            "trajectory": self.trajectory,
-            "hit_times": self.hit_times.tolist(),
-            "renewal_count": self.renewal_count,
-            "restarts": self.restarts,
-        }
-
     def to_line(self) -> bytes:
-        """This record as one hits.jsonl line, without the newline."""
+        """This record as one hits.jsonl line, without the newline: compact
+        JSON with sorted keys, byte for byte as json.dumps writes it."""
         if self._line is not None:
             return self._line
-        return json.dumps(self.to_json(), sort_keys=True,
-                          separators=(",", ":")).encode()
+        return _LINE % (_hits_body(self.hit_times), self.renewal_count,
+                        self.restarts, self.trajectory)
 
     @staticmethod
     def from_line(line: bytes) -> "HitRecord":
@@ -495,7 +534,7 @@ class HitRecord:
 
     @staticmethod
     def from_json(d: dict) -> "HitRecord":
-        """Record from the object to_json writes; every field must be a JSON
+        """Record from a hits.jsonl object; every field must be a JSON
         integer (hit_times a flat list of them) and the counters >= 0."""
         if not isinstance(d, dict):
             raise ValueError(f"hit record must be a JSON object, "

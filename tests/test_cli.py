@@ -158,9 +158,17 @@ class TestSimulate:
             **HARMONIC_CFG["family"],
             "radius": {**HARMONIC_CFG["family"]["radius"], "c": "1.0"}}},
          "sequence 'powerlog' c must be a JSON number"),
+        ({**HARMONIC_CFG, "measure": {"kind": "lebesgue",
+                                      "support": [0.0, 1.0, 7.0]}},
+         "support must be two numbers [a, b], not 3"),
+        ({**HARMONIC_CFG, "measure": {"kind": "tabulated",
+                                      "xs": [0.0, 0.5, 1.0],
+                                      "Fs": [0.0, 0.5, 1.5]}},
+         "a cdf's Fs must lie in [0, 1]"),
     ], ids=["n-float", "n-traj-string", "n-traj-bool", "seed-float",
             "checkpoint-float", "gamma-string", "dmr-a-bool",
-            "sequence-start-float", "sequence-c-string"])
+            "sequence-start-float", "sequence-c-string",
+            "lebesgue-support-three-numbers", "tabulated-cdf-above-one"])
     def test_wrongly_typed_config_value_exit_4(self, tmp_path, capsys, doc,
                                                error):
         # nothing is truncated or converted: a bad value is a config error

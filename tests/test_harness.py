@@ -250,6 +250,25 @@ class TestEmitAndReload:
         for name in ("hits.jsonl", "summary.csv", "criteria.json", "config.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
+    def test_large_run_writes_json_dumps_lines(self, tmp_path):
+        # over 1e5 hit times, of 1 to 5 digits: hits.jsonl is byte for
+        # byte what json.dumps writes for each record
+        cfg = small_cfg(process=DMRProcess(a=1.0),
+                        family=NestedLeftFamily(radius=constant_seq(0.5)),
+                        n=99_999, n_traj=3, seed=4)
+        rep = run_experiment(cfg)
+        emit_report(rep, out_dir=tmp_path)
+        hits = np.concatenate([r.hit_times for r in rep.records])
+        assert hits.size > 10**5
+        assert hits.min() < 10 and hits.max() >= 10**4
+        assert (tmp_path / "hits.jsonl").read_bytes() == b"".join(
+            json.dumps({"trajectory": r.trajectory,
+                        "hit_times": r.hit_times.tolist(),
+                        "renewal_count": r.renewal_count,
+                        "restarts": r.restarts},
+                       sort_keys=True, separators=(",", ":")).encode() + b"\n"
+            for r in rep.records)
+
     def test_md_summary_golden(self, tmp_path):
         cfg = small_cfg(n_traj=2, seed=9)
         rep = run_experiment(cfg)

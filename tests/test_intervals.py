@@ -129,6 +129,21 @@ class TestMeasures:
         assert m.measure(L(0.0, 0.5)) == pytest.approx(0.8)
         assert m.measure(L(0.25, 0.75)) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("make, error", [
+        (lambda: LebesgueMeasure((0.0, 1.0, 7.0)), "two numbers"),
+        (lambda: LebesgueMeasure((0.5,)), "two numbers"),
+        (lambda: TabulatedCdfMeasure([0.0, 0.5, 1.0], [0.0, 0.5, 1.5]),
+         r"in \[0, 1\]"),
+        (lambda: TabulatedCdfMeasure([0.0, 1.0], [-0.5, 1.0]),
+         r"in \[0, 1\]"),
+        (lambda: TabulatedCdfMeasure([0.0, 1.0], [0.0, np.nan]),
+         r"in \[0, 1\]"),
+    ], ids=["support-three", "support-one", "cdf-above-one", "cdf-below-zero",
+            "cdf-nan"])
+    def test_measures_of_the_wrong_shape_are_rejected(self, make, error):
+        with pytest.raises(ValueError, match=error):
+            make()
+
     def test_measure_json_round_trip(self):
         for m in (LebesgueMeasure(), PowerMeasure(2.0),
                   TabulatedCdfMeasure([0.0, 1.0], [0.0, 1.0])):

@@ -243,7 +243,7 @@ class TestSimulateHits:
         for t in (0, 3):
             solo = processes._run_block(DMRProcess(a=1.0), 600, 21, [t],
                                         fam.bounds(600))[0]
-            assert recs[t].to_json() == solo.to_json()
+            assert recs[t].to_line() == solo.to_line()
 
     def test_parallel_partition_invariance(self):
         fam = NestedLeftFamily(radius=PowerLogSeq(c=0.8, p=0.5))
@@ -257,13 +257,14 @@ class TestSimulateHits:
 
     def test_hit_record_json_round_trip(self):
         rec = one_run(DMRProcess(a=1.0), HALF, 200, seed=1)
-        assert list(rec.to_json()) == ["trajectory", "hit_times",
-                                       "renewal_count", "restarts"]
-        back = HitRecord.from_json(rec.to_json())
-        assert back.to_json() == rec.to_json()
+        d = json.loads(rec.to_line())
+        assert list(d) == ["hit_times", "renewal_count", "restarts",
+                           "trajectory"]
+        back = HitRecord.from_json(d)
+        assert back.to_line() == rec.to_line() == json_line(rec)
 
     def test_hit_record_rejects_other_fields(self):
-        d = one_run(DMRProcess(a=1.0), HALF, 200, seed=1).to_json()
+        d = json.loads(one_run(DMRProcess(a=1.0), HALF, 200, seed=1).to_line())
         old = {**d, "seed": 1, "n": 200, "drift": 0.0,
                "s_checkpoints": [[200, 3]], "renewal_times": [1, 5]}
         with pytest.raises(ValueError, match="'drift', 'n', 'renewal_times', "
@@ -273,6 +274,16 @@ class TestSimulateHits:
         with pytest.raises(ValueError, match=r"missing fields \['restarts'\]"):
             HitRecord.from_json(d)
 
+
+
+def json_line(rec) -> bytes:
+    """rec as json.dumps writes it, compact with sorted keys: the oracle
+    for to_line."""
+    return json.dumps({"trajectory": rec.trajectory,
+                       "hit_times": rec.hit_times.tolist(),
+                       "renewal_count": rec.renewal_count,
+                       "restarts": rec.restarts},
+                      sort_keys=True, separators=(",", ":")).encode()
 
 
 def canonical_line(body: str) -> bytes:
@@ -288,6 +299,12 @@ hit_lists = st.lists(
     st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(1, 2**26),
               st.integers(1, 2**63 - 1)),
     unique=True, max_size=40).map(sorted)
+INT64_EDGES = [-2**63, 2**63 - 1, 10**18, 0,
+               *DIGIT_EDGES, *(-v for v in DIGIT_EDGES)]
+int64_lists = st.lists(
+    st.one_of(st.sampled_from(INT64_EDGES), st.integers(-2**26, 2**26),
+              st.integers(-2**63, 2**63 - 1)),
+    max_size=40)
 
 
 class TestHitRecordLine:
@@ -309,9 +326,25 @@ class TestHitRecordLine:
         assert back.hit_times.dtype == np.int64
         assert (back.trajectory, back.renewal_count, back.restarts) == (
             trajectory, renewals, restarts)
-        assert back.to_line() == line
+        assert back.to_line() == line == json_line(rec)
         # values below 10**18 are parsed by numpy and the line kept as read
         assert (back.to_line() is line) == all(h < 10**18 for h in hits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(int64_lists)
+    @example([])
+    @example([0])
+    @example([-2**63])
+    @example([2**63 - 1])
+    @example(DIGIT_EDGES)
+    @example(INT64_EDGES)
+    def test_writer_is_json_dumps(self, values):
+        # any int64 array, unsorted and signed too, as json.dumps writes it
+        ht = np.array(values, dtype=np.int64)
+        assert processes._hits_body(ht) == json.dumps(
+            values, separators=(",", ":"))[1:-1].encode()
+        rec = HitRecord(5, ht, 2, 1)
+        assert rec.to_line() == json_line(rec)
 
     @pytest.mark.parametrize("body, error", [
         ("01", "Expecting"),
@@ -337,7 +370,9 @@ class TestHitRecordLine:
         assert rec.hit_times.tolist() == json.loads(f"[{body}]")
         assert rec.to_line() is not line
         assert rec.to_line() == json.dumps(
-            rec.to_json(), sort_keys=True, separators=(",", ":")).encode()
+            {"hit_times": json.loads(f"[{body}]"), "renewal_count": 0,
+             "restarts": 0, "trajectory": 0},
+            sort_keys=True, separators=(",", ":")).encode()
 
     # json.dumps of a list of integers in [1, 10**18): what the fast path
     # may read, as a slow but plainly correct grammar
@@ -359,14 +394,13 @@ class TestHitRecordLine:
         rec = one_run(DMRProcess(a=1.0), HALF, 200, seed=1)
         line = rec.to_line()
         assert line.startswith(b'{"hit_times":[')
-        d = rec.to_json()
+        d = json.loads(line)
         for text in (json.dumps(d), json.dumps(d, sort_keys=True),
                      json.dumps(dict(reversed(d.items())),
                                 separators=(",", ":")),
                      line + b" ", b"\t" + line):
             back = HitRecord.from_line(text if isinstance(text, bytes)
                                        else text.encode())
-            assert back.to_json() == d
             assert back.to_line() == line
 
     @pytest.mark.parametrize("line, error", [
@@ -439,7 +473,7 @@ class TestChunkInvariance:
     def ensemble(self, spec, workers):
         recs = simulate_ensemble(spec, HALF, 600, seed=17, n_traj=7,
                                  workers=workers)
-        return [r.to_json() for r in recs]
+        return [r.to_line() for r in recs]
 
     @pytest.mark.parametrize("spec", [
         DMRProcess(a=1.0),
@@ -453,7 +487,7 @@ class TestChunkInvariance:
         monkeypatch.setattr(processes, "_CELLS", 3 * 7)  # three-row chunks
         assert ref == self.ensemble(spec, workers=1)
         assert ref == self.ensemble(spec, workers=2)
-        assert sum(len(r["hit_times"]) for r in ref) > 1000
+        assert sum(len(json.loads(r)["hit_times"]) for r in ref) > 1000
 
 
 class TestCircleWalk:
