@@ -236,7 +236,9 @@ def _serialize_records(records: list) -> tuple:
     """(per-record digests, hits.jsonl bytes) from each record's line."""
     lines = [rec.to_line() for rec in records]
     digests = [hashlib.sha256(line).hexdigest()[:16] for line in lines]
-    return digests, b"\n".join(lines) + (b"\n" if lines else b"")
+    # one join, with the final newline as its last separator: appending it
+    # after the join would copy the whole file once more
+    return digests, b"\n".join([*lines, b""])
 
 
 def report_from_records(cfg: ExperimentConfig, records: list,

@@ -276,8 +276,7 @@ def circle_position(a: float, x0, j: np.ndarray, out=None) -> np.ndarray:
     out += j  # (frac(j H unit) + j lo) / unit
     out *= unit
     out += x0
-    np.floor(out, out=j, casting="unsafe")
-    out -= j
+    out -= np.floor(out)
     return out
 
 
@@ -570,9 +569,13 @@ class HitRecord:
 # Vectorized ensemble driver
 
 # states per chunk across the width: bounds the draws, states and hit masks
-# held at once, whatever the number of trajectories.  circle-rw chunks are
-# whole words of steps, so they hold at most max(_CELLS, 64 * width).
+# held at once, whatever the number of trajectories.
 _CELLS = 1 << 21
+# iid and circle-rw hold one trajectory's row of a chunk at a time, so their
+# rows stop shrinking past this width: at the default _CELLS they are at
+# least 16,384 steps, 128 KB of float64 states that stay in cache and
+# amortize the calls made per row.
+_ROW_WIDTH = 128
 
 
 def _init_vector(spec, gens):
@@ -580,6 +583,40 @@ def _init_vector(spec, gens):
     each stream's first init_uniform_count values."""
     count = init_uniform_count(spec)
     return np.array([init_from_uniforms(spec, g.random(count)) for g in gens])
+
+
+def _hit_test(bounds, drift, c0, m):
+    """The hit test of steps c0 + 1 .. c0 + m: a function of their states,
+    laid along the last axis (one trajectory's row, or a (width, m) block),
+    that is True where a state lies in its step's target.
+
+    A target is [lo, hi), or [lo, 1) and [0, hi) where it wraps, or the
+    whole space where it is full; drift t tests step k at x - k t mod 1.
+    """
+    lo, hi, wraps, full = (b[c0:c0 + m] for b in bounds)
+    shift = drift * np.arange(c0 + 1, c0 + m + 1) if drift else None
+    wraps = wraps if wraps.any() else None
+    full = full if full.any() else None
+
+    def test(xs):
+        if shift is not None:
+            xs = (xs - shift) % 1.0
+        hit = xs >= lo
+        hit &= xs < hi
+        if wraps is not None:
+            hit = np.where(wraps, (xs >= lo) | (xs < hi), hit)
+        if full is not None:
+            hit |= full
+        return hit
+
+    return test
+
+
+def _hit_times(hit, c0):
+    """The steps c0 + 1 + i at which the 1-d mask hit is True."""
+    times = np.flatnonzero(hit)
+    times += c0 + 1
+    return times
 
 
 def _advance_rows(spec, x, U, xs_buf, flags_buf):
@@ -624,67 +661,80 @@ def _advance_rows(spec, x, U, xs_buf, flags_buf):
     raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
-def _chunks(spec, n, gens, x):
-    """Step the trajectories of gens in lockstep from states x for n steps.
+def _chunks(spec, n, gens, x, bounds):
+    """Step the trajectories of gens in lockstep from states x for n steps,
+    testing each step's states against its row of bounds.
 
-    Yields (c0, xs, flags) per chunk: xs[i] holds the states after step
-    c0 + i + 1 and flags[i] the split-chain regeneration flags (None for
-    other variants).  iid and circle-rw chunks are computed whole, without
-    a loop over steps, and stored trajectory-major (xs is then a transposed
-    view); the other variants step row by row.  A chunk holds at most
-    _CELLS states; its buffers are reused, so each chunk is read before the
-    next is requested.  Every trajectory draws from its own stream in step
-    order, so the chunk size never changes the path.
+    Yields (x, times, counts) per chunk of steps: x holds the states
+    after its last step, times[t] the steps at which trajectory t hit its
+    target, and counts[t] the number of its steps at which a split chain
+    regenerated or an interval-map orbit lay below _DEGENERATE (None for
+    other variants).  iid and circle-rw compute a chunk one trajectory's
+    row at a time, without a loop over steps, and take its hit times
+    while the row is in cache; the other variants step all trajectories
+    row by row.  At most _CELLS states are held at once (a circle-rw row
+    is whole words of steps, at least 64), in buffers that are reused, so
+    each chunk is read before the next is requested.  Every trajectory
+    draws from its own stream in step order, so the chunk size never
+    changes the path.
     """
-    rows = max(1, min(n, _CELLS // len(gens)))
+    loop_free = isinstance(spec, (IIDProcess, CircleRWProcess))
+    width = min(len(gens), _ROW_WIDTH) if loop_free else len(gens)
+    rows = max(1, min(n, _CELLS // width))
     if isinstance(spec, IIDProcess):
-        return _iid_chunks(spec, n, gens, rows)
+        return _iid_chunks(spec, n, gens, bounds, rows)
     if isinstance(spec, CircleRWProcess):
-        return _circle_chunks(spec, n, gens, x, rows)
-    return _row_chunks(spec, n, gens, x, rows)
+        return _circle_chunks(spec, n, gens, x, bounds, rows)
+    return _row_chunks(spec, n, gens, x, bounds, rows)
 
 
-def _iid_chunks(spec, n, gens, rows):
+def _iid_chunks(spec, n, gens, bounds, rows):
     """Each step's state is the marginal's inverse cdf at its uniform."""
-    xs = np.empty((len(gens), rows))  # trajectory-major
+    x = np.empty(len(gens))
     for c0 in range(0, n, rows):
         m = min(rows, n - c0)
+        test = _hit_test(bounds, 0.0, c0, m)
+        times = []
         for t, g in enumerate(gens):
-            xs[t, :m] = spec._inverse(step_draws(spec, g, m)[:, 0])
-        yield c0, xs[:, :m].T, None
+            xs = spec._inverse(step_draws(spec, g, m)[:, 0])
+            times.append(_hit_times(test(xs), c0))
+            x[t] = xs[-1]
+        yield x, times, None
 
 
-def _circle_chunks(spec, n, gens, x, rows):
-    """x_k = x_0 + j_k a mod 1 for a whole chunk: j_k is a cumsum of the
-    +-1 steps, carried across chunks, and circle_position needs no loop.
+def _circle_chunks(spec, n, gens, x, bounds, rows):
+    """x_k = x_0 + j_k a mod 1 for a whole row: j_k is a cumsum of the +-1
+    steps, carried across chunks, and circle_position needs no loop.
 
     Every chunk but the last is whole words of steps, so each starts on a
     fresh word of every stream.  j fits int32, since |j| < 2**26.
     """
     if rows < n:
         rows = max(_WORD_BITS, rows - rows % _WORD_BITS)
-    width = len(gens)
-    xs = np.empty((width, rows))  # trajectory-major
-    steps = np.empty((width, rows), dtype=np.int8)
-    j = np.empty((width, rows), dtype=np.int32)
-    x0, j_end = x[:, None], np.zeros((width, 1), dtype=np.int32)
+    x0, x = x, np.empty(len(gens))
+    j_end = np.zeros(len(gens), dtype=np.int32)
+    j, xs = np.empty(rows, dtype=np.int32), np.empty(rows)
     for c0 in range(0, n, rows):
         m = min(rows, n - c0)
+        test = _hit_test(bounds, spec.drift, c0, m)
+        times = []
         for t, g in enumerate(gens):
-            steps[t, :m] = step_draws(spec, g, m)[:, 0]
-        s = steps[:, :m]
-        s *= -2  # bit 0: a +a step
-        s += 1
-        jm = np.cumsum(s, axis=1, dtype=np.int32, out=j[:, :m])
-        jm += j_end
-        j_end = jm[:, -1:].copy()
-        circle_position(spec.a, x0, jm, out=xs[:, :m])
-        yield c0, xs[:, :m].T, None
+            s = step_draws(spec, g, m)[:, 0].view(np.int8)
+            s *= -2  # bit 0: a +a step
+            s += 1
+            jm = np.cumsum(s, dtype=np.int32, out=j[:m])
+            jm += j_end[t]
+            j_end[t] = jm[-1]
+            xm = circle_position(spec.a, x0[t], jm, out=xs[:m])
+            times.append(_hit_times(test(xm), c0))
+            x[t] = xm[-1]
+        yield x, times, None
 
 
-def _row_chunks(spec, n, gens, x, rows):
+def _row_chunks(spec, n, gens, x, bounds, rows):
     """Chunks of the variants stepped row by row: U[i, t] holds the draws
-    of step i of trajectory t."""
+    of step i of trajectory t.  The chunk's hit mask is tested whole and
+    transposed once, so each trajectory's hits are one contiguous row."""
     width = len(gens)
     xs = np.empty((rows, width))
     flags = (np.empty((rows, width), dtype=bool)
@@ -699,19 +749,12 @@ def _row_chunks(spec, n, gens, x, rows):
             U[:m, t] = draws
         fl = None if flags is None else flags[:m]
         x = _advance_rows(spec, x, U[:m], xs[:m], fl)
-        yield c0, xs[:m], fl
-
-
-def _scatter(mask, c0):
-    """(column, step times) for every column of mask with a True entry.
-
-    One pass over the chunk: nonzero of the transpose lists entries column
-    by column in step order, and bincount offsets split them per column.
-    """
-    cols, rows = np.nonzero(mask.T)
-    counts = np.bincount(cols, minlength=mask.shape[1])
-    pieces = np.split(rows + (c0 + 1), np.cumsum(counts)[:-1])
-    return [(j, pieces[j]) for j in np.flatnonzero(counts)]
+        test = _hit_test(bounds, 0.0, c0, m)
+        times = [_hit_times(hit, c0)
+                 for hit in np.ascontiguousarray(test(xs[:m].T))]
+        if isinstance(spec, LSVProcess):
+            fl = xs[:m] < _DEGENERATE
+        yield x, times, None if fl is None else fl.sum(axis=0)
 
 
 def _run_block(spec, n, seed, traj_ids, bounds, restart=0):
@@ -721,39 +764,24 @@ def _run_block(spec, n, seed, traj_ids, bounds, restart=0):
     together on their next restart stream, at most 8 times.
     """
     spec.validate()
-    drift = spec.drift if isinstance(spec, CircleRWProcess) else 0.0
-    lo, hi, wraps, full = bounds
     width = len(traj_ids)
     gens = [make_generator(seed, t, restart) for t in traj_ids]
     hits = [[] for _ in range(width)]
     rcount = np.zeros(width, dtype=int)
     degenerate = np.zeros(width, dtype=bool)
 
-    for c0, xs, flags in _chunks(spec, n, gens, _init_vector(spec, gens)):
-        m = xs.shape[0]
+    for _, times, counts in _chunks(spec, n, gens, _init_vector(spec, gens),
+                                    bounds):
+        for h, ts in zip(hits, times):
+            h.append(ts)
         if isinstance(spec, LSVProcess):
-            degenerate |= (xs < _DEGENERATE).any(axis=0)
-        ks = np.arange(c0 + 1, c0 + m + 1)
-        pts = xs if drift == 0.0 else (xs - drift * ks[:, None]) % 1.0
-        blo = lo[c0 : c0 + m, None]
-        bhi = hi[c0 : c0 + m, None]
-        bw = wraps[c0 : c0 + m, None]
-        bf = full[c0 : c0 + m, None]
-        hit = (pts >= blo) & (pts < bhi)
-        if bw.any():
-            hit = np.where(bw, (pts >= blo) | (pts < bhi), hit)
-        if bf.any():
-            hit |= bf
-        for j, times in _scatter(hit, c0):
-            hits[j].append(times)
-        if flags is not None:
-            rcount += flags.sum(axis=0)
+            degenerate |= counts > 0
+        elif counts is not None:
+            rcount += counts
 
-    out = []
-    for j, t in enumerate(traj_ids):
-        ht = np.concatenate(hits[j]) if hits[j] else np.zeros(0, dtype=int)
-        out.append(HitRecord(trajectory=t, hit_times=ht,
-                             renewal_count=int(rcount[j]), restarts=restart))
+    out = [HitRecord(trajectory=t, hit_times=np.concatenate(h),
+                     renewal_count=int(r), restarts=restart)
+           for t, h, r in zip(traj_ids, hits, rcount)]
     if degenerate.any():
         redo = [traj_ids[j] for j in np.flatnonzero(degenerate)]
         if restart == 8:

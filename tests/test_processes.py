@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bclab import processes
-from bclab.intervals import CustomFamily, Interval, NestedLeftFamily
+from bclab.intervals import (
+    TORUS,
+    CustomFamily,
+    Interval,
+    NestedLeftFamily,
+    TorusConsecutiveFamily,
+)
 from bclab.processes import (
     ARHalfProcess,
     CIRCLE_MAX_STEPS,
@@ -38,7 +44,7 @@ from bclab.processes import (
     simulate_ensemble,
     step_draws,
 )
-from bclab.seqcore import PowerLogSeq, constant_seq, log_grid
+from bclab.seqcore import PowerLogSeq, constant_seq, log_grid, power_seq
 
 UNIT = NestedLeftFamily(radius=constant_seq(1.0))
 HALF = NestedLeftFamily(radius=constant_seq(0.5))
@@ -58,8 +64,8 @@ def states_at(spec, n, seed, n_traj):
     """X_n of trajectories 0..n_traj-1, each from its stationary start."""
     gens = [make_generator(seed, t) for t in range(n_traj)]
     x = processes._init_vector(spec, gens)
-    for _, xs, _ in processes._chunks(spec, n, gens, x):
-        x = xs[-1].copy()
+    for x, _, _ in processes._chunks(spec, n, gens, x, HALF.bounds(n)):
+        pass
     return x
 
 
@@ -489,6 +495,84 @@ class TestChunkInvariance:
         assert ref == self.ensemble(spec, workers=2)
         assert sum(len(json.loads(r)["hit_times"]) for r in ref) > 1000
 
+    @pytest.mark.parametrize("spec", [
+        CircleRWProcess(a=0.37, drift=0.2),
+        IIDProcess(marginal="power", power=0.4),
+    ], ids=["circle-drift", "iid-power"])
+    def test_rows_past_the_row_width_match(self, monkeypatch, spec):
+        # 3-step rows (64 for circle-rw) at 130 trajectories, where the
+        # width no longer shortens them, and 54-step rows at 7
+        monkeypatch.setattr(processes, "_CELLS", 3 * processes._ROW_WIDTH)
+        wide = simulate_ensemble(spec, HALF, 600, seed=17, n_traj=130)
+        assert [r.to_line() for r in wide[:7]] == self.ensemble(spec, 1)
+
+
+# windows of 0.37 from 0.2: every few steps one wraps past 1
+WRAPPING = TorusConsecutiveFamily(b0=0.2, steps=constant_seq(0.37))
+# radii 1.5 k**-0.1 are >= 1, the whole circle, up to k = 57
+FULL_FIRST = NestedLeftFamily(radius=power_seq(1.5, 0.1), space=TORUS)
+
+
+def replay_hits(spec, family, n, seed, trajectory):
+    """Hit times of one trajectory stepped by process_step, each state
+    tested by Interval.contains in the drift frame."""
+    gen = make_generator(seed, trajectory)
+    x = init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
+    drift = getattr(spec, "drift", 0.0)
+    hits = []
+    for k, (draws, iv) in enumerate(
+            zip(step_draws(spec, gen, n), family.intervals(1, n)), start=1):
+        x, _ = process_step(spec, x, draws)
+        if iv.contains((x - drift * k) % 1.0 if drift else x):
+            hits.append(k)
+    return hits
+
+
+class TestTargetRows:
+    @pytest.mark.parametrize("family", [WRAPPING, FULL_FIRST],
+                             ids=["wrapping", "full-first"])
+    @pytest.mark.parametrize("spec", [
+        CircleRWProcess(a=0.37),
+        CircleRWProcess(a=0.37, drift=0.2),
+        IIDProcess(),
+        DMRProcess(a=1.0),
+        LSVProcess(gamma=0.6),
+    ], ids=["circle", "circle-drift", "iid", "dmr", "lsv"])
+    @pytest.mark.parametrize("cells", [None, 3 * 3],
+                             ids=["default-chunks", "tiny-chunks"])
+    def test_wrapping_and_full_rows_match_scalar_replay(
+            self, monkeypatch, spec, family, cells):
+        n = 300
+        _, _, wraps, full = family.bounds(n)
+        assert 0 < (wraps | full).sum() < n  # mixed with ordinary rows
+        if cells is not None:
+            monkeypatch.setattr(processes, "_CELLS", cells)
+        recs = simulate_ensemble(spec, family, n, seed=19, n_traj=3)
+        for rec in recs:
+            assert rec.hit_times.tolist() == replay_hits(
+                spec, family, n, 19, rec.trajectory)
+
+    @pytest.mark.parametrize("spec, family", [
+        (IIDProcess(marginal="power", power=0.4), UNIT),
+        (CircleRWProcess(a=0.37), UNIT),
+        (DMRProcess(a=1.0), UNIT),
+        (SplitChainProcess(s_kind="const", s_scale=0.3, q1="nu"), UNIT),
+        (LSVProcess(gamma=0.6), UNIT),
+        # ar-half states lie in [0, 2)
+        (ARHalfProcess(), NestedLeftFamily(radius=constant_seq(2.0))),
+    ], ids=["iid", "circle-rw", "dmr", "split-chain", "lsv", "ar-half"])
+    @pytest.mark.parametrize("cells", [3 * 3, 3 * 130],
+                             ids=["3-rows", "130-rows"])
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_every_step_hits_across_chunk_edges(self, monkeypatch, spec,
+                                                family, cells, n):
+        # chunks of 3 or 130 steps; circle-rw cuts its chunks on whole
+        # 64-step words, so 64 or 128 steps, and n = 200 ends inside a word
+        monkeypatch.setattr(processes, "_CELLS", cells)
+        recs = simulate_ensemble(spec, family, n, seed=23, n_traj=3)
+        assert [r.hit_times.tolist() for r in recs] == [
+            list(range(1, n + 1))] * 3
+
 
 class TestCircleWalk:
     @pytest.mark.parametrize("a", [0.31, GOLDEN_CONJUGATE], ids=["0.31", "golden"])
@@ -553,7 +637,8 @@ class TestDrawBudget:
         monkeypatch.setattr(processes, "_CELLS", cells)
         gens = [make_generator(4, t) for t in range(3)]
         for _ in processes._chunks(spec, n, gens,
-                                   processes._init_vector(spec, gens)):
+                                   processes._init_vector(spec, gens),
+                                   HALF.bounds(n)):
             pass
         scalar = [make_generator(4, t) for t in range(3)]
         budget = [make_generator(4, t) for t in range(3)]
