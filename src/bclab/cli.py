@@ -51,7 +51,7 @@ from .mixing import (
     profile_to_csv,
 )
 from .processes import GOLDEN_CONJUGATE
-from .seqcore import TabulatedSeq, check_fields, is_number, seq_from_json
+from .seqcore import check_fields, is_number, seq_from_json
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -242,9 +242,8 @@ def _dispatch_criteria(doc: dict):
                              f"within [1, {cfg.n}]")
         report = report_from_records(cfg, records)
         ens = PathEnsemble(report.checkpoints, report.s_values)
-        return check_f_criteria(ens, TabulatedSeq(np.cumsum(report.masses)),
-                                doc.get("mode", "ii"), subsequence=sub,
-                                mu_A=TabulatedSeq(report.masses))
+        return check_f_criteria(ens, report.e_seq, doc.get("mode", "ii"),
+                                subsequence=sub, mu_A=report.mu_seq)
 
 
 def _cmd_criteria(args) -> int:

@@ -56,6 +56,7 @@ from .seqcore import (
     GeometricSeq,
     PowerLogSeq,
     RealSeq,
+    SampledSeq,
     TabulatedSeq,
     check_fields,
     huber,
@@ -192,6 +193,10 @@ def _seq_fingerprint(seq) -> dict:
                 np.asarray(seq.values, dtype=float).tobytes()
             ).hexdigest()[:16],
         }
+    if isinstance(seq, SampledSeq):
+        # the same fingerprint as TabulatedSeq of the whole table
+        return {"kind": "tabulated", "start": int(seq.start),
+                "n": seq.length, "sha": seq.sha256[:16]}
     if isinstance(seq, PowerLogSeq):
         return {
             "kind": "powerlog",

@@ -42,7 +42,8 @@ from .processes import (
     process_to_json,
     simulate_ensemble,
 )
-from .seqcore import TabulatedSeq, check_fields, json_list, json_value, log_grid
+from .seqcore import (SampledSeq, TableSampler, check_fields, json_list,
+                      json_value, log_grid)
 
 __all__ = [
     "CRITERIA_TOKENS",
@@ -69,6 +70,10 @@ BC_MIN_GROWTH = 1.0
 L1_DECAY_FACTOR = 0.9
 SBC_MEAN_BAND = (0.8, 1.2)
 SBC_QUANTILE_BAND = (0.5, 1.5)
+
+# family indices per window of the statistics pass: masses, E and their
+# fingerprints are computed this many at a time, whatever n is
+_WINDOW = 1 << 16
 
 
 @dataclass
@@ -203,9 +208,12 @@ class ExperimentReport:
     """Run outputs: records, checkpoint statistics, criterion reports.
 
     All statistics are pure functions of (config, records); ``s_values``
-    is the trajectory-by-checkpoint hit-count matrix, ``masses`` holds
-    mu(A_k) for k = 1..n and ``hits_jsonl`` the records serialized once,
-    as ``hits.jsonl`` holds them.
+    is the trajectory-by-checkpoint hit-count matrix and ``hits_jsonl``
+    the records serialized once, as ``hits.jsonl`` holds them.
+    ``e_seq`` and ``mu_seq`` are E_n = mu(A_1) + ... + mu(A_n) and
+    mu(A_n), kept at the checkpoints only (``e_checkpoints`` is E's
+    values there) but fingerprinted as the tables over k = 1..n that the
+    criteria read.  No array of length n is kept.
     """
 
     config: ExperimentConfig
@@ -220,7 +228,8 @@ class ExperimentReport:
     hit_frac_late: np.ndarray
     record_digests: list
     hits_jsonl: bytes = field(repr=False)
-    masses: np.ndarray = field(repr=False)
+    e_seq: SampledSeq = field(repr=False)
+    mu_seq: SampledSeq = field(repr=False)
     criteria: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
     timestamp: str = ""
@@ -241,16 +250,30 @@ def _serialize_records(records: list) -> tuple:
     return digests, b"\n".join([*lines, b""])
 
 
+def _expected(cfg: ExperimentConfig, cps: np.ndarray) -> tuple:
+    """(E, mu) at the checkpoints cps as SampledSeqs, from one walk over
+    the family's masses in windows.  Each window's cumsum starts from the
+    running sum carried into its first term, so E is np.cumsum of all n
+    masses bit for bit."""
+    e_tab, mu_tab = TableSampler(cps), TableSampler(cps)
+    total = 0.0
+    for _, w in cfg.family.windows(cfg.n, _WINDOW, marginal_measure(cfg)):
+        mu_tab.add(w)
+        w[0] += total
+        np.cumsum(w, out=w)
+        total = w[-1]
+        e_tab.add(w)
+    return e_tab.seq(), mu_tab.seq()
+
+
 def report_from_records(cfg: ExperimentConfig, records: list,
                         wall_clock_s: float = 0.0,
                         timestamp: str = "") -> ExperimentReport:
     """Deterministic statistics pass over persisted records."""
     cfg.validate()
-    measure = marginal_measure(cfg)
-    masses = cfg.family.measures(measure, cfg.n)
-    e_dense = np.cumsum(masses)
     cps = np.asarray(cfg.checkpoints, dtype=np.int64)
-    e_cp = e_dense[cps - 1]
+    e_seq, mu_seq = _expected(cfg, cps)
+    e_cp = e_seq.values
 
     # S at each checkpoint and a decade before it: one search per record
     probes = np.concatenate((cps, cps // 10))
@@ -274,8 +297,6 @@ def report_from_records(cfg: ExperimentConfig, records: list,
     criteria = {}
     if cfg.criteria and len(records):
         ens = PathEnsemble(cps, s)
-        e_seq = TabulatedSeq(e_dense)
-        mu_seq = TabulatedSeq(masses)
         for token in cfg.criteria:
             mode = token[len("f-"):]
             criteria[token] = check_f_criteria(ens, e_seq, mode, mu_A=mu_seq)
@@ -285,7 +306,7 @@ def report_from_records(cfg: ExperimentConfig, records: list,
         config=cfg, records=records, checkpoints=cps, e_checkpoints=e_cp,
         s_values=s, mean_ratio=mean_ratio, median_s=median_s, q10=q10,
         q90=q90, hit_frac_late=hit_frac_late, record_digests=digests,
-        hits_jsonl=hits_jsonl, masses=masses, criteria=criteria,
+        hits_jsonl=hits_jsonl, e_seq=e_seq, mu_seq=mu_seq, criteria=criteria,
         wall_clock_s=wall_clock_s, timestamp=timestamp,
     )
 

@@ -5,7 +5,8 @@ endpoints.  Torus intervals may wrap (lo > hi) and are split lazily into at
 most two line pieces inside algorithms.  All piece manipulation below only
 ever copies existing endpoints, never invents new floats, so set identities
 hold exactly on point grids.  A family of targets A_k is defined once, by
-its vector form bounds(upto); its Interval objects are read from those rows.
+its vector form bounds(lo, hi) on a window of indices; its Interval objects
+are read from those rows, and runs walk the family window by window.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ class TabulatedCdfMeasure(MeasureOracle):
 
 class IntervalFamily:
     """Indexed family A_k, k >= 1, defined by its vector form: a subclass
-    gives bounds(upto), and the Interval objects are read from its rows."""
+    gives bounds(lo, hi) for any window of indices, and the Interval
+    objects are read from its rows."""
 
     space: str = LINE
 
@@ -226,10 +228,22 @@ class IntervalFamily:
     def horizon(self):
         return None
 
-    def bounds(self, upto: int):
-        """Arrays (lo, hi, wraps, full) for k = 1..upto, as hit tests read
-        them; lo and hi of a full row are not read."""
+    def bounds(self, lo: int, hi: int, carry: dict = None):
+        """Arrays (lo, hi, wraps, full) for k = lo..hi, as hit tests read
+        them; lo and hi of a full row are not read.  A walk over
+        consecutive windows hands one carry dict to each (see windows)."""
         raise NotImplementedError
+
+    def windows(self, n: int, size: int, oracle: MeasureOracle = None):
+        """(lo, values) for the windows lo..lo + size - 1 that cover k =
+        1..n, in order: values is bounds(lo, hi), or measures(oracle, lo,
+        hi) when an oracle is given.  The windows share one carry, so a
+        family whose rows build on earlier rows computes each row once."""
+        carry = {}
+        for lo in range(1, n + 1, size):
+            hi = min(lo + size - 1, n)
+            yield lo, (self.bounds(lo, hi, carry) if oracle is None
+                       else self.measures(oracle, lo, hi, carry))
 
     def intervals(self, lo: int, hi: int):
         """A_lo..A_hi: a full row is the whole torus, any other row
@@ -238,20 +252,21 @@ class IntervalFamily:
             raise IndexError(f"family indices start at 1, not {lo}")
         if hi < lo:
             return []
-        los, his, _, full = (a[lo - 1:].tolist() for a in self.bounds(hi))
+        los, his, _, full = (a.tolist() for a in self.bounds(lo, hi))
         return [Interval.full_torus() if f else Interval(self.space, a, b)
                 for a, b, f in zip(los, his, full)]
 
     def interval(self, k: int) -> Interval:
         return self.intervals(k, k)[0]
 
-    def measures(self, oracle: MeasureOracle, upto: int) -> np.ndarray:
-        """mu(A_k) for k = 1..upto, exact through the oracle cdf."""
-        lo, hi, wraps, full = self.bounds(upto)
-        flat = oracle.cdf(hi) - oracle.cdf(lo)
-        wrapped = (oracle.cdf(1.0) - oracle.cdf(lo)) + (oracle.cdf(hi) - oracle.cdf(0.0))
-        out = np.where(wraps, wrapped, flat)
-        out[full] = oracle.cdf(1.0) - oracle.cdf(0.0)
+    def measures(self, oracle: MeasureOracle, lo: int, hi: int,
+                 carry: dict = None) -> np.ndarray:
+        """mu(A_k) for k = lo..hi, exact through the oracle cdf."""
+        lo, hi, wraps, full = self.bounds(lo, hi, carry)
+        at_lo, at_hi = oracle.cdf(lo), oracle.cdf(hi)
+        at_0, at_1 = oracle.cdf(0.0), oracle.cdf(1.0)
+        out = np.where(wraps, (at_1 - at_lo) + (at_hi - at_0), at_hi - at_lo)
+        out[full] = at_1 - at_0
         return np.maximum(out, 0.0)
 
 
@@ -267,11 +282,12 @@ class NestedLeftFamily(IntervalFamily):
     def horizon(self):
         return self.radius.horizon
 
-    def bounds(self, upto: int):
-        r = self.radius.array(1, upto)
-        full = r >= 1.0 if self.space == TORUS else np.zeros(upto, dtype=bool)
-        wraps = np.zeros(upto, dtype=bool)
-        return np.zeros(upto), np.where(full, 0.0, r), wraps, full
+    def bounds(self, lo: int, hi: int, carry: dict = None):
+        r = self.radius.array(lo, hi)
+        size = len(r)
+        full = r >= 1.0 if self.space == TORUS else np.zeros(size, dtype=bool)
+        wraps = np.zeros(size, dtype=bool)
+        return np.zeros(size), np.where(full, 0.0, r), wraps, full
 
     def check_nested(self, upto: int) -> bool:
         return self.radius.check_nonincreasing(upto)
@@ -291,11 +307,11 @@ class NestedWindowFamily(IntervalFamily):
         hs = [h for h in (self.left.horizon, self.right.horizon) if h is not None]
         return min(hs) if hs else None
 
-    def bounds(self, upto: int):
-        lo = self.left.array(1, upto).astype(float)
-        hi = np.maximum(lo, self.right.array(1, upto))
-        flags = np.zeros(upto, dtype=bool)
-        return lo, hi, flags, flags.copy()
+    def bounds(self, lo: int, hi: int, carry: dict = None):
+        left = self.left.array(lo, hi).astype(float)
+        right = np.maximum(left, self.right.array(lo, hi))
+        flags = np.zeros(len(left), dtype=bool)
+        return left, right, flags, flags.copy()
 
     def check_nested(self, upto: int) -> bool:
         l = self.left.array(1, upto)
@@ -303,12 +319,19 @@ class NestedWindowFamily(IntervalFamily):
         return bool(np.all(np.diff(l) >= -1e-15) and np.all(np.diff(r) <= 1e-15))
 
 
+# steps summed at once when TorusConsecutiveFamily starts a window cold
+_SUM_WINDOW = 1 << 16
+
+
 @dataclass(frozen=True)
 class TorusConsecutiveFamily(IntervalFamily):
     """Consecutive windows on the torus: each starts where the last ended.
 
     I_k is the arc from b_{k-1} to b_k with b_k = b_{k-1} + a_k mod 1; a
-    step of length >= 1 makes the window the whole circle.
+    step of length >= 1 makes the window the whole circle.  b_k is
+    b_0 + S_k mod 1 for the float sum S_k = a_1 + ... + a_k, added in
+    order; a walk over consecutive windows carries S (never b) from one
+    window to the next, and a window met cold sums its steps from 1.
     """
 
     b0: float = 0.0
@@ -319,14 +342,29 @@ class TorusConsecutiveFamily(IntervalFamily):
     def horizon(self):
         return self.steps.horizon
 
-    def bounds(self, upto: int):
-        a = self.steps.array(1, upto)
-        # b[k] = b_k: window k runs from b[k-1] to b[k]
-        b = (self.b0 + np.concatenate(([0.0], np.cumsum(a)))) % 1.0
-        lo, hi = b[:-1], b[1:]
+    def _sum_to(self, k: int) -> float:
+        """S_k, summed in order from a_1 in windows."""
+        s = 0.0
+        for lo in range(1, k + 1, _SUM_WINDOW):
+            a = self.steps.array(lo, min(lo + _SUM_WINDOW - 1, k))
+            s = np.cumsum(np.concatenate(([s], a)))[-1]
+        return s
+
+    def bounds(self, lo: int, hi: int, carry: dict = None):
+        a = self.steps.array(lo, hi)
+        before = carry.get(lo - 1) if carry else None
+        if before is None:
+            before = self._sum_to(lo - 1)
+        # s[i] = S_{lo-1+i}: window k runs from b_{k-1} to b_k
+        s = np.cumsum(np.concatenate(([before], a)))
+        if carry is not None:
+            carry.clear()
+            carry[hi] = s[-1]
+        b = (self.b0 + s) % 1.0
+        left, right = b[:-1], b[1:]
         full = a >= 1.0
-        wraps = (lo > hi) & ~full
-        return lo, hi, wraps, full
+        wraps = (left > right) & ~full
+        return left, right, wraps, full
 
 
 @dataclass(frozen=True)
@@ -345,10 +383,10 @@ class CustomFamily(IntervalFamily):
     def horizon(self):
         return len(self.table)
 
-    def bounds(self, upto: int):
-        if upto > len(self.table):
+    def bounds(self, lo: int, hi: int, carry: dict = None):
+        if lo < 1 or hi > len(self.table):
             raise IndexError(f"family defined for k = 1..{len(self.table)}")
-        ivs = self.table[:upto]
+        ivs = self.table[lo - 1:hi]
         return (np.array([iv.lo for iv in ivs], dtype=float),
                 np.array([iv.hi for iv in ivs], dtype=float),
                 np.array([iv.wraps for iv in ivs], dtype=bool),

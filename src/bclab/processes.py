@@ -585,15 +585,17 @@ def _init_vector(spec, gens):
     return np.array([init_from_uniforms(spec, g.random(count)) for g in gens])
 
 
-def _hit_test(bounds, drift, c0, m):
-    """The hit test of steps c0 + 1 .. c0 + m: a function of their states,
-    laid along the last axis (one trajectory's row, or a (width, m) block),
-    that is True where a state lies in its step's target.
+def _hit_test(bounds, drift, c0):
+    """The hit test of steps c0 + 1 .. c0 + m against their targets'
+    bounds (the family's window of those indices): a function of their
+    states, laid along the last axis (one trajectory's row, or a (width,
+    m) block), that is True where a state lies in its step's target.
 
     A target is [lo, hi), or [lo, 1) and [0, hi) where it wraps, or the
     whole space where it is full; drift t tests step k at x - k t mod 1.
     """
-    lo, hi, wraps, full = (b[c0:c0 + m] for b in bounds)
+    lo, hi, wraps, full = bounds
+    m = len(lo)
     shift = drift * np.arange(c0 + 1, c0 + m + 1) if drift else None
     wraps = wraps if wraps.any() else None
     full = full if full.any() else None
@@ -661,9 +663,9 @@ def _advance_rows(spec, x, U, xs_buf, flags_buf):
     raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
-def _chunks(spec, n, gens, x, bounds):
+def _chunks(spec, n, gens, x, family):
     """Step the trajectories of gens in lockstep from states x for n steps,
-    testing each step's states against its row of bounds.
+    testing each step's states against its target in family.
 
     Yields (x, times, counts) per chunk of steps: x holds the states
     after its last step, times[t] the steps at which trajectory t hit its
@@ -674,7 +676,8 @@ def _chunks(spec, n, gens, x, bounds):
     while the row is in cache; the other variants step all trajectories
     row by row.  At most _CELLS states are held at once (a circle-rw row
     is whole words of steps, at least 64), in buffers that are reused, so
-    each chunk is read before the next is requested.  Every trajectory
+    each chunk is read before the next is requested; the targets' bounds
+    are the family's window of each chunk's steps.  Every trajectory
     draws from its own stream in step order, so the chunk size never
     changes the path.
     """
@@ -682,27 +685,28 @@ def _chunks(spec, n, gens, x, bounds):
     width = min(len(gens), _ROW_WIDTH) if loop_free else len(gens)
     rows = max(1, min(n, _CELLS // width))
     if isinstance(spec, IIDProcess):
-        return _iid_chunks(spec, n, gens, bounds, rows)
+        return _iid_chunks(spec, n, gens, family, rows)
     if isinstance(spec, CircleRWProcess):
-        return _circle_chunks(spec, n, gens, x, bounds, rows)
-    return _row_chunks(spec, n, gens, x, bounds, rows)
+        return _circle_chunks(spec, n, gens, x, family, rows)
+    return _row_chunks(spec, n, gens, x, family, rows)
 
 
-def _iid_chunks(spec, n, gens, bounds, rows):
+def _iid_chunks(spec, n, gens, family, rows):
     """Each step's state is the marginal's inverse cdf at its uniform."""
     x = np.empty(len(gens))
-    for c0 in range(0, n, rows):
-        m = min(rows, n - c0)
-        test = _hit_test(bounds, 0.0, c0, m)
+    for lo, bounds in family.windows(n, rows):
+        c0, m = lo - 1, len(bounds[0])
+        test = _hit_test(bounds, 0.0, c0)
         times = []
         for t, g in enumerate(gens):
             xs = spec._inverse(step_draws(spec, g, m)[:, 0])
             times.append(_hit_times(test(xs), c0))
             x[t] = xs[-1]
+        del bounds, test  # freed before the next window is built
         yield x, times, None
 
 
-def _circle_chunks(spec, n, gens, x, bounds, rows):
+def _circle_chunks(spec, n, gens, x, family, rows):
     """x_k = x_0 + j_k a mod 1 for a whole row: j_k is a cumsum of the +-1
     steps, carried across chunks, and circle_position needs no loop.
 
@@ -714,9 +718,9 @@ def _circle_chunks(spec, n, gens, x, bounds, rows):
     x0, x = x, np.empty(len(gens))
     j_end = np.zeros(len(gens), dtype=np.int32)
     j, xs = np.empty(rows, dtype=np.int32), np.empty(rows)
-    for c0 in range(0, n, rows):
-        m = min(rows, n - c0)
-        test = _hit_test(bounds, spec.drift, c0, m)
+    for lo, bounds in family.windows(n, rows):
+        c0, m = lo - 1, len(bounds[0])
+        test = _hit_test(bounds, spec.drift, c0)
         times = []
         for t, g in enumerate(gens):
             s = step_draws(spec, g, m)[:, 0].view(np.int8)
@@ -728,10 +732,11 @@ def _circle_chunks(spec, n, gens, x, bounds, rows):
             xm = circle_position(spec.a, x0[t], jm, out=xs[:m])
             times.append(_hit_times(test(xm), c0))
             x[t] = xm[-1]
+        del bounds, test  # freed before the next window is built
         yield x, times, None
 
 
-def _row_chunks(spec, n, gens, x, bounds, rows):
+def _row_chunks(spec, n, gens, x, family, rows):
     """Chunks of the variants stepped row by row: U[i, t] holds the draws
     of step i of trajectory t.  The chunk's hit mask is tested whole and
     transposed once, so each trajectory's hits are one contiguous row."""
@@ -740,8 +745,8 @@ def _row_chunks(spec, n, gens, x, bounds, rows):
     flags = (np.empty((rows, width), dtype=bool)
              if isinstance(spec, SplitChainProcess) else None)
     U = None
-    for c0 in range(0, n, rows):
-        m = min(rows, n - c0)
+    for lo, bounds in family.windows(n, rows):
+        c0, m = lo - 1, len(bounds[0])
         for t, g in enumerate(gens):
             draws = step_draws(spec, g, m)
             if U is None:
@@ -749,15 +754,16 @@ def _row_chunks(spec, n, gens, x, bounds, rows):
             U[:m, t] = draws
         fl = None if flags is None else flags[:m]
         x = _advance_rows(spec, x, U[:m], xs[:m], fl)
-        test = _hit_test(bounds, 0.0, c0, m)
+        test = _hit_test(bounds, 0.0, c0)
         times = [_hit_times(hit, c0)
                  for hit in np.ascontiguousarray(test(xs[:m].T))]
+        del bounds, test  # freed before the next window is built
         if isinstance(spec, LSVProcess):
             fl = xs[:m] < _DEGENERATE
         yield x, times, None if fl is None else fl.sum(axis=0)
 
 
-def _run_block(spec, n, seed, traj_ids, bounds, restart=0):
+def _run_block(spec, n, seed, traj_ids, family, restart=0):
     """Lockstep simulation of the given trajectory ids; one HitRecord each.
 
     Interval-map orbits that underflow below _DEGENERATE are rerun
@@ -771,7 +777,7 @@ def _run_block(spec, n, seed, traj_ids, bounds, restart=0):
     degenerate = np.zeros(width, dtype=bool)
 
     for _, times, counts in _chunks(spec, n, gens, _init_vector(spec, gens),
-                                    bounds):
+                                    family):
         for h, ts in zip(hits, times):
             h.append(ts)
         if isinstance(spec, LSVProcess):
@@ -779,29 +785,21 @@ def _run_block(spec, n, seed, traj_ids, bounds, restart=0):
         elif counts is not None:
             rcount += counts
 
-    out = [HitRecord(trajectory=t, hit_times=np.concatenate(h),
-                     renewal_count=int(r), restarts=restart)
-           for t, h, r in zip(traj_ids, hits, rcount)]
+    # each record's fragments go as it is built, so the hit times are
+    # never held twice
+    out = []
+    for t, h, r in zip(traj_ids, hits, rcount):
+        out.append(HitRecord(trajectory=t, hit_times=np.concatenate(h),
+                             renewal_count=int(r), restarts=restart))
+        h.clear()
     if degenerate.any():
         redo = [traj_ids[j] for j in np.flatnonzero(degenerate)]
         if restart == 8:
             raise RuntimeError(
                 f"trajectories {redo}: orbit degenerate after 8 restarts")
-        again = iter(_run_block(spec, n, seed, redo, bounds, restart + 1))
+        again = iter(_run_block(spec, n, seed, redo, family, restart + 1))
         out = [next(again) if d else r for r, d in zip(out, degenerate)]
     return out
-
-
-def _checked_bounds(spec, family, n):
-    """family.bounds(n), once n steps of spec against family are known to
-    be simulable."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    check_horizon(spec, n)
-    fh = family.horizon
-    if fh is not None and fh < n:
-        raise ValueError(f"family defined only up to {fh} < n = {n}")
-    return family.bounds(n)
 
 
 def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
@@ -813,18 +811,23 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
     """
     if n_traj < 1:
         raise ValueError("need n_traj >= 1")
-    bounds = _checked_bounds(spec, family, n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_horizon(spec, n)
+    fh = family.horizon
+    if fh is not None and fh < n:
+        raise ValueError(f"family defined only up to {fh} < n = {n}")
     if workers is None:
         workers = int(os.environ.get("BCLAB_THREADS", "1"))
     workers = max(1, min(workers, n_traj))
     ids = list(range(n_traj))
     if workers == 1:
-        return _run_block(spec, n, seed, ids, bounds)
+        return _run_block(spec, n, seed, ids, family)
     from concurrent.futures import ThreadPoolExecutor
 
     blocks = [ids[i::workers] for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda b: _run_block(spec, n, seed, b, bounds), blocks)
+        parts = pool.map(lambda b: _run_block(spec, n, seed, b, family), blocks)
         records = [r for part in parts for r in part]
     records.sort(key=lambda r: r.trajectory)
     return records

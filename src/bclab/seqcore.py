@@ -7,6 +7,7 @@ arrays with a finite horizon.  Everything here is pure and deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -63,12 +64,10 @@ class TabulatedSeq(RealSeq):
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise SeqDomainError("tabulated sequence needs a nonempty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise SeqDomainError("tabulated sequence has non-finite entries")
-        if np.any(vals < -1e-12):
-            raise SeqDomainError("sequence terms must be >= 0")
+        if vals.ndim != 1:
+            raise SeqDomainError(_TABLE_EMPTY)
+        _check_table(vals.size, np.all(np.isfinite(vals)),
+                     not np.any(vals < -1e-12))
         object.__setattr__(self, "values", np.maximum(vals, 0.0))
 
     @property
@@ -79,6 +78,87 @@ class TabulatedSeq(RealSeq):
         self._require_in_domain(lo)
         self._require_in_domain(hi)
         return self.values[lo - self.start : hi - self.start + 1]
+
+
+_TABLE_EMPTY = "tabulated sequence needs a nonempty 1-d array"
+
+
+def _check_table(size, finite, nonnegative):
+    """A tabulated sequence's checks, in its order, on a table's summary."""
+    if size == 0:
+        raise SeqDomainError(_TABLE_EMPTY)
+    if not finite:
+        raise SeqDomainError("tabulated sequence has non-finite entries")
+    if not nonnegative:
+        raise SeqDomainError("sequence terms must be >= 0")
+
+
+@dataclass(frozen=True, eq=False)
+class SampledSeq(RealSeq):
+    """A table v_start..v_horizon kept only at the increasing indices ``at``.
+
+    eval and array read the kept values and raise SeqDomainError at any
+    other index.  ``length`` and ``sha256`` (of the whole table's float64
+    bytes) let it be fingerprinted as TabulatedSeq(table) would be.
+    Built by TableSampler.
+    """
+
+    at: np.ndarray
+    values: np.ndarray
+    length: int
+    sha256: str
+    start: int = 1
+
+    @property
+    def horizon(self):
+        return self.start + self.length - 1
+
+    def array(self, lo: int, hi: int) -> np.ndarray:
+        self._require_in_domain(lo)
+        self._require_in_domain(hi)
+        i0, i1 = np.searchsorted(self.at, (lo, hi + 1))
+        if i1 - i0 != hi - lo + 1:
+            raise SeqDomainError(f"indices {lo}..{hi} are not all among the "
+                                 f"{len(self.at)} indices this table keeps")
+        return self.values[i0:i1]
+
+
+class TableSampler:
+    """A SampledSeq from a table given as consecutive windows, so that the
+    whole table is never held.
+
+    Each window gets TabulatedSeq's checks (finite, >= -1e-12) and clamp at
+    0 and is hashed as it comes; seq() raises the error TabulatedSeq(table)
+    would raise.
+    """
+
+    def __init__(self, at, start: int = 1):
+        self.at = np.asarray(at, dtype=np.int64)
+        self.start = start
+        self._values = np.zeros(len(self.at))
+        self._sha = hashlib.sha256()
+        self._size = 0
+        self._finite = self._nonnegative = True
+
+    def add(self, window):
+        """Take the table's next values."""
+        w = np.asarray(window, dtype=float)
+        lo = self.start + self._size
+        self._size += w.size
+        self._finite = self._finite and bool(np.all(np.isfinite(w)))
+        self._nonnegative = self._nonnegative and not np.any(w < -1e-12)
+        w = np.maximum(w, 0.0)
+        self._sha.update(w)
+        i0, i1 = np.searchsorted(self.at, (lo, lo + w.size))
+        self._values[i0:i1] = w[self.at[i0:i1] - lo]
+
+    def seq(self) -> SampledSeq:
+        _check_table(self._size, self._finite, self._nonnegative)
+        if self.at.size and not (self.start <= self.at[0]
+                                 and self.at[-1] < self.start + self._size):
+            raise SeqDomainError("sample indices outside the table")
+        return SampledSeq(self.at, self._values, self._size,
+                          self._sha.hexdigest(), self.start)
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ def test_criterion_04_slow_mixing_shrinking_target():
     )
     report = run_experiment(cfg)
     mu = marginal_measure(cfg)
-    e = np.cumsum(cfg.family.measures(mu, cfg.n))
+    e = np.cumsum(cfg.family.measures(mu, 1, cfg.n))
     growth = float(e[10**5 - 1] / e[10**3 - 1])
     # mu[0, r) ~ C r^(1 - gamma) makes mu(A_k) ~ C/k: every decade of n
     # adds C ln 10, with C the law's constant on [1e-3, 1e-1]
@@ -220,7 +220,7 @@ def test_criterion_10_criteria_cross_checks(reference_iid_run):
     cfg = report.config
     e_cp = report.e_checkpoints
     ens = PathEnsemble(report.checkpoints, report.s_values)
-    masses = cfg.family.measures(marginal_measure(cfg), cfg.n)
+    masses = cfg.family.measures(marginal_measure(cfg), 1, cfg.n)
     e_dense = np.cumsum(masses)
     var_dense = np.cumsum(masses * (1.0 - masses))
     rep_f = check_f_criteria(ens, TabulatedSeq(e_dense), "ii")
@@ -239,7 +239,7 @@ def test_criterion_10_criteria_cross_checks(reference_iid_run):
         left=TabulatedSeq(0.5 - 0.5 * k**-0.9),
         right=TabulatedSeq(0.5 + 0.5 * k**-0.9),
     )
-    nu_masses = fam.measures(PowerMeasure(2.0), 2000)
+    nu_masses = fam.measures(PowerMeasure(2.0), 1, 2000)
     assert np.allclose(nu_masses, k**-0.9, rtol=1e-12)
     ren = check_renewal_nested(widths, nested=True, horizon=10**6)
     poly = check_alpha(None, widths, "poly-1", params={"a": 1.0},

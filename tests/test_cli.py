@@ -250,6 +250,26 @@ class TestCriteria:
         assert main(["criteria", "--spec", spec]) == 4
         assert error in capsys.readouterr().err
 
+    def test_f_check_reproduces_the_runs_criteria(self, tmp_path):
+        """check f on an emitted run reads the sequences the run's own
+        criteria read: each report is its criteria.json entry, byte for
+        byte."""
+        tokens = ["f-ii", "f-variance"]
+        cfg = write_json(tmp_path / "cfg.json", {
+            **HARMONIC_CFG, "n": 2000, "n_traj": 100, "criteria": tokens})
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(run)]) in (
+            0, 2, 3)
+        entries = json.loads((run / "criteria.json").read_text())["criteria"]
+        for token in tokens:
+            spec = write_json(tmp_path / "c.json", {
+                "check": "f", "run": str(run), "mode": token[len("f-"):]})
+            out = tmp_path / f"{token}.json"
+            assert main(["criteria", "--spec", spec, "--out", str(out)]) in (
+                0, 2, 3)
+            assert out.read_bytes() == (
+                json.dumps(entries[token], sort_keys=True) + "\n").encode()
+
     def test_readme_example_verbatim(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = re.search(

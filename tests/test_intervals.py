@@ -285,7 +285,7 @@ class TestFamilies:
 
     def test_bounds_match_intervals(self):
         fam = TorusConsecutiveFamily(b0=0.37, steps=PowerLogSeq(c=0.9, p=0.5))
-        lo, hi, wraps, full = fam.bounds(40)
+        lo, hi, wraps, full = fam.bounds(1, 40)
         for k in (1, 7, 23, 40):
             iv = fam.interval(k)
             assert lo[k - 1] == iv.lo
@@ -295,7 +295,7 @@ class TestFamilies:
     def test_measures_vectorized(self):
         fam = TorusConsecutiveFamily(b0=0.5, steps=PowerLogSeq(c=0.8, p=0.5))
         m = LebesgueMeasure()
-        got = fam.measures(m, 30)
+        got = fam.measures(m, 1, 30)
         want = [m.measure(fam.interval(k)) for k in range(1, 31)]
         assert np.allclose(got, want)
 
@@ -351,7 +351,7 @@ class TestVectorForm:
     ], ids=["nested-left-geometric", "nested-left-torus-full",
             "nested-window", "torus-consecutive-wrapped-full", "custom-torus"])
     def test_intervals_are_bounds_rows(self, fam):
-        lo, hi, wraps, full = fam.bounds(self.N)
+        lo, hi, wraps, full = fam.bounds(1, self.N)
         want = [Interval.full_torus() if f else Interval(fam.space, float(a), float(b))
                 for a, b, f in zip(lo, hi, full)]
         got = fam.intervals(1, self.N)
@@ -376,4 +376,4 @@ class TestVectorForm:
         with pytest.raises(IndexError):
             custom.interval(3)
         with pytest.raises(IndexError):
-            custom.bounds(3)
+            custom.bounds(1, 3)

@@ -64,7 +64,7 @@ def states_at(spec, n, seed, n_traj):
     """X_n of trajectories 0..n_traj-1, each from its stationary start."""
     gens = [make_generator(seed, t) for t in range(n_traj)]
     x = processes._init_vector(spec, gens)
-    for x, _, _ in processes._chunks(spec, n, gens, x, HALF.bounds(n)):
+    for x, _, _ in processes._chunks(spec, n, gens, x, HALF):
         pass
     return x
 
@@ -248,7 +248,7 @@ class TestSimulateHits:
         recs = simulate_ensemble(DMRProcess(a=1.0), fam, 600, seed=21, n_traj=4)
         for t in (0, 3):
             solo = processes._run_block(DMRProcess(a=1.0), 600, 21, [t],
-                                        fam.bounds(600))[0]
+                                        fam)[0]
             assert recs[t].to_line() == solo.to_line()
 
     def test_parallel_partition_invariance(self):
@@ -543,7 +543,7 @@ class TestTargetRows:
     def test_wrapping_and_full_rows_match_scalar_replay(
             self, monkeypatch, spec, family, cells):
         n = 300
-        _, _, wraps, full = family.bounds(n)
+        _, _, wraps, full = family.bounds(1, n)
         assert 0 < (wraps | full).sum() < n  # mixed with ordinary rows
         if cells is not None:
             monkeypatch.setattr(processes, "_CELLS", cells)
@@ -638,7 +638,7 @@ class TestDrawBudget:
         gens = [make_generator(4, t) for t in range(3)]
         for _ in processes._chunks(spec, n, gens,
                                    processes._init_vector(spec, gens),
-                                   HALF.bounds(n)):
+                                   HALF):
             pass
         scalar = [make_generator(4, t) for t in range(3)]
         budget = [make_generator(4, t) for t in range(3)]
