@@ -29,13 +29,18 @@ _BELOW_ONE = 1.0 - 2.0**-53
 _DEGENERATE = 1e-300
 
 
-def array_pow(u, e: float):
+def array_pow(u, e: float, in_place: bool = False):
     """u**e routed through numpy's 1-d loop for scalars and arrays alike.
 
     numpy evaluates 0-d and 1-d powers with different code paths whose
     results can differ in the last ulp; forcing one path keeps scalar
     process_step and the vectorized driver on identical trajectories.
+    With in_place, the float array u is raised by **=, the same path,
+    and returned.
     """
+    if in_place:
+        u **= e
+        return u
     out = np.atleast_1d(np.asarray(u, dtype=float)) ** e
     return float(out[0]) if np.ndim(u) == 0 else out
 
@@ -173,8 +178,8 @@ class SplitChainProcess(ProcessSpec):
             return np.full_like(np.asarray(x, dtype=float), self.s_scale)
         return self.s_scale * np.asarray(x, dtype=float)
 
-    def nu_inverse(self, u):
-        return array_pow(u, 1.0 / self.nu_power)
+    def nu_inverse(self, u, in_place: bool = False):
+        return array_pow(u, 1.0 / self.nu_power, in_place)
 
 
 @dataclass(frozen=True)
@@ -576,6 +581,13 @@ _CELLS = 1 << 21
 # least 16,384 steps, 128 KB of float64 states that stay in cache and
 # amortize the calls made per row.
 _ROW_WIDTH = 128
+# most rows per chunk, by kernel kind, on top of the rows _CELLS allows.  A
+# row-stepped chunk holds its whole (rows, width) block, and 4,096 rows
+# already amortize each trajectory's calls per chunk (one step_draws, one
+# hit extraction), so more rows only grow the block.  A loop-free chunk
+# holds one trajectory's row at a time, and 2**16 steps keep a narrow
+# run's row and its window of bounds small.
+_MAX_ROWS = {"row-stepped": 1 << 12, "loop-free": 1 << 16}
 
 
 def _init_vector(spec, gens):
@@ -649,17 +661,18 @@ def _advance_rows(spec, x, U, xs_buf, flags_buf):
             xs_buf[i] = x
         return x
     if isinstance(spec, SplitChainProcess):
+        # one call for the whole chunk, in place of its nu uniforms
+        drawn = spec.nu_inverse(U[:, :, 1], in_place=True)
         for i in range(m):
             s = spec.s_of(x)
             regen = U[i, :, 0] <= s
-            drawn = spec.nu_inverse(U[i, :, 1])
             if spec.q1 == "delta":
-                x = np.where(regen, drawn, x)
+                x = np.where(regen, drawn[i], x)
             else:
-                x = drawn
+                x = drawn[i]
             xs_buf[i] = x
             flags_buf[i] = regen
-        return x
+        return x.copy()  # drawn is U, which the next chunk's draws overwrite
     raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
@@ -675,15 +688,17 @@ def _chunks(spec, n, gens, x, family):
     row at a time, without a loop over steps, and take its hit times
     while the row is in cache; the other variants step all trajectories
     row by row.  At most _CELLS states are held at once (a circle-rw row
-    is whole words of steps, at least 64), in buffers that are reused, so
-    each chunk is read before the next is requested; the targets' bounds
+    is whole words of steps, at least 64), in no more rows than _MAX_ROWS
+    allows the kernel's kind, and in buffers that are reused, so each
+    chunk is read before the next is requested; the targets' bounds
     are the family's window of each chunk's steps.  Every trajectory
     draws from its own stream in step order, so the chunk size never
     changes the path.
     """
     loop_free = isinstance(spec, (IIDProcess, CircleRWProcess))
     width = min(len(gens), _ROW_WIDTH) if loop_free else len(gens)
-    rows = max(1, min(n, _CELLS // width))
+    most = _MAX_ROWS["loop-free" if loop_free else "row-stepped"]
+    rows = max(1, min(n, _CELLS // width, most))
     if isinstance(spec, IIDProcess):
         return _iid_chunks(spec, n, gens, family, rows)
     if isinstance(spec, CircleRWProcess):

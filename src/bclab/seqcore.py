@@ -189,6 +189,8 @@ class PowerLogSeq(RealSeq):
         self._require_in_domain(lo)
         ns = np.arange(lo, hi + 1, dtype=float)
         out = np.full(ns.shape, float(self.c))
+        if self.c == 0:
+            return out  # zero, as limit_kind says, even where n**-p is inf
         if self.p != 0:
             out *= ns ** (-self.p)
         if self.q != 0:

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,9 +476,37 @@ class TestDegenerateRestart:
             spec, n, make_generator(seed, kept.trajectory))[1]
 
 
+# chunk shapes for the chunk tests: 3 rows at 3 trajectories, and the
+# caps of both kernel kinds lowered to 5 rows and 70 (64 for circle-rw)
+TINY = {"_CELLS": 3 * 3}
+CAPPED = {"_MAX_ROWS": {"row-stepped": 5, "loop-free": 70}}
+
+
+def shape_chunks(monkeypatch, patch):
+    for name, value in (patch or {}).items():
+        monkeypatch.setattr(processes, name, value)
+
+
+def chunk_rows(monkeypatch, spec, n, width):
+    """The rows of the first chunk _chunks steps: the window it asks of
+    the family."""
+    sizes = []
+    windows = NestedLeftFamily.windows
+
+    def spy(family, n, size, *args, **kwargs):
+        sizes.append(size)
+        return windows(family, n, size, *args, **kwargs)
+
+    monkeypatch.setattr(NestedLeftFamily, "windows", spy)
+    gens = [make_generator(5, t) for t in range(width)]
+    next(processes._chunks(spec, n, gens, processes._init_vector(spec, gens),
+                           HALF))
+    return sizes[0]
+
+
 class TestChunkInvariance:
-    def ensemble(self, spec, workers):
-        recs = simulate_ensemble(spec, HALF, 600, seed=17, n_traj=7,
+    def ensemble(self, spec, workers, n=600):
+        recs = simulate_ensemble(spec, HALF, n, seed=17, n_traj=7,
                                  workers=workers)
         return [r.to_line() for r in recs]
 
@@ -486,7 +515,10 @@ class TestChunkInvariance:
         CircleRWProcess(a=0.37, drift=0.2),
         LSVProcess(gamma=0.6),
         IIDProcess(marginal="power", power=0.4),
-    ], ids=["dmr-capped", "circle-drift", "lsv", "iid-power"])
+        # regenerates at a rate set by the state carried between chunks
+        SplitChainProcess(s_kind="linear", s_scale=0.5, nu_power=1.5,
+                          q1="nu"),
+    ], ids=["dmr-capped", "circle-drift", "lsv", "iid-power", "split-nu"])
     def test_tiny_chunks_and_workers_match_default(self, monkeypatch, spec):
         ref = self.ensemble(spec, workers=1)
         assert ref == self.ensemble(spec, workers=2)
@@ -505,6 +537,51 @@ class TestChunkInvariance:
         monkeypatch.setattr(processes, "_CELLS", 3 * processes._ROW_WIDTH)
         wide = simulate_ensemble(spec, HALF, 600, seed=17, n_traj=130)
         assert [r.to_line() for r in wide[:7]] == self.ensemble(spec, 1)
+
+    @pytest.mark.parametrize("spec, width, rows", [
+        (DMRProcess(a=1.0), 3, 4096),
+        (LSVProcess(gamma=0.4), 100, 4096),  # intermittent-map's shape
+        (DMRProcess(a=1.0), 800, 2621),  # dense-wide's: _CELLS // 800
+        (IIDProcess(), 1, 1 << 16),
+        (IIDProcess(), 100, 20971),
+        (IIDProcess(), 800, 16384),  # _CELLS // _ROW_WIDTH
+        (CircleRWProcess(a=0.37), 1, 1 << 16),
+        (CircleRWProcess(a=0.37), 100, 20928),  # rotation-walk's: whole words
+    ], ids=["dmr-3", "lsv-100", "dmr-800", "iid-1", "iid-100", "iid-800",
+            "circle-1", "circle-100"])
+    def test_rows_by_kernel_kind(self, monkeypatch, spec, width, rows):
+        # row-stepped chunks stop at 4,096 rows, loop-free rows at 2**16
+        # steps; below the caps, _CELLS // width (or // _ROW_WIDTH) rules
+        assert chunk_rows(monkeypatch, spec, 10**6, width) == rows
+
+    @pytest.mark.parametrize("spec, rows", [
+        (DMRProcess(a=1.0), 3),
+        (IIDProcess(), 3),
+        (CircleRWProcess(a=0.37), 64),
+    ], ids=["dmr", "iid", "circle"])
+    def test_caps_only_lower_the_rows(self, monkeypatch, spec, rows):
+        monkeypatch.setattr(processes, "_CELLS", 3 * 7)
+        assert chunk_rows(monkeypatch, spec, 600, 7) == rows
+
+    @pytest.mark.parametrize("past", [0, 1, None],
+                             ids=["at-the-cap", "one-past", "two-caps-past"])
+    @pytest.mark.parametrize("spec, kind", [
+        (DMRProcess(a=1.0), "row-stepped"),
+        (LSVProcess(gamma=0.6), "row-stepped"),
+        (SplitChainProcess(s_kind="linear", s_scale=0.5, nu_power=1.5,
+                           q1="nu"), "row-stepped"),
+        (IIDProcess(marginal="power", power=0.4), "loop-free"),
+        (CircleRWProcess(a=0.37, drift=0.2), "loop-free"),
+    ], ids=["dmr", "lsv", "split-nu", "iid-power", "circle-drift"])
+    def test_rows_at_and_across_the_caps_match_one_chunk(
+            self, monkeypatch, spec, kind, past):
+        cap = processes._MAX_ROWS[kind]
+        n = cap + (cap + 77 if past is None else past)
+        capped = self.ensemble(spec, 1, n)
+        monkeypatch.setattr(processes, "_MAX_ROWS",
+                            dict.fromkeys(processes._MAX_ROWS, n))
+        assert chunk_rows(monkeypatch, spec, n, 7) == n
+        assert capped == self.ensemble(spec, 1, n)
 
 
 # windows of 0.37 from 0.2: every few steps one wraps past 1
@@ -538,15 +615,15 @@ class TestTargetRows:
         DMRProcess(a=1.0),
         LSVProcess(gamma=0.6),
     ], ids=["circle", "circle-drift", "iid", "dmr", "lsv"])
-    @pytest.mark.parametrize("cells", [None, 3 * 3],
-                             ids=["default-chunks", "tiny-chunks"])
+    @pytest.mark.parametrize("chunks", [None, TINY, CAPPED],
+                             ids=["default-chunks", "tiny-chunks",
+                                  "capped-chunks"])
     def test_wrapping_and_full_rows_match_scalar_replay(
-            self, monkeypatch, spec, family, cells):
+            self, monkeypatch, spec, family, chunks):
         n = 300
         _, _, wraps, full = family.bounds(1, n)
         assert 0 < (wraps | full).sum() < n  # mixed with ordinary rows
-        if cells is not None:
-            monkeypatch.setattr(processes, "_CELLS", cells)
+        shape_chunks(monkeypatch, chunks)
         recs = simulate_ensemble(spec, family, n, seed=19, n_traj=3)
         for rec in recs:
             assert rec.hit_times.tolist() == replay_hits(
@@ -572,6 +649,26 @@ class TestTargetRows:
         recs = simulate_ensemble(spec, family, n, seed=23, n_traj=3)
         assert [r.hit_times.tolist() for r in recs] == [
             list(range(1, n + 1))] * 3
+
+    @pytest.mark.parametrize("spec, family, kind", [
+        (IIDProcess(marginal="power", power=0.4), UNIT, "loop-free"),
+        (CircleRWProcess(a=0.37), UNIT, "loop-free"),
+        (DMRProcess(a=1.0), UNIT, "row-stepped"),
+        (SplitChainProcess(s_kind="const", s_scale=0.3, q1="nu"), UNIT,
+         "row-stepped"),
+        (LSVProcess(gamma=0.6), UNIT, "row-stepped"),
+        (ARHalfProcess(), NestedLeftFamily(radius=constant_seq(2.0)),
+         "row-stepped"),
+    ], ids=["iid", "circle-rw", "dmr", "split-chain", "lsv", "ar-half"])
+    @pytest.mark.parametrize("past", [0, 1], ids=["at-the-cap", "one-past"])
+    def test_every_step_hits_at_and_across_the_caps(self, spec, family,
+                                                    kind, past):
+        # default _CELLS: chunks of 4,096 rows or 2**16-step rows, so
+        # n = cap is one chunk and cap + 1 ends on a one-step chunk
+        n = processes._MAX_ROWS[kind] + past
+        recs = simulate_ensemble(spec, family, n, seed=23, n_traj=3)
+        for rec in recs:
+            assert np.array_equal(rec.hit_times, np.arange(1, n + 1))
 
 
 class TestCircleWalk:
@@ -629,12 +726,37 @@ class TestDrawBudget:
         (SplitChainProcess(s_kind="const", s_scale=0.3, q1="nu"), 2000),
         (ARHalfProcess(), 2000),
     ], ids=["circle-rw", "iid", "lsv", "dmr", "split-chain", "ar-half"])
-    @pytest.mark.parametrize("cells", [1 << 21, 3 * 3],
-                             ids=["one-chunk", "tiny-chunks"])
+    @pytest.mark.parametrize("chunks", [None, TINY, CAPPED],
+                             ids=["one-chunk", "tiny-chunks",
+                                  "capped-chunks"])
     def test_kernel_and_scalar_reference_continue_at_the_same_word(
-            self, monkeypatch, spec, words, cells):
-        n = 1000  # not a whole number of 64-step words
-        monkeypatch.setattr(processes, "_CELLS", cells)
+            self, monkeypatch, spec, words, chunks):
+        shape_chunks(monkeypatch, chunks)
+        self.assert_same_next_word(spec, 1000, words)  # not whole words
+
+    @pytest.mark.parametrize("spec, n, words", [
+        (CircleRWProcess(a=0.37), 1 << 16, 1024),
+        (CircleRWProcess(a=0.37), (1 << 16) + 1, 1025),
+        (IIDProcess(marginal="power", power=0.4), 1 << 16, 1 << 16),
+        (IIDProcess(marginal="power", power=0.4), (1 << 16) + 1,
+         (1 << 16) + 1),
+        (LSVProcess(gamma=0.6), 4097, 0),
+        (DMRProcess(a=1.0), 4096, 8192),
+        (DMRProcess(a=1.0), 4097, 8194),
+        (SplitChainProcess(s_kind="const", s_scale=0.3, q1="nu"), 4097,
+         8194),
+        (ARHalfProcess(), 4097, 8194),
+    ], ids=["circle-rw-at", "circle-rw-past", "iid-at", "iid-past",
+            "lsv-past", "dmr-at", "dmr-past", "split-chain-past",
+            "ar-half-past"])
+    def test_streams_continue_at_the_same_word_across_the_caps(
+            self, spec, n, words):
+        self.assert_same_next_word(spec, n, words)
+
+    @staticmethod
+    def assert_same_next_word(spec, n, words):
+        """After n steps, the kernel's streams, the scalar reference's and
+        streams advanced by the budget's word count continue alike."""
         gens = [make_generator(4, t) for t in range(3)]
         for _ in processes._chunks(spec, n, gens,
                                    processes._init_vector(spec, gens),
@@ -650,6 +772,30 @@ class TestDrawBudget:
         nxt = [[int(g.bit_generator.random_raw()) for g in gs]
                for gs in (gens, scalar, budget)]
         assert nxt[0] == nxt[1] == nxt[2]
+
+
+class TestChunkMemory:
+    """tracemalloc peaks of simulate_ensemble, set by the chunk shape."""
+
+    HARMONIC = NestedLeftFamily(radius=power_seq(1.0, 1.0))
+
+    def peak_mb(self, spec, n, n_traj):
+        tracemalloc.start()
+        try:
+            simulate_ensemble(spec, self.HARMONIC, n, seed=0, n_traj=n_traj)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_a_narrow_loop_free_run_holds_short_rows(self):
+        # one trajectory's 2**21-step rows and their window of bounds
+        # peaked at 64 MB; 2**16-step rows take about 3
+        assert self.peak_mb(IIDProcess(), 4_000_000, 1) < 8
+
+    def test_a_row_stepped_ensemble_holds_a_small_block(self):
+        # 100 interval-map trajectories: 20,971-row chunks held 16.8 MB of
+        # states alone; 4,096-row chunks peak at about 5 MB in all
+        assert self.peak_mb(LSVProcess(gamma=0.4), 25_000, 100) < 10
 
 
 class TestLockstepInit:

@@ -90,6 +90,13 @@ class TestClosedFormAnswers:
         assert constant_seq(2.0).limit_kind() == "const"
         assert PowerLogSeq(c=1, p=0, q=1, shift=2).limit_kind() == "zero"
 
+    def test_zero_coefficient_is_zero_where_the_power_overflows(self):
+        # n**400 is inf from n = 6 on, and 0 * inf would be nan
+        v = PowerLogSeq(c=0, p=-400)
+        assert v.limit_kind() == "zero"
+        assert v.array(1, 100).tolist() == [0.0] * 100
+        assert v.eval(50) == 0.0
+
     def test_algebraic_helpers(self):
         v = power_seq(2.0, 0.5)
         w = v.powered(2.0)

@@ -167,14 +167,26 @@ class TestSampledTable:
 
 def test_non_finite_masses_fail_the_statistics_pass():
     """E and mu get TabulatedSeq's checks whether or not criteria are
-    asked for: 0 * n**400 overflows to nan radii."""
+    asked for: from n = 6 on, n**400 overflows to inf and
+    log(n + 1000)**-400 underflows to 0, so the radii are nan."""
+    radius = PowerLogSeq(c=1.0, p=-400.0, q=400.0, shift=1000.0)
     cfg = ExperimentConfig(
         process=IIDProcess(),
-        family=NestedLeftFamily(radius=PowerLogSeq(c=0.0, p=-400.0)),
+        family=NestedLeftFamily(radius=radius),
         n=100, n_traj=2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SeqDomainError, match="non-finite"):
             run_experiment(cfg)
+
+
+def test_zero_coefficient_radii_are_empty_targets():
+    cfg = ExperimentConfig(
+        process=IIDProcess(),
+        family=NestedLeftFamily(radius=PowerLogSeq(c=0.0, p=-400.0)),
+        n=100, n_traj=2)
+    report = run_experiment(cfg)
+    assert [r.hit_times.tolist() for r in report.records] == [[], []]
+    assert report.e_checkpoints.tolist() == [0.0] * len(cfg.checkpoints)
 
 
 def test_run_memory_does_not_grow_with_the_horizon():
