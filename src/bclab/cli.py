@@ -51,7 +51,7 @@ from .mixing import (
     profile_to_csv,
 )
 from .processes import GOLDEN_CONJUGATE
-from .seqcore import check_fields, is_number, seq_from_json
+from .seqcore import check_fields, is_number, json_value, seq_from_json
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -308,16 +308,20 @@ def _cmd_report(args) -> int:
         recorded = _read_json(Path(args.run) / "manifest.json")
         if not isinstance(recorded, dict):
             raise ValueError("manifest.json must be a JSON object")
-        report = report_from_records(
-            cfg, records, wall_clock_s=recorded.get("wall_clock_s", 0.0),
-            timestamp=recorded.get("timestamp", ""))
+        fields = {name: json_value(f"manifest.json {name!r}",
+                                   recorded.get(name), kind)
+                  for name, kind in (("run_digest", str), ("timestamp", str),
+                                     ("wall_clock_s", float))}
+        report = report_from_records(cfg, records,
+                                     wall_clock_s=fields["wall_clock_s"],
+                                     timestamp=fields["timestamp"])
         digest = run_digest(report)
-        if digest != recorded["run_digest"]:
+        if digest != fields["run_digest"]:
             print(f"run digest {digest} does not match the recorded "
-                  f"{recorded['run_digest']}; nothing written", file=sys.stderr)
+                  f"{fields['run_digest']}; nothing written", file=sys.stderr)
             return EXIT_FAIL
         emit_report(report, out_dir=args.run, formats=[args.format])
-    except (OSError, KeyError, ValueError) as e:
+    except (OSError, ValueError) as e:
         return _err(str(e))
     print(f"run digest {digest}")
     return EXIT_OK

@@ -505,12 +505,17 @@ def _read_json(path):
 
 
 def _prior_manifest(out: Path) -> dict:
-    """manifest.json already in out, or {} when it is missing or unreadable."""
+    """manifest.json already in out, or {} when it is missing or unreadable
+    or its "complete" is not an object of file hashes as strings."""
     try:
         doc = _read_json(out / "manifest.json")
     except (OSError, ValueError):
         return {}
-    return doc if isinstance(doc, dict) else {}
+    complete = doc.get("complete", {}) if isinstance(doc, dict) else None
+    if not (isinstance(complete, dict)
+            and all(isinstance(v, str) for v in complete.values())):
+        return {}
+    return doc
 
 
 def emit_report(report: ExperimentReport, out_dir=None,
@@ -574,8 +579,9 @@ def emit_report(report: ExperimentReport, out_dir=None,
 def load_run(run_dir) -> tuple:
     """(config, records) back from a persisted run directory.
 
-    hits.jsonl must hold the whole ensemble: n_traj records in trajectory
-    order, each with strictly increasing hit times within [1, n].
+    hits.jsonl must hold the whole ensemble as emit_report writes it: n_traj
+    lines in trajectory order, each as HitRecord.to_line writes it and ended
+    by a newline, with strictly increasing hit times within [1, n].
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "config.json"
@@ -585,14 +591,21 @@ def load_run(run_dir) -> tuple:
     if not hits_path.exists():
         raise ValueError(f"{run_dir} has no hits.jsonl")
     cfg = config_from_json(_read_json(cfg_path))
-    records = [HitRecord.from_line(line)
-               for line in hits_path.read_bytes().splitlines() if line.strip()]
+    lines = hits_path.read_bytes().split(b"\n")
+    if lines.pop():  # text after the final newline
+        raise ValueError(f"{hits_path} line {len(lines) + 1}: no final newline")
+    records = []
+    for i, line in enumerate(lines, 1):
+        try:
+            records.append(HitRecord.from_line(line))
+        except ValueError as e:
+            raise ValueError(f"{hits_path} line {i}: {e}") from None
     if [r.trajectory for r in records] != list(range(cfg.n_traj)):
         raise ValueError(f"{hits_path} must hold trajectories 0..{cfg.n_traj - 1}"
                          f" in order, one per line")
     for r in records:
         ht = r.hit_times
         if ht.size and (ht[0] < 1 or ht[-1] > cfg.n or np.any(np.diff(ht) <= 0)):
-            raise ValueError(f"trajectory {r.trajectory}: hit times must be "
-                             f"strictly increasing within [1, {cfg.n}]")
+            raise ValueError(f"{hits_path} line {r.trajectory + 1}: hit times"
+                             f" must be strictly increasing within [1, {cfg.n}]")
     return cfg, records

@@ -289,9 +289,6 @@ class NestedLeftFamily(IntervalFamily):
         wraps = np.zeros(size, dtype=bool)
         return np.zeros(size), np.where(full, 0.0, r), wraps, full
 
-    def check_nested(self, upto: int) -> bool:
-        return self.radius.check_nonincreasing(upto)
-
 
 @dataclass(frozen=True)
 class NestedWindowFamily(IntervalFamily):
@@ -312,11 +309,6 @@ class NestedWindowFamily(IntervalFamily):
         right = np.maximum(left, self.right.array(lo, hi))
         flags = np.zeros(len(left), dtype=bool)
         return left, right, flags, flags.copy()
-
-    def check_nested(self, upto: int) -> bool:
-        l = self.left.array(1, upto)
-        r = self.right.array(1, upto)
-        return bool(np.all(np.diff(l) >= -1e-15) and np.all(np.diff(r) <= 1e-15))
 
 
 # steps summed at once when TorusConsecutiveFamily starts a window cold

@@ -11,7 +11,6 @@ fed from step_draws, walk identical trajectories.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import re
@@ -420,48 +419,36 @@ _LINE = (b'{"hit_times":[%s],"renewal_count":%d,"restarts":%d,'
 # 1, 10, ..., 10**17: the insertion point of v >= 1 is its digit count,
 # capped at 18
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
-# -(10**18 - 1), ..., -99, -9, 0, 10, 100, ..., 10**18: the insertion point
-# (side="right") of an int64 with d digits is 18 + d if it is >= 0, and
-# 19 - d if it is negative
-_SIGNED_DIGITS = np.array([-(10**k - 1) for k in range(18, 0, -1)] + [0]
-                          + [10**k for k in range(1, 19)], dtype=np.int64)
-_RECORD_KEYS = ("trajectory", "hit_times", "renewal_count", "restarts")
 
 
 def _hits_body(ht: np.ndarray) -> bytes:
     """The text json.dumps writes between the brackets of ht.tolist(), for
-    any int64 array ht: the mirror of _canonical_hits.
+    hit times in [1, 10**18): the domain _canonical_hits reads.
 
-    Values are written in runs of one sign and digit count (a sorted list
-    of hit times has at most 19), each run as one fixed-width block of
-    characters: '-' if negative, the digits, then ','.
+    Values are written in runs of one digit count, each run as one
+    fixed-width block of characters: the digits, then ','.
     """
     if ht.size == 0:
         return b""
-    kind = np.searchsorted(_SIGNED_DIGITS, ht, side="right")
-    cuts = (np.flatnonzero(np.diff(kind)) + 1).tolist()
-    runs = []  # (start, end, negative, digits)
-    for s, e in zip([0, *cuts], [*cuts, ht.size]):
-        k = int(kind[s])
-        runs.append((s, e, int(k < 19), 19 - k if k < 19 else k - 18))
-    out = np.empty(sum((e - s) * (sign + d + 1) for s, e, sign, d in runs),
-                   dtype=np.uint8)
+    digits = np.searchsorted(_POW10, ht, side="right")
+    cuts = (np.flatnonzero(np.diff(digits)) + 1).tolist()
+    runs = [(s, e, int(digits[s]))
+            for s, e in zip([0, *cuts], [*cuts, ht.size])]
+    # 0 digits is a value below 1; 18 digits may be a value of 10**18 or more
+    if any(d == 0 or d == 18 and ht[s:e].max() >= 10**18 for s, e, d in runs):
+        raise ValueError("hit times must lie in [1, 10**18)")
+    out = np.empty(sum((e - s) * (d + 1) for s, e, d in runs), dtype=np.uint8)
     at = 0
-    for s, e, sign, d in runs:
-        block = out[at:at + (e - s) * (sign + d + 1)].reshape(e - s, -1)
+    for s, e, d in runs:
+        block = out[at:at + (e - s) * (d + 1)].reshape(e - s, d + 1)
         at += block.size
-        if sign:
-            block[:, 0] = ord("-")
-        # the digits from the last, of |v| (2**63 included: negation wraps
-        # in unsigned integers), by uint32 division where every value fits
+        # the digits from the last, by uint32 division where every value fits
         v = ht[s:e].astype(np.uint32 if d <= 9 else np.uint64)
-        if sign:
-            v = -v
-        for c in range(sign + d - 1, sign, -1):
+        for c in range(d - 1, 0, -1):
             q = v // 10
             block[:, c] = v - 10 * q + ord("0")
             v = q
-        block[:, sign] = v + ord("0")
+        block[:, 0] = v + ord("0")
         block[:, -1] = ord(",")
     return out[:-1].tobytes()
 
@@ -492,8 +479,8 @@ def _canonical_hits(body: bytes):
 class HitRecord:
     """One trajectory's hits; seed, n and drift live in the run's config.
 
-    Frozen, with read-only hit times, so a record read from a canonical
-    hits.jsonl line keeps that line as its serialization.
+    Frozen, with read-only hit times, so a record read from a hits.jsonl
+    line keeps that line as its serialization.
     """
 
     trajectory: int
@@ -518,56 +505,19 @@ class HitRecord:
 
     @staticmethod
     def from_line(line: bytes) -> "HitRecord":
-        """Record from one hits.jsonl line.
-
-        A line in the form to_line writes is parsed by numpy and kept
-        verbatim; any other line must be a JSON object for from_json.
-        """
+        """Record from one hits.jsonl line, which must be exactly as to_line
+        writes it; the line is kept verbatim as the record's serialization.
+        Any other line, valid JSON or not, is a ValueError."""
         m = _CANONICAL_LINE.fullmatch(line)
         ht = _canonical_hits(m[1]) if m else None
         if ht is None:
-            try:
-                doc = json.loads(line)
-            except RecursionError:
-                raise ValueError("hit record nests too deeply") from None
-            return HitRecord.from_json(doc)
+            raise ValueError(
+                "not a hit record as bclab writes it: compact JSON with "
+                "sorted keys, hit times in [1, 10**18) and counters >= 0")
         rec = HitRecord(trajectory=int(m[4]), hit_times=ht,
                         renewal_count=int(m[2]), restarts=int(m[3]))
         object.__setattr__(rec, "_line", line)
         return rec
-
-    @staticmethod
-    def from_json(d: dict) -> "HitRecord":
-        """Record from a hits.jsonl object; every field must be a JSON
-        integer (hit_times a flat list of them) and the counters >= 0."""
-        if not isinstance(d, dict):
-            raise ValueError(f"hit record must be a JSON object, "
-                             f"not {type(d).__name__}")
-        extra = sorted(set(d) - set(_RECORD_KEYS))
-        if extra:
-            raise ValueError(f"hit record has unknown fields {extra}; "
-                             f"rerun the experiment to rewrite hits.jsonl")
-        missing = [k for k in _RECORD_KEYS if k not in d]
-        if missing:
-            raise ValueError(f"hit record missing fields {missing}")
-        for k in ("trajectory", "renewal_count", "restarts"):
-            if type(d[k]) is not int:  # bool is not a hit-record integer
-                raise ValueError(f"hit record {k} must be a JSON integer")
-        for k in ("renewal_count", "restarts"):
-            if d[k] < 0:
-                raise ValueError(f"hit record {k} must be >= 0")
-        ht = d["hit_times"]
-        if not (isinstance(ht, list) and all(type(t) is int for t in ht)):
-            raise ValueError("hit record hit_times must be a flat list of "
-                             "JSON integers")
-        try:
-            ht = np.array(ht, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(
-                "hit record hit_times must fit in 64 bits") from None
-        return HitRecord(trajectory=d["trajectory"], hit_times=ht,
-                         renewal_count=d["renewal_count"],
-                         restarts=d["restarts"])
 
 
 # ---------------------------------------------------------------------------

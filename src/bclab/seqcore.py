@@ -45,10 +45,6 @@ class RealSeq:
         """Values v_lo..v_hi inclusive."""
         raise NotImplementedError
 
-    def check_nonincreasing(self, upto: int) -> bool:
-        vals = self.array(self.start, upto)
-        return bool(np.all(np.diff(vals) <= 1e-15))
-
     def _require_in_domain(self, n: int):
         if n < self.start:
             raise SeqDomainError(f"index {n} below sequence start {self.start}")

@@ -361,7 +361,8 @@ class TestReport:
         out, lines = self.simulated(tmp_path)
         rec = json.loads(lines[0])
         rec["hit_times"] = rec["hit_times"][1:]
-        lines[0] = json.dumps(rec)
+        # in the form bclab writes, so only the digest check can catch it
+        lines[0] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
         (out / "hits.jsonl").write_text("\n".join(lines) + "\n")
         before = {f.name: f.read_bytes() for f in out.iterdir()}
         capsys.readouterr()
@@ -369,21 +370,66 @@ class TestReport:
         assert "does not match the recorded" in capsys.readouterr().err
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
-    @pytest.mark.parametrize("first, error", [
-        ("5", "hit record must be a JSON object, not int"),
-        (None, "hit_times must fit in 64 bits"),
-        ("[" * 100_000 + "]" * 100_000, "hit record nests too deeply"),
+    @pytest.mark.parametrize("first", [
+        "5",
+        None,
+        "[" * 100_000 + "]" * 100_000,
     ], ids=["bare-integer", "hit-time-1e20", "deep-nesting"])
-    def test_malformed_record_exit_4(self, tmp_path, capsys, first, error):
+    def test_malformed_record_exit_4(self, tmp_path, capsys, first):
         out, lines = self.simulated(tmp_path)
         if first is None:
             rec = json.loads(lines[0])
-            first = json.dumps({**rec, "hit_times": [10**20]})
+            first = json.dumps({**rec, "hit_times": [10**20]},
+                               sort_keys=True, separators=(",", ":"))
         (out / "hits.jsonl").write_text("\n".join([first] + lines[1:]) + "\n")
         manifest = (out / "manifest.json").read_bytes()
         assert main(["report", "--run", str(out), "--format", "csv"]) == 4
-        assert error in capsys.readouterr().err
+        assert "hits.jsonl line 1: not a hit record" in capsys.readouterr().err
         assert (out / "manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("rewrite, error", [
+        (lambda ls: "".join(json.dumps(json.loads(l)) + "\n" for l in ls),
+         "line 1: not a hit record"),
+        (lambda ls: "\n".join(ls) + "\n\n", "line 5: not a hit record"),
+        (lambda ls: "\n".join(ls), "line 4: no final newline"),
+    ], ids=["json-dumps-per-line", "blank-line", "no-final-newline"])
+    def test_reformatted_hits_exit_4_writes_nothing(self, tmp_path, capsys,
+                                                    rewrite, error):
+        # the same records in other bytes: not the file the digest covered
+        out, lines = self.simulated(tmp_path)
+        (out / "hits.jsonl").write_text(rewrite(lines))
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        assert main(["report", "--run", str(out), "--format", "csv"]) == 4
+        assert f"hits.jsonl {error}" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("wall_clock_s", [1.5], "number"),
+        ("wall_clock_s", "1.5", "number"),
+        ("wall_clock_s", True, "number"),
+        ("wall_clock_s", None, "number"),
+        ("timestamp", 5, "string"),
+        ("timestamp", None, "string"),
+        ("run_digest", 7, "string"),
+        ("run_digest", None, "string"),
+    ])
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_wrongly_typed_manifest_field_exit_4(self, tmp_path, capsys,
+                                                 field, value, kind, fmt):
+        out, _ = self.simulated(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        if value is None:
+            del manifest[field]
+        else:
+            manifest[field] = value
+        write_json(out / "manifest.json", manifest)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        assert main(["report", "--run", str(out), "--format", fmt]) == 4
+        assert (f"manifest.json '{field}' must be a JSON {kind}"
+                in capsys.readouterr().err)
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_removed_line_exit_4(self, tmp_path, capsys):
         out, lines = self.simulated(tmp_path)

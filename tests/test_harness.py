@@ -242,6 +242,23 @@ class TestEmitAndReload:
             "config.json", "criteria.json", "hits.jsonl", "summary.csv",
             "summary.md"}
 
+    @pytest.mark.parametrize("complete", [
+        ["hits.jsonl"], "hits.jsonl", {"hits.jsonl": 5}, None],
+        ids=["list", "string", "non-string-hash", "null"])
+    def test_malformed_prior_manifest_is_not_carried(self, tmp_path,
+                                                     complete):
+        rep = run_experiment(small_cfg(n_traj=2, seed=9))
+        digest = emit_report(rep, out_dir=tmp_path)["digest"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "complete": complete}))
+        emit_report(rep, out_dir=tmp_path, formats=("md",))
+        manifest = json.loads(path.read_text())
+        assert manifest["run_digest"] == digest
+        assert manifest["complete"] == {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("config.json", "criteria.json", "summary.md")}
+
     def test_emitted_bytes_deterministic(self, tmp_path):
         cfg = small_cfg(seed=31)
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -312,30 +329,45 @@ class TestEmitAndReload:
         lines = hits.read_text().splitlines()
         first = json.loads(lines[0])
 
-        def with_hits(times):
-            return [json.dumps({**first, "hit_times": times})] + lines[1:]
+        def canonical(**fields):
+            # first's line with fields replaced, in the form to_line writes
+            return json.dumps({**first, **fields}, sort_keys=True,
+                              separators=(",", ":"))
 
+        def with_hits(times):
+            return [canonical(hit_times=times)] + lines[1:]
+
+        assert canonical() == lines[0]
+        text = "\n".join(lines) + "\n"
         for match, body in [
             ("trajectories 0..2 in order", [lines[0], lines[2]]),
             ("trajectories 0..2 in order", [lines[1], lines[0], lines[2]]),
             ("strictly increasing", with_hits(first["hit_times"][::-1])),
             (r"within \[1, 1000\]", with_hits(first["hit_times"] + [1001])),
             # tampered values are rejected, not coerced back to the original
-            ("flat list of JSON integers",
+            ("line 1: not a hit record",
              with_hits([first["hit_times"][0] + 0.7] + first["hit_times"][1:])),
-            ("flat list of JSON integers",
+            ("line 1: not a hit record",
              with_hits([str(t) for t in first["hit_times"]])),
-            ("flat list of JSON integers", with_hits([first["hit_times"]])),
-            ("trajectory must be a JSON integer",
-             [json.dumps({**first, "trajectory": True})] + lines[1:]),
-            ("renewal_count must be >= 0",
-             [json.dumps({**first, "renewal_count": -1})] + lines[1:]),
-            ("restarts must be >= 0",
-             [json.dumps({**first, "restarts": -1})] + lines[1:]),
+            ("line 1: not a hit record", with_hits([first["hit_times"]])),
+            ("line 1: not a hit record",
+             [canonical(trajectory=True)] + lines[1:]),
+            ("line 1: not a hit record",
+             [canonical(renewal_count=-1)] + lines[1:]),
+            ("line 1: not a hit record", [canonical(restarts=-1)] + lines[1:]),
+            # the file as written, line by line, and nothing else
+            ("line 2: not a hit record", [lines[0], "", *lines[1:]]),
+            ("line 4: not a hit record", [*lines, ""]),
+            ("line 3: not a hit record", [*lines[:2], json.dumps(
+                json.loads(lines[2]))]),
+            ("line 3: no final newline", text[:-1]),
+            ("line 1: not a hit record", text.replace("\n", "\r\n")),
         ]:
-            hits.write_text("\n".join(body) + "\n")
-            with pytest.raises(ValueError, match=match):
+            hits.write_text(body if isinstance(body, str)
+                            else "\n".join(body) + "\n")
+            with pytest.raises(ValueError, match=match) as e:
                 load_run(tmp_path)
+            assert str(e.value).startswith(str(hits))
         hits.unlink()
         with pytest.raises(ValueError, match="no hits.jsonl"):
             load_run(tmp_path)

@@ -255,7 +255,6 @@ class TestFamilies:
     def test_nested_left_eval(self):
         fam = NestedLeftFamily(radius=PowerLogSeq(c=1.0, p=1.0))
         assert fam.interval(4).hi == pytest.approx(0.25)
-        assert fam.check_nested(50)
 
     def test_nested_window(self):
         fam = NestedWindowFamily(
@@ -263,7 +262,6 @@ class TestFamilies:
         )
         iv = fam.interval(3)
         assert (iv.lo, iv.hi) == (0.25, 0.75)
-        assert fam.check_nested(10)
 
     def test_torus_consecutive_recursion(self):
         fam = TorusConsecutiveFamily(b0=0.0, steps=constant_seq(0.25))
