@@ -208,8 +208,10 @@ class ExperimentReport:
     """Run outputs: records, checkpoint statistics, criterion reports.
 
     All statistics are pure functions of (config, records); ``s_values``
-    is the trajectory-by-checkpoint hit-count matrix and ``hits_jsonl``
-    the records serialized once, as ``hits.jsonl`` holds them.
+    is the trajectory-by-checkpoint hit-count matrix.  Each record keeps
+    its ``hits.jsonl`` line once serialized, and the file is streamed from
+    those lines, line by line, into the run digest and onto disk: it is
+    never held joined.
     ``e_seq`` and ``mu_seq`` are E_n = mu(A_1) + ... + mu(A_n) and
     mu(A_n), kept at the checkpoints only (``e_checkpoints`` is E's
     values there) but fingerprinted as the tables over k = 1..n that the
@@ -227,7 +229,6 @@ class ExperimentReport:
     q90: np.ndarray
     hit_frac_late: np.ndarray
     record_digests: list
-    hits_jsonl: bytes = field(repr=False)
     e_seq: SampledSeq = field(repr=False)
     mu_seq: SampledSeq = field(repr=False)
     criteria: dict = field(default_factory=dict)
@@ -241,13 +242,18 @@ class ExperimentReport:
                             self.s_values / self.e_checkpoints, np.nan)
 
 
-def _serialize_records(records: list) -> tuple:
-    """(per-record digests, hits.jsonl bytes) from each record's line."""
-    lines = [rec.to_line() for rec in records]
-    digests = [hashlib.sha256(line).hexdigest()[:16] for line in lines]
-    # one join, with the final newline as its last separator: appending it
-    # after the join would copy the whole file once more
-    return digests, b"\n".join([*lines, b""])
+def _record_digests(records: list) -> list:
+    """Per-record digests, each of the record's hits.jsonl line."""
+    return [hashlib.sha256(rec.to_line()).hexdigest()[:16]
+            for rec in records]
+
+
+def _hits_chunks(records: list):
+    """hits.jsonl as the byte strings it is written from: each record's
+    line, then its newline."""
+    for rec in records:
+        yield rec.to_line()
+        yield b"\n"
 
 
 def _expected(cfg: ExperimentConfig, cps: np.ndarray) -> tuple:
@@ -301,13 +307,12 @@ def report_from_records(cfg: ExperimentConfig, records: list,
             mode = token[len("f-"):]
             criteria[token] = check_f_criteria(ens, e_seq, mode, mu_A=mu_seq)
 
-    digests, hits_jsonl = _serialize_records(records)
     return ExperimentReport(
         config=cfg, records=records, checkpoints=cps, e_checkpoints=e_cp,
         s_values=s, mean_ratio=mean_ratio, median_s=median_s, q10=q10,
-        q90=q90, hit_frac_late=hit_frac_late, record_digests=digests,
-        hits_jsonl=hits_jsonl, e_seq=e_seq, mu_seq=mu_seq, criteria=criteria,
-        wall_clock_s=wall_clock_s, timestamp=timestamp,
+        q90=q90, hit_frac_late=hit_frac_late,
+        record_digests=_record_digests(records), e_seq=e_seq, mu_seq=mu_seq,
+        criteria=criteria, wall_clock_s=wall_clock_s, timestamp=timestamp,
     )
 
 
@@ -458,7 +463,8 @@ def run_digest(report: ExperimentReport) -> str:
     """
     h = hashlib.sha256()
     h.update(_config_payload(report.config))
-    h.update(report.hits_jsonl)
+    for chunk in _hits_chunks(report.records):
+        h.update(chunk)
     h.update(_csv_payload(report))
     h.update(_criteria_payload(report))
     return h.hexdigest()
@@ -518,12 +524,24 @@ def _prior_manifest(out: Path) -> dict:
     return doc
 
 
+def _write_chunks(path: Path, chunks) -> str:
+    """Write the byte strings chunks to path in turn; the sha256 of the
+    file they make."""
+    h = hashlib.sha256()
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            h.update(chunk)
+    return h.hexdigest()
+
+
 def emit_report(report: ExperimentReport, out_dir=None,
                 formats=("csv", "jsonl", "md")) -> dict:
     """Write run artifacts; returns {name: path} plus the run digest.
 
     ``config.json`` and ``criteria.json`` are always written; formats
     select ``hits.jsonl``, ``summary.csv`` and ``summary.md``.
+    ``hits.jsonl`` is written and hashed line by line, from the records.
     ``manifest.json`` holds the sha256 of each file, the run digest, the
     wall clock and the timestamp; the hashes of files this call does not
     rewrite are kept when the manifest already there records the same run
@@ -540,15 +558,17 @@ def emit_report(report: ExperimentReport, out_dir=None,
         raise ValueError(f"unknown report formats {unknown}")
 
     digest = run_digest(report)
-    payloads = {"config.json": (json.dumps(config_to_json(report.config),
-                                           sort_keys=True, indent=2) + "\n").encode(),
-                "criteria.json": _criteria_payload(report, digest)}
+    # each file as the byte strings it is written from
+    payloads = {"config.json": [(json.dumps(config_to_json(report.config),
+                                            sort_keys=True, indent=2)
+                                 + "\n").encode()],
+                "criteria.json": [_criteria_payload(report, digest)]}
     if "jsonl" in formats:
-        payloads["hits.jsonl"] = report.hits_jsonl
+        payloads["hits.jsonl"] = _hits_chunks(report.records)
     if "csv" in formats:
-        payloads["summary.csv"] = _csv_payload(report)
+        payloads["summary.csv"] = [_csv_payload(report)]
     if "md" in formats:
-        payloads["summary.md"] = _md_payload(report, digest)
+        payloads["summary.md"] = [_md_payload(report, digest)]
 
     prior = _prior_manifest(out)
     written = (dict(prior.get("complete", {}))
@@ -557,9 +577,8 @@ def emit_report(report: ExperimentReport, out_dir=None,
                 "wall_clock_s": report.wall_clock_s,
                 "timestamp": report.timestamp}
     try:
-        for name, payload in payloads.items():
-            (out / name).write_bytes(payload)
-            written[name] = hashlib.sha256(payload).hexdigest()
+        for name, chunks in payloads.items():
+            written[name] = _write_chunks(out / name, chunks)
     except OSError as e:
         manifest.update(failed=name, error=str(e))
         try:
@@ -591,6 +610,7 @@ def load_run(run_dir) -> tuple:
     if not hits_path.exists():
         raise ValueError(f"{run_dir} has no hits.jsonl")
     cfg = config_from_json(_read_json(cfg_path))
+    # the file's bytes go once split; the records keep the lines
     lines = hits_path.read_bytes().split(b"\n")
     if lines.pop():  # text after the final newline
         raise ValueError(f"{hits_path} line {len(lines) + 1}: no final newline")

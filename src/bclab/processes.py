@@ -4,8 +4,9 @@ Every trajectory owns a counter-based random stream derived from
 (seed, trajectory id).  Each process variant has a per-step draw budget,
 defined once by step_draws, and each stream is consumed in step order, so
 results are reproducible no matter how trajectories are scheduled or
-batched.  The vectorized ensemble driver and the scalar process_step,
-fed from step_draws, walk identical trajectories.
+batched.  The vectorized ensemble driver walks, bit for bit, the
+trajectories a scalar stepper walks on one row of step_draws per step:
+the tests' reference.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def array_pow(u, e: float, in_place: bool = False):
     """u**e routed through numpy's 1-d loop for scalars and arrays alike.
 
     numpy evaluates 0-d and 1-d powers with different code paths whose
-    results can differ in the last ulp; forcing one path keeps scalar
-    process_step and the vectorized driver on identical trajectories.
+    results can differ in the last ulp; forcing one path keeps a scalar
+    stepper and the vectorized driver on identical trajectories.
     With in_place, the float array u is raised by **=, the same path,
     and returned.
     """
@@ -269,7 +270,7 @@ def circle_position(a: float, x0, j: np.ndarray, out=None) -> np.ndarray:
     one rounding: the result stays within an ulp of 1.0 of the exact value
     at every step count, where the recursion x +- a rounds at every step.
     j is overwritten; out, when given, receives the result.  The kernel and
-    the scalar process_step both call this, so their paths agree bit for bit.
+    a scalar stepper that both call this agree bit for bit.
     """
     unit = 2.0**-_CIRCLE_BITS
     h = round(a / unit)
@@ -284,29 +285,8 @@ def circle_position(a: float, x0, j: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-class CircleState(float):
-    """A circle-rw state: its position as a float, with the start x0 and
-    the net +a step count j the position is computed from."""
-
-    def __new__(cls, position: float, x0: float, j: int):
-        self = super().__new__(cls, position)
-        self.x0, self.j = x0, j
-        return self
-
-
 # ---------------------------------------------------------------------------
-# Scalar stepping (the reference semantics)
-
-
-def lsv_map(x, gamma: float):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    low = arr < 0.5
-    two = 2.0 * arr
-    # np.power, not **, which takes sqrt at gamma = 1/2: the kernel's ufunc
-    out = np.where(low, arr * (1.0 + np.power(two, gamma)), two - 1.0)
-    out = np.minimum(out, _BELOW_ONE)
-    return float(out[0]) if np.ndim(x) == 0 else out
-
+# Draws and starting states
 
 _WORD_BITS = 64
 
@@ -315,7 +295,8 @@ def step_draws(spec: ProcessSpec, gen, m: int) -> np.ndarray:
     """The draws of the next m steps of the stream gen, one row per step.
 
     This is each variant's per-step draw budget, defined here alone: the
-    ensemble kernel takes its draws from it, and process_step reads a row.
+    ensemble kernel takes its draws from it, and a scalar stepper reads
+    one row per step.
     - circle-rw: one bit.  Step 64 i + b reads bit b of raw word i, least
       significant bit first, and a 0 bit is a +a step.  A call starts on a
       fresh word: m steps take ceil(m / 64) words.
@@ -333,44 +314,6 @@ def step_draws(spec: ProcessSpec, gen, m: int) -> np.ndarray:
     if isinstance(spec, LSVProcess):
         return np.empty((m, 0))
     return gen.random((m, 1 if isinstance(spec, IIDProcess) else 2))
-
-
-def process_step(spec: ProcessSpec, state: float, draws) -> tuple:
-    """Advance one step on its draws, a row of step_draws; returns
-    (next state, regen flag).
-
-    The flag is 1 only when a split chain regenerates this step.
-    """
-    if isinstance(spec, IIDProcess):
-        return float(spec._inverse(float(draws[0]))), 0
-    if isinstance(spec, LSVProcess):
-        if not 0.0 <= state <= 1.0:
-            raise ValueError("lsv state outside [0,1]")
-        return float(lsv_map(state, spec.gamma)), 0
-    if isinstance(spec, ARHalfProcess):
-        return 0.5 * state + (1.0 if draws[0] < 0.5 else 0.0), 0
-    if isinstance(spec, CircleRWProcess):
-        # a plain float state starts a walk there
-        x0, j = ((state.x0, state.j) if isinstance(state, CircleState)
-                 else (float(state), 0))
-        j += -1 if draws[0] else 1
-        if abs(j) > CIRCLE_MAX_STEPS:
-            raise ValueError("circle-rw walk beyond 2**26 - 1 net steps")
-        x = float(circle_position(spec.a, x0, np.array([j]))[0])
-        return CircleState(x, x0, j), 0
-    if isinstance(spec, SplitChainProcess):
-        if not 0.0 <= state <= 1.0:
-            raise ValueError("split-chain state outside [0,1]")
-        s = float(spec.s_of(state))
-        if not 0.0 <= s <= 1.0:
-            raise ValueError("s(x) outside [0,1]")
-        u1, u2 = float(draws[0]), float(draws[1])
-        if u1 <= s:
-            return float(spec.nu_inverse(u2)), 1
-        if spec.q1 == "delta":
-            return state, 0
-        return float(spec.nu_inverse(u2)), 0
-    raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
 def init_uniform_count(spec: ProcessSpec) -> int:
@@ -479,8 +422,9 @@ def _canonical_hits(body: bytes):
 class HitRecord:
     """One trajectory's hits; seed, n and drift live in the run's config.
 
-    Frozen, with read-only hit times, so a record read from a hits.jsonl
-    line keeps that line as its serialization.
+    Frozen, with read-only hit times, so a record keeps its hits.jsonl
+    line as its serialization: the line it was read from, or the one
+    to_line built first.
     """
 
     trajectory: int
@@ -498,10 +442,11 @@ class HitRecord:
     def to_line(self) -> bytes:
         """This record as one hits.jsonl line, without the newline: compact
         JSON with sorted keys, byte for byte as json.dumps writes it."""
-        if self._line is not None:
-            return self._line
-        return _LINE % (_hits_body(self.hit_times), self.renewal_count,
-                        self.restarts, self.trajectory)
+        if self._line is None:
+            object.__setattr__(self, "_line", _LINE % (
+                _hits_body(self.hit_times), self.renewal_count,
+                self.restarts, self.trajectory))
+        return self._line
 
     @staticmethod
     def from_line(line: bytes) -> "HitRecord":
@@ -583,18 +528,34 @@ def _hit_times(hit, c0):
     return times
 
 
-def _advance_rows(spec, x, U, xs_buf, flags_buf):
-    """Fill xs_buf[i] with the state after step i of this chunk, row by row."""
-    m = xs_buf.shape[0]
+def _row_hit_times(hits, c0):
+    """_hit_times of each row of a row-stepped chunk's (width, m) hit
+    mask: int32 while the chunk's last step, c0 + m, fits in it, else
+    int64.  A wide ensemble holds these fragments until its records are
+    built."""
+    dtype = np.int32 if c0 + hits.shape[1] < 2**31 else np.int64
+    first = dtype(c0 + 1)
+    return [np.add(np.flatnonzero(hit), first, dtype=dtype) for hit in hits]
+
+
+def _advance_rows(spec, x, U, keep):
+    """Step states x through the m rows of the draw planes U (planes, m,
+    width), writing the states after step i into row i of the last plane,
+    over draws no later step reads; returns a copy of the states after the
+    last row, since the next chunk's draws overwrite U.  For split chains
+    keep[i] is True where step i did not regenerate."""
+    xs = U[-1]
+    m = xs.shape[0]
     if isinstance(spec, LSVProcess):
-        # lsv_map written into the rows in place: the same operations in
-        # the same order, so the states are bit for bit those of lsv_map
+        # the map written into the rows in place: x(1 + (2x)**gamma) below
+        # 1/2, 2x - 1 above, capped below 1, with the same ufuncs in the
+        # same order at every row
         g = spec.gamma
         low = np.empty(x.shape, dtype=bool)
         two = np.empty(x.shape)
         left = np.empty(x.shape)
         for i in range(m):
-            row = xs_buf[i]
+            row = xs[i]
             np.less(x, 0.5, out=low)
             np.multiply(x, 2.0, out=two)
             np.power(two, g, out=left)
@@ -606,23 +567,27 @@ def _advance_rows(spec, x, U, xs_buf, flags_buf):
             x = row
         return x.copy()
     if isinstance(spec, ARHalfProcess):
+        # the second uniform goes unused, so the states take its plane
+        coin = U[0]
         for i in range(m):
-            x = 0.5 * x + (U[i, :, 0] < 0.5)
-            xs_buf[i] = x
-        return x
+            row = xs[i]
+            np.multiply(x, 0.5, out=row)
+            row += coin[i] < 0.5
+            x = row
+        return x.copy()
     if isinstance(spec, SplitChainProcess):
-        # one call for the whole chunk, in place of its nu uniforms
-        drawn = spec.nu_inverse(U[:, :, 1], in_place=True)
+        # one call for the whole chunk, in place of its nu uniforms, which
+        # the states then overwrite row by row
+        drawn = spec.nu_inverse(xs, in_place=True)
+        u = U[0]
         for i in range(m):
-            s = spec.s_of(x)
-            regen = U[i, :, 0] <= s
+            # u > s(x) is "no regeneration": s maps into [0, 1] (validate)
+            # and no draw or state is NaN
+            stay = np.greater(u[i], spec.s_of(x), out=keep[i])
             if spec.q1 == "delta":
-                x = np.where(regen, drawn[i], x)
-            else:
-                x = drawn[i]
-            xs_buf[i] = x
-            flags_buf[i] = regen
-        return x.copy()  # drawn is U, which the next chunk's draws overwrite
+                np.copyto(drawn[i], x, where=stay)
+            x = drawn[i]
+        return x.copy()
     raise TypeError(f"unknown spec type {type(spec).__name__}")
 
 
@@ -702,30 +667,35 @@ def _circle_chunks(spec, n, gens, x, family, rows):
 
 
 def _row_chunks(spec, n, gens, x, family, rows):
-    """Chunks of the variants stepped row by row: U[i, t] holds the draws
-    of step i of trajectory t.  The chunk's hit mask is tested whole and
-    transposed once, so each trajectory's hits are one contiguous row."""
+    """Chunks of the variants stepped row by row: U[d, i, t] holds draw d
+    of step i of trajectory t, one (rows, width) plane per draw and at
+    least one plane.  The states overwrite the last plane as they are
+    stepped, so no block of states is held beside the draws.  The chunk's
+    hit mask is tested whole and transposed once, so each trajectory's
+    hits are one contiguous row."""
     width = len(gens)
-    xs = np.empty((rows, width))
-    flags = (np.empty((rows, width), dtype=bool)
-             if isinstance(spec, SplitChainProcess) else None)
+    keep = (np.empty((rows, width), dtype=bool)
+            if isinstance(spec, SplitChainProcess) else None)
     U = None
     for lo, bounds in family.windows(n, rows):
         c0, m = lo - 1, len(bounds[0])
         for t, g in enumerate(gens):
-            draws = step_draws(spec, g, m)
+            draws = step_draws(spec, g, m).T
             if U is None:
-                U = np.empty((rows, width, draws.shape[1]))
-            U[:m, t] = draws
-        fl = None if flags is None else flags[:m]
-        x = _advance_rows(spec, x, U[:m], xs[:m], fl)
+                U = np.empty((max(1, len(draws)), rows, width))
+            U[:len(draws), :m, t] = draws
+        x = _advance_rows(spec, x, U[:, :m],
+                          None if keep is None else keep[:m])
+        xs = U[-1, :m]
         test = _hit_test(bounds, 0.0, c0)
-        times = [_hit_times(hit, c0)
-                 for hit in np.ascontiguousarray(test(xs[:m].T))]
+        times = _row_hit_times(np.ascontiguousarray(test(xs.T)), c0)
         del bounds, test  # freed before the next window is built
-        if isinstance(spec, LSVProcess):
-            fl = xs[:m] < _DEGENERATE
-        yield x, times, None if fl is None else fl.sum(axis=0)
+        counts = None
+        if keep is not None:
+            counts = m - keep[:m].sum(axis=0)
+        elif isinstance(spec, LSVProcess):
+            counts = (xs < _DEGENERATE).sum(axis=0)
+        yield x, times, counts
 
 
 def _run_block(spec, n, seed, traj_ids, family, restart=0):
@@ -750,11 +720,12 @@ def _run_block(spec, n, seed, traj_ids, family, restart=0):
         elif counts is not None:
             rcount += counts
 
-    # each record's fragments go as it is built, so the hit times are
-    # never held twice
+    # each record's fragments, int32 or int64, go as its int64 hit times
+    # are built, so the hit times are never held twice
     out = []
     for t, h, r in zip(traj_ids, hits, rcount):
-        out.append(HitRecord(trajectory=t, hit_times=np.concatenate(h),
+        out.append(HitRecord(trajectory=t,
+                             hit_times=np.concatenate(h, dtype=np.int64),
                              renewal_count=int(r), restarts=restart))
         h.clear()
     if degenerate.any():

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from bclab.processes import (
     LSVProcess,
     SplitChainProcess,
     lsv_calibration,
+    simulate_ensemble,
 )
 from bclab.seqcore import TabulatedSeq, constant_seq, power_seq
 
@@ -373,6 +375,57 @@ class TestEmitAndReload:
             load_run(tmp_path)
 
 
+def traced_peak(work) -> int:
+    """tracemalloc peak, in bytes, of calling work()."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecordMemory:
+    """hits.jsonl is held once, as its records' lines: the statistics
+    pass, the digest, the write and the reload make no copy of the whole
+    file beside them."""
+
+    CFG = ExperimentConfig(process=DMRProcess(a=1.0),
+                           family=NestedLeftFamily(radius=constant_seq(0.5)),
+                           n=10**4, n_traj=200, seed=3)
+
+    def test_run_streams_hits_jsonl(self, tmp_path):
+        cfg = self.CFG
+        records = simulate_ensemble(cfg.process, cfg.family, cfg.n, cfg.seed,
+                                    cfg.n_traj)
+
+        def run():
+            report = report_from_records(cfg, records)
+            run_digest(report)
+            emit_report(report, out_dir=tmp_path)
+
+        peak = traced_peak(run)
+        size = (tmp_path / "hits.jsonl").stat().st_size
+        assert size > 4 * 2**20
+        # the lines the records keep; a join of them is a whole copy more
+        lines = sum(len(r.to_line()) for r in records)
+        assert peak - lines < size / 4
+
+    def test_reload_holds_the_file_once(self, tmp_path):
+        emit_report(run_experiment(self.CFG), out_dir=tmp_path)
+        loaded = []
+
+        def reverify():
+            loaded.append(load_run(tmp_path))
+            run_digest(report_from_records(*loaded[0]))
+
+        peak = traced_peak(reverify)
+        size = (tmp_path / "hits.jsonl").stat().st_size
+        held = sum(len(r.to_line()) + r.hit_times.nbytes
+                   for r in loaded[0][1])
+        assert peak - held < size / 4
+
+
 def reference_suite(quick: bool) -> dict:
     """{name: config} from scripts/run_reference_suite.py."""
     path = Path(__file__).parents[1] / "scripts" / "run_reference_suite.py"
@@ -417,12 +470,14 @@ class TestReferenceDigests:
     def test_quick_suite_reverifies(self, name, tmp_path):
         cfg = reference_suite(quick=True)[name]
         digest = emit_report(run_experiment(cfg), out_dir=tmp_path)["digest"]
-        again = report_from_records(*load_run(tmp_path))
-        assert run_digest(again) == digest
-        assert (tmp_path / "hits.jsonl").read_bytes() == again.hits_jsonl
+        cfg, records = load_run(tmp_path)
         # every line was canonical, so every record kept the line it was read
-        # from instead of serializing its hit times again
-        assert all(r.to_line() is r.to_line() for r in again.records)
+        # from, before any to_line call could serialize its hit times again
+        assert all(r._line is not None for r in records)
+        again = report_from_records(cfg, records)
+        assert run_digest(again) == digest
+        assert (tmp_path / "hits.jsonl").read_bytes() == b"".join(
+            r.to_line() + b"\n" for r in again.records)
 
     # the interval map, whose expected counts come from its invariant law
     @pytest.mark.parametrize("name, digest", [

@@ -26,7 +26,6 @@ from bclab.processes import (
     ARHalfProcess,
     CIRCLE_MAX_STEPS,
     CircleRWProcess,
-    CircleState,
     DMRProcess,
     GOLDEN_CONJUGATE,
     HitRecord,
@@ -37,15 +36,15 @@ from bclab.processes import (
     init_from_uniforms,
     init_uniform_count,
     lsv_calibration,
-    lsv_map,
     make_generator,
     process_from_json,
-    process_step,
     process_to_json,
     simulate_ensemble,
     step_draws,
 )
 from bclab.seqcore import PowerLogSeq, constant_seq, log_grid, power_seq
+
+from scalar_reference import CircleState, lsv_map, process_step
 
 UNIT = NestedLeftFamily(radius=constant_seq(1.0))
 HALF = NestedLeftFamily(radius=constant_seq(0.5))
@@ -217,7 +216,10 @@ class TestSimulateHits:
     def test_matches_scalar_replay(self):
         for spec in (DMRProcess(a=1.0), CircleRWProcess(a=0.37, drift=0.0),
                      IIDProcess(), LSVProcess(gamma=0.6),
-                     LSVProcess(gamma=0.5)):
+                     LSVProcess(gamma=0.5), ARHalfProcess(),
+                     SplitChainProcess(q1="nu"),
+                     # regenerates at every step
+                     SplitChainProcess(s_kind="const", s_scale=1.0)):
             n = 500
             rec = one_run(spec, HALF, n, seed=11)
             gen = make_generator(11, 0)
@@ -230,7 +232,9 @@ class TestSimulateHits:
                     hits.append(k)
             assert rec.hit_times.tolist() == hits, spec.variant
             assert rec.renewal_count == renewals, spec.variant
-            assert (renewals > 0) == isinstance(spec, DMRProcess)
+            assert (renewals > 0) == isinstance(spec, SplitChainProcess)
+            if getattr(spec, "s_kind", None) == "const":
+                assert renewals == n
 
     def test_drift_shifts_the_test_frame(self):
         spec = CircleRWProcess(a=0.31, drift=0.25)
@@ -789,6 +793,43 @@ class TestChunkMemory:
         # 100 interval-map trajectories: 20,971-row chunks held 16.8 MB of
         # states alone; 4,096-row chunks peak at about 5 MB in all
         assert self.peak_mb(LSVProcess(gamma=0.4), 25_000, 100) < 10
+
+    def test_row_stepped_states_take_the_last_draw_plane(self):
+        # 800 sticky-chain trajectories, 2,621-row chunks: 33.5 MB of draws
+        # and a 16.8 MB block of states beside them peaked at 55 MB; with
+        # the states in the nu plane, about 39 MB
+        assert self.peak_mb(DMRProcess(a=1.0), 3_000, 800) < 45
+
+
+class TestHitFragments:
+    """Row-stepped hit fragments are int32 while a chunk's steps fit in
+    it; records are int64 whatever their fragments were."""
+
+    HIT = np.array([[True, False, True, True]])  # steps c0 + 1, 3 and 4
+
+    @pytest.mark.parametrize("last, dtype", [
+        (2**31 - 1, np.int32), (2**31, np.int64)],
+        ids=["int32-max", "one-past"])
+    def test_width_by_the_chunk_s_last_step(self, last, dtype):
+        c0 = last - self.HIT.shape[1]
+        [times] = processes._row_hit_times(self.HIT, c0)
+        assert times.dtype == dtype
+        assert times.tolist() == [c0 + 1, c0 + 3, c0 + 4]
+
+    def test_records_are_int64_across_the_edge(self, monkeypatch):
+        edges = (2**31 - 1 - self.HIT.shape[1], 2**31 - 1)  # int32, int64
+
+        def chunks(spec, n, gens, x, family):
+            for c0 in edges:
+                yield x, processes._row_hit_times(
+                    self.HIT.repeat(len(gens), axis=0), c0), None
+
+        monkeypatch.setattr(processes, "_chunks", chunks)
+        recs = processes._run_block(IIDProcess(), 8, 0, [0, 1], HALF)
+        want = [c0 + k for c0 in edges for k in (1, 3, 4)]
+        for rec in recs:
+            assert rec.hit_times.dtype == np.int64
+            assert rec.hit_times.tolist() == want
 
 
 class TestLockstepInit:
