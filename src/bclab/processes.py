@@ -699,7 +699,10 @@ def _row_chunks(spec, n, gens, x, family, rows):
 
 
 def _run_block(spec, n, seed, traj_ids, family, restart=0):
-    """Lockstep simulation of the given trajectory ids; one HitRecord each.
+    """Lockstep simulation of the given trajectory ids: (hits, renewals,
+    restarts), where hits[j] lists trajectory traj_ids[j]'s hit times as
+    the fragments its chunks found (int32 or int64, in step order) and
+    renewals and restarts are arrays over the ids.
 
     Interval-map orbits that underflow below _DEGENERATE are rerun
     together on their next restart stream, at most 8 times.
@@ -720,30 +723,93 @@ def _run_block(spec, n, seed, traj_ids, family, restart=0):
         elif counts is not None:
             rcount += counts
 
-    # each record's fragments, int32 or int64, go as its int64 hit times
-    # are built, so the hit times are never held twice
+    restarts = np.full(width, restart, dtype=np.int64)
+    if degenerate.any():
+        redo = np.flatnonzero(degenerate)
+        if restart == 8:
+            raise RuntimeError(f"trajectories {[traj_ids[j] for j in redo]}:"
+                               f" orbit degenerate after 8 restarts")
+        for j in redo:
+            hits[j].clear()
+        again, rcount[redo], restarts[redo] = _run_block(
+            spec, n, seed, [traj_ids[j] for j in redo], family, restart + 1)
+        for j, h in zip(redo, again):
+            hits[j] = h
+    return hits, rcount, restarts
+
+
+def _records(traj_ids, hits, rcount, restarts) -> list:
+    """HitRecords of a block from _run_block's arrays; each trajectory's
+    fragments go as its int64 hit times are built, so the hit times are
+    never held twice."""
     out = []
-    for t, h, r in zip(traj_ids, hits, rcount):
+    for t, h, r, s in zip(traj_ids, hits, rcount.tolist(), restarts.tolist()):
         out.append(HitRecord(trajectory=t,
                              hit_times=np.concatenate(h, dtype=np.int64),
-                             renewal_count=int(r), restarts=restart))
+                             renewal_count=r, restarts=s))
         h.clear()
-    if degenerate.any():
-        redo = [traj_ids[j] for j in np.flatnonzero(degenerate)]
-        if restart == 8:
-            raise RuntimeError(
-                f"trajectories {redo}: orbit degenerate after 8 restarts")
-        again = iter(_run_block(spec, n, seed, redo, family, restart + 1))
-        out = [next(again) if d else r for r, d in zip(out, degenerate)]
     return out
+
+
+def _run_part(spec, n, seed, traj_ids, family) -> tuple:
+    """_run_block in a worker process, sent back as one flat buffer of hit
+    times (int32 while n fits it) and the hit counts, renewals and
+    restarts of each trajectory."""
+    hits, rcount, restarts = _run_block(spec, n, seed, traj_ids, family)
+    lengths = np.array([sum(map(len, h)) for h in hits], dtype=np.int64)
+    flat = np.concatenate([f for h in hits for f in h],
+                          dtype=np.int32 if n < 2**31 else np.int64)
+    return flat, lengths, rcount, restarts
+
+
+def _part_records(traj_ids, flat, lengths, rcount, restarts) -> list:
+    """HitRecords of a block a worker process ran, from _run_part."""
+    hits = [[h] for h in np.split(flat, np.cumsum(lengths)[:-1])]
+    return _records(traj_ids, hits, rcount, restarts)
+
+
+# steps a worker process must have to pay for its fork and its transfer:
+# on 2 CPUs two workers ran 2**22 loop-free steps 0.81 to 1.28 times as
+# long as one, and 2**24 steps 0.63 to 0.81 times (sparse targets, fresh
+# process); a fork from a larger process costs more (about 30 ms at 300 MB)
+_MIN_STEPS = 1 << 23
+
+
+def _workers(spec, n, n_traj, workers=None) -> int:
+    """Worker processes for a run: workers if given, else BCLAB_THREADS if
+    set, else one per usable CPU for the loop-free kernels (iid,
+    circle-rw) as long as each has _MIN_STEPS steps, and one for the
+    row-stepped kernels, which a second process did not speed up at 100
+    trajectories.  One where processes cannot be forked; never more than
+    n_traj."""
+    if workers is None and "BCLAB_THREADS" in os.environ:
+        workers = int(os.environ["BCLAB_THREADS"])
+    if workers is None:
+        workers = 1
+        if isinstance(spec, (IIDProcess, CircleRWProcess)):
+            cpus = (len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count())
+            workers = min(cpus, n * n_traj // _MIN_STEPS)
+    workers = max(1, min(workers, n_traj))
+    if workers > 1:
+        # imported only here, as in simulate_ensemble: the import takes
+        # about 15 ms, which a one-worker run need not pay
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
 
 
 def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
                       seed: int, n_traj: int, workers: int = None) -> list:
-    """HitRecords for trajectories 0..n_traj-1, merged in trajectory order.
+    """HitRecords for trajectories 0..n_traj-1, in trajectory order.
 
-    Worker count comes from BCLAB_THREADS when not given; the partition has
-    no effect on the results because every trajectory owns its own stream.
+    The trajectories are cut into one contiguous block per worker
+    (_workers): the calling process steps the first block, and a process
+    forked for this call steps each other one.  Every trajectory owns its
+    own stream, so the partition has no effect on the results.  No worker
+    outlives the call, and an error in one is raised here.
     """
     if n_traj < 1:
         raise ValueError("need n_traj >= 1")
@@ -753,19 +819,25 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
     fh = family.horizon
     if fh is not None and fh < n:
         raise ValueError(f"family defined only up to {fh} < n = {n}")
-    if workers is None:
-        workers = int(os.environ.get("BCLAB_THREADS", "1"))
-    workers = max(1, min(workers, n_traj))
-    ids = list(range(n_traj))
+    workers = _workers(spec, n, n_traj, workers)
+    edges = [n_traj * i // workers for i in range(workers + 1)]
+    blocks = [list(range(a, b)) for a, b in zip(edges, edges[1:])]
     if workers == 1:
-        return _run_block(spec, n, seed, ids, family)
-    from concurrent.futures import ThreadPoolExecutor
+        return _records(blocks[0], *_run_block(spec, n, seed, blocks[0],
+                                               family))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    blocks = [ids[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda b: _run_block(spec, n, seed, b, family), blocks)
-        records = [r for part in parts for r in part]
-    records.sort(key=lambda r: r.trajectory)
+    with ProcessPoolExecutor(
+            max_workers=workers - 1,
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        parts = [pool.submit(_run_part, spec, n, seed, b, family)
+                 for b in blocks[1:]]
+        records = _records(blocks[0], *_run_block(spec, n, seed, blocks[0],
+                                                  family))
+        for b in blocks[1:]:
+            # each worker's buffer goes once its records are built
+            records += _part_records(b, *parts.pop(0).result())
     return records
 
 

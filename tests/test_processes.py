@@ -1,8 +1,11 @@
 from fractions import Fraction
 from pathlib import Path
 
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -252,8 +255,8 @@ class TestSimulateHits:
         fam = NestedLeftFamily(radius=PowerLogSeq(c=0.8, p=0.5))
         recs = simulate_ensemble(DMRProcess(a=1.0), fam, 600, seed=21, n_traj=4)
         for t in (0, 3):
-            solo = processes._run_block(DMRProcess(a=1.0), 600, 21, [t],
-                                        fam)[0]
+            solo = processes._records([t], *processes._run_block(
+                DMRProcess(a=1.0), 600, 21, [t], fam))[0]
             assert recs[t].to_line() == solo.to_line()
 
     def test_parallel_partition_invariance(self):
@@ -451,15 +454,21 @@ def scalar_replay(spec, n, gen, threshold=0.5):
 
 
 class TestDegenerateRestart:
-    def test_restarted_records_replay_their_restart_stream(self, monkeypatch):
+    # at 2 workers, trajectories 20..39 are rerun in a forked worker, which
+    # inherits the patched floor
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restarted_records_replay_their_restart_stream(self, monkeypatch,
+                                                           workers):
         # a high underflow floor makes a few gamma = 0.75 orbits "degenerate"
         monkeypatch.setattr(processes, "_DEGENERATE", 1e-4)
         spec = LSVProcess(gamma=0.75)
         n, seed = 2000, 3
-        recs = simulate_ensemble(spec, HALF, n, seed=seed, n_traj=40)
+        recs = simulate_ensemble(spec, HALF, n, seed=seed, n_traj=40,
+                                 workers=workers)
         assert [r.trajectory for r in recs] == list(range(40))
         restarted = [r for r in recs if r.restarts]
         assert len(restarted) == 6
+        assert [r.trajectory for r in restarted if r.trajectory >= 20]
         for rec in restarted:
             assert rec.restarts >= 1
             # every earlier stream underflows; the recorded one does not
@@ -471,6 +480,91 @@ class TestDegenerateRestart:
         kept = recs[next(t for t in range(40) if not recs[t].restarts)]
         assert kept.hit_times.tolist() == scalar_replay(
             spec, n, make_generator(seed, kept.trajectory))[1]
+
+
+class TestWorkers:
+    """Worker processes: how many a run takes, and that none outlives it."""
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(processes.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3})
+        monkeypatch.delenv("BCLAB_THREADS", raising=False)
+
+    # 10**6 steps for each of 100 trajectories, and 10**4 for 10
+    LARGE, SMALL = (10**6, 100), (10**4, 10)
+
+    @pytest.mark.parametrize("spec, size, want", [
+        (IIDProcess(), LARGE, 4),
+        (CircleRWProcess(a=0.37), LARGE, 4),
+        (CircleRWProcess(a=0.37), (10**7, 3), 3),  # one per trajectory
+    ], ids=["iid", "circle", "circle-3-traj"])
+    def test_large_loop_free_runs_take_every_cpu(self, four_cpus, spec, size,
+                                                 want):
+        assert processes._workers(spec, *size) == want
+
+    @pytest.mark.parametrize("spec, size", [
+        (DMRProcess(a=1.0), LARGE),
+        (LSVProcess(gamma=0.4), LARGE),
+        (ARHalfProcess(), LARGE),
+        (IIDProcess(), SMALL),
+        (CircleRWProcess(a=0.37), SMALL),
+    ], ids=["dmr", "lsv", "ar-half", "small-iid", "small-circle"])
+    def test_row_stepped_and_small_runs_take_one(self, four_cpus, spec, size):
+        assert processes._workers(spec, *size) == 1
+
+    def test_the_environment_and_the_argument_win(self, four_cpus,
+                                                  monkeypatch):
+        monkeypatch.setenv("BCLAB_THREADS", "3")
+        assert processes._workers(DMRProcess(a=1.0), *self.LARGE) == 3
+        assert processes._workers(IIDProcess(), *self.SMALL) == 3
+        assert processes._workers(IIDProcess(), 10**4, 2) == 2
+        monkeypatch.setenv("BCLAB_THREADS", "1")
+        assert processes._workers(IIDProcess(), *self.LARGE) == 1
+        assert processes._workers(IIDProcess(), *self.LARGE, workers=2) == 2
+
+    def test_no_fork_means_one_worker(self, four_cpus, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert processes._workers(IIDProcess(), *self.LARGE) == 1
+        monkeypatch.setenv("BCLAB_THREADS", "2")
+        assert processes._workers(IIDProcess(), *self.LARGE, workers=2) == 1
+
+    def test_default_forks_and_leaves_no_process(self, four_cpus,
+                                                 monkeypatch):
+        pools = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(processes, "_MIN_STEPS", 100)
+        spec = CircleRWProcess(a=0.37)
+        recs = simulate_ensemble(spec, HALF, 400, seed=4, n_traj=6)
+        assert pools == [3]  # the caller runs the first of 4 blocks
+        one = simulate_ensemble(spec, HALF, 400, seed=4, n_traj=6, workers=1)
+        assert [r.to_line() for r in recs] == [r.to_line() for r in one]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_s_error_reaches_the_caller(self, monkeypatch):
+        # every orbit of the forked worker's block degenerates: the floor
+        # is raised in the worker's copy of the module only
+        caller, run_block = os.getpid(), processes._run_block
+
+        def degenerate_in_workers(*args, **kwargs):
+            if os.getpid() != caller:
+                processes._DEGENERATE = 1.0
+            return run_block(*args, **kwargs)
+
+        monkeypatch.setattr(processes, "_run_block", degenerate_in_workers)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "trajectories [2, 3]: orbit degenerate after 8 restarts")):
+            simulate_ensemble(LSVProcess(gamma=0.75), HALF, 50, seed=3,
+                              n_traj=4, workers=2)
+        assert processes._DEGENERATE == 1e-300
+        assert multiprocessing.active_children() == []
 
 
 # chunk shapes for the chunk tests: 3 rows at 3 trajectories, and the
@@ -517,8 +611,9 @@ class TestChunkInvariance:
                           q1="nu"),
     ], ids=["dmr-capped", "circle-drift", "lsv", "iid-power", "split-nu"])
     def test_tiny_chunks_and_workers_match_default(self, monkeypatch, spec):
+        # at 3 workers two forked processes each run a block of the 7
         ref = self.ensemble(spec, workers=1)
-        assert ref == self.ensemble(spec, workers=2)
+        assert ref == self.ensemble(spec, workers=3)
         monkeypatch.setattr(processes, "_CELLS", 3 * 7)  # three-row chunks
         assert ref == self.ensemble(spec, workers=1)
         assert ref == self.ensemble(spec, workers=2)
@@ -825,7 +920,12 @@ class TestHitFragments:
                     self.HIT.repeat(len(gens), axis=0), c0), None
 
         monkeypatch.setattr(processes, "_chunks", chunks)
-        recs = processes._run_block(IIDProcess(), 8, 0, [0, 1], HALF)
+        ids = [0, 1]
+        recs = processes._records(ids, *processes._run_block(
+            IIDProcess(), 8, 0, ids, HALF))
+        # a worker process sends int64 hit times once n passes int32
+        recs += processes._part_records(ids, *processes._run_part(
+            IIDProcess(), 2**31, 0, ids, HALF))
         want = [c0 + k for c0 in edges for k in (1, 3, 4)]
         for rec in recs:
             assert rec.hit_times.dtype == np.int64
