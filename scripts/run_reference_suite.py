@@ -4,8 +4,8 @@
 Six seeded experiments cover the four process kinds (independent draws,
 the sticky polynomial chain, the intermittent interval map, the rotation
 walk) against shrinking and fixed-mass target families.  Each run writes
-the full artifact set (``hits.jsonl``, ``summary.csv``, ``summary.md``,
-``config.json``, ``criteria.json``, ``manifest.json``) under
+the full artifact set (``hits.jsonl`` and ``hits.npy``, ``summary.csv``,
+``summary.md``, ``config.json``, ``criteria.json``, ``manifest.json``) under
 ``--out/<name>/`` and is judged against its predicted limit behaviour.
 Each run's digest is then re-derived from the artifacts just written, as
 ``bclab report`` does; a mismatch fails the suite in either mode.

@@ -6,6 +6,7 @@
     bclab mixing   --task {circle,kernel,dmr} [task options] [--out FILE]
     bclab report   --run DIR --format {csv,jsonl,md}
 
+Format ``jsonl`` writes (and ``report`` rewrites) hits.jsonl and hits.npy.
 Exit codes: 0 pass, 2 verdict failure (for report: the records no longer
 reproduce the recorded run digest), 3 inconclusive, 4 configuration error.
 ``BCLAB_THREADS`` sets the number of simulation worker processes.  By

@@ -10,10 +10,12 @@ reproducible payload (timestamps and wall-clock are excluded).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from .processes import (
     ProcessSpec,
     SplitChainProcess,
     check_horizon,
+    hit_dtype,
     lsv_calibration,
     process_from_json,
     process_to_json,
@@ -54,6 +57,7 @@ __all__ = [
     "config_from_json",
     "config_to_json",
     "emit_report",
+    "hits_header",
     "load_run",
     "marginal_measure",
     "report_from_records",
@@ -74,6 +78,8 @@ SBC_QUANTILE_BAND = (0.5, 1.5)
 # family indices per window of the statistics pass: masses, E and their
 # fingerprints are computed this many at a time, whatever n is
 _WINDOW = 1 << 16
+# hit times per block of load_run's checks
+_CHECK = 1 << 16
 
 
 @dataclass
@@ -208,10 +214,8 @@ class ExperimentReport:
     """Run outputs: records, checkpoint statistics, criterion reports.
 
     All statistics are pure functions of (config, records); ``s_values``
-    is the trajectory-by-checkpoint hit-count matrix.  Each record keeps
-    its ``hits.jsonl`` line once serialized, and the file is streamed from
-    those lines, line by line, into the run digest and onto disk: it is
-    never held joined.
+    is the trajectory-by-checkpoint hit-count matrix.  ``hits.npy`` is
+    streamed from the records' hit times to the digest and disk, unjoined.
     ``e_seq`` and ``mu_seq`` are E_n = mu(A_1) + ... + mu(A_n) and
     mu(A_n), kept at the checkpoints only (``e_checkpoints`` is E's
     values there) but fingerprinted as the tables over k = 1..n that the
@@ -242,17 +246,47 @@ class ExperimentReport:
                             self.s_values / self.e_checkpoints, np.nan)
 
 
-def _record_digests(records: list) -> list:
-    """Per-record digests, each of the record's hits.jsonl line."""
-    return [hashlib.sha256(rec.to_line()).hexdigest()[:16]
-            for rec in records]
+def hits_header(n: int, count: int) -> bytes:
+    """The .npy 1.0 header of count hit times of an n-step run in
+    hit_dtype(n), byte for byte as np.save writes it."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {
+        "descr": np.lib.format.dtype_to_descr(hit_dtype(n)),
+        "fortran_order": False, "shape": (count,)})
+    return out.getvalue()
 
 
-def _hits_chunks(records: list):
-    """hits.jsonl as the byte strings it is written from: each record's
-    line with its newline, so each line is one write."""
+def _packed(records: list, n: int):
+    """Each record's hit times as hits.npy stores them, in hit_dtype(n);
+    hit times in another dtype must lie in [1, n] to be converted."""
+    dtype = hit_dtype(n)
     for rec in records:
-        yield rec.to_line() + b"\n"
+        ht = rec.hit_times
+        if ht.dtype != dtype and ht.size and (ht.min() < 1 or ht.max() > n):
+            raise ValueError(f"trajectory {rec.trajectory}: hit times must "
+                             f"lie in [1, {n}]")
+        yield np.ascontiguousarray(ht, dtype=dtype)
+
+
+def _record_digests(records: list, n: int) -> list:
+    """Per-record digests, each of the record's hits.jsonl index line and
+    the bytes of its hit times in hits.npy."""
+    hashes = [hashlib.sha256(rec.to_line()) for rec in records]
+    for h, ht in zip(hashes, _packed(records, n)):
+        h.update(ht)
+    return [h.hexdigest()[:16] for h in hashes]
+
+
+def _index_payload(records: list) -> bytes:
+    """hits.jsonl: each record's index line with its newline."""
+    return b"".join(rec.to_line() + b"\n" for rec in records)
+
+
+def _npy_chunks(records: list, n: int):
+    """hits.npy as the buffers it is written from: its header, then each
+    record's hit times."""
+    yield hits_header(n, sum(len(rec.hit_times) for rec in records))
+    yield from _packed(records, n)
 
 
 def _expected(cfg: ExperimentConfig, cps: np.ndarray) -> tuple:
@@ -282,9 +316,9 @@ def report_from_records(cfg: ExperimentConfig, records: list,
 
     # S at each checkpoint and a decade before it: one search per record
     probes = np.concatenate((cps, cps // 10))
-    at = np.array([np.searchsorted(rec.hit_times, probes, side="right")
-                   for rec in records],
-                  dtype=np.int64).reshape(len(records), len(probes))
+    at = np.empty((len(records), len(probes)), dtype=np.int64)
+    for row, rec in zip(at, records):
+        row[:] = np.searchsorted(rec.hit_times, probes, side="right")
     now, ago = np.split(at, 2, axis=1)
     s = now.astype(float)
     if len(records):
@@ -310,7 +344,8 @@ def report_from_records(cfg: ExperimentConfig, records: list,
         config=cfg, records=records, checkpoints=cps, e_checkpoints=e_cp,
         s_values=s, mean_ratio=mean_ratio, median_s=median_s, q10=q10,
         q90=q90, hit_frac_late=hit_frac_late,
-        record_digests=_record_digests(records), e_seq=e_seq, mu_seq=mu_seq,
+        record_digests=_record_digests(records, cfg.n), e_seq=e_seq,
+        mu_seq=mu_seq,
         criteria=criteria, wall_clock_s=wall_clock_s, timestamp=timestamp,
     )
 
@@ -462,7 +497,8 @@ def run_digest(report: ExperimentReport) -> str:
     """
     h = hashlib.sha256()
     h.update(_config_payload(report.config))
-    for chunk in _hits_chunks(report.records):
+    h.update(_index_payload(report.records))
+    for chunk in _npy_chunks(report.records, report.config.n):
         h.update(chunk)
     h.update(_csv_payload(report))
     h.update(_criteria_payload(report))
@@ -539,8 +575,8 @@ def emit_report(report: ExperimentReport, out_dir=None,
     """Write run artifacts; returns {name: path} plus the run digest.
 
     ``config.json`` and ``criteria.json`` are always written; formats
-    select ``hits.jsonl``, ``summary.csv`` and ``summary.md``.
-    ``hits.jsonl`` is written and hashed line by line, from the records.
+    select ``summary.csv``, ``summary.md`` and, with "jsonl", the records'
+    ``hits.jsonl`` index and ``hits.npy``, written record by record.
     ``manifest.json`` holds the sha256 of each file, the run digest, the
     wall clock and the timestamp; the hashes of files this call does not
     rewrite are kept when the manifest already there records the same run
@@ -563,7 +599,8 @@ def emit_report(report: ExperimentReport, out_dir=None,
                                  + "\n").encode()],
                 "criteria.json": [_criteria_payload(report, digest)]}
     if "jsonl" in formats:
-        payloads["hits.jsonl"] = _hits_chunks(report.records)
+        payloads["hits.jsonl"] = [_index_payload(report.records)]
+        payloads["hits.npy"] = _npy_chunks(report.records, report.config.n)
     if "csv" in formats:
         payloads["summary.csv"] = [_csv_payload(report)]
     if "md" in formats:
@@ -594,39 +631,68 @@ def emit_report(report: ExperimentReport, out_dir=None,
     return paths
 
 
+def _first_bad(hits, ends, n):
+    """The first trajectory i whose hit times, hits[ends[i - 1]:ends[i]],
+    are not strictly increasing within [1, n], or None; _CHECK at a time."""
+    # pairs (i, i + 1) that straddle two trajectories may fall
+    straddle = ends[:-1][(ends[:-1] > 0) & (ends[:-1] < len(hits))] - 1
+    for lo in range(0, len(hits), _CHECK):
+        block = hits[lo:lo + _CHECK + 1]  # and the next block's first
+        rise = block[1:] > block[:-1]
+        rise[straddle[(straddle >= lo) & (straddle < lo + _CHECK)] - lo] = True
+        if not (rise.all() and block.min() >= 1 and block.max() <= n):
+            bad = (block < 1) | (block > n)
+            bad[1:] |= ~rise
+            return np.searchsorted(ends, lo + np.argmax(bad), side="right")
+    return None
+
+
 def load_run(run_dir) -> tuple:
     """(config, records) back from a persisted run directory.
 
-    hits.jsonl must hold the whole ensemble as emit_report writes it: n_traj
-    lines in trajectory order, each as HitRecord.to_line writes it and ended
-    by a newline, with strictly increasing hit times within [1, n].
+    hits.jsonl must hold n_traj lines in trajectory order, each as
+    HitRecord.to_line writes it, and hits.npy exactly what emit_report
+    writes for their hit counts: hits_header(n, total), then each
+    trajectory's hit times, strictly increasing within [1, n].  The
+    records' hit times are read-only views of one read of hits.npy.
     """
     run_dir = Path(run_dir)
-    cfg_path = run_dir / "config.json"
-    hits_path = run_dir / "hits.jsonl"
-    if not cfg_path.exists():
-        raise ValueError(f"{run_dir} has no config.json")
-    if not hits_path.exists():
-        raise ValueError(f"{run_dir} has no hits.jsonl")
+    cfg_path, index_path, npy_path = (
+        run_dir / name for name in ("config.json", "hits.jsonl", "hits.npy"))
+    for path in (cfg_path, index_path, npy_path):
+        if not path.exists():
+            raise ValueError(f"{run_dir} has no {path.name}")
     cfg = config_from_json(_read_json(cfg_path))
-    # read line by line, so only the records keep the lines, through a
-    # buffer that holds most lines whole (150 KB on a rotation walk of 1e6
-    # steps); the default 8 KB buffer pieces each long line together
-    records = []
-    with open(hits_path, "rb", buffering=1 << 18) as f:
-        for i, line in enumerate(f, 1):
-            if not line.endswith(b"\n"):
-                raise ValueError(f"{hits_path} line {i}: no final newline")
-            try:
-                records.append(HitRecord.from_line(line[:-1]))
-            except ValueError as e:
-                raise ValueError(f"{hits_path} line {i}: {e}") from None
-    if [r.trajectory for r in records] != list(range(cfg.n_traj)):
-        raise ValueError(f"{hits_path} must hold trajectories 0..{cfg.n_traj - 1}"
-                         f" in order, one per line")
-    for r in records:
-        ht = r.hit_times
-        if ht.size and (ht[0] < 1 or ht[-1] > cfg.n or np.any(np.diff(ht) <= 0)):
-            raise ValueError(f"{hits_path} line {r.trajectory + 1}: hit times"
-                             f" must be strictly increasing within [1, {cfg.n}]")
-    return cfg, records
+    *lines, last = index_path.read_bytes().split(b"\n")
+    if last:
+        raise ValueError(f"{index_path} line {len(lines) + 1}: no final newline")
+    fields = []
+    for i, line in enumerate(lines, 1):
+        try:
+            fields.append(HitRecord.parse_line(line))
+        except ValueError as e:
+            raise ValueError(f"{index_path} line {i}: {e}") from None
+    if [f[3] for f in fields] != list(range(cfg.n_traj)):
+        raise ValueError(f"{index_path} must hold trajectories "
+                         f"0..{cfg.n_traj - 1} in order, one per line")
+    data, dtype = npy_path.read_bytes(), hit_dtype(cfg.n)
+    ends = list(accumulate(f[0] for f in fields))
+    header = hits_header(cfg.n, ends[-1])
+    body = len(data) - len(header)
+    held = body // dtype.itemsize
+    # the header for the counts' total, or for the hit times the file holds
+    if data[:len(header)] not in (header, hits_header(cfg.n, held)):
+        raise ValueError(f"{npy_path} header: not the one bclab writes for "
+                         f"{ends[-1]} hit times, .npy 1.0 of {dtype.str}")
+    if body != ends[-1] * dtype.itemsize:  # named: the first line past held
+        line = next((i for i, e in enumerate(ends, 1) if e > held), len(ends))
+        raise ValueError(f"{index_path} line {line}: the hit counts sum to "
+                         f"{ends[-1]}; {npy_path.name} holds {body} bytes")
+    hits = np.frombuffer(data, dtype, ends[-1], len(header))
+    bad = _first_bad(hits, np.array(ends, dtype=np.int64), cfg.n)
+    if bad is not None:
+        raise ValueError(f"{index_path} line {bad + 1}: hit times must be "
+                         f"strictly increasing within [1, {cfg.n}]")
+    return cfg, [HitRecord(trajectory=t, hit_times=hits[e - c:e],
+                           renewal_count=r, restarts=s)
+                 for (c, r, s, t), e in zip(fields, ends)]

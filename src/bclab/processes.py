@@ -351,118 +351,59 @@ def init_from_uniforms(spec: ProcessSpec, us) -> float:
 # Hit records
 
 
-# A hits.jsonl line as to_line writes it: compact JSON, keys sorted.  The
-# hit-time list's text is written by _hits_body and checked by parsing it
-# (_canonical_hits).
+def hit_dtype(n: int) -> np.dtype:
+    """The dtype hit times of an n-step run are packed in, in fragments,
+    records and hits.npy: np.min_scalar_type(n), little-endian."""
+    if not 0 <= n < 10**18:
+        raise ValueError(f"hit times are packed for 0 <= n < 10**18, not {n}")
+    return np.min_scalar_type(n).newbyteorder("<")
+
+
+# A hits.jsonl index line as to_line writes it: compact JSON, keys sorted.
+_LINE = b'{"hit_count":%d,"renewal_count":%d,"restarts":%d,"trajectory":%d}'
 _CANONICAL_LINE = re.compile(
-    rb'\{"hit_times":\[(.*)\],"renewal_count":(0|[1-9][0-9]*),'
+    rb'\{"hit_count":(0|[1-9][0-9]*),"renewal_count":(0|[1-9][0-9]*),'
     rb'"restarts":(0|[1-9][0-9]*),"trajectory":(0|[1-9][0-9]*)\}')
-_LINE = (b'{"hit_times":[%s],"renewal_count":%d,"restarts":%d,'
-         b'"trajectory":%d}')
-# 1, 10, ..., 10**17: the insertion point of v >= 1 is its digit count,
-# capped at 18
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
-
-
-def _hits_body(ht: np.ndarray) -> bytes:
-    """The text json.dumps writes between the brackets of ht.tolist(), for
-    hit times in [1, 10**18): the domain _canonical_hits reads.
-
-    Values are written in runs of one digit count, each run as one
-    fixed-width block of characters: the digits, then ','.
-    """
-    if ht.size == 0:
-        return b""
-    digits = np.searchsorted(_POW10, ht, side="right")
-    cuts = (np.flatnonzero(np.diff(digits)) + 1).tolist()
-    runs = [(s, e, int(digits[s]))
-            for s, e in zip([0, *cuts], [*cuts, ht.size])]
-    # 0 digits is a value below 1; 18 digits may be a value of 10**18 or more
-    if any(d == 0 or d == 18 and ht[s:e].max() >= 10**18 for s, e, d in runs):
-        raise ValueError("hit times must lie in [1, 10**18)")
-    out = np.empty(sum((e - s) * (d + 1) for s, e, d in runs), dtype=np.uint8)
-    at = 0
-    for s, e, d in runs:
-        block = out[at:at + (e - s) * (d + 1)].reshape(e - s, d + 1)
-        at += block.size
-        # the digits from the last, by uint32 division where every value fits
-        v = ht[s:e].astype(np.uint32 if d <= 9 else np.uint64)
-        for c in range(d - 1, 0, -1):
-            q = v // 10
-            block[:, c] = v - 10 * q + ord("0")
-            v = q
-        block[:, 0] = v + ord("0")
-        block[:, -1] = ord(",")
-    return out[:-1].tobytes()
-
-
-def _canonical_hits(body: bytes):
-    """Hit times of a canonical list body, or None unless body is exactly
-    how json.dumps writes a list of integers from 1 to 10**18 - 1."""
-    if not body:
-        return np.zeros(0, dtype=np.int64)
-    try:
-        ht = np.fromstring(body, dtype=np.int64, sep=",")
-    except ValueError:  # text that is not integers between commas
-        return None
-    commas = body.count(b",")
-    # One value per comma-separated element, and their digit counts summed
-    # equal to the non-comma characters: so no element holds anything but
-    # digits (a sign, space, point or exponent adds a character and no
-    # digit), starts with 0 or is longer than 18 digits (which includes
-    # every value the int64 parse clamped).
-    if (ht.size != commas + 1
-            or np.searchsorted(_POW10, ht, side="right").sum()
-            != len(body) - commas):
-        return None
-    return ht
 
 
 @dataclass(frozen=True)
 class HitRecord:
     """One trajectory's hits; seed, n and drift live in the run's config.
 
-    Frozen, with read-only hit times, so a record keeps its hits.jsonl
-    line as its serialization: the line it was read from, or the one
-    to_line built first.
+    Frozen, with read-only hit times: integers of any dtype (the
+    simulation's are in hit_dtype(n)), or else int64.
     """
 
     trajectory: int
     hit_times: np.ndarray  # strictly increasing step indices in 1..n
     renewal_count: int = 0  # split-chain regenerations over the n steps
     restarts: int = 0  # degenerate interval-map streams skipped first
-    _line: bytes = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a read-only view: an array the caller passed keeps its own flags
-        ht = np.asarray(self.hit_times, dtype=np.int64).view()
+        ht = np.asarray(self.hit_times)
+        ht = ht.view() if ht.dtype.kind in "iu" else ht.astype(np.int64)
         ht.flags.writeable = False
         object.__setattr__(self, "hit_times", ht)
 
     def to_line(self) -> bytes:
-        """This record as one hits.jsonl line, without the newline: compact
-        JSON with sorted keys, byte for byte as json.dumps writes it."""
-        if self._line is None:
-            object.__setattr__(self, "_line", _LINE % (
-                _hits_body(self.hit_times), self.renewal_count,
-                self.restarts, self.trajectory))
-        return self._line
+        """This record's hits.jsonl index line, without the newline: compact
+        JSON with sorted keys, byte for byte as json.dumps writes it.  The
+        hit times themselves are stored in hits.npy."""
+        return _LINE % (len(self.hit_times), self.renewal_count,
+                        self.restarts, self.trajectory)
 
     @staticmethod
-    def from_line(line: bytes) -> "HitRecord":
-        """Record from one hits.jsonl line, which must be exactly as to_line
-        writes it; the line is kept verbatim as the record's serialization.
-        Any other line, valid JSON or not, is a ValueError."""
+    def parse_line(line: bytes) -> tuple:
+        """(hit_count, renewal_count, restarts, trajectory) of one
+        hits.jsonl index line, which must be exactly as to_line writes it;
+        any other line, valid JSON or not, is a ValueError."""
         m = _CANONICAL_LINE.fullmatch(line)
-        ht = _canonical_hits(m[1]) if m else None
-        if ht is None:
+        if m is None:
             raise ValueError(
-                "not a hit record as bclab writes it: compact JSON with "
-                "sorted keys, hit times in [1, 10**18) and counters >= 0")
-        rec = HitRecord(trajectory=int(m[4]), hit_times=ht,
-                        renewal_count=int(m[2]), restarts=int(m[3]))
-        object.__setattr__(rec, "_line", line)
-        return rec
+                "not a hit record index as bclab writes it: compact JSON "
+                "with sorted keys and counters >= 0")
+        return tuple(int(v) for v in m.groups())
 
 
 # ---------------------------------------------------------------------------
@@ -521,21 +462,11 @@ def _hit_test(bounds, drift, c0):
     return test
 
 
-def _hit_times(hit, c0):
-    """The steps c0 + 1 + i at which the 1-d mask hit is True."""
-    times = np.flatnonzero(hit)
-    times += c0 + 1
-    return times
-
-
-def _row_hit_times(hits, c0):
-    """_hit_times of each row of a row-stepped chunk's (width, m) hit
-    mask: int32 while the chunk's last step, c0 + m, fits in it, else
-    int64.  A wide ensemble holds these fragments until its records are
-    built."""
-    dtype = np.int32 if c0 + hits.shape[1] < 2**31 else np.int64
-    first = dtype(c0 + 1)
-    return [np.add(np.flatnonzero(hit), first, dtype=dtype) for hit in hits]
+def _hit_times(hit, c0, dtype):
+    """The steps c0 + 1 + i at which the 1-d mask hit is True, in dtype
+    (hit_dtype of the run's n): fragments an ensemble holds until its
+    records are built."""
+    return np.add(np.flatnonzero(hit), c0 + 1, dtype=dtype, casting="unsafe")
 
 
 def _advance_rows(spec, x, U, keep):
@@ -624,13 +555,14 @@ def _chunks(spec, n, gens, x, family):
 def _iid_chunks(spec, n, gens, family, rows):
     """Each step's state is the marginal's inverse cdf at its uniform."""
     x = np.empty(len(gens))
+    dtype = hit_dtype(n)
     for lo, bounds in family.windows(n, rows):
         c0, m = lo - 1, len(bounds[0])
         test = _hit_test(bounds, 0.0, c0)
         times = []
         for t, g in enumerate(gens):
             xs = spec._inverse(step_draws(spec, g, m)[:, 0])
-            times.append(_hit_times(test(xs), c0))
+            times.append(_hit_times(test(xs), c0, dtype))
             x[t] = xs[-1]
         del bounds, test  # freed before the next window is built
         yield x, times, None
@@ -646,6 +578,7 @@ def _circle_chunks(spec, n, gens, x, family, rows):
     if rows < n:
         rows = max(_WORD_BITS, rows - rows % _WORD_BITS)
     x0, x = x, np.empty(len(gens))
+    dtype = hit_dtype(n)
     j_end = np.zeros(len(gens), dtype=np.int32)
     j, xs = np.empty(rows, dtype=np.int32), np.empty(rows)
     for lo, bounds in family.windows(n, rows):
@@ -660,7 +593,7 @@ def _circle_chunks(spec, n, gens, x, family, rows):
             jm += j_end[t]
             j_end[t] = jm[-1]
             xm = circle_position(spec.a, x0[t], jm, out=xs[:m])
-            times.append(_hit_times(test(xm), c0))
+            times.append(_hit_times(test(xm), c0, dtype))
             x[t] = xm[-1]
         del bounds, test  # freed before the next window is built
         yield x, times, None
@@ -673,7 +606,7 @@ def _row_chunks(spec, n, gens, x, family, rows):
     stepped, so no block of states is held beside the draws.  The chunk's
     hit mask is tested whole and transposed once, so each trajectory's
     hits are one contiguous row."""
-    width = len(gens)
+    width, dtype = len(gens), hit_dtype(n)
     keep = (np.empty((rows, width), dtype=bool)
             if isinstance(spec, SplitChainProcess) else None)
     U = None
@@ -688,7 +621,8 @@ def _row_chunks(spec, n, gens, x, family, rows):
                           None if keep is None else keep[:m])
         xs = U[-1, :m]
         test = _hit_test(bounds, 0.0, c0)
-        times = _row_hit_times(np.ascontiguousarray(test(xs.T)), c0)
+        times = [_hit_times(hit, c0, dtype)
+                 for hit in np.ascontiguousarray(test(xs.T))]
         del bounds, test  # freed before the next window is built
         counts = None
         if keep is not None:
@@ -701,7 +635,7 @@ def _row_chunks(spec, n, gens, x, family, rows):
 def _run_block(spec, n, seed, traj_ids, family, restart=0):
     """Lockstep simulation of the given trajectory ids: (hits, renewals,
     restarts), where hits[j] lists trajectory traj_ids[j]'s hit times as
-    the fragments its chunks found (int32 or int64, in step order) and
+    the fragments its chunks found (in hit_dtype(n), in step order) and
     renewals and restarts are arrays over the ids.
 
     Interval-map orbits that underflow below _DEGENERATE are rerun
@@ -740,12 +674,10 @@ def _run_block(spec, n, seed, traj_ids, family, restart=0):
 
 def _records(traj_ids, hits, rcount, restarts) -> list:
     """HitRecords of a block from _run_block's arrays; each trajectory's
-    fragments go as its int64 hit times are built, so the hit times are
-    never held twice."""
+    fragments go as its hit times are built, so they are never held twice."""
     out = []
     for t, h, r, s in zip(traj_ids, hits, rcount.tolist(), restarts.tolist()):
-        out.append(HitRecord(trajectory=t,
-                             hit_times=np.concatenate(h, dtype=np.int64),
+        out.append(HitRecord(trajectory=t, hit_times=np.concatenate(h),
                              renewal_count=r, restarts=s))
         h.clear()
     return out
@@ -753,19 +685,19 @@ def _records(traj_ids, hits, rcount, restarts) -> list:
 
 def _run_part(spec, n, seed, traj_ids, family) -> tuple:
     """_run_block in a worker process, sent back as one flat buffer of hit
-    times (int32 while n fits it) and the hit counts, renewals and
-    restarts of each trajectory."""
+    times in hit_dtype(n) and each trajectory's hit count, renewals and
+    restarts."""
     hits, rcount, restarts = _run_block(spec, n, seed, traj_ids, family)
     lengths = np.array([sum(map(len, h)) for h in hits], dtype=np.int64)
-    flat = np.concatenate([f for h in hits for f in h],
-                          dtype=np.int32 if n < 2**31 else np.int64)
+    flat = np.concatenate([f for h in hits for f in h], dtype=hit_dtype(n))
     return flat, lengths, rcount, restarts
 
 
 def _part_records(traj_ids, flat, lengths, rcount, restarts) -> list:
-    """HitRecords of a block a worker process ran, from _run_part."""
-    hits = [[h] for h in np.split(flat, np.cumsum(lengths)[:-1])]
-    return _records(traj_ids, hits, rcount, restarts)
+    """HitRecords of a worker's block from _run_part, viewing its buffer."""
+    hits = np.split(flat, np.cumsum(lengths)[:-1])
+    return list(map(HitRecord, traj_ids, hits, rcount.tolist(),
+                    restarts.tolist()))
 
 
 # steps a worker process must have to pay for its fork and its transfer:
@@ -836,7 +768,6 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
         records = _records(blocks[0], *_run_block(spec, n, seed, blocks[0],
                                                   family))
         for b in blocks[1:]:
-            # each worker's buffer goes once its records are built
             records += _part_records(b, *parts.pop(0).result())
     return records
 

@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import hashlib
+import io
 import json
+import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bclab.cli import main
@@ -24,6 +27,12 @@ HARMONIC_CFG = {
 }
 
 
+# a hits.npy whose length disagrees with the index's hit counts, with the
+# counts' sum and the bytes after the header formatted in
+COUNTS = ("hits.jsonl line 4: the hit counts sum to {total}; hits.npy holds "
+          "{body} bytes")
+
+
 def write_json(path: Path, doc) -> str:
     path.write_text(json.dumps(doc))
     return str(path)
@@ -36,7 +45,7 @@ class TestSimulate:
         code = main(["simulate", "--config", cfg, "--out", str(out),
                      "--predict", "BC"])
         assert code == 0
-        for name in ("config.json", "hits.jsonl", "summary.csv",
+        for name in ("config.json", "hits.jsonl", "hits.npy", "summary.csv",
                      "summary.md", "criteria.json", "manifest.json"):
             assert (out / name).exists(), name
         text = capsys.readouterr().out
@@ -335,10 +344,20 @@ class TestReport:
         manifest = json.loads((out / "manifest.json").read_text())
         md = (out / "summary.md").read_bytes()
         assert sorted(manifest["complete"]) == [
-            "config.json", "criteria.json", "hits.jsonl", "summary.csv",
-            "summary.md"]
-        for fmt in ("md", "csv"):
+            "config.json", "criteria.json", "hits.jsonl", "hits.npy",
+            "summary.csv", "summary.md"]
+        records = {name: (out / name).read_bytes()
+                   for name in ("hits.jsonl", "hits.npy")}
+        for name in records:
+            os.utime(out / name, ns=(0, 0))
+        # jsonl rewrites both record files, from records that view the
+        # hits.npy it overwrites, to the same bytes
+        for fmt in ("md", "csv", "jsonl"):
             assert main(["report", "--run", str(out), "--format", fmt]) == 0
+            assert records == {name: (out / name).read_bytes()
+                               for name in records}
+            assert all(((out / name).stat().st_mtime_ns > 0) == (fmt == "jsonl")
+                       for name in records)
             after = json.loads((out / "manifest.json").read_text())
             assert after == manifest
             for name, sha in after["complete"].items():
@@ -359,11 +378,13 @@ class TestReport:
 
     def test_removed_hit_time_exit_2_writes_nothing(self, tmp_path, capsys):
         out, lines = self.simulated(tmp_path)
+        hits = np.load(out / "hits.npy")
         rec = json.loads(lines[0])
-        rec["hit_times"] = rec["hit_times"][1:]
+        rec["hit_count"] -= 1
         # in the form bclab writes, so only the digest check can catch it
         lines[0] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
         (out / "hits.jsonl").write_text("\n".join(lines) + "\n")
+        np.save(out / "hits.npy", np.delete(hits, 1))
         before = {f.name: f.read_bytes() for f in out.iterdir()}
         capsys.readouterr()
         assert main(["report", "--run", str(out), "--format", "csv"]) == 2
@@ -374,17 +395,20 @@ class TestReport:
         "5",
         None,
         "[" * 100_000 + "]" * 100_000,
-    ], ids=["bare-integer", "hit-time-1e20", "deep-nesting"])
+    ], ids=["bare-integer", "inline-hit-times", "deep-nesting"])
     def test_malformed_record_exit_4(self, tmp_path, capsys, first):
         out, lines = self.simulated(tmp_path)
         if first is None:
+            # a line as older versions wrote it, hit times inline
             rec = json.loads(lines[0])
-            first = json.dumps({**rec, "hit_times": [10**20]},
+            del rec["hit_count"]
+            first = json.dumps({**rec, "hit_times": [1]},
                                sort_keys=True, separators=(",", ":"))
         (out / "hits.jsonl").write_text("\n".join([first] + lines[1:]) + "\n")
         manifest = (out / "manifest.json").read_bytes()
         assert main(["report", "--run", str(out), "--format", "csv"]) == 4
-        assert "hits.jsonl line 1: not a hit record" in capsys.readouterr().err
+        assert ("hits.jsonl line 1: not a hit record index"
+                in capsys.readouterr().err)
         assert (out / "manifest.json").read_bytes() == manifest
 
     @pytest.mark.parametrize("rewrite, error", [
@@ -438,6 +462,69 @@ class TestReport:
         assert main(["report", "--run", str(out), "--format", "md"]) == 4
         assert "trajectories 0..3 in order" in capsys.readouterr().err
         assert (out / "manifest.json").read_bytes() == manifest
+
+    def test_hits_fall_across_trajectories(self, tmp_path):
+        # every trajectory hits [0, 1) at step 1, so hits.npy falls back to
+        # 1 at each of its three trajectory boundaries, which is no fault
+        out, _ = self.simulated(tmp_path)
+        hits, ends = npy_and_ends(out)
+        assert all(hits[e] == 1 < hits[e - 1] for e in ends[:-1])
+        assert main(["report", "--run", str(out), "--format", "csv"]) == 0
+
+    @pytest.mark.parametrize("tamper, error", [
+        (lambda h, e: npy(h.astype("<u4")), "hits.npy header: not the one"),
+        (lambda h, e: npy(h, version=(2, 0)), "hits.npy header: not the one"),
+        (lambda h, e: npy(h.astype(">u2")), "hits.npy header: not the one"),
+        (lambda h, e: npy(h)[:-3], COUNTS),
+        (lambda h, e: npy(h) + b"\0\0", COUNTS),
+        (lambda h, e: npy(np.delete(h, e[0])), COUNTS),
+        (lambda h, e: npy(np.insert(h, e[0], 999)), COUNTS),
+        (lambda h, e: npy(put(h, e[0], 0)),  # a trajectory's first
+         "hits.jsonl line 2: hit times must be strictly increasing within "
+         "[1, 1000]"),
+        (lambda h, e: npy(put(h, e[2] - 1, 1001)), "hits.jsonl line 3: "),
+        (lambda h, e: npy(put(h, e[1] - 1, h[e[1] - 2])),
+         "hits.jsonl line 2: "),
+        (lambda h, e: npy(put(h, e[0] + 1, h[e[0] + 2] + 1)),
+         "hits.jsonl line 2: "),
+    ], ids=["other-dtype", "version-2", "big-endian", "truncated",
+            "trailing-bytes", "count-sum-over", "count-sum-under", "zero",
+            "past-n", "repeated", "falling"])
+    def test_tampered_hits_npy_exit_4_writes_nothing(self, tmp_path, capsys,
+                                                      tamper, error):
+        out, _ = self.simulated(tmp_path)
+        hits, ends = npy_and_ends(out)
+        assert all(b - a >= 3 for a, b in zip([0] + ends, ends))
+        data = tamper(hits, ends)
+        (out / "hits.npy").write_bytes(data)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        assert main(["report", "--run", str(out), "--format", "csv"]) == 4
+        error = error.format(total=ends[-1], body=len(data) - 128)
+        assert f"{out / error}" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def npy(hits, version=None) -> bytes:
+    """hits as np.lib.format writes them, in the given format version."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, hits, version=version)
+    return buf.getvalue()
+
+
+def put(hits, at, value):
+    """A copy of hits with hits[at] = value."""
+    hits = hits.copy()
+    hits[at] = value
+    return hits
+
+
+def npy_and_ends(out) -> tuple:
+    """(the run's hits.npy as np.load reads it, where each trajectory's
+    hit times end)."""
+    counts = [json.loads(l)["hit_count"]
+              for l in (out / "hits.jsonl").read_text().splitlines()]
+    return np.load(out / "hits.npy"), np.cumsum(counts).tolist()
 
 
 @pytest.mark.parametrize("command, target", [

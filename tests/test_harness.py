@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from bclab.harness import (
     config_from_json,
     config_to_json,
     emit_report,
+    hits_header,
     load_run,
     marginal_measure,
     report_from_records,
@@ -35,6 +37,7 @@ from bclab.processes import (
     IIDProcess,
     LSVProcess,
     SplitChainProcess,
+    hit_dtype,
     lsv_calibration,
     simulate_ensemble,
 )
@@ -241,8 +244,8 @@ class TestEmitAndReload:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["run_digest"] == paths["digest"]
         assert set(manifest["complete"]) == {
-            "config.json", "criteria.json", "hits.jsonl", "summary.csv",
-            "summary.md"}
+            "config.json", "criteria.json", "hits.jsonl", "hits.npy",
+            "summary.csv", "summary.md"}
 
     @pytest.mark.parametrize("complete", [
         ["hits.jsonl"], "hits.jsonl", {"hits.jsonl": 5}, None],
@@ -266,27 +269,34 @@ class TestEmitAndReload:
         d1, d2 = tmp_path / "a", tmp_path / "b"
         emit_report(run_experiment(cfg), out_dir=d1)
         emit_report(run_experiment(cfg), out_dir=d2)
-        for name in ("hits.jsonl", "summary.csv", "criteria.json", "config.json"):
+        for name in ("hits.jsonl", "hits.npy", "summary.csv", "criteria.json",
+                     "config.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
-    def test_large_run_writes_json_dumps_lines(self, tmp_path):
-        # over 1e5 hit times, of 1 to 5 digits: hits.jsonl is byte for
-        # byte what json.dumps writes for each record
+    def test_large_run_writes_json_dumps_index_and_np_save_array(
+            self, tmp_path):
+        # over 1e5 hit times up to n = 99,999, so uint32: hits.jsonl is byte
+        # for byte what json.dumps writes for each record's index, and
+        # hits.npy what np.save writes for all hit times in turn
         cfg = small_cfg(process=DMRProcess(a=1.0),
                         family=NestedLeftFamily(radius=constant_seq(0.5)),
                         n=99_999, n_traj=3, seed=4)
         rep = run_experiment(cfg)
         emit_report(rep, out_dir=tmp_path)
         hits = np.concatenate([r.hit_times for r in rep.records])
-        assert hits.size > 10**5
+        assert hits.size > 10**5 and hits.dtype == np.uint32
         assert hits.min() < 10 and hits.max() >= 10**4
         assert (tmp_path / "hits.jsonl").read_bytes() == b"".join(
             json.dumps({"trajectory": r.trajectory,
-                        "hit_times": r.hit_times.tolist(),
+                        "hit_count": len(r.hit_times),
                         "renewal_count": r.renewal_count,
                         "restarts": r.restarts},
                        sort_keys=True, separators=(",", ":")).encode() + b"\n"
             for r in rep.records)
+        saved = tmp_path / "saved.npy"
+        np.save(saved, hits)
+        assert (tmp_path / "hits.npy").read_bytes() == saved.read_bytes()
+        assert np.array_equal(np.load(tmp_path / "hits.npy"), hits)
 
     def test_md_summary_golden(self, tmp_path):
         cfg = small_cfg(n_traj=2, seed=9)
@@ -312,7 +322,8 @@ class TestEmitAndReload:
         rep = run_experiment(small_cfg())
         emit_report(rep, out_dir=tmp_path, formats=("md",))
         names = {p.name for p in tmp_path.iterdir()}
-        assert "summary.md" in names and "hits.jsonl" not in names
+        assert "summary.md" in names
+        assert not names & {"hits.jsonl", "hits.npy"}
         with pytest.raises(ValueError, match="unknown report formats"):
             emit_report(rep, out_dir=tmp_path, formats=("pdf",))
 
@@ -325,10 +336,10 @@ class TestEmitAndReload:
         with pytest.raises(ValueError, match="no config.json"):
             load_run(tmp_path)
 
-    def test_load_run_rejects_partial_or_malformed_records(self, tmp_path):
+    def test_load_run_rejects_partial_or_malformed_index(self, tmp_path):
         emit_report(run_experiment(small_cfg(family=ROOT)), out_dir=tmp_path)
-        hits = tmp_path / "hits.jsonl"
-        lines = hits.read_text().splitlines()
+        index = tmp_path / "hits.jsonl"
+        lines = index.read_text().splitlines()
         first = json.loads(lines[0])
 
         def canonical(**fields):
@@ -336,43 +347,104 @@ class TestEmitAndReload:
             return json.dumps({**first, **fields}, sort_keys=True,
                               separators=(",", ":"))
 
-        def with_hits(times):
-            return [canonical(hit_times=times)] + lines[1:]
-
         assert canonical() == lines[0]
         text = "\n".join(lines) + "\n"
         for match, body in [
             ("trajectories 0..2 in order", [lines[0], lines[2]]),
             ("trajectories 0..2 in order", [lines[1], lines[0], lines[2]]),
-            ("strictly increasing", with_hits(first["hit_times"][::-1])),
-            (r"within \[1, 1000\]", with_hits(first["hit_times"] + [1001])),
             # tampered values are rejected, not coerced back to the original
-            ("line 1: not a hit record",
-             with_hits([first["hit_times"][0] + 0.7] + first["hit_times"][1:])),
-            ("line 1: not a hit record",
-             with_hits([str(t) for t in first["hit_times"]])),
-            ("line 1: not a hit record", with_hits([first["hit_times"]])),
-            ("line 1: not a hit record",
+            ("line 1: not a hit record index",
+             [canonical(hit_count=first["hit_count"] + 0.5)] + lines[1:]),
+            ("line 1: not a hit record index",
+             [canonical(hit_count=str(first["hit_count"]))] + lines[1:]),
+            ("line 1: not a hit record index",
              [canonical(trajectory=True)] + lines[1:]),
-            ("line 1: not a hit record",
+            ("line 1: not a hit record index",
              [canonical(renewal_count=-1)] + lines[1:]),
-            ("line 1: not a hit record", [canonical(restarts=-1)] + lines[1:]),
+            ("line 1: not a hit record index",
+             [canonical(restarts=-1)] + lines[1:]),
             # the file as written, line by line, and nothing else
-            ("line 2: not a hit record", [lines[0], "", *lines[1:]]),
-            ("line 4: not a hit record", [*lines, ""]),
-            ("line 3: not a hit record", [*lines[:2], json.dumps(
+            ("line 2: not a hit record index", [lines[0], "", *lines[1:]]),
+            ("line 4: not a hit record index", [*lines, ""]),
+            ("line 3: not a hit record index", [*lines[:2], json.dumps(
                 json.loads(lines[2]))]),
             ("line 3: no final newline", text[:-1]),
-            ("line 1: not a hit record", text.replace("\n", "\r\n")),
+            ("line 1: not a hit record index", text.replace("\n", "\r\n")),
+            # counts that do not sum to the array's length
+            ("line 3: the hit counts sum to",
+             [canonical(hit_count=first["hit_count"] + 1)] + lines[1:]),
+            ("line 3: the hit counts sum to",
+             [canonical(hit_count=first["hit_count"] - 1)] + lines[1:]),
         ]:
-            hits.write_text(body if isinstance(body, str)
-                            else "\n".join(body) + "\n")
+            index.write_text(body if isinstance(body, str)
+                             else "\n".join(body) + "\n")
             with pytest.raises(ValueError, match=match) as e:
                 load_run(tmp_path)
-            assert str(e.value).startswith(str(hits))
-        hits.unlink()
-        with pytest.raises(ValueError, match="no hits.jsonl"):
-            load_run(tmp_path)
+            assert str(e.value).startswith(str(index))
+        for name in ("hits.npy", "hits.jsonl"):
+            (tmp_path / name).unlink()
+            with pytest.raises(ValueError, match=f"no {name}"):
+                load_run(tmp_path)
+
+
+def write_run(tmp_path, n, hit_lists):
+    """emit_report of records with the given hit times at horizon n, then
+    load_run of what it wrote, which must give them back."""
+    cfg = small_cfg(n=n, n_traj=len(hit_lists), checkpoints=(1, n))
+    recs = [HitRecord(t, np.array(h, dtype=np.int64), renewal_count=t,
+                      restarts=t % 2)
+            for t, h in enumerate(hit_lists)]
+    digest = emit_report(report_from_records(cfg, recs),
+                         out_dir=tmp_path)["digest"]
+    cfg2, back = load_run(tmp_path)
+    assert run_digest(report_from_records(cfg2, back)) == digest
+    for a, b in zip(recs, back):
+        assert a.to_line() == b.to_line()
+        assert a.hit_times.tolist() == b.hit_times.tolist()
+        assert b.hit_times.dtype == hit_dtype(n)
+        assert not b.hit_times.flags.writeable
+
+
+class TestHitsArray:
+    """hits.npy at each packing dtype's edges, and runs with few hits."""
+
+    @pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
+    def test_round_trip_at_the_dtype_edges(self, tmp_path, n):
+        # a drop at each trajectory boundary, n itself, and step 1
+        write_run(tmp_path, n, [[1, 2, n], [3, n - 1], [1, n]])
+        assert np.load(tmp_path / "hits.npy").dtype == hit_dtype(n)
+        size = (tmp_path / "hits.npy").stat().st_size
+        assert size == 128 + 7 * hit_dtype(n).itemsize
+
+    def test_trajectories_without_hits(self, tmp_path):
+        write_run(tmp_path, 1000, [[], [5], [], [], [2, 999], []])
+
+    def test_a_run_without_hits_writes_an_empty_array(self, tmp_path):
+        write_run(tmp_path, 1000, [[], [], []])
+        assert (tmp_path / "hits.npy").read_bytes() == hits_header(1000, 0)
+        assert np.load(tmp_path / "hits.npy").shape == (0,)
+
+    def test_one_trajectory(self, tmp_path):
+        write_run(tmp_path, 1000, [list(range(1, 1001))])
+
+    @pytest.mark.parametrize("n, descr", [
+        (2**32 - 1, "<u4"), (2**32, "<u8")])
+    def test_header_past_uint32(self, n, descr):
+        header = hits_header(n, 3 * 10**9)
+        assert len(header) == 128 and header.endswith(b"\n")
+        assert f"'descr': '{descr}'".encode() in header
+        assert b"'shape': (3000000000,)" in header
+
+    @pytest.mark.parametrize("hits", [[0, 5], [5, 1001], [-3, 5]],
+                             ids=["zero", "past-n", "negative"])
+    def test_writer_refuses_what_the_array_cannot_hold(self, hits):
+        # hit times of another dtype are packed only where they lie in
+        # [1, n], so the record digests, the run digest and hits.npy
+        # never hold a wrapped value
+        with pytest.raises(ValueError, match=re.escape(
+                "trajectory 0: hit times must lie in [1, 1000]")):
+            report_from_records(small_cfg(n_traj=1),
+                                [HitRecord(0, np.array(hits))])
 
 
 def traced_peak(work) -> int:
@@ -386,15 +458,17 @@ def traced_peak(work) -> int:
 
 
 class TestRecordMemory:
-    """hits.jsonl is held once, as its records' lines: the statistics
+    """hits.npy is held once, as its records' hit times: the statistics
     pass, the digest, the write and the reload make no copy of the whole
-    file beside them."""
+    array beside them.  400 trajectories make the array about 4 MB, so a
+    quarter of it stands well above what the statistics pass holds
+    whatever the hits (about 0.6 MB of masses at n = 1e4)."""
 
     CFG = ExperimentConfig(process=DMRProcess(a=1.0),
                            family=NestedLeftFamily(radius=constant_seq(0.5)),
-                           n=10**4, n_traj=200, seed=3)
+                           n=10**4, n_traj=400, seed=3)
 
-    def test_run_streams_hits_jsonl(self, tmp_path):
+    def test_run_streams_hits_npy(self, tmp_path):
         cfg = self.CFG
         records = simulate_ensemble(cfg.process, cfg.family, cfg.n, cfg.seed,
                                     cfg.n_traj)
@@ -405,11 +479,13 @@ class TestRecordMemory:
             emit_report(report, out_dir=tmp_path)
 
         peak = traced_peak(run)
-        size = (tmp_path / "hits.jsonl").stat().st_size
-        assert size > 4 * 2**20
-        # the lines the records keep; a join of them is a whole copy more
-        lines = sum(len(r.to_line()) for r in records)
-        assert peak - lines < size / 4
+        size = (tmp_path / "hits.npy").stat().st_size
+        assert size > 3 * 2**20
+        # the records' hit times are packed as the file holds them, so a
+        # join, a converted copy or a cached serialization is a whole
+        # copy more
+        assert sum(r.hit_times.nbytes for r in records) == size - 128
+        assert peak < size / 4
 
     def test_reload_holds_the_file_once(self, tmp_path):
         emit_report(run_experiment(self.CFG), out_dir=tmp_path)
@@ -420,10 +496,10 @@ class TestRecordMemory:
             run_digest(report_from_records(*loaded[0]))
 
         peak = traced_peak(reverify)
-        size = (tmp_path / "hits.jsonl").stat().st_size
-        held = sum(len(r.to_line()) + r.hit_times.nbytes
-                   for r in loaded[0][1])
-        assert peak - held < size / 4
+        size = (tmp_path / "hits.npy").stat().st_size
+        # every record's hit times are a view of the one read of the file
+        assert len({id(r.hit_times.base) for r in loaded[0][1]}) == 1
+        assert peak - size < size / 4
 
 
 def reference_suite(quick: bool) -> dict:
@@ -440,9 +516,9 @@ class TestReferenceDigests:
 
     @pytest.mark.parametrize("name, digest", [
         ("sticky-divergent-boundary",
-         "7989f7ca54712da2c6cb593bf4da21ed877edf55e0bff5f7cfb1b0fd9fcee7cb"),
+         "8860e8c854a9305777966955a42f1db754d6461eac21867afc6b1089cefbd90d"),
         ("sticky-convergent-boundary",
-         "6f830261fdfba282880ed926006ae201d6733514f42854f5168cc15dd7a4ab01"),
+         "df043bd2c8367c004cf06bd20c74d65f192604622b26e20cbf43d8be276d171e"),
     ], ids=["sticky-divergent-boundary-full-digest",
             "sticky-convergent-boundary-full-digest"])
     def test_quick_sticky_digest_pinned(self, name, digest):
@@ -471,20 +547,22 @@ class TestReferenceDigests:
         cfg = reference_suite(quick=True)[name]
         digest = emit_report(run_experiment(cfg), out_dir=tmp_path)["digest"]
         cfg, records = load_run(tmp_path)
-        # every line was canonical, so every record kept the line it was read
-        # from, before any to_line call could serialize its hit times again
-        assert all(r._line is not None for r in records)
+        # the records' hit times are the file's own bytes, not a copy
+        assert len({id(r.hit_times.base) for r in records}) == 1
         again = report_from_records(cfg, records)
         assert run_digest(again) == digest
         assert (tmp_path / "hits.jsonl").read_bytes() == b"".join(
             r.to_line() + b"\n" for r in again.records)
+        assert (tmp_path / "hits.npy").read_bytes() == hits_header(
+            cfg.n, sum(len(r.hit_times) for r in records)) + b"".join(
+            r.hit_times.tobytes() for r in records)
 
     # the interval map, whose expected counts come from its invariant law
     @pytest.mark.parametrize("name, digest", [
         ("interval-map-shrinking",
-         "5d0fea0f53beaa06dfd1253608abed661c4bc6e54645992f38202d6bc81577fe"),
+         "496897ade49728e1006fab1e04913a66b9751399066b0aeca92a2b5cccebe6e7"),
         ("interval-map-window",
-         "7044612e2bcc51d0a6d1e9cdcc6287f9d0b7efdd71a065391c1a530c1cd63510"),
+         "07c28cec6a1a1839db0d66027a97c97ac2ab13a719d3d617166171be6dac5578"),
     ], ids=["interval-map-shrinking", "interval-map-window"])
     def test_quick_interval_map_digest_pinned(self, name, digest):
         cfg = reference_suite(quick=True)[name]
@@ -493,10 +571,10 @@ class TestReferenceDigests:
     # the variants stepped a whole chunk at a time (circle walk and iid)
     @pytest.mark.parametrize("name, digest, sha", [
         ("circle-golden",
-         "9937d6478c08ce008c98ac05e6a9d7e3ff5acaedfa2e3a5299b24463a6aa7b1c",
+         "ea4ea29754138d696c0d7b0720d263deb3864f9e81410bfe42d9d01cd026c728",
          "e3e6d1602c4966aa72188ec4e4df2021fe82ca2d8486b5c6763676aa76cf1dc0"),
         ("iid-harmonic",
-         "40169a82ebf8d4dc332fe169a6b587a5ea909183a438161efc9947717e80ad27",
+         "f126aef91ff05e30b73236c8b949816d98df5dd5918e41f1720259322ee7cc27",
          "ab2e9a62cf8151f4e0b3bddf18d939c4cda892e401a95d291640ee5082625da3"),
     ], ids=["circle-golden", "iid-harmonic"])
     def test_quick_whole_chunk_runs_pinned(self, name, digest, sha, tmp_path):

@@ -257,7 +257,7 @@ class TestSimulateHits:
         for t in (0, 3):
             solo = processes._records([t], *processes._run_block(
                 DMRProcess(a=1.0), 600, 21, [t], fam))[0]
-            assert recs[t].to_line() == solo.to_line()
+            assert record_key(recs[t]) == record_key(solo)
 
     def test_parallel_partition_invariance(self):
         fam = NestedLeftFamily(radius=PowerLogSeq(c=0.8, p=0.5))
@@ -269,22 +269,34 @@ class TestSimulateHits:
             assert a.trajectory == b.trajectory
             assert a.hit_times.tolist() == b.hit_times.tolist()
 
-    def test_hit_record_json_round_trip(self):
+    def test_records_pack_hit_times_by_horizon(self):
+        # hit_dtype(n): uint8 through n = 255, uint16 from 256
+        for n, dtype in ((255, np.uint8), (256, np.uint16)):
+            rec = one_run(IIDProcess(), UNIT, n, seed=1)
+            assert rec.hit_times.dtype == dtype
+            assert rec.hit_times.tolist() == list(range(1, n + 1))
+
+    def test_hit_record_index_line(self):
         rec = one_run(DMRProcess(a=1.0), HALF, 200, seed=1)
         d = json.loads(rec.to_line())
-        assert list(d) == ["hit_times", "renewal_count", "restarts",
+        assert list(d) == ["hit_count", "renewal_count", "restarts",
                            "trajectory"]
-        back = HitRecord.from_line(json_line(rec))
-        assert back.to_line() == rec.to_line() == json_line(rec)
+        assert d["hit_count"] == len(rec.hit_times) > 0
+        assert rec.to_line() == json_line(rec)
+        assert HitRecord.parse_line(rec.to_line()) == (
+            len(rec.hit_times), rec.renewal_count, rec.restarts, 0)
 
     def test_hit_record_rejects_other_fields(self):
         d = json.loads(one_run(DMRProcess(a=1.0), HALF, 200, seed=1).to_line())
+        # a line of the older format, with the hit times inline
+        inline = {**d, "hit_times": [1, 5]}
+        del inline["hit_count"]
         old = {**d, "seed": 1, "n": 200, "drift": 0.0,
                "s_checkpoints": [[200, 3]], "renewal_times": [1, 5]}
         del d["restarts"]
-        for doc in (old, d):
-            with pytest.raises(ValueError, match="not a hit record"):
-                HitRecord.from_line(compact(doc))
+        for doc in (inline, old, d):
+            with pytest.raises(ValueError, match="not a hit record index"):
+                HitRecord.parse_line(compact(doc))
 
 
 def compact(doc) -> bytes:
@@ -293,98 +305,70 @@ def compact(doc) -> bytes:
 
 
 def json_line(rec) -> bytes:
-    """rec as json.dumps writes it, compact with sorted keys: the oracle
-    for to_line."""
+    """rec's index as json.dumps writes it, compact with sorted keys: the
+    oracle for to_line."""
     return compact({"trajectory": rec.trajectory,
-                    "hit_times": rec.hit_times.tolist(),
+                    "hit_count": len(rec.hit_times),
                     "renewal_count": rec.renewal_count,
                     "restarts": rec.restarts})
 
 
-def canonical_line(body: str) -> bytes:
-    """A hits.jsonl line in to_line's layout around a hit-time list body."""
-    return (f'{{"hit_times":[{body}],"renewal_count":0,"restarts":0,'
+def record_key(rec) -> tuple:
+    """rec's index line, hit-time dtype and hit-time bytes: equal for two
+    records exactly when their fields and hit times are."""
+    return rec.to_line(), rec.hit_times.dtype.str, rec.hit_times.tobytes()
+
+
+def index_line(count: str) -> bytes:
+    """A hits.jsonl index line in to_line's layout around a hit_count's
+    text."""
+    return (f'{{"hit_count":{count},"renewal_count":0,"restarts":0,'
             f'"trajectory":0}}').encode()
 
 
-# values whose digit count changes, up to the largest a line may hold
-DIGIT_EDGES = sorted({v for k in range(1, 19) for v in (10**k - 1, 10**k)
-                      if v < 10**18})
-hit_values = st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(1, 2**26),
-                       st.integers(1, 10**18 - 1))
-hit_lists = st.lists(hit_values, unique=True, max_size=40).map(sorted)
+counters = st.integers(0, 10**20)
 
 
-class TestHitRecordLine:
-    """to_line/from_line: one hits.jsonl line is one record, in one form."""
+class TestHitRecordIndex:
+    """to_line/parse_line: one hits.jsonl line is one record's index, in
+    one form."""
 
     @settings(max_examples=300, deadline=None)
-    @given(hit_lists, st.integers(0, 10**6), st.integers(0, 2**40),
+    @given(st.integers(0, 500), st.integers(0, 10**6), counters,
            st.integers(0, 8))
-    @example([], 0, 0, 0)
-    @example(DIGIT_EDGES, 7, 10, 1)
-    @example([10**18 - 1], 0, 0, 0)
-    def test_round_trip_keeps_the_line(self, hits, trajectory, renewals,
-                                       restarts):
-        rec = HitRecord(trajectory, np.array(hits, dtype=np.int64), renewals,
-                        restarts)
+    @example(0, 0, 0, 0)
+    @example(500, 10**6, 10**20, 8)
+    def test_round_trip(self, count, trajectory, renewals, restarts):
+        rec = HitRecord(trajectory, np.arange(1, count + 1, dtype=np.uint16),
+                        renewals, restarts)
         line = rec.to_line()
-        back = HitRecord.from_line(line)
-        assert np.array_equal(back.hit_times, rec.hit_times)
-        assert back.hit_times.dtype == np.int64
-        assert (back.trajectory, back.renewal_count, back.restarts) == (
-            trajectory, renewals, restarts)
-        assert back.to_line() == line == json_line(rec)
-        assert back.to_line() is line  # parsed by numpy, kept as read
+        assert line == json_line(rec)
+        assert HitRecord.parse_line(line) == (count, renewals, restarts,
+                                              trajectory)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(hit_values, max_size=40))
-    @example([])
-    @example([1])
-    @example([10**18 - 1])
-    @example(DIGIT_EDGES)
-    @example(DIGIT_EDGES[::-1])
-    def test_writer_is_json_dumps(self, values):
-        # any list of values in [1, 10**18), unsorted too, as json.dumps
-        # writes it
-        ht = np.array(values, dtype=np.int64)
-        assert processes._hits_body(ht) == json.dumps(
-            values, separators=(",", ":"))[1:-1].encode()
-        rec = HitRecord(5, ht, 2, 1)
-        assert rec.to_line() == json_line(rec)
+    @pytest.mark.parametrize("count", [
+        "01", "-1", "1.0", "+1", "1e3", " 1", "1 ", '"3"', "true", "null",
+        "[1]", ""])
+    def test_near_canonical_lines_are_rejected(self, count):
+        with pytest.raises(ValueError, match="not a hit record index"):
+            HitRecord.parse_line(index_line(count))
 
-    @pytest.mark.parametrize("values", [
-        [0], [-1], [10**18], [2**63 - 1], [-2**63], [3, 10**18 + 7, 5],
-        [10**17, 10**18 - 1, 10**18], [1, 0, 2]],
-        ids=["zero", "negative", "1e18", "int64-max", "int64-min",
-             "unsorted-1e18", "18-digit-run", "unsorted-zero"])
-    def test_writer_refuses_what_the_reader_refuses(self, values):
-        with pytest.raises(ValueError, match=r"\[1, 10\*\*18\)"):
-            HitRecord(0, np.array(values, dtype=np.int64)).to_line()
-
-    @pytest.mark.parametrize("body", [
-        "01", "-1", "0,1", "1, 2", "1.0", "1,2,", "1,,2", "1,[2]", "+1",
-        "1e3", str(10**18), "9999999999999999999", "12345678901234567890"])
-    def test_near_canonical_lines_are_rejected(self, body):
-        assert processes._canonical_hits(body.encode()) is None
-        with pytest.raises(ValueError, match="not a hit record"):
-            HitRecord.from_line(canonical_line(body))
-
-    # json.dumps of a list of integers in [1, 10**18): what the fast path
-    # may read, as a slow but plainly correct grammar
-    CANONICAL_BODY = re.compile(
-        rb"(?:[1-9][0-9]{0,17}(?:,[1-9][0-9]{0,17})*)?")
+    # json.dumps of an integer >= 0: what parse_line may read, as a slow
+    # but plainly correct grammar
+    CANONICAL_COUNT = re.compile(rb"0|[1-9][0-9]*")
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from([
         b"0", b"1", b"9", b",", b" ", b"\t", b"+", b"-", b".", b"e", b"x",
         b"]", b"_", b"\x00", "\u0661".encode(), b"99999999999999999",
-        b"9223372036854775807"]), max_size=10).map(b"".join))
-    def test_fast_path_reads_only_canonical_bodies(self, body):
-        ht = processes._canonical_hits(body)
-        assert (ht is not None) == bool(self.CANONICAL_BODY.fullmatch(body))
-        if ht is not None:
-            assert ht.tolist() == json.loads(b"[" + body + b"]")
+        b"9223372036854775807"]), max_size=6).map(b"".join))
+    def test_parser_reads_only_canonical_counts(self, text):
+        line = index_line(text.decode())
+        if self.CANONICAL_COUNT.fullmatch(text):
+            assert HitRecord.parse_line(line)[0] == json.loads(text)
+        else:
+            with pytest.raises(ValueError, match="not a hit record index"):
+                HitRecord.parse_line(line)
 
     @pytest.mark.parametrize("reformat", [
         lambda line, d: json.dumps(json.loads(line)).encode(),
@@ -399,26 +383,26 @@ class TestHitRecordLine:
             "trailing-space", "leading-tab", "carriage-return"])
     def test_reformatted_lines_are_rejected(self, reformat):
         line = one_run(DMRProcess(a=1.0), HALF, 200, seed=1).to_line()
-        assert line.startswith(b'{"hit_times":[')
+        assert line.startswith(b'{"hit_count":')
         text = reformat(line, json.loads(line))
         assert json.loads(text) == json.loads(line) and text != line
-        with pytest.raises(ValueError, match="not a hit record"):
-            HitRecord.from_line(text)
+        with pytest.raises(ValueError, match="not a hit record index"):
+            HitRecord.parse_line(text)
 
     @pytest.mark.parametrize("line", [
-        b"", b"5", b"[1, 2]", b"null", b'{"hit_times":[1]',
+        b"", b"5", b"[1, 2]", b"null", b'{"hit_count":1',
         b"[" * 100_000 + b"]" * 100_000,
-        canonical_line("1,[" * 1000 + "]" * 1000),
+        index_line("[" * 1000 + "]" * 1000),
     ], ids=["empty", "integer", "list", "null", "truncated", "deep-list",
-            "deep-hit-times"])
+            "deep-hit-count"])
     def test_malformed_lines_raise_value_error(self, line):
-        with pytest.raises(ValueError, match="not a hit record"):
-            HitRecord.from_line(line)
+        with pytest.raises(ValueError, match="not a hit record index"):
+            HitRecord.parse_line(line)
 
     @pytest.mark.parametrize("field, value", [
-        ("hit_times", [True]),
-        ("hit_times", 3),
-        ("hit_times", [[1], 2]),
+        ("hit_count", [1, 2]),
+        ("hit_count", True),
+        ("hit_count", -1),
         ("trajectory", 0.0),
         ("trajectory", True),
         ("renewal_count", "4"),
@@ -427,19 +411,22 @@ class TestHitRecordLine:
         ("restarts", 1.5),
     ])
     def test_wrongly_typed_or_negative_fields_are_rejected(self, field, value):
-        doc = {"trajectory": 0, "hit_times": [1, 2], "renewal_count": 0,
+        doc = {"trajectory": 0, "hit_count": 2, "renewal_count": 0,
                "restarts": 0, field: value}
-        with pytest.raises(ValueError, match="not a hit record"):
-            HitRecord.from_line(compact(doc))
+        with pytest.raises(ValueError, match="not a hit record index"):
+            HitRecord.parse_line(compact(doc))
 
     def test_frozen_with_read_only_hit_times(self):
-        line = canonical_line("1,5,9")
-        rec = HitRecord.from_line(line)
+        given = np.array([1, 5, 9], dtype=np.uint8)
+        rec = HitRecord(0, given)
         with pytest.raises(ValueError, match="read-only"):
             rec.hit_times[0] = 2
         with pytest.raises(AttributeError):
             rec.hit_times = np.array([2, 5, 9])
-        assert rec.to_line() is line
+        # the caller's array keeps its flags, and its dtype is kept
+        assert given.flags.writeable
+        assert rec.hit_times.dtype == np.uint8
+        assert HitRecord(0, []).hit_times.dtype == np.int64
 
 def scalar_replay(spec, n, gen, threshold=0.5):
     """(lowest state, hit times of [0, threshold)) stepping gen with process_step."""
@@ -545,7 +532,7 @@ class TestWorkers:
         recs = simulate_ensemble(spec, HALF, 400, seed=4, n_traj=6)
         assert pools == [3]  # the caller runs the first of 4 blocks
         one = simulate_ensemble(spec, HALF, 400, seed=4, n_traj=6, workers=1)
-        assert [r.to_line() for r in recs] == [r.to_line() for r in one]
+        assert list(map(record_key, recs)) == list(map(record_key, one))
         assert multiprocessing.active_children() == []
 
     def test_a_worker_s_error_reaches_the_caller(self, monkeypatch):
@@ -599,7 +586,7 @@ class TestChunkInvariance:
     def ensemble(self, spec, workers, n=600):
         recs = simulate_ensemble(spec, HALF, n, seed=17, n_traj=7,
                                  workers=workers)
-        return [r.to_line() for r in recs]
+        return [record_key(r) for r in recs]
 
     @pytest.mark.parametrize("spec", [
         DMRProcess(a=1.0),
@@ -617,7 +604,7 @@ class TestChunkInvariance:
         monkeypatch.setattr(processes, "_CELLS", 3 * 7)  # three-row chunks
         assert ref == self.ensemble(spec, workers=1)
         assert ref == self.ensemble(spec, workers=2)
-        assert sum(len(json.loads(r)["hit_times"]) for r in ref) > 1000
+        assert sum(json.loads(r[0])["hit_count"] for r in ref) > 1000
 
     @pytest.mark.parametrize("spec", [
         CircleRWProcess(a=0.37, drift=0.2),
@@ -628,7 +615,7 @@ class TestChunkInvariance:
         # width no longer shortens them, and 54-step rows at 7
         monkeypatch.setattr(processes, "_CELLS", 3 * processes._ROW_WIDTH)
         wide = simulate_ensemble(spec, HALF, 600, seed=17, n_traj=130)
-        assert [r.to_line() for r in wide[:7]] == self.ensemble(spec, 1)
+        assert [record_key(r) for r in wide[:7]] == self.ensemble(spec, 1)
 
     @pytest.mark.parametrize("spec, width, rows", [
         (DMRProcess(a=1.0), 3, 4096),
@@ -897,38 +884,54 @@ class TestChunkMemory:
 
 
 class TestHitFragments:
-    """Row-stepped hit fragments are int32 while a chunk's steps fit in
-    it; records are int64 whatever their fragments were."""
+    """Hit fragments, worker buffers and records hold hit times in
+    hit_dtype(n), the dtype hits.npy stores them in."""
 
     HIT = np.array([[True, False, True, True]])  # steps c0 + 1, 3 and 4
 
-    @pytest.mark.parametrize("last, dtype", [
-        (2**31 - 1, np.int32), (2**31, np.int64)],
-        ids=["int32-max", "one-past"])
-    def test_width_by_the_chunk_s_last_step(self, last, dtype):
-        c0 = last - self.HIT.shape[1]
-        [times] = processes._row_hit_times(self.HIT, c0)
+    @pytest.mark.parametrize("n, dtype", [
+        (0, "|u1"), (255, "|u1"), (256, "<u2"), (65_535, "<u2"),
+        (65_536, "<u4"), (2**32 - 1, "<u4"), (2**32, "<u8"),
+        (10**18 - 1, "<u8")])
+    def test_hit_dtype_is_the_smallest_unsigned_little_endian(self, n, dtype):
+        assert processes.hit_dtype(n).str == dtype
+        assert np.dtype(dtype).type(n) == n
+
+    @pytest.mark.parametrize("n", [-1, 10**18, 2**64])
+    def test_hit_dtype_refuses_horizons_it_cannot_pack(self, n):
+        with pytest.raises(ValueError, match="10\\*\\*18"):
+            processes.hit_dtype(n)
+
+    @pytest.mark.parametrize("last", [255, 256, 65_535, 65_536, 2**32],
+                             ids=["u1-max", "u2-min", "u2-max", "u4-min",
+                                  "u8-min"])
+    def test_fragments_reach_the_horizon(self, last):
+        # a chunk ending at step n, the largest its dtype must hold
+        c0, dtype = last - self.HIT.shape[1], processes.hit_dtype(last)
+        times = processes._hit_times(self.HIT[0], c0, dtype)
         assert times.dtype == dtype
         assert times.tolist() == [c0 + 1, c0 + 3, c0 + 4]
 
-    def test_records_are_int64_across_the_edge(self, monkeypatch):
-        edges = (2**31 - 1 - self.HIT.shape[1], 2**31 - 1)  # int32, int64
+    @pytest.mark.parametrize("n", [65_536, 2**32], ids=["u4", "u8"])
+    def test_records_and_worker_buffers_keep_the_dtype(self, monkeypatch, n):
+        edges = (n - 2 * self.HIT.shape[1], n - self.HIT.shape[1])
 
         def chunks(spec, n, gens, x, family):
             for c0 in edges:
-                yield x, processes._row_hit_times(
-                    self.HIT.repeat(len(gens), axis=0), c0), None
+                yield x, [processes._hit_times(self.HIT[0], c0,
+                                               processes.hit_dtype(n))
+                          for _ in gens], None
 
         monkeypatch.setattr(processes, "_chunks", chunks)
         ids = [0, 1]
         recs = processes._records(ids, *processes._run_block(
-            IIDProcess(), 8, 0, ids, HALF))
-        # a worker process sends int64 hit times once n passes int32
-        recs += processes._part_records(ids, *processes._run_part(
-            IIDProcess(), 2**31, 0, ids, HALF))
+            IIDProcess(), n, 0, ids, HALF))
+        flat, *rest = processes._run_part(IIDProcess(), n, 0, ids, HALF)
+        assert flat.dtype == processes.hit_dtype(n)
+        recs += processes._part_records(ids, flat, *rest)
         want = [c0 + k for c0 in edges for k in (1, 3, 4)]
         for rec in recs:
-            assert rec.hit_times.dtype == np.int64
+            assert rec.hit_times.dtype == processes.hit_dtype(n)
             assert rec.hit_times.tolist() == want
 
 
