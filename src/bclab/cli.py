@@ -9,9 +9,10 @@
 Format ``jsonl`` writes (and ``report`` rewrites) hits.jsonl and hits.npy.
 Exit codes: 0 pass, 2 verdict failure (for report: the records no longer
 reproduce the recorded run digest), 3 inconclusive, 4 configuration error.
-``BCLAB_THREADS`` sets the number of simulation worker processes.  By
-default, iid and circle-rw runs take one per usable CPU, as long as each
-gets at least 2**23 steps, and every other run takes one.
+``BCLAB_THREADS``, a positive integer, sets the number of simulation
+worker processes.  By default, iid and circle-rw runs take one per usable
+CPU, as long as each gets at least 2**23 steps, and every other run takes
+one.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from .processes import (
     check_horizon,
     hit_dtype,
     lsv_calibration,
+    packed_records,
     process_from_json,
     process_to_json,
     simulate_ensemble,
@@ -675,8 +676,9 @@ def load_run(run_dir) -> tuple:
     if [f[3] for f in fields] != list(range(cfg.n_traj)):
         raise ValueError(f"{index_path} must hold trajectories "
                          f"0..{cfg.n_traj - 1} in order, one per line")
+    counts, renewals, restarts, trajectories = zip(*fields)
     data, dtype = npy_path.read_bytes(), hit_dtype(cfg.n)
-    ends = list(accumulate(f[0] for f in fields))
+    ends = list(accumulate(counts))
     header = hits_header(cfg.n, ends[-1])
     body = len(data) - len(header)
     held = body // dtype.itemsize
@@ -693,6 +695,5 @@ def load_run(run_dir) -> tuple:
     if bad is not None:
         raise ValueError(f"{index_path} line {bad + 1}: hit times must be "
                          f"strictly increasing within [1, {cfg.n}]")
-    return cfg, [HitRecord(trajectory=t, hit_times=hits[e - c:e],
-                           renewal_count=r, restarts=s)
-                 for (c, r, s, t), e in zip(fields, ends)]
+    return cfg, packed_records(trajectories, hits, counts, renewals,
+                               restarts)

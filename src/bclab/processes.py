@@ -16,6 +16,7 @@ import math
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -371,7 +372,8 @@ class HitRecord:
     """One trajectory's hits; seed, n and drift live in the run's config.
 
     Frozen, with read-only hit times: integers of any dtype (the
-    simulation's are in hit_dtype(n)), or else int64.
+    simulation's are in hit_dtype(n)), or else integral values, held as
+    int64.
     """
 
     trajectory: int
@@ -382,9 +384,12 @@ class HitRecord:
     def __post_init__(self):
         # a read-only view: an array the caller passed keeps its own flags
         ht = np.asarray(self.hit_times)
-        ht = ht.view() if ht.dtype.kind in "iu" else ht.astype(np.int64)
-        ht.flags.writeable = False
-        object.__setattr__(self, "hit_times", ht)
+        ints = ht.view() if ht.dtype.kind in "iu" else ht.astype(np.int64)
+        if ht.dtype.kind not in "iu" and not np.array_equal(ints, ht):
+            raise ValueError(f"trajectory {self.trajectory}: hit times must "
+                             f"be integers")
+        ints.flags.writeable = False
+        object.__setattr__(self, "hit_times", ints)
 
     def to_line(self) -> bytes:
         """This record's hits.jsonl index line, without the newline: compact
@@ -633,10 +638,11 @@ def _row_chunks(spec, n, gens, x, family, rows):
 
 
 def _run_block(spec, n, seed, traj_ids, family, restart=0):
-    """Lockstep simulation of the given trajectory ids: (hits, renewals,
-    restarts), where hits[j] lists trajectory traj_ids[j]'s hit times as
-    the fragments its chunks found (in hit_dtype(n), in step order) and
-    renewals and restarts are arrays over the ids.
+    """Lockstep simulation of the given trajectory ids, in the packed form
+    hits.npy stores: (hits, counts, renewals, restarts), where hits holds
+    counts[j] hit times of traj_ids[j] after those of the ids before it,
+    in hit_dtype(n), and the others are lists over the ids.  Fragments
+    are copied in and freed trajectory by trajectory, never held twice.
 
     Interval-map orbits that underflow below _DEGENERATE are rerun
     together on their next restart stream, at most 8 times.
@@ -644,60 +650,45 @@ def _run_block(spec, n, seed, traj_ids, family, restart=0):
     spec.validate()
     width = len(traj_ids)
     gens = [make_generator(seed, t, restart) for t in traj_ids]
-    hits = [[] for _ in range(width)]
+    frags = [[] for _ in range(width)]
     rcount = np.zeros(width, dtype=int)
     degenerate = np.zeros(width, dtype=bool)
 
     for _, times, counts in _chunks(spec, n, gens, _init_vector(spec, gens),
                                     family):
-        for h, ts in zip(hits, times):
-            h.append(ts)
+        for f, ts in zip(frags, times):
+            f.append(ts)
         if isinstance(spec, LSVProcess):
             degenerate |= counts > 0
         elif counts is not None:
             rcount += counts
 
     restarts = np.full(width, restart, dtype=np.int64)
-    if degenerate.any():
-        redo = np.flatnonzero(degenerate)
+    redo = np.flatnonzero(degenerate)
+    if redo.size:
         if restart == 8:
             raise RuntimeError(f"trajectories {[traj_ids[j] for j in redo]}:"
                                f" orbit degenerate after 8 restarts")
         for j in redo:
-            hits[j].clear()
-        again, rcount[redo], restarts[redo] = _run_block(
+            frags[j].clear()
+        again, lengths, rcount[redo], restarts[redo] = _run_block(
             spec, n, seed, [traj_ids[j] for j in redo], family, restart + 1)
-        for j, h in zip(redo, again):
-            hits[j] = h
-    return hits, rcount, restarts
+        for j, e, c in zip(redo, accumulate(lengths), lengths):
+            frags[j] = [again[e - c:e]]
+    counts = [sum(map(len, f)) for f in frags]
+    hits = np.empty(sum(counts), dtype=hit_dtype(n))
+    for f, e, c in zip(frags, accumulate(counts), counts):
+        np.concatenate(f, out=hits[e - c:e])
+        f.clear()
+    return hits, counts, rcount.tolist(), restarts.tolist()
 
 
-def _records(traj_ids, hits, rcount, restarts) -> list:
-    """HitRecords of a block from _run_block's arrays; each trajectory's
-    fragments go as its hit times are built, so they are never held twice."""
-    out = []
-    for t, h, r, s in zip(traj_ids, hits, rcount.tolist(), restarts.tolist()):
-        out.append(HitRecord(trajectory=t, hit_times=np.concatenate(h),
-                             renewal_count=r, restarts=s))
-        h.clear()
-    return out
-
-
-def _run_part(spec, n, seed, traj_ids, family) -> tuple:
-    """_run_block in a worker process, sent back as one flat buffer of hit
-    times in hit_dtype(n) and each trajectory's hit count, renewals and
-    restarts."""
-    hits, rcount, restarts = _run_block(spec, n, seed, traj_ids, family)
-    lengths = np.array([sum(map(len, h)) for h in hits], dtype=np.int64)
-    flat = np.concatenate([f for h in hits for f in h], dtype=hit_dtype(n))
-    return flat, lengths, rcount, restarts
-
-
-def _part_records(traj_ids, flat, lengths, rcount, restarts) -> list:
-    """HitRecords of a worker's block from _run_part, viewing its buffer."""
-    hits = np.split(flat, np.cumsum(lengths)[:-1])
-    return list(map(HitRecord, traj_ids, hits, rcount.tolist(),
-                    restarts.tolist()))
+def packed_records(traj_ids, hits, counts, renewals, restarts) -> list:
+    """HitRecords of trajectories traj_ids from the packed form _run_block
+    returns and hits.npy stores (hits holds counts[j] hit times of
+    traj_ids[j] after those before it); each views its hit times."""
+    return [HitRecord(t, hits[e - c:e], r, s) for t, e, c, r, s in
+            zip(traj_ids, accumulate(counts), counts, renewals, restarts)]
 
 
 # steps a worker process must have to pay for its fork and its transfer:
@@ -707,16 +698,20 @@ def _part_records(traj_ids, flat, lengths, rcount, restarts) -> list:
 _MIN_STEPS = 1 << 23
 
 
-def _workers(spec, n, n_traj, workers=None) -> int:
-    """Worker processes for a run: workers if given, else BCLAB_THREADS if
-    set, else one per usable CPU for the loop-free kernels (iid,
-    circle-rw) as long as each has _MIN_STEPS steps, and one for the
+def _workers(spec, n, n_traj) -> int:
+    """Worker processes for a run: BCLAB_THREADS if set, which must be a
+    positive integer, else one per usable CPU for the loop-free kernels
+    (iid, circle-rw) as long as each has _MIN_STEPS steps, and one for the
     row-stepped kernels, which a second process did not speed up at 100
     trajectories.  One where processes cannot be forked; never more than
     n_traj."""
-    if workers is None and "BCLAB_THREADS" in os.environ:
-        workers = int(os.environ["BCLAB_THREADS"])
-    if workers is None:
+    value = os.environ.get("BCLAB_THREADS")
+    if value is not None:
+        workers = int(value) if re.fullmatch("[0-9]+", value) else 0
+        if workers < 1:
+            raise ValueError(f"BCLAB_THREADS must be a positive integer, "
+                             f"not {value!r}")
+    else:
         workers = 1
         if isinstance(spec, (IIDProcess, CircleRWProcess)):
             cpus = (len(os.sched_getaffinity(0))
@@ -734,12 +729,13 @@ def _workers(spec, n, n_traj, workers=None) -> int:
 
 
 def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
-                      seed: int, n_traj: int, workers: int = None) -> list:
+                      seed: int, n_traj: int) -> list:
     """HitRecords for trajectories 0..n_traj-1, in trajectory order.
 
     The trajectories are cut into one contiguous block per worker
     (_workers): the calling process steps the first block, and a process
-    forked for this call steps each other one.  Every trajectory owns its
+    forked for this call steps each other one.  Each block's records view
+    its one packed buffer (packed_records).  Every trajectory owns its
     own stream, so the partition has no effect on the results.  No worker
     outlives the call, and an error in one is raised here.
     """
@@ -751,24 +747,24 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
     fh = family.horizon
     if fh is not None and fh < n:
         raise ValueError(f"family defined only up to {fh} < n = {n}")
-    workers = _workers(spec, n, n_traj, workers)
+    workers = _workers(spec, n, n_traj)
     edges = [n_traj * i // workers for i in range(workers + 1)]
-    blocks = [list(range(a, b)) for a, b in zip(edges, edges[1:])]
+    blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
     if workers == 1:
-        return _records(blocks[0], *_run_block(spec, n, seed, blocks[0],
-                                               family))
+        return packed_records(blocks[0], *_run_block(spec, n, seed, blocks[0],
+                                                     family))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
             max_workers=workers - 1,
             mp_context=multiprocessing.get_context("fork")) as pool:
-        parts = [pool.submit(_run_part, spec, n, seed, b, family)
+        parts = [pool.submit(_run_block, spec, n, seed, b, family)
                  for b in blocks[1:]]
-        records = _records(blocks[0], *_run_block(spec, n, seed, blocks[0],
-                                                  family))
-        for b in blocks[1:]:
-            records += _part_records(b, *parts.pop(0).result())
+        records = packed_records(blocks[0], *_run_block(spec, n, seed,
+                                                        blocks[0], family))
+        for b, part in zip(blocks[1:], parts):
+            records += packed_records(b, *part.result())
     return records
 
 

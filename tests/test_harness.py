@@ -427,6 +427,13 @@ class TestHitsArray:
     def test_one_trajectory(self, tmp_path):
         write_run(tmp_path, 1000, [list(range(1, 1001))])
 
+    def test_records_view_one_read(self, tmp_path):
+        write_run(tmp_path, 1000, [[1, 7], [], [2, 999, 1000]])
+        _, back = load_run(tmp_path)
+        base = back[0].hit_times.base
+        assert base.tolist() == [1, 7, 2, 999, 1000]
+        assert all(r.hit_times.base is base for r in back)
+
     @pytest.mark.parametrize("n, descr", [
         (2**32 - 1, "<u4"), (2**32, "<u8")])
     def test_header_past_uint32(self, n, descr):

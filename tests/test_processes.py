@@ -255,16 +255,16 @@ class TestSimulateHits:
         fam = NestedLeftFamily(radius=PowerLogSeq(c=0.8, p=0.5))
         recs = simulate_ensemble(DMRProcess(a=1.0), fam, 600, seed=21, n_traj=4)
         for t in (0, 3):
-            solo = processes._records([t], *processes._run_block(
+            solo = processes.packed_records([t], *processes._run_block(
                 DMRProcess(a=1.0), 600, 21, [t], fam))[0]
             assert record_key(recs[t]) == record_key(solo)
 
-    def test_parallel_partition_invariance(self):
+    def test_parallel_partition_invariance(self, monkeypatch):
         fam = NestedLeftFamily(radius=PowerLogSeq(c=0.8, p=0.5))
-        one = simulate_ensemble(DMRProcess(a=1.0), fam, 400, seed=5, n_traj=6,
-                                workers=1)
-        three = simulate_ensemble(DMRProcess(a=1.0), fam, 400, seed=5, n_traj=6,
-                                  workers=3)
+        monkeypatch.setenv("BCLAB_THREADS", "1")
+        one = simulate_ensemble(DMRProcess(a=1.0), fam, 400, seed=5, n_traj=6)
+        monkeypatch.setenv("BCLAB_THREADS", "3")
+        three = simulate_ensemble(DMRProcess(a=1.0), fam, 400, seed=5, n_traj=6)
         for a, b in zip(one, three):
             assert a.trajectory == b.trajectory
             assert a.hit_times.tolist() == b.hit_times.tolist()
@@ -428,6 +428,14 @@ class TestHitRecordIndex:
         assert rec.hit_times.dtype == np.uint8
         assert HitRecord(0, []).hit_times.dtype == np.int64
 
+    def test_integral_hit_times_only(self):
+        assert HitRecord(0, [2.0]).hit_times.tolist() == [2]
+        assert HitRecord(0, []).hit_times.tolist() == []
+        with pytest.raises(ValueError, match="trajectory 0: hit times must "
+                                             "be integers"):
+            HitRecord(0, [1.5, 3.9, 3.2])
+
+
 def scalar_replay(spec, n, gen, threshold=0.5):
     """(lowest state, hit times of [0, threshold)) stepping gen with process_step."""
     x = init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
@@ -443,15 +451,15 @@ def scalar_replay(spec, n, gen, threshold=0.5):
 class TestDegenerateRestart:
     # at 2 workers, trajectories 20..39 are rerun in a forked worker, which
     # inherits the patched floor
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", ["1", "2"])
     def test_restarted_records_replay_their_restart_stream(self, monkeypatch,
                                                            workers):
         # a high underflow floor makes a few gamma = 0.75 orbits "degenerate"
         monkeypatch.setattr(processes, "_DEGENERATE", 1e-4)
+        monkeypatch.setenv("BCLAB_THREADS", workers)
         spec = LSVProcess(gamma=0.75)
         n, seed = 2000, 3
-        recs = simulate_ensemble(spec, HALF, n, seed=seed, n_traj=40,
-                                 workers=workers)
+        recs = simulate_ensemble(spec, HALF, n, seed=seed, n_traj=40)
         assert [r.trajectory for r in recs] == list(range(40))
         restarted = [r for r in recs if r.restarts]
         assert len(restarted) == 6
@@ -500,22 +508,28 @@ class TestWorkers:
     def test_row_stepped_and_small_runs_take_one(self, four_cpus, spec, size):
         assert processes._workers(spec, *size) == 1
 
-    def test_the_environment_and_the_argument_win(self, four_cpus,
-                                                  monkeypatch):
+    def test_the_environment_wins(self, four_cpus, monkeypatch):
         monkeypatch.setenv("BCLAB_THREADS", "3")
         assert processes._workers(DMRProcess(a=1.0), *self.LARGE) == 3
         assert processes._workers(IIDProcess(), *self.SMALL) == 3
         assert processes._workers(IIDProcess(), 10**4, 2) == 2
         monkeypatch.setenv("BCLAB_THREADS", "1")
         assert processes._workers(IIDProcess(), *self.LARGE) == 1
-        assert processes._workers(IIDProcess(), *self.LARGE, workers=2) == 2
+
+    @pytest.mark.parametrize("value", ["", "abc", "0", "-2", "1.5"])
+    def test_the_environment_must_be_a_positive_integer(self, four_cpus,
+                                                        monkeypatch, value):
+        monkeypatch.setenv("BCLAB_THREADS", value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"BCLAB_THREADS must be a positive integer, not {value!r}")):
+            processes._workers(IIDProcess(), *self.SMALL)
 
     def test_no_fork_means_one_worker(self, four_cpus, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         assert processes._workers(IIDProcess(), *self.LARGE) == 1
         monkeypatch.setenv("BCLAB_THREADS", "2")
-        assert processes._workers(IIDProcess(), *self.LARGE, workers=2) == 1
+        assert processes._workers(IIDProcess(), *self.LARGE) == 1
 
     def test_default_forks_and_leaves_no_process(self, four_cpus,
                                                  monkeypatch):
@@ -531,25 +545,45 @@ class TestWorkers:
         spec = CircleRWProcess(a=0.37)
         recs = simulate_ensemble(spec, HALF, 400, seed=4, n_traj=6)
         assert pools == [3]  # the caller runs the first of 4 blocks
-        one = simulate_ensemble(spec, HALF, 400, seed=4, n_traj=6, workers=1)
+        monkeypatch.setenv("BCLAB_THREADS", "1")
+        one = simulate_ensemble(spec, HALF, 400, seed=4, n_traj=6)
         assert list(map(record_key, recs)) == list(map(record_key, one))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_records_view_one_buffer_per_block(self, monkeypatch, workers):
+        # the caller's block and a forked worker's come back in one form:
+        # one buffer of hit times, which the block's records view
+        monkeypatch.setenv("BCLAB_THREADS", workers)
+        recs = simulate_ensemble(DMRProcess(a=1.0), HALF, 50, seed=3,
+                                 n_traj=4)
+        blocks = [recs[:2], recs[2:]] if workers == "2" else [recs]
+        for block in blocks:
+            base = block[0].hit_times.base
+            assert isinstance(base, np.ndarray)
+            assert base.size == sum(len(r.hit_times) for r in block) > 0
+            assert all(r.hit_times.base is base for r in block)
+        assert len({id(r.hit_times.base) for r in recs}) == len(blocks)
+        assert not any(r.hit_times.flags.writeable for r in recs)
         assert multiprocessing.active_children() == []
 
     def test_a_worker_s_error_reaches_the_caller(self, monkeypatch):
         # every orbit of the forked worker's block degenerates: the floor
-        # is raised in the worker's copy of the module only
-        caller, run_block = os.getpid(), processes._run_block
+        # is raised in the worker's copy of the module only, by the
+        # starting states _run_block asks for there
+        caller, init_vector = os.getpid(), processes._init_vector
 
         def degenerate_in_workers(*args, **kwargs):
             if os.getpid() != caller:
                 processes._DEGENERATE = 1.0
-            return run_block(*args, **kwargs)
+            return init_vector(*args, **kwargs)
 
-        monkeypatch.setattr(processes, "_run_block", degenerate_in_workers)
+        monkeypatch.setattr(processes, "_init_vector", degenerate_in_workers)
+        monkeypatch.setenv("BCLAB_THREADS", "2")
         with pytest.raises(RuntimeError, match=re.escape(
                 "trajectories [2, 3]: orbit degenerate after 8 restarts")):
             simulate_ensemble(LSVProcess(gamma=0.75), HALF, 50, seed=3,
-                              n_traj=4, workers=2)
+                              n_traj=4)
         assert processes._DEGENERATE == 1e-300
         assert multiprocessing.active_children() == []
 
@@ -583,9 +617,9 @@ def chunk_rows(monkeypatch, spec, n, width):
 
 
 class TestChunkInvariance:
-    def ensemble(self, spec, workers, n=600):
-        recs = simulate_ensemble(spec, HALF, n, seed=17, n_traj=7,
-                                 workers=workers)
+    def ensemble(self, monkeypatch, spec, workers, n=600):
+        monkeypatch.setenv("BCLAB_THREADS", str(workers))
+        recs = simulate_ensemble(spec, HALF, n, seed=17, n_traj=7)
         return [record_key(r) for r in recs]
 
     @pytest.mark.parametrize("spec", [
@@ -599,11 +633,11 @@ class TestChunkInvariance:
     ], ids=["dmr-capped", "circle-drift", "lsv", "iid-power", "split-nu"])
     def test_tiny_chunks_and_workers_match_default(self, monkeypatch, spec):
         # at 3 workers two forked processes each run a block of the 7
-        ref = self.ensemble(spec, workers=1)
-        assert ref == self.ensemble(spec, workers=3)
+        ref = self.ensemble(monkeypatch, spec, workers=1)
+        assert ref == self.ensemble(monkeypatch, spec, workers=3)
         monkeypatch.setattr(processes, "_CELLS", 3 * 7)  # three-row chunks
-        assert ref == self.ensemble(spec, workers=1)
-        assert ref == self.ensemble(spec, workers=2)
+        assert ref == self.ensemble(monkeypatch, spec, workers=1)
+        assert ref == self.ensemble(monkeypatch, spec, workers=2)
         assert sum(json.loads(r[0])["hit_count"] for r in ref) > 1000
 
     @pytest.mark.parametrize("spec", [
@@ -615,7 +649,8 @@ class TestChunkInvariance:
         # width no longer shortens them, and 54-step rows at 7
         monkeypatch.setattr(processes, "_CELLS", 3 * processes._ROW_WIDTH)
         wide = simulate_ensemble(spec, HALF, 600, seed=17, n_traj=130)
-        assert [record_key(r) for r in wide[:7]] == self.ensemble(spec, 1)
+        narrow = self.ensemble(monkeypatch, spec, 1)
+        assert [record_key(r) for r in wide[:7]] == narrow
 
     @pytest.mark.parametrize("spec, width, rows", [
         (DMRProcess(a=1.0), 3, 4096),
@@ -656,11 +691,11 @@ class TestChunkInvariance:
             self, monkeypatch, spec, kind, past):
         cap = processes._MAX_ROWS[kind]
         n = cap + (cap + 77 if past is None else past)
-        capped = self.ensemble(spec, 1, n)
+        capped = self.ensemble(monkeypatch, spec, 1, n)
         monkeypatch.setattr(processes, "_MAX_ROWS",
                             dict.fromkeys(processes._MAX_ROWS, n))
         assert chunk_rows(monkeypatch, spec, n, 7) == n
-        assert capped == self.ensemble(spec, 1, n)
+        assert capped == self.ensemble(monkeypatch, spec, 1, n)
 
 
 # windows of 0.37 from 0.2: every few steps one wraps past 1
@@ -884,7 +919,7 @@ class TestChunkMemory:
 
 
 class TestHitFragments:
-    """Hit fragments, worker buffers and records hold hit times in
+    """Hit fragments, block buffers and records hold hit times in
     hit_dtype(n), the dtype hits.npy stores them in."""
 
     HIT = np.array([[True, False, True, True]])  # steps c0 + 1, 3 and 4
@@ -913,7 +948,7 @@ class TestHitFragments:
         assert times.tolist() == [c0 + 1, c0 + 3, c0 + 4]
 
     @pytest.mark.parametrize("n", [65_536, 2**32], ids=["u4", "u8"])
-    def test_records_and_worker_buffers_keep_the_dtype(self, monkeypatch, n):
+    def test_block_buffers_and_records_keep_the_dtype(self, monkeypatch, n):
         edges = (n - 2 * self.HIT.shape[1], n - self.HIT.shape[1])
 
         def chunks(spec, n, gens, x, family):
@@ -924,11 +959,9 @@ class TestHitFragments:
 
         monkeypatch.setattr(processes, "_chunks", chunks)
         ids = [0, 1]
-        recs = processes._records(ids, *processes._run_block(
-            IIDProcess(), n, 0, ids, HALF))
-        flat, *rest = processes._run_part(IIDProcess(), n, 0, ids, HALF)
-        assert flat.dtype == processes.hit_dtype(n)
-        recs += processes._part_records(ids, flat, *rest)
+        hits, *rest = processes._run_block(IIDProcess(), n, 0, ids, HALF)
+        assert hits.dtype == processes.hit_dtype(n)
+        recs = processes.packed_records(ids, hits, *rest)
         want = [c0 + k for c0 in edges for k in (1, 3, 4)]
         for rec in recs:
             assert rec.hit_times.dtype == processes.hit_dtype(n)
