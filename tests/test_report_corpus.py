@@ -2,8 +2,11 @@
 fixed list of evaluator calls.
 
 The list runs every mode of every ``check_*`` evaluator, each with
-closed-form inputs and with tabulated or profile inputs, so a refactor of
-the criteria internals that moves any byte of any report fails here.
+closed-form inputs and with tabulated or profile inputs, plus a case for
+each report branch those miss (a flat or all-zero trend, a window too
+thin to fit, an all-zero or thin series tail, each precondition), so a
+refactor of the criteria internals that moves any byte of any report
+fails here.
 Run this file as a script to print the current hashes:
 
     PYTHONPATH=src python tests/test_report_corpus.py
@@ -33,7 +36,14 @@ from bclab.mixing import (
     TILDE_PHI11,
     MixingProfile,
 )
-from bclab.seqcore import GeometricSeq, PowerLogSeq, TabulatedSeq, power_seq
+from bclab.seqcore import (
+    GeometricSeq,
+    PowerLogSeq,
+    RealSeq,
+    TableSampler,
+    TabulatedSeq,
+    power_seq,
+)
 
 H = 20_000
 
@@ -56,6 +66,34 @@ def _paths(mu, h=10_000, n_paths=200, seed=7):
     de = np.diff(np.concatenate([[0.0], e]))
     u = np.random.default_rng(seed).random((n_paths, len(ns)))
     return PathEnsemble(ns, np.floor(np.cumsum(2.0 * u * de[None, :], axis=1)))
+
+
+def _sampled(seq, at, h=10_000):
+    """seq's table up to h kept at the indices ``at``, as a run's f-criteria
+    read E and the masses."""
+    sampler = TableSampler(at)
+    sampler.add(seq.array(1, h))
+    return sampler.seq()
+
+
+def _tail_zeros(seq, n, h=H):
+    """seq's table up to h with every entry after index n set to 0."""
+    return TabulatedSeq(np.concatenate([seq.array(1, n), np.zeros(h - n)]))
+
+
+class SignedTable(RealSeq):
+    """A table that may hold negative entries, which no built-in sequence
+    does: it reaches the evaluators' own sign checks."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    @property
+    def horizon(self):
+        return len(self.values)
+
+    def array(self, lo, hi):
+        return self.values[lo - 1:hi]
 
 
 # closed-form legs
@@ -86,6 +124,18 @@ def _corpus():
                                              TabulatedSeq(0.5 * harmonic))
     cases["l2/precondition"] = lambda: check_l2(TabulatedSeq(harmonic[::-1]),
                                                 TabulatedSeq(harmonic))
+    linear = np.arange(1.0, H + 1)
+    cases["l2/flat"] = lambda: check_l2(TabulatedSeq(linear),
+                                        TabulatedSeq(0.5 * linear**2))
+    cases["l2/zero-variance"] = lambda: check_l2(TabulatedSeq(linear),
+                                                 TabulatedSeq(np.zeros(H)))
+    cases["l2/thin-window"] = lambda: check_l2(TabulatedSeq(linear[:3]),
+                                               TabulatedSeq(linear[:3]))
+    cases["l2/few-positive"] = lambda: check_l2(
+        TabulatedSeq(linear), TabulatedSeq(np.concatenate([np.zeros(H - 3),
+                                                           np.ones(3)])))
+    cases["l2/negative-variance"] = lambda: check_l2(
+        TabulatedSeq(linear), SignedTable(np.full(H, -1.0)))
 
     # check_f_criteria
     for mode in ("i", "ii", "iii", "variance"):
@@ -98,6 +148,14 @@ def _corpus():
             lambda m=mode: check_f_criteria(F_PATHS, F_E_TAB, m, mu_A=F_MU))
     cases["f-i/subsequence"] = lambda: check_f_criteria(
         F_PATHS, F_E_TAB, "i", subsequence=F_PATHS.ns[::2], mu_A=F_MU)
+    cases["f-ii/sampled"] = lambda: check_f_criteria(
+        F_PATHS, _sampled(F_E_TAB, F_PATHS.ns), "ii",
+        mu_A=_sampled(F_MU, F_PATHS.ns))
+    # 99 paths hit E_n = n exactly and one hits 3n: a flat mean f of 0.015
+    # whose standard error is 0.015 too
+    one_off = np.vstack([np.tile(F_PATHS.ns, (99, 1)), 3 * F_PATHS.ns])
+    cases["f-ii/flat-within-noise"] = lambda: check_f_criteria(
+        PathEnsemble(F_PATHS.ns, one_off), power_seq(1.0, -1.0), "ii")
 
     # check_pairwise
     legs = (power_seq(0.5, 1.0), power_seq(0.5, 1.5), power_seq(0.5, 2.0),
@@ -149,6 +207,12 @@ def _corpus():
         TabulatedSeq(np.full(H, 0.3)), MU, "nested-BC")
     cases["alpha-L1/increasing-alpha"] = lambda: check_alpha(
         TabulatedSeq(np.linspace(0.1, 0.9, H)), MU, "L1")
+    cases["alpha-L1/short-table"] = lambda: check_alpha(
+        TabulatedSeq(ALPHA_PURE.array(1, 3)), MU, "L1")
+    cases["alpha-nested-BC/both-vanish"] = lambda: check_alpha(
+        _tail_zeros(ALPHA_PURE, 1000), _tail_zeros(MU, 5000), "nested-BC")
+    cases["alpha-poly-1/increasing-mass"] = lambda: check_alpha(
+        None, power_seq(0.01, -0.5), "poly-1", params={"a": 2.0}, horizon=H)
 
     # check_beta_strong
     betas = {
@@ -164,6 +228,8 @@ def _corpus():
                 lambda b=beta, q=bound: check_beta_strong(
                     b, lambda u: 1.0 + math.log1p(1.0 / u) if u < 0.01 else 2.0,
                     qstar_bound=q, horizon=H))
+    cases["beta/reaching-zero"] = lambda: check_beta_strong(
+        _tail_zeros(power_seq(0.5, 1.5), 1000), lambda u: 2.0, horizon=H)
 
     # check_tilde
     tilde_args = {
@@ -194,6 +260,9 @@ def _corpus():
         RATE, MU, mode="i", limsup_floor=0.0, horizon=H)
     cases["tilde-ii/infinite-bound"] = lambda: check_tilde(
         RATE, MU, math.inf, 1.0, "ii", horizon=H)
+    cases["tilde-iv/no-first-mass"] = lambda: check_tilde(
+        RATE, TabulatedSeq(np.concatenate([[0.0], MU.array(2, H)])),
+        mode="iv", horizon=H)
 
     # check_renewal_nested
     cases["renewal/closed-divergent"] = lambda: check_renewal_nested(power_seq(1.0, 1.0))
@@ -206,6 +275,11 @@ def _corpus():
         power_seq(1.0, 1.0), nested=False)
     cases["renewal/increasing"] = lambda: check_renewal_nested(
         TabulatedSeq(np.linspace(0.1, 0.9, 100)))
+    cases["renewal/zero"] = lambda: check_renewal_nested(TabulatedSeq(np.zeros(100)))
+    cases["renewal/few-terms"] = lambda: check_renewal_nested(
+        _tail_zeros(power_seq(1.0, 1.0), 500, h=10**4))
+    cases["renewal/negative"] = lambda: check_renewal_nested(
+        SignedTable(np.full(100, -1.0)))
     return cases
 
 
@@ -226,10 +300,12 @@ PINNED = {
     'alpha-L1/profile/tabulated': '8df7f94b0aca0253',
     'alpha-L1/pure/closed': '03eae4cb3da0f80c',
     'alpha-L1/pure/tabulated': '61f4c044d3121bbc',
+    'alpha-L1/short-table': '157e2bccbee8a3cc',
     'alpha-L1/subpoly/closed': '817683d82836e829',
     'alpha-L1/subpoly/tabulated': '414c8e28c6f01baf',
     'alpha-L1/tabulated/closed': 'ed66558143e0fdff',
     'alpha-L1/tabulated/tabulated': '49563ce5923b38dc',
+    'alpha-nested-BC/both-vanish': '86037a2442cb3948',
     'alpha-nested-BC/flat': '036e2bcaafe1a8b0',
     'alpha-nested-BC/geometric/closed': '69476cc354cdcba0',
     'alpha-nested-BC/geometric/tabulated': 'e481b862f53c7442',
@@ -247,6 +323,7 @@ PINNED = {
     'alpha-nested-BC/tabulated/closed': 'f31192a1fe4d9be7',
     'alpha-nested-BC/tabulated/tabulated': 'b423bddbc9708245',
     'alpha-nested-BC/window': 'f5165548a4ad03c2',
+    'alpha-poly-1/increasing-mass': 'fd72661fc8267277',
     'alpha-poly-1/profile/closed': 'fca0e005168d7226',
     'alpha-poly-1/profile/tabulated': '912ef2413c1811c9',
     'alpha-poly-1/pure/closed': '1048b322cff5a35b',
@@ -282,6 +359,7 @@ PINNED = {
     'beta/profile-sparse/bound=None': '6cebdd6b9250221e',
     'beta/profile/bound=3.0': 'a974257f36f769ef',
     'beta/profile/bound=None': '1381f6c3397ed6dc',
+    'beta/reaching-zero': '120d12e6e9d51732',
     'beta/tabulated/bound=3.0': '54f6b7fa2659ffc7',
     'beta/tabulated/bound=None': '77cb0cc03ee874b4',
     'f-i/closed-e': '964d35a99000f288',
@@ -290,6 +368,8 @@ PINNED = {
     'f-i/tabulated': 'b14c083b3aa38dda',
     'f-ii/closed-e': '21c74aafee323d11',
     'f-ii/closed-mass': 'e8e16f4be6cf056d',
+    'f-ii/flat-within-noise': 'f23b4c96acf90eb5',
+    'f-ii/sampled': '1cbfa0fdd967f11d',
     'f-ii/tabulated': '1cbfa0fdd967f11d',
     'f-iii/closed-e': 'b727cf866196773c',
     'f-iii/closed-mass': '87f85df30d5cf902',
@@ -299,8 +379,13 @@ PINNED = {
     'f-variance/tabulated': '4dc3fa7733983bc9',
     'l2/closed': 'fa7bfa1dcaf0fa89',
     'l2/closed-flat': '4da5d8a3e6ef0cdc',
+    'l2/few-positive': '9778fe4ea3d6ea1b',
+    'l2/flat': 'a2e9788213fd924a',
+    'l2/negative-variance': '923baf9d8c0b42e2',
     'l2/precondition': '555d78bc8d084b21',
     'l2/tabulated': '96bfcd4a833ea988',
+    'l2/thin-window': '53813fd05f2a37a8',
+    'l2/zero-variance': '1bb70fe0f0e78a56',
     'pairwise-i/closed': '4d90b67546f312c0',
     'pairwise-i/tabulated': '07e45d41003a9474',
     'pairwise-i/zero-lead': '963ef35313c99bc2',
@@ -309,10 +394,13 @@ PINNED = {
     'pairwise-ii/zero-lead': '3238a1874102c8fb',
     'renewal/closed-convergent': 'e099237c7902bb53',
     'renewal/closed-divergent': 'c85b84afd9b50efa',
+    'renewal/few-terms': 'f3393070d1b3b200',
     'renewal/increasing': '0734472d6b6e295f',
     'renewal/log-boundary': 'b6ba8ad7533fe483',
+    'renewal/negative': '6606424fdbaf2862',
     'renewal/not-nested': 'a7ef676a940f15f4',
     'renewal/tabulated': '0988646ebc104690',
+    'renewal/zero': '80246f80fc4ffed3',
     'tilde-i/closed-slow/closed': '5f92a0406d57acdb',
     'tilde-i/closed-slow/tabulated': '7a2d43aab7303403',
     'tilde-i/closed/closed': 'b987e8cbb7de2393',
@@ -346,6 +434,7 @@ PINNED = {
     'tilde-iv/closed-slow/tabulated': 'ba5ddd66cdc38a8e',
     'tilde-iv/closed/closed': 'e38cc90ac8b3581b',
     'tilde-iv/closed/tabulated': '3114ab874846ac49',
+    'tilde-iv/no-first-mass': '80b631433deeac90',
     'tilde-iv/profile/closed': '105a058db117dc6b',
     'tilde-iv/profile/tabulated': '0637df41081e67c7',
     'tilde-iv/tabulated/closed': '566954ede8ec87e8',
