@@ -131,6 +131,9 @@ def _corpus():
                                                  TabulatedSeq(np.zeros(H)))
     cases["l2/thin-window"] = lambda: check_l2(TabulatedSeq(linear[:3]),
                                                TabulatedSeq(linear[:3]))
+    cases["l2/short-span"] = lambda: check_l2(
+        TabulatedSeq(linear[299:2000], start=300),
+        TabulatedSeq(linear[299:2000] ** 1.5, start=300))
     cases["l2/few-positive"] = lambda: check_l2(
         TabulatedSeq(linear), TabulatedSeq(np.concatenate([np.zeros(H - 3),
                                                            np.ones(3)])))
@@ -278,6 +281,8 @@ def _corpus():
     cases["renewal/zero"] = lambda: check_renewal_nested(TabulatedSeq(np.zeros(100)))
     cases["renewal/few-terms"] = lambda: check_renewal_nested(
         _tail_zeros(power_seq(1.0, 1.0), 500, h=10**4))
+    cases["renewal/narrow-tail"] = lambda: check_renewal_nested(
+        _tail_zeros(power_seq(1.0, 1.0), 2500, h=10**4))
     cases["renewal/negative"] = lambda: check_renewal_nested(
         SignedTable(np.full(100, -1.0)))
     return cases
@@ -383,6 +388,7 @@ PINNED = {
     'l2/flat': 'a2e9788213fd924a',
     'l2/negative-variance': '923baf9d8c0b42e2',
     'l2/precondition': '555d78bc8d084b21',
+    'l2/short-span': '1c4d8b3190fbffb5',
     'l2/tabulated': '96bfcd4a833ea988',
     'l2/thin-window': '53813fd05f2a37a8',
     'l2/zero-variance': '1bb70fe0f0e78a56',
@@ -397,6 +403,7 @@ PINNED = {
     'renewal/few-terms': 'f3393070d1b3b200',
     'renewal/increasing': '0734472d6b6e295f',
     'renewal/log-boundary': 'b6ba8ad7533fe483',
+    'renewal/narrow-tail': '49d6922d159d3052',
     'renewal/negative': '6606424fdbaf2862',
     'renewal/not-nested': 'a7ef676a940f15f4',
     'renewal/tabulated': '0988646ebc104690',
