@@ -18,21 +18,25 @@ almost-sure conclusion itself:
 Decision rules (fixed constants, shared by every evaluator)
 -----------------------------------------------------------
 Limit clauses ("x_n -> 0" or "x_n -> infinity") on tabulated traces are
-decided on the last two decades of the checkpoint grid: a least-squares
-slope of log(value) against log(n) at most -0.05 together with an
-endpoint below half the value one decade earlier commits to 0 (mirrored
-for infinity); a slope above -0.03 with the endpoint at least 0.7x the
-decade-ago value, and — when Monte Carlo error bars are available —
-an endpoint more than three standard errors above zero, commits to a
-flat nonzero level, which refutes both "-> 0" and "-> infinity".
-Anything else is undecided.  Closed-form inputs bypass the fit with an
-exact limit computation.
+decided on the last two decades of the checkpoint grid.  A tail whose
+values are all at most 1e-12 in magnitude counts as the limit 0.
+Otherwise the fit needs at least 4 points over a full decade, 4 of them
+positive: a least-squares slope of log(value) against log(n) at most
+-0.05 together with an endpoint below half the value one decade earlier
+commits to 0 (mirrored for infinity); a slope with |slope| < 0.03 and
+0.7 * decade-ago <= endpoint <= decade-ago / 0.7, with the endpoint
+above 1e-12 and — when Monte Carlo error bars are available — more than
+three standard errors above zero, commits to a flat nonzero level,
+which refutes both "-> 0" and "-> infinity".  Anything else is
+undecided.  Closed-form inputs bypass the fit with an exact limit
+computation.
 
 Series clauses ("sum t_n < infinity" or "= infinity") use the exact
-integral-test classification when the term sequence is closed-form;
-tabulated terms are classified by the slope of log(t_n) over the last
-decade: below -1.1 is convergent, above -0.9 is divergent, in between
-is undecided.
+integral-test classification when the term sequence is closed-form.
+Tabulated terms that are all <= 0 make a finite sum; otherwise they are
+classified by the slope of log(t_n) over the last decade, fitted on at
+least 4 positive terms spanning a factor 3: below -1.1 is convergent,
+above -0.9 is divergent, in between is undecided.
 """
 
 from __future__ import annotations
@@ -153,8 +157,6 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, ClauseResult):
-        return obj.to_dict()
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
@@ -172,6 +174,11 @@ def _plain(obj):
 # --------------------------------------------------------------------------
 
 
+def _table_sha(values) -> str:
+    """The short hash of a table's float64 bytes that fingerprints it."""
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()[:16]
+
+
 def _seq_fingerprint(seq) -> dict:
     if seq is None:
         return {"kind": "none"}
@@ -180,18 +187,14 @@ def _seq_fingerprint(seq) -> dict:
             "kind": "profile",
             "mixing": seq.kind,
             "n": len(seq.ns),
-            "sha": hashlib.sha256(
-                np.asarray(seq.values, dtype=float).tobytes()
-            ).hexdigest()[:16],
+            "sha": _table_sha(seq.values),
         }
     if isinstance(seq, TabulatedSeq):
         return {
             "kind": "tabulated",
             "start": int(seq.start),
             "n": len(seq.values),
-            "sha": hashlib.sha256(
-                np.asarray(seq.values, dtype=float).tobytes()
-            ).hexdigest()[:16],
+            "sha": _table_sha(seq.values),
         }
     if isinstance(seq, SampledSeq):
         # the same fingerprint as TabulatedSeq of the whole table
@@ -331,42 +334,32 @@ def _pure_power(shape):
 # --------------------------------------------------------------------------
 
 
-def _window_stats(ns: np.ndarray, vals: np.ndarray):
-    """Fit data for the last two decades; None when the window is too thin."""
+def _classify_trend(ns, vals, sigma_endpoint=None):
+    """Return (label, detail): label in {to-zero, to-inf, flat, unclear, all-zero}.
+
+    The window is the last two decades of ns; the fit needs at least 4
+    points spanning a full decade, 4 of them positive.
+    """
     ns = np.asarray(ns, dtype=float)
     vals = np.asarray(vals, dtype=float)
     hi = ns[-1]
     mask = ns >= hi / 100.0
     w_ns, w_vals = ns[mask], vals[mask]
-    if len(w_ns) < 4 or w_ns[-1] < 10 * w_ns[0]:
-        return None
+    if np.all(np.abs(w_vals) <= FLAT_FLOOR):
+        return "all-zero", {"endpoint": float(w_vals[-1])}
     pos = w_vals > 0
-    if pos.sum() < 4:
-        return None
+    if len(w_ns) < 4 or w_ns[-1] < 10 * w_ns[0] or pos.sum() < 4:
+        return "unclear", {"reason": "window too thin for a two-decade fit"}
     slope = float(np.polyfit(np.log(w_ns[pos]), np.log(w_vals[pos]), 1)[0])
     endpoint = float(w_vals[-1])
-    i_ago = int(np.argmin(np.abs(w_ns - hi / 10.0)))
-    decade_ago = float(w_vals[i_ago])
-    return {
+    ago = float(w_vals[np.argmin(np.abs(w_ns - hi / 10.0))])
+    stats = {
         "slope": slope,
         "endpoint": endpoint,
-        "decade_ago": decade_ago,
+        "decade_ago": ago,
         "window": (float(w_ns[0]), float(w_ns[-1])),
         "points": int(len(w_ns)),
     }
-
-
-def _classify_trend(ns, vals, sigma_endpoint=None):
-    """Return (label, detail): label in {to-zero, to-inf, flat, unclear, all-zero}."""
-    vals = np.asarray(vals, dtype=float)
-    hi = float(np.asarray(ns, dtype=float)[-1])
-    tail_mask = np.asarray(ns, dtype=float) >= hi / 100.0
-    if np.all(np.abs(vals[tail_mask]) <= FLAT_FLOOR):
-        return "all-zero", {"endpoint": float(vals[-1])}
-    stats = _window_stats(ns, vals)
-    if stats is None:
-        return "unclear", {"reason": "window too thin for a two-decade fit"}
-    slope, endpoint, ago = stats["slope"], stats["endpoint"], stats["decade_ago"]
     if slope <= -SLOPE_COMMIT and ago > 0 and endpoint < RATIO_COMMIT * ago:
         return "to-zero", stats
     if slope >= SLOPE_COMMIT and ago > 0 and endpoint > ago / RATIO_COMMIT:
@@ -405,16 +398,6 @@ def _limit_clause(name, ns, vals, direction, symbolic=None, sigma_endpoint=None)
     return ClauseResult(name, HOLDS if kind == direction else FAILS, method, detail)
 
 
-def _term_slope(ns, terms):
-    ns = np.asarray(ns, dtype=float)
-    terms = np.asarray(terms, dtype=float)
-    hi = ns[-1]
-    mask = (ns >= hi / 10.0) & (terms > 0)
-    if mask.sum() < 4 or ns[mask][-1] < 3 * ns[mask][0]:
-        return None
-    return float(np.polyfit(np.log(ns[mask]), np.log(terms[mask]), 1)[0])
-
-
 def _series_clause(name, ns, terms, want, symbolic=None):
     """Decide "sum over all n of t_n" convergent/divergent; want in {'conv','div'}."""
     terms = np.asarray(terms, dtype=float)
@@ -425,12 +408,14 @@ def _series_clause(name, ns, terms, want, symbolic=None):
         # identically-zero tail: the series is a finite sum
         conv, method, detail = True, "exact-zero", {"max_term": float(terms.max(initial=0.0))}
     else:
-        slope = _term_slope(ns, terms)
-        if slope is None:
+        ns = np.asarray(ns, dtype=float)
+        tail = (ns >= ns[-1] / 10.0) & (terms > 0)
+        if tail.sum() < 4 or ns[tail][-1] < 3 * ns[tail][0]:
             return ClauseResult(
                 name, UNDECIDED, "tail-slope",
                 {"reason": "too few positive terms in last decade"},
             )
+        slope = float(np.polyfit(np.log(ns[tail]), np.log(terms[tail]), 1)[0])
         method, detail = "tail-slope", {"term_slope": slope}
         if slope < TERM_SLOPE_CONV:
             conv = True
@@ -441,46 +426,29 @@ def _series_clause(name, ns, terms, want, symbolic=None):
     return ClauseResult(name, HOLDS if conv == (want == "conv") else FAILS, method, detail)
 
 
-def _combine(clauses) -> str:
-    outcomes = [c.outcome for c in clauses]
-    if any(o == FAILS for o in outcomes):
-        return VIOLATED
-    if all(o == HOLDS for o in outcomes):
-        return SATISFIED
-    return INCONCLUSIVE
-
-
 def _report(criterion, digest, horizon, ns, trace, clauses, trace_name, extra=None):
-    diagnostics = {
-        "trace_name": trace_name,
-        "clauses": [c.to_dict() for c in clauses],
-    }
-    fitted = [
-        c.detail.get("slope")
-        for c in clauses
-        if c.method == "trend" and c.detail.get("slope") is not None
-    ]
-    if fitted:
-        diagnostics["fitted_slope"] = fitted[0]
-    tails = [
-        c.detail.get("term_slope")
-        for c in clauses
-        if c.method == "tail-slope" and c.detail.get("term_slope") is not None
-    ]
-    if tails:
-        diagnostics["tail_estimate"] = tails[0]
-    failures = [c.name for c in clauses if c.outcome == FAILS]
-    if failures:
-        diagnostics["first_failure"] = failures[0]
+    diagnostics = {"trace_name": trace_name, "clauses": []}
+    outcomes = set()
+    for c in clauses:
+        diagnostics["clauses"].append(c.to_dict())
+        outcomes.add(c.outcome)
+        if c.method == "trend" and c.detail.get("slope") is not None:
+            diagnostics.setdefault("fitted_slope", c.detail["slope"])
+        if c.method == "tail-slope" and c.detail.get("term_slope") is not None:
+            diagnostics.setdefault("tail_estimate", c.detail["term_slope"])
+        if c.outcome == FAILS:
+            diagnostics.setdefault("first_failure", c.name)
     if extra:
         diagnostics.update(extra)
+    verdict = (VIOLATED if FAILS in outcomes
+               else SATISFIED if outcomes <= {HOLDS} else INCONCLUSIVE)
     return CriterionReport(
         criterion=criterion,
         inputs_digest=digest,
         horizon=int(horizon),
         ns=np.asarray(ns, dtype=np.int64),
         trace=np.asarray(trace, dtype=float),
-        verdict=_combine(clauses),
+        verdict=verdict,
         diagnostics=diagnostics,
     )
 
@@ -518,11 +486,6 @@ def _quotient(x, d, k=1.0, fill=np.inf):
 def _is_nonincreasing(values) -> bool:
     v = np.asarray(values, dtype=float)
     return bool(np.all(np.diff(v) <= 1e-12 * np.maximum(np.abs(v[:-1]), 1.0)))
-
-
-def _is_nondecreasing(values) -> bool:
-    v = np.asarray(values, dtype=float)
-    return bool(np.all(np.diff(v) >= -1e-12 * np.maximum(np.abs(v[:-1]), 1.0)))
 
 
 class _Rate:
@@ -618,7 +581,7 @@ class PathEnsemble:
             "kind": "paths",
             "paths": self.n_paths,
             "checkpoints": [int(n) for n in self.ns],
-            "sha": hashlib.sha256(self.s_values.tobytes()).hexdigest()[:16],
+            "sha": _table_sha(self.s_values),
         }
 
     def restricted(self, subsequence) -> "PathEnsemble":
@@ -652,27 +615,26 @@ def check_l2(e_seq: RealSeq, var_model: RealSeq, horizon=None) -> CriterionRepor
     ``e_seq`` must be nondecreasing (it is a sum of probabilities);
     tabulated inputs of different lengths raise ``ValueError``.
     """
-    var_seq = var_model
     e_h = getattr(e_seq, "horizon", None)
-    v_h = getattr(var_seq, "horizon", None)
+    v_h = getattr(var_model, "horizon", None)
     if e_h is not None and v_h is not None and e_h != v_h:
         raise ValueError("length mismatch: E and Var tables cover different horizons")
-    horizon = _resolve_horizon(horizon, e_seq, var_seq)
-    digest = _digest(op="l2", e=_seq_fingerprint(e_seq), var=_seq_fingerprint(var_seq))
-    grid = log_grid(max(getattr(e_seq, "start", 1), getattr(var_seq, "start", 1)),
+    horizon = _resolve_horizon(horizon, e_seq, var_model)
+    digest = _digest(op="l2", e=_seq_fingerprint(e_seq), var=_seq_fingerprint(var_model))
+    grid = log_grid(max(getattr(e_seq, "start", 1), getattr(var_model, "start", 1)),
                     horizon)
     e_vals = _eval_at(e_seq, grid)
-    if not _is_nondecreasing(e_vals):
+    if not _is_nonincreasing(-e_vals):
         return _precondition_report(
             "l2-variance-ratio", digest, horizon, "E_n is not nondecreasing"
         )
-    v_vals = _eval_at(var_seq, grid)
+    v_vals = _eval_at(var_model, grid)
     if np.any(v_vals < 0):
         return _precondition_report(
             "l2-variance-ratio", digest, horizon, "variance trace has negative entries"
         )
     ratio = _quotient(v_vals, e_vals, 2)
-    sym_ratio = _pl_combine(_pl_shape(var_seq), _pl_shape(e_seq, e=2.0), -1)
+    sym_ratio = _pl_combine(_pl_shape(var_model), _pl_shape(e_seq, e=2.0), -1)
     clauses = [
         _limit_clause("E-diverges", grid, e_vals, "inf", symbolic=_pl_shape(e_seq)),
         _limit_clause("var-ratio-vanishes", grid, ratio, "zero", symbolic=sym_ratio),
@@ -710,8 +672,9 @@ def check_f_criteria(
 
     * ``mode='i'``: a subsequence n_k with E_{n_k} -> infinity and
       mean f((S - E)/E) -> 0 along it (conclusion: BC).  ``subsequence``
-      selects checkpoint values; default is every checkpoint.  The
-      ensemble may come from a thinned (triangular) sub-family.
+      selects checkpoint values (other modes refuse one); default is
+      every checkpoint.  The ensemble may come from a thinned
+      (triangular) sub-family.
     * ``mode='ii'``: E_n -> infinity and mean f((S_n - E_n)/E_n) -> 0
       (conclusion: L1BC).
     * ``mode='iii'``: sum over n of (p_n / E_n) * sup_{k <= n}
@@ -728,7 +691,9 @@ def check_f_criteria(
     if mode not in ("i", "ii", "iii", "variance"):
         raise ValueError(f"unknown mode: {mode!r}")
     horizon = _resolve_horizon(horizon, e_seq, default=int(paths.ns[-1]))
-    if mode == "i" and subsequence is not None:
+    if subsequence is not None:
+        if mode != "i":
+            raise ValueError(f"subsequence applies to mode 'i' only, not {mode!r}")
         paths = paths.restricted(subsequence)
     keep = paths.ns <= horizon
     if not np.any(keep):
@@ -840,29 +805,23 @@ def check_pairwise(
       sum_k E_k^{-2} sum_{j<=k} min(alpha_j, P(B_k)) all converge
       (conclusion: SBC).
     """
-    mu_B = p
     if mode not in ("i", "ii"):
         raise ValueError(f"unknown mode: {mode!r}")
-    horizon = _resolve_horizon(horizon, gamma, phi, alpha, mu_B)
+    legs = {"gamma": gamma, "phi": phi, "alpha": alpha, "p": p}
+    horizon = _resolve_horizon(horizon, *legs.values())
     digest = _digest(
         op="pairwise", mode=mode, gamma=_seq_fingerprint(gamma),
         phi=_seq_fingerprint(phi), alpha=_seq_fingerprint(alpha),
-        mu=_seq_fingerprint(mu_B),
+        mu=_seq_fingerprint(p),
     )
-    for leg, label in ((gamma, "gamma"), (phi, "phi"), (alpha, "alpha"), (mu_B, "p")):
+    for label, leg in legs.items():
         if getattr(leg, "start", 1) > 1:
             raise ValueError(f"{label} must start at index 1")
-    idx = np.arange(1, horizon + 1)
-    gamma_vals = gamma.array(1, horizon)
-    phi_vals = phi.array(1, horizon)
-    alpha_vals = alpha.array(1, horizon)
-    p_vals = mu_B.array(1, horizon)
-    for vals, label in (
-        (gamma_vals, "gamma"), (phi_vals, "phi"),
-        (alpha_vals, "alpha"), (p_vals, "p"),
-    ):
+    values = {label: leg.array(1, horizon) for label, leg in legs.items()}
+    for label, vals in values.items():
         if np.any(vals < -1e-12) or np.any(vals > 1 + 1e-12):
             raise ValueError(f"{label} values must lie in [0, 1]")
+    gamma_vals, phi_vals, alpha_vals, p_vals = values.values()
     if not _is_nonincreasing(gamma_vals):
         raise ValueError("gamma must be nonincreasing")
     if not _is_nonincreasing(alpha_vals):
@@ -876,7 +835,7 @@ def check_pairwise(
     grid = log_grid(1, horizon)
     gi = grid - 1  # positions into the dense arrays
 
-    e_pl = _pl_partial_sum_asym(_pl_shape(mu_B))
+    e_pl = _pl_partial_sum_asym(_pl_shape(p))
 
     if mode == "i":
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -895,7 +854,7 @@ def check_pairwise(
             trace_name="E_n^{-2} sum_{k<=n} sum_{j<=k} min(alpha_j, P(B_k))",
         )
 
-    gamma_terms = gamma_vals / idx
+    gamma_terms = gamma_vals / np.arange(1, horizon + 1)
     phi_terms = _quotient(phi_vals, e_vals)
     min_terms = _quotient(inner, e_vals, 2)
     clauses = [
@@ -932,6 +891,18 @@ def _alpha_inverse(a_pl, dense_alpha, us):
         return None
     raw = np.searchsorted(-dense_alpha, -np.asarray(us, dtype=float), side="left") + 1
     return raw.astype(float), raw > len(dense_alpha)
+
+
+def _inverse_series_clause(name, grid, terms, beyond, want, symbolic=None):
+    """A series clause over terms built from alpha^{-1}: undecided when an
+    inverse in the last decade lies past the tabulated horizon (``beyond``,
+    from _alpha_inverse), else decided as _series_clause decides it."""
+    if np.any(beyond[grid >= grid[-1] / 10]):
+        return ClauseResult(
+            name, UNDECIDED, "tail-slope",
+            {"reason": "alpha inverse beyond tabulated horizon in last decade"},
+        )
+    return _series_clause(name, grid, terms, want, symbolic=symbolic)
 
 
 def _eta_inverse(alpha_vals: np.ndarray, u: float):
@@ -1201,14 +1172,8 @@ def check_alpha(
             continue
         inv_vals, beyond = inverse
         s2 = _quotient(mu_grid * inv_vals, e_grid, 2)
-        if np.any(beyond[grid >= grid[-1] / 10]):
-            c2 = ClauseResult(
-                f"inverse-series(theta={theta})", UNDECIDED, "tail-slope",
-                {"reason": "alpha inverse beyond tabulated horizon in last decade"},
-            )
-        else:
-            c2 = _series_clause(f"inverse-series(theta={theta})", grid, s2,
-                                want="conv")
+        c2 = _inverse_series_clause(f"inverse-series(theta={theta})", grid, s2,
+                                    beyond, want="conv")
         attempts.append({
             "theta": theta,
             "mass_series": c1.outcome,
@@ -1250,14 +1215,6 @@ def _nested_inverse_series(grid, mu_grid, mu_pl, a_pl, dense_alpha):
         )
     inv, beyond = inverse
     terms = np.where(mu_grid > 0, mu_grid / inv, 0.0)
-    if np.any(beyond[grid >= grid[-1] / 10]):
-        return (
-            ClauseResult(
-                name, UNDECIDED, "tail-slope",
-                {"reason": "alpha inverse beyond tabulated horizon in last decade"},
-            ),
-            terms,
-        )
     # for alpha = c n^{-a}, c > 0, the terms are mu * (mu/c)^{1/a}
     sym = None
     pure = _pure_power(a_pl)
@@ -1265,7 +1222,8 @@ def _nested_inverse_series(grid, mu_grid, mu_pl, a_pl, dense_alpha):
         c, a = pure
         sym = _pl_combine(_pl_shape(mu_pl, e=1.0 + 1.0 / a),
                           _pl_make(c ** (-1.0 / a), 0.0, 0.0, 0.0, 0), +1)
-    return _series_clause(name, grid, terms, want="div", symbolic=sym), terms
+    return _inverse_series_clause(name, grid, terms, beyond, want="div",
+                                  symbolic=sym), terms
 
 
 # --------------------------------------------------------------------------
@@ -1283,14 +1241,16 @@ def check_beta_strong(
 
     ``beta`` is a MixingProfile (kind beta_inf1) or a nonincreasing RealSeq;
     ``qstar`` is a callable u -> Q*(u) with Q*(0) = 0 and Q*(u) >= 1 for
-    u > 0.  ``qstar_bound``, when given, certifies sup_u Q*(u) <= bound and
-    enables an exact convergent majorant for closed-form beta; the exact
-    divergent minorant sum beta(j)/j needs no bound (Q* >= 1).
+    u > 0.  ``qstar_bound``, when given, is a finite bound >= 1 certifying
+    sup_u Q*(u) <= bound; it enables an exact convergent majorant for
+    closed-form beta.  The exact divergent minorant sum beta(j)/j needs no
+    bound (Q* >= 1).
     """
     if not callable(qstar):
         raise TypeError("qstar must be callable")
-    if qstar_bound is not None and qstar_bound < 1:
-        raise ValueError("qstar_bound must be >= 1 (Q* is at least 1 where positive)")
+    if qstar_bound is not None and not (math.isfinite(qstar_bound) and qstar_bound >= 1):
+        raise ValueError("qstar_bound must be finite and >= 1 (Q* is at least 1 "
+                         "where positive)")
     rate = _Rate(beta, {BETA_INF1}, "beta")
     horizon = _resolve_horizon(horizon, rate)
     digest = _digest(
@@ -1311,8 +1271,9 @@ def check_beta_strong(
         if b <= 0:
             continue
         q = float(qstar(float(b)))
-        if q < 1 - 1e-12:
-            raise ValueError("qstar returned a value below 1 at a positive argument")
+        if not (math.isfinite(q) and q >= 1 - 1e-12):
+            raise ValueError(f"qstar returned {q!r} at a positive argument: a value "
+                             "below 1 or not finite")
         q_vals[i] = q
         terms[i] = b * q / float(n)
 
@@ -1373,8 +1334,8 @@ def check_tilde(
     if mode not in ("i", "ii", "iii", "iv", "v"):
         raise ValueError(f"unknown mode: {mode!r}")
     p = float(p)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, not {p!r}")
     if mode in ("i", "ii", "iii"):
         kinds = {TILDE_BETA11, TILDE_BETA_REV}
     else:
@@ -1404,15 +1365,12 @@ def check_tilde(
                 "'floor' attribute, e.g. a limsup probe report)"
             )
         floor = float(getattr(limsup_floor, "floor", limsup_floor))
-        if floor > FLAT_FLOOR:
-            floor_clause = ClauseResult(
-                "limsup-mass-positive", HOLDS, "probe-floor", {"floor": floor}
-            )
-        else:
-            floor_clause = ClauseResult(
-                "limsup-mass-positive", FAILS, "probe-floor",
-                {"floor": floor, "reason": "no evidence of positive limsup mass"},
-            )
+        positive = floor > FLAT_FLOOR
+        floor_clause = ClauseResult(
+            "limsup-mass-positive", HOLDS if positive else FAILS, "probe-floor",
+            {"floor": floor} if positive
+            else {"floor": floor, "reason": "no evidence of positive limsup mass"},
+        )
         r_ns, r_vals = rate.on_grid(horizon)
         series = _series_clause("rate-series-converges", r_ns, r_vals,
                                 want="conv", symbolic=r_pl)
@@ -1448,14 +1406,11 @@ def check_tilde(
                 f"mode {mode!r} requires lq_bound (sup_n E_n^-1 ||sum of "
                 "indicators||_q, q conjugate to p); missing lq_bound"
             )
-        if not math.isfinite(lq_bound) or lq_bound <= 0:
-            bound_clause = ClauseResult(
-                "lq-ratio-bounded", FAILS, "given-bound", {"bound": lq_bound}
-            )
-        else:
-            bound_clause = ClauseResult(
-                "lq-ratio-bounded", HOLDS, "given-bound", {"bound": float(lq_bound)}
-            )
+        bounded = math.isfinite(lq_bound) and lq_bound > 0
+        bound_clause = ClauseResult(
+            "lq-ratio-bounded", HOLDS if bounded else FAILS, "given-bound",
+            {"bound": float(lq_bound) if bounded else lq_bound},
+        )
         weights = np.arange(1, horizon + 1, dtype=float) ** (p - 1.0)
         r_dense = weights * rate.dense(horizon, required=True)
     cum = np.concatenate([[0.0], np.cumsum(r_dense)])

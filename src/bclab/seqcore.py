@@ -315,24 +315,29 @@ _JSON_KINDS = {int: ((int,), "integer"), float: ((int, float), "number"),
                str: ((str,), "string"), bool: ((bool,), "boolean")}
 
 
+def _is_kind(v, kind: type) -> bool:
+    """v is a JSON value of kind.  json.loads also reads NaN and
+    +-Infinity, as floats, which bclab never writes: a float must be finite."""
+    return (type(v) in _JSON_KINDS[kind][0]
+            and (type(v) is not float or math.isfinite(v)))
+
+
 def is_number(v) -> bool:
-    return type(v) in _JSON_KINDS[float][0]
+    return _is_kind(v, float)
 
 
 def json_value(what: str, v, kind: type):
     """v as kind, if it is a JSON value of that kind; never converts, so
-    1000.7 is no integer and "0.5" no number."""
-    types, name = _JSON_KINDS[kind]
-    if type(v) not in types:
-        raise ValueError(f"{what} must be a JSON {name}, not {v!r}")
+    1000.7 is no integer, "0.5" no number and NaN no number."""
+    if not _is_kind(v, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind][1]}, not {v!r}")
     return kind(v)
 
 
 def json_list(what: str, v, kind: type) -> list:
     """v, if it is a JSON list of values of one kind (see json_value)."""
-    types, name = _JSON_KINDS[kind]
-    if not isinstance(v, list) or any(type(x) not in types for x in v):
-        raise ValueError(f"{what} must be a list of JSON {name}s")
+    if not isinstance(v, list) or not all(_is_kind(x, kind) for x in v):
+        raise ValueError(f"{what} must be a list of JSON {_JSON_KINDS[kind][1]}s")
     return v
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -159,6 +160,8 @@ class TestSimulate:
          "process 'lsv' gamma must be a JSON number"),
         ({**HARMONIC_CFG, "process": {"variant": "dmr", "a": True}},
          "process 'dmr' a must be a JSON number"),
+        ({**HARMONIC_CFG, "process": {"variant": "dmr", "a": float("nan")}},
+         "process 'dmr' a must be a JSON number, not nan"),
         ({**HARMONIC_CFG, "family": {
             **HARMONIC_CFG["family"],
             "radius": {**HARMONIC_CFG["family"]["radius"], "start": 1.9}}},
@@ -175,7 +178,7 @@ class TestSimulate:
                                       "Fs": [0.0, 0.5, 1.5]}},
          "a cdf's Fs must lie in [0, 1]"),
     ], ids=["n-float", "n-traj-string", "n-traj-bool", "seed-float",
-            "checkpoint-float", "gamma-string", "dmr-a-bool",
+            "checkpoint-float", "gamma-string", "dmr-a-bool", "dmr-a-nan",
             "sequence-start-float", "sequence-c-string",
             "lebesgue-support-three-numbers", "tabulated-cdf-above-one"])
     def test_wrongly_typed_config_value_exit_4(self, tmp_path, capsys, doc,
@@ -571,9 +574,18 @@ def test_deeply_nested_json_exit_4(tmp_path, capsys, command, target):
     ({"check": "renewal", "nu": None},
      "a sequence must be a JSON object, not NoneType"),
     ({"check": "f", "run": ["x"]}, "'run' must be a JSON string"),
+    # json.loads reads NaN and Infinity; an infinite bound would certify
+    # the convergent majorant
+    ({"check": "beta-strong", "beta": {"p": 2}, "qstar_bound": math.inf},
+     "'qstar_bound' must be a JSON number or null"),
+    ({"check": "beta-strong", "beta": {"p": 2}, "qstar_bound": math.nan},
+     "'qstar_bound' must be a JSON number or null"),
+    ({"check": "tilde", "rate": {"p": 2}, "mu": {"p": 0.5}, "mode": "ii",
+      "lq_bound": math.inf}, "'lq_bound' must be a JSON number or null"),
 ], ids=["nested-string", "horizon-string", "sequence-list", "params-list",
         "manifest-list", "qstar-const-list", "lq-bound-string",
-        "params-a-list", "alpha-null", "sequence-null", "run-list"])
+        "params-a-list", "alpha-null", "sequence-null", "run-list",
+        "qstar-bound-infinity", "qstar-bound-nan", "lq-bound-infinity"])
 def test_wrongly_typed_value_exit_4(tmp_path, capsys, doc, error):
     if doc is None:
         cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)

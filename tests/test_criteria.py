@@ -251,6 +251,12 @@ class TestCheckFCriteria:
         assert rep.verdict == SATISFIED
         assert np.array_equal(rep.ns, sub)
 
+    @pytest.mark.parametrize("mode", ["ii", "iii", "variance"])
+    def test_subsequence_only_in_mode_i(self, root_run, mode):
+        ens, e_tab, mu = root_run
+        with pytest.raises(ValueError, match="mode 'i' only"):
+            check_f_criteria(ens, e_tab, mode, subsequence=ens.ns[::3], mu_A=mu)
+
     def test_unknown_mode(self, root_run):
         ens, e_tab, _ = root_run
         with pytest.raises(ValueError, match="unknown mode"):
@@ -533,12 +539,15 @@ class TestCheckBetaStrong:
         assert rep.verdict == SATISFIED
         assert rep.diagnostics["clauses"][0]["method"] == "tail-slope"
 
-    def test_envelope_value_validation(self):
-        with pytest.raises(ValueError, match="below 1"):
-            check_beta_strong(power_seq(1.0, 2.0), lambda u: 0.5, horizon=100)
-        with pytest.raises(ValueError, match="qstar_bound"):
+    @pytest.mark.parametrize("bad", [0.5, math.inf, math.nan])
+    def test_envelope_value_validation(self, bad):
+        # an infinite bound would certify the convergent majorant, and a
+        # NaN passes any "< 1" test
+        with pytest.raises(ValueError, match="below 1 or not finite"):
+            check_beta_strong(power_seq(1.0, 2.0), lambda u: bad, horizon=100)
+        with pytest.raises(ValueError, match="qstar_bound must be finite"):
             check_beta_strong(power_seq(1.0, 2.0), lambda u: 2.0,
-                              qstar_bound=0.5, horizon=100)
+                              qstar_bound=bad, horizon=100)
 
     def test_nonmonotone_beta_rejected(self):
         wiggle = TabulatedSeq(np.array([0.5, 0.2, 0.4, 0.1]))
@@ -585,6 +594,11 @@ class TestCheckTilde:
     def test_mode_ii_missing_lq_bound(self):
         with pytest.raises(ValueError, match="missing lq_bound"):
             check_tilde(power_seq(1.0, 2.0), self.MU, None, 1.0, "ii")
+
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+    def test_p_must_be_finite_and_at_least_one(self, p):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            check_tilde(power_seq(1.0, 2.0), self.MU, 2.0, p, "ii", horizon=10**4)
 
     def test_mode_ii_infinite_bound_violated(self):
         rep = check_tilde(power_seq(1.0, 2.0), self.MU, math.inf, 1.0, "ii",

@@ -1,10 +1,13 @@
-"""Every module-level import in the package is used, and every library
-name the benchmark's tracer patches exists.
+"""Every module-level import in the package is used, every private
+top-level name is read, and every library name the benchmark's tracer
+patches exists.
 
 No linter ships with the project, so this walks the sources with ast: a
 name bound by a top-level import must be read somewhere in its module or
 listed in its __all__.  The package __init__ re-exports by importing, so
-it is exempt.
+it is exempt.  A private top-level function, class or variable must be
+read somewhere in the package, so a helper that a merge leaves without
+callers fails here.
 """
 
 import ast
@@ -49,6 +52,52 @@ def test_guard_sees_unused_and_used_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, name) of each private top-level function, class or
+    variable that no module in ``sources`` (module name -> text) reads.
+
+    A name is read where it is loaded, taken as an attribute or imported.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return sorted((m, n) for m, n in defined if n not in read)
+
+
+def test_guard_sees_unread_private_names():
+    sources = {
+        "a": ("_used = 1\n_orphan, _pair = 2, 3\n__all__ = []\n"
+              "def _helper():\n    return _used + _pair\n"
+              "class _Gone:\n    pass\n"),
+        "b": "from .a import _helper\nprint(_helper())\n",
+    }
+    assert unread_private_names(sources) == [("a", "_Gone"), ("a", "_orphan")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 def traced_names(source: str) -> tuple:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,9 @@ from bclab.seqcore import (
     TabulatedSeq,
     constant_seq,
     huber,
+    is_number,
+    json_list,
+    json_value,
     partial_sums,
     power_seq,
     seq_from_json,
@@ -114,3 +118,15 @@ class TestClosedFormAnswers:
             w = seq_from_json(seq_to_json(v))
             assert np.allclose(w.array(w.start, w.start + 2), v.array(v.start, v.start + 2))
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_readers_refuse_non_finite_numbers(bad):
+    # json.loads reads NaN and +-Infinity as floats; no bclab file holds them
+    assert not is_number(bad)
+    with pytest.raises(ValueError, match="x must be a JSON number, not"):
+        json_value("x", bad, float)
+    with pytest.raises(ValueError, match="xs must be a list of JSON numbers"):
+        json_list("xs", [0.5, bad], float)
+    assert is_number(2) and is_number(-0.5)
+    assert json_value("x", 2, float) == 2.0
+    assert json_list("xs", [1, 0.5], float) == [1, 0.5]
