@@ -210,6 +210,8 @@ def _corpus():
         TabulatedSeq(np.full(H, 0.3)), MU, "nested-BC")
     cases["alpha-L1/increasing-alpha"] = lambda: check_alpha(
         TabulatedSeq(np.linspace(0.1, 0.9, H)), MU, "L1")
+    # three lags leave fewer than 4 known eta-inverse values; an alpha in
+    # [0, 1] has eta^{-1}(1/n) <= n, so none lies past a longer table
     cases["alpha-L1/short-table"] = lambda: check_alpha(
         TabulatedSeq(ALPHA_PURE.array(1, 3)), MU, "L1")
     cases["alpha-nested-BC/both-vanish"] = lambda: check_alpha(
