@@ -146,8 +146,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         digest = run_digest(report_from_records(*load_run(out_root / name)))
         reverify = time.perf_counter() - t0
-        final_ratio = (float(report.mean_ratio[-1])
-                       if len(report.mean_ratio) else float("nan"))
+        final_ratio = float(report.mean_ratio[-1])
         print(f"{name}: n={cfg.n} trajectories={cfg.n_traj} "
               f"mean S/E={final_ratio:.4f} wall={wall:.1f}s "
               f"reverify={reverify:.2f}s")

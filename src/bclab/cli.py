@@ -99,11 +99,10 @@ def _cmd_simulate(args) -> int:
         return _err(str(e))
 
     print(f"run digest {paths['digest']}")
-    if len(report.checkpoints):
-        c = int(report.checkpoints[-1])
-        print(f"final checkpoint {c}: mean ratio "
-              f"{report.mean_ratio[-1]:.4f}, median S {report.median_s[-1]:.0f}, "
-              f"late hit fraction {report.hit_frac_late[-1]:.4f}")
+    c = int(report.checkpoints[-1])
+    print(f"final checkpoint {c}: mean ratio "
+          f"{report.mean_ratio[-1]:.4f}, median S {report.median_s[-1]:.0f}, "
+          f"late hit fraction {report.hit_frac_late[-1]:.4f}")
     code = EXIT_OK
     for token, rep in sorted(report.criteria.items()):
         print(f"criterion {token}: {rep.verdict}")

@@ -257,24 +257,12 @@ def hits_header(n: int, count: int) -> bytes:
     return out.getvalue()
 
 
-def _packed(records: list, n: int):
-    """Each record's hit times as hits.npy stores them, in hit_dtype(n);
-    hit times in another dtype must lie in [1, n] to be converted."""
-    dtype = hit_dtype(n)
-    for rec in records:
-        ht = rec.hit_times
-        if ht.dtype != dtype and ht.size and (ht.min() < 1 or ht.max() > n):
-            raise ValueError(f"trajectory {rec.trajectory}: hit times must "
-                             f"lie in [1, {n}]")
-        yield np.ascontiguousarray(ht, dtype=dtype)
-
-
-def _record_digests(records: list, n: int) -> list:
+def _record_digests(records: list) -> list:
     """Per-record digests, each of the record's hits.jsonl index line and
     the bytes of its hit times in hits.npy."""
     hashes = [hashlib.sha256(rec.to_line()) for rec in records]
-    for h, ht in zip(hashes, _packed(records, n)):
-        h.update(ht)
+    for h, rec in zip(hashes, records):
+        h.update(rec.hit_times)
     return [h.hexdigest()[:16] for h in hashes]
 
 
@@ -287,7 +275,8 @@ def _npy_chunks(records: list, n: int):
     """hits.npy as the buffers it is written from: its header, then each
     record's hit times."""
     yield hits_header(n, sum(len(rec.hit_times) for rec in records))
-    yield from _packed(records, n)
+    for rec in records:
+        yield rec.hit_times
 
 
 def _expected(cfg: ExperimentConfig, cps: np.ndarray) -> tuple:
@@ -309,8 +298,25 @@ def _expected(cfg: ExperimentConfig, cps: np.ndarray) -> tuple:
 def report_from_records(cfg: ExperimentConfig, records: list,
                         wall_clock_s: float = 0.0,
                         timestamp: str = "") -> ExperimentReport:
-    """Deterministic statistics pass over persisted records."""
+    """Deterministic statistics pass over a run's records, which must be
+    those simulate_ensemble returns and load_run reads back (their hit
+    time values unchecked): else a ValueError naming the trajectory."""
     cfg.validate()
+    ids = [rec.trajectory for rec in records]
+    if ids != list(range(cfg.n_traj)):
+        bad = next(i for i, t in enumerate([*ids, None])
+                   if t != i or i >= cfg.n_traj)
+        raise ValueError(f"trajectory {bad}: records must hold trajectories "
+                         f"0..{cfg.n_traj - 1} in order, one each")
+    dtype = hit_dtype(cfg.n)
+    for i, rec in enumerate(records):
+        ht, counters = rec.hit_times, (rec.renewal_count, rec.restarts)
+        if not (ht.dtype == dtype and ht.ndim == 1 and ht.flags.c_contiguous
+                and all(type(v) is int and v >= 0 for v in counters)):
+            raise ValueError(
+                f"trajectory {i}: hit times must be a C-contiguous 1-d array "
+                f"of {dtype.str}, renewal_count and restarts Python integers "
+                f">= 0")
     cps = np.asarray(cfg.checkpoints, dtype=np.int64)
     e_seq, mu_seq = _expected(cfg, cps)
     e_cp = e_seq.values
@@ -322,20 +328,16 @@ def report_from_records(cfg: ExperimentConfig, records: list,
         row[:] = np.searchsorted(rec.hit_times, probes, side="right")
     now, ago = np.split(at, 2, axis=1)
     s = now.astype(float)
-    if len(records):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(e_cp > 0, s / e_cp, np.nan)
-        mean_ratio = ratios.mean(axis=0)
-        median_s = np.median(s, axis=0)
-        q10 = np.quantile(ratios, 0.1, axis=0)
-        q90 = np.quantile(ratios, 0.9, axis=0)
-        hit_frac_late = (now > ago).mean(axis=0)
-    else:
-        empty = np.zeros(0)
-        mean_ratio = median_s = q10 = q90 = hit_frac_late = empty
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(e_cp > 0, s / e_cp, np.nan)
+    mean_ratio = ratios.mean(axis=0)
+    median_s = np.median(s, axis=0)
+    q10 = np.quantile(ratios, 0.1, axis=0)
+    q90 = np.quantile(ratios, 0.9, axis=0)
+    hit_frac_late = (now > ago).mean(axis=0)
 
     criteria = {}
-    if cfg.criteria and len(records):
+    if cfg.criteria:
         ens = PathEnsemble(cps, s)
         for token in cfg.criteria:
             mode = token[len("f-"):]
@@ -345,7 +347,7 @@ def report_from_records(cfg: ExperimentConfig, records: list,
         config=cfg, records=records, checkpoints=cps, e_checkpoints=e_cp,
         s_values=s, mean_ratio=mean_ratio, median_s=median_s, q10=q10,
         q90=q90, hit_frac_late=hit_frac_late,
-        record_digests=_record_digests(records, cfg.n), e_seq=e_seq,
+        record_digests=_record_digests(records), e_seq=e_seq,
         mu_seq=mu_seq,
         criteria=criteria, wall_clock_s=wall_clock_s, timestamp=timestamp,
     )
@@ -395,8 +397,6 @@ def aggregate_verdict(report: ExperimentReport, prediction: str) -> Verdict:
     if prediction not in ("BC", "not-BC", "L1BC", "SBC"):
         raise ValueError(f"unknown prediction {prediction!r}")
     cps = report.checkpoints
-    if len(report.records) == 0:
-        return Verdict(prediction, False, {}, "no trajectories to judge")
 
     if prediction == "not-BC":
         frac = float(report.hit_frac_late[-1])
@@ -455,16 +455,15 @@ def aggregate_verdict(report: ExperimentReport, prediction: str) -> Verdict:
 
 def _summary_rows(report: ExperimentReport):
     rows = []
-    if len(report.records):
-        for j, c in enumerate(report.checkpoints):
-            rows.append([
-                int(c),
-                float(report.mean_ratio[j]),
-                float(report.median_s[j]),
-                float(report.q10[j]),
-                float(report.q90[j]),
-                float(report.hit_frac_late[j]),
-            ])
+    for j, c in enumerate(report.checkpoints):
+        rows.append([
+            int(c),
+            float(report.mean_ratio[j]),
+            float(report.median_s[j]),
+            float(report.q10[j]),
+            float(report.q90[j]),
+            float(report.hit_frac_late[j]),
+        ])
     return rows
 
 

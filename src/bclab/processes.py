@@ -371,9 +371,8 @@ _CANONICAL_LINE = re.compile(
 class HitRecord:
     """One trajectory's hits; seed, n and drift live in the run's config.
 
-    Frozen, with read-only hit times: integers of any dtype (the
-    simulation's are in hit_dtype(n)), or else integral values, held as
-    int64.
+    Frozen, with read-only hit times.  A run's records hold them in
+    hit_dtype(n) (see harness.report_from_records).
     """
 
     trajectory: int
@@ -383,13 +382,9 @@ class HitRecord:
 
     def __post_init__(self):
         # a read-only view: an array the caller passed keeps its own flags
-        ht = np.asarray(self.hit_times)
-        ints = ht.view() if ht.dtype.kind in "iu" else ht.astype(np.int64)
-        if ht.dtype.kind not in "iu" and not np.array_equal(ints, ht):
-            raise ValueError(f"trajectory {self.trajectory}: hit times must "
-                             f"be integers")
-        ints.flags.writeable = False
-        object.__setattr__(self, "hit_times", ints)
+        ht = np.asarray(self.hit_times).view()
+        ht.flags.writeable = False
+        object.__setattr__(self, "hit_times", ht)
 
     def to_line(self) -> bytes:
         """This record's hits.jsonl index line, without the newline: compact

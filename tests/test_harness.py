@@ -5,11 +5,15 @@ import importlib.util
 import json
 import math
 import re
+import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bclab.harness import (
     ExperimentConfig,
@@ -52,6 +56,42 @@ def small_cfg(**kw):
     base = dict(process=IIDProcess(), family=HARMONIC, n=1000, n_traj=3, seed=9)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def run_records(n, hit_lists):
+    """A run's records as simulate_ensemble makes them: trajectory t holds
+    hit_lists[t] in hit_dtype(n), renewal_count t and restarts t % 2."""
+    return [HitRecord(t, np.array(h, dtype=hit_dtype(n)), t, t % 2)
+            for t, h in enumerate(hit_lists)]
+
+
+@st.composite
+def record_cases(draw):
+    """(n, n_traj, records): a run's records of hit times strictly
+    increasing within [1, n], whose ids, counters or dtypes may be drawn
+    away from the record contract."""
+    n = draw(st.sampled_from([100, 255, 256, 1000, 65_536]))
+    n_traj = draw(st.integers(1, 4))
+    broken = draw(st.sets(st.sampled_from(["ids", "counters", "dtypes"])))
+    ids = list(range(n_traj))
+    if "ids" in broken:  # permutations, gaps, repeats, too few or many
+        ids = draw(st.permutations(ids) | st.lists(
+            st.integers(0, n_traj + 1), max_size=n_traj + 1))
+    counter = st.integers(0, 10**20)
+    if "counters" in broken:
+        counter |= st.integers(-3, -1) | st.sampled_from(
+            [2.5, 2.0, np.int64(3), True, 10**20 + 0.5])
+    dtype = st.just(hit_dtype(n))
+    if "dtypes" in broken:
+        dtype |= st.sampled_from([np.int64, np.uint64, np.float64,
+                                  hit_dtype(n).newbyteorder(">")])
+    hits = st.sets(st.integers(1, n), max_size=8).map(sorted)
+    recs = run_records(n, [draw(hits) for _ in ids])
+    return n, n_traj, [replace(rec, trajectory=t,
+                               hit_times=rec.hit_times.astype(draw(dtype)),
+                               renewal_count=draw(counter),
+                               restarts=draw(counter))
+                       for t, rec in zip(ids, recs)]
 
 
 class TestConfig:
@@ -196,9 +236,8 @@ class TestAggregateVerdict:
 
     def test_early_hits_only_not_bc(self):
         # all hits before n/10: late window empty
-        recs = [HitRecord(trajectory=t, hit_times=np.array([1, 2, 3]))
-                for t in range(5)]
-        rep = report_from_records(small_cfg(n_traj=5), recs)
+        rep = report_from_records(small_cfg(n_traj=5),
+                                  run_records(1000, [[1, 2, 3]] * 5))
         v = aggregate_verdict(rep, "not-BC")
         assert v.passed
         assert v.margins["late_hit_fraction"] == 0.0
@@ -206,11 +245,6 @@ class TestAggregateVerdict:
         assert not aggregate_verdict(rep, "BC").passed
 
     def test_missing_statistics_never_pass(self):
-        rep = report_from_records(small_cfg(), [])
-        for pred in ("BC", "not-BC", "L1BC", "SBC"):
-            v = aggregate_verdict(rep, pred)
-            assert not v.passed
-            assert "no trajectories" in v.reason
         short = small_cfg(checkpoints=(500, 1000))
         rep2 = run_experiment(short)
         v = aggregate_verdict(rep2, "BC")
@@ -222,13 +256,67 @@ class TestAggregateVerdict:
             aggregate_verdict(rep, "maybe")
 
 
-class TestEmitAndReload:
-    def test_empty_trajectory_set_header_only_csv(self, tmp_path):
-        rep = report_from_records(small_cfg(), [])
-        emit_report(rep, out_dir=tmp_path)
-        text = (tmp_path / "summary.csv").read_text()
-        assert text == "checkpoint,mean_ratio,median_S,q10,q90,hit_frac_late\n"
+class TestRecordContract:
+    """report_from_records takes a run's records as simulate_ensemble makes
+    them and load_run reads them back, and refuses any others before
+    anything is written: each was written, then refused by load_run."""
 
+    RECS = run_records(1000, [[1, 5], [2], [3, 999]])
+
+    @pytest.mark.parametrize("records, trajectory", [
+        ([], 0),
+        (RECS[:2], 2),
+        (RECS + [replace(RECS[0], trajectory=3)], 3),
+        ([RECS[1], RECS[0], RECS[2]], 0),
+        ([RECS[0], replace(RECS[1], trajectory=2), RECS[2]], 1),
+        ([RECS[0], replace(RECS[1], renewal_count=-1), RECS[2]], 1),
+        ([RECS[0], RECS[1], replace(RECS[2], restarts=-2)], 2),
+        ([replace(RECS[0], renewal_count=2.5), *RECS[1:]], 0),
+        ([replace(RECS[0], restarts=np.int64(1)), *RECS[1:]], 0),
+        ([replace(RECS[0], renewal_count=True), *RECS[1:]], 0),
+        ([RECS[0], replace(RECS[1], hit_times=np.array([2.0])), RECS[2]], 1),
+        ([RECS[0], replace(RECS[1], hit_times=np.array([2])), RECS[2]], 1),
+        ([RECS[0], RECS[1], replace(RECS[2], hit_times=np.array(
+            [3, 999], ">u2"))], 2),
+        ([replace(RECS[0], hit_times=np.array([1, 0, 5, 0], "<u2")[::2]),
+          *RECS[1:]], 0),
+        ([replace(RECS[0], hit_times=np.array([[1, 5]], "<u2")), *RECS[1:]],
+         0),
+    ], ids=["empty", "fewer", "more", "out-of-order", "gap",
+            "negative-renewals", "negative-restarts", "fractional-counter",
+            "numpy-counter", "bool-counter", "float-hits", "int64-hits",
+            "big-endian-hits", "strided-hits", "2d-hits"])
+    def test_refused_before_anything_is_written(self, tmp_path, records,
+                                                trajectory):
+        with pytest.raises(ValueError, match=f"^trajectory {trajectory}: "):
+            emit_report(report_from_records(small_cfg(), records),
+                        out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_the_run_s_own_records_are_taken(self):
+        cfg = small_cfg()
+        report_from_records(cfg, self.RECS)
+        report_from_records(cfg, simulate_ensemble(
+            cfg.process, cfg.family, cfg.n, cfg.seed, cfg.n_traj))
+
+    @settings(max_examples=150, deadline=None)
+    @given(record_cases())
+    @example((1000, 2, [replace(rec, trajectory=t) for t, rec in
+                        zip([0, 2], run_records(1000, [[1, 2], [3]]))]))
+    def test_refused_or_reproduced(self, case):
+        # each input is refused, or written and read back to the same digest
+        n, n_traj, records = case
+        cfg = small_cfg(n=n, n_traj=n_traj)
+        try:
+            report = report_from_records(cfg, records)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            digest = emit_report(report, out_dir=out)["digest"]
+            assert run_digest(report_from_records(*load_run(out))) == digest
+
+
+class TestEmitAndReload:
     def test_two_trajectory_smoke_digest_matches_recomputation(self, tmp_path):
         cfg = small_cfg(n_traj=2, seed=9)
         rep = run_experiment(cfg)
@@ -391,9 +479,7 @@ def write_run(tmp_path, n, hit_lists):
     """emit_report of records with the given hit times at horizon n, then
     load_run of what it wrote, which must give them back."""
     cfg = small_cfg(n=n, n_traj=len(hit_lists), checkpoints=(1, n))
-    recs = [HitRecord(t, np.array(h, dtype=np.int64), renewal_count=t,
-                      restarts=t % 2)
-            for t, h in enumerate(hit_lists)]
+    recs = run_records(n, hit_lists)
     digest = emit_report(report_from_records(cfg, recs),
                          out_dir=tmp_path)["digest"]
     cfg2, back = load_run(tmp_path)
@@ -442,16 +528,17 @@ class TestHitsArray:
         assert f"'descr': '{descr}'".encode() in header
         assert b"'shape': (3000000000,)" in header
 
-    @pytest.mark.parametrize("hits", [[0, 5], [5, 1001], [-3, 5]],
-                             ids=["zero", "past-n", "negative"])
+    @pytest.mark.parametrize("hits", [[0, 5], [5, 1001], [-3, 5], [1, 5]],
+                             ids=["zero", "past-n", "negative", "in-range"])
     def test_writer_refuses_what_the_array_cannot_hold(self, hits):
-        # hit times of another dtype are packed only where they lie in
-        # [1, n], so the record digests, the run digest and hits.npy
-        # never hold a wrapped value
+        # hit times in any dtype but hit_dtype(n) are refused, in range or
+        # not, so the record digests, the run digest and hits.npy never
+        # hold a converted or wrapped value
         with pytest.raises(ValueError, match=re.escape(
-                "trajectory 0: hit times must lie in [1, 1000]")):
-            report_from_records(small_cfg(n_traj=1),
-                                [HitRecord(0, np.array(hits))])
+                "trajectory 0: hit times must be a C-contiguous 1-d array "
+                "of <u2")):
+            report_from_records(small_cfg(n_traj=1), [replace(
+                run_records(1000, [[]])[0], hit_times=np.array(hits))])
 
 
 def traced_peak(work) -> int:

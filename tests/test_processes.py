@@ -426,14 +426,13 @@ class TestHitRecordIndex:
         # the caller's array keeps its flags, and its dtype is kept
         assert given.flags.writeable
         assert rec.hit_times.dtype == np.uint8
-        assert HitRecord(0, []).hit_times.dtype == np.int64
 
-    def test_integral_hit_times_only(self):
-        assert HitRecord(0, [2.0]).hit_times.tolist() == [2]
-        assert HitRecord(0, []).hit_times.tolist() == []
-        with pytest.raises(ValueError, match="trajectory 0: hit times must "
-                                             "be integers"):
-            HitRecord(0, [1.5, 3.9, 3.2])
+    def test_hit_times_are_held_as_given(self):
+        # no conversion: a run's dtype rule is report_from_records' to apply
+        for given in ([2.0], [1.5, 3.9, 3.2], [], np.array([7], np.int64)):
+            held = HitRecord(0, given).hit_times
+            assert held.dtype == np.asarray(given).dtype
+            assert held.tolist() == np.asarray(given).tolist()
 
 
 def scalar_replay(spec, n, gen, threshold=0.5):
