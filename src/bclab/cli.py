@@ -55,7 +55,8 @@ from .mixing import (
     profile_to_csv,
 )
 from .processes import GOLDEN_CONJUGATE
-from .seqcore import check_fields, is_number, json_value, seq_from_json
+from .seqcore import (check_fields, is_number, json_object, json_value,
+                      seq_from_json)
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -120,13 +121,6 @@ def _cmd_simulate(args) -> int:
 # criteria
 
 
-def _seq_arg(obj):
-    if not isinstance(obj, dict):
-        raise ValueError(f"a sequence must be a JSON object, "
-                         f"not {type(obj).__name__}")
-    return seq_from_json(obj)
-
-
 def _number(doc: dict, key: str, default=None):
     """doc[key], which must be a JSON number; default when absent or null."""
     v = doc.get(key)
@@ -162,9 +156,8 @@ def _alpha_params(params) -> dict:
     mode reads is left for check_alpha to reject."""
     if params is None:
         return {}
-    if not isinstance(params, dict):
-        raise ValueError("'params' must be a JSON object")
-    for key in params.keys() & _ALPHA_PARAM_TYPES.keys():
+    keys = json_object("'params'", params).keys()
+    for key in keys & _ALPHA_PARAM_TYPES.keys():
         what, ok = _ALPHA_PARAM_TYPES[key]
         if not ok(params[key]):
             raise ValueError(f"params {key!r} must be {what}")
@@ -177,7 +170,7 @@ def _rate_arg(obj, kind_default):
         check_fields("profile reference", obj, ("profile_csv", "kind"))
         text = Path(_path(obj, "profile_csv")).read_text()
         return profile_from_csv(text, obj.get("kind", kind_default))
-    return _seq_arg(obj)
+    return seq_from_json(obj)
 
 
 # the spec keys each check reads, besides "check"
@@ -193,9 +186,7 @@ _SPEC_FIELDS = {
 
 
 def _dispatch_criteria(doc: dict):
-    if not isinstance(doc, dict):
-        raise ValueError("the spec must be a JSON object")
-    check = doc.get("check")
+    check = json_object("the spec", doc).get("check")
     if not isinstance(check, str) or check not in _SPEC_FIELDS:
         raise ValueError(f"unknown check {check!r}")
     check_fields(f"check {check!r}", doc, ("check", *_SPEC_FIELDS[check]))
@@ -203,13 +194,13 @@ def _dispatch_criteria(doc: dict):
     if horizon is not None and type(horizon) is not int:
         raise ValueError("'horizon' must be a JSON integer or null")
     if check == "l2":
-        return check_l2(_seq_arg(doc["e"]), _seq_arg(doc["var"]),
+        return check_l2(seq_from_json(doc["e"]), seq_from_json(doc["var"]),
                         horizon=horizon)
     if check == "alpha":
         alpha = doc.get("alpha")
         return check_alpha(None if alpha is None
                            else _rate_arg(alpha, "alpha_inf1"),
-                           _seq_arg(doc["mu"]), doc["mode"],
+                           seq_from_json(doc["mu"]), doc["mode"],
                            params=_alpha_params(doc.get("params")),
                            horizon=horizon)
     if check == "beta-strong":
@@ -220,19 +211,21 @@ def _dispatch_criteria(doc: dict):
                                  horizon=horizon)
     if check == "tilde":
         return check_tilde(_rate_arg(doc["rate"], "tilde_beta11"),
-                           _seq_arg(doc["mu"]), _number(doc, "lq_bound"),
+                           seq_from_json(doc["mu"]), _number(doc, "lq_bound"),
                            float(_number(doc, "p", 1.0)), doc.get("mode", "i"),
                            limsup_floor=_number(doc, "limsup_floor"),
                            horizon=horizon)
     if check == "pairwise":
-        return check_pairwise(_seq_arg(doc["gamma"]), _seq_arg(doc["phi"]),
-                              _seq_arg(doc["alpha"]), _seq_arg(doc["p"]),
+        return check_pairwise(seq_from_json(doc["gamma"]),
+                              seq_from_json(doc["phi"]),
+                              seq_from_json(doc["alpha"]),
+                              seq_from_json(doc["p"]),
                               doc.get("mode", "i"), horizon=horizon)
     if check == "renewal":
         nested = doc.get("nested", True)
         if type(nested) is not bool:
             raise ValueError("'nested' must be JSON true or false")
-        return check_renewal_nested(_seq_arg(doc["nu"]), nested=nested,
+        return check_renewal_nested(seq_from_json(doc["nu"]), nested=nested,
                                     horizon=horizon)
     if check == "f":
         if doc.get("mode", "ii") != "i" and "subsequence" in doc:
@@ -308,9 +301,8 @@ def _cmd_report(args) -> int:
     clock, timestamp and the manifest's other file hashes."""
     try:
         cfg, records = load_run(args.run)
-        recorded = _read_json(Path(args.run) / "manifest.json")
-        if not isinstance(recorded, dict):
-            raise ValueError("manifest.json must be a JSON object")
+        recorded = json_object("manifest.json", _read_json(
+            Path(args.run) / "manifest.json"))
         fields = {name: json_value(f"manifest.json {name!r}",
                                    recorded.get(name), kind)
                   for name, kind in (("run_digest", str), ("timestamp", str),

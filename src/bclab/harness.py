@@ -174,10 +174,11 @@ def config_from_json(d: dict) -> ExperimentConfig:
             seed=json_value("config seed", d.get("seed", 0), int),
             checkpoints=(None if d.get("checkpoints") is None else
                          json_list("config checkpoints", d["checkpoints"], int)),
-            criteria=tuple(d.get("criteria", ())),
+            criteria=json_list("config criteria", d.get("criteria", []), str),
             measure=(measure_from_json(d["measure"])
                      if d.get("measure") is not None else None),
-            out_dir=d.get("out_dir"),
+            out_dir=(None if d.get("out_dir") is None else
+                     json_value("config out_dir", d["out_dir"], str)),
         )
     except KeyError as e:
         raise ValueError(f"config missing required field {e.args[0]!r}") from e

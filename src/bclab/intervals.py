@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seqcore import (RealSeq, check_fields, json_list, json_value, seq_from_json,
-                      seq_to_json)
+from .seqcore import (RealSeq, check_fields, json_list, json_object,
+                      json_value, seq_from_json, seq_to_json)
 
 LINE = "line"
 TORUS = "torus"
@@ -530,22 +530,28 @@ _FAMILY_FIELDS = {
 
 
 def family_from_json(d: dict) -> IntervalFamily:
-    t = d.get("template")
-    if t not in _FAMILY_FIELDS:
+    t = json_object("family", d).get("template")
+    if type(t) is not str or t not in _FAMILY_FIELDS:
         raise ValueError(f"unknown family template {t!r}")
     check_fields(f"family {t!r}", d, ("template",) + _FAMILY_FIELDS[t])
+    space = d.get("space", LINE)
+    if space not in (LINE, TORUS):
+        raise ValueError(f"family {t!r} space must be {LINE!r} or "
+                         f"{TORUS!r}, not {space!r}")
     if t == "nested-left":
         return NestedLeftFamily(radius=seq_from_json(d["radius"]),
-                                space=d.get("space", LINE))
+                                space=space)
     if t == "nested-window":
         return NestedWindowFamily(left=seq_from_json(d["left"]),
                                   right=seq_from_json(d["right"]))
     if t == "torus-consecutive":
         b0 = json_value("family b0", d.get("b0", 0.0), float)
         return TorusConsecutiveFamily(b0=b0, steps=seq_from_json(d["steps"]))
+    if not isinstance(d["intervals"], list):
+        raise ValueError("family 'custom' intervals must be a JSON list")
     return CustomFamily(
         table=tuple(interval_from_json(x) for x in d["intervals"]),
-        space=d.get("space", LINE))
+        space=space)
 
 
 def measure_to_json(m: MeasureOracle) -> dict:
@@ -563,8 +569,8 @@ _MEASURE_FIELDS = {"lebesgue": ("support",), "power": ("a",),
 
 
 def measure_from_json(d: dict) -> MeasureOracle:
-    k = d.get("kind", "lebesgue")
-    if k not in _MEASURE_FIELDS:
+    k = json_object("measure", d).get("kind", "lebesgue")
+    if type(k) is not str or k not in _MEASURE_FIELDS:
         raise ValueError(f"unknown measure kind {k!r}")
     check_fields(f"measure {k!r}", d, ("kind",) + _MEASURE_FIELDS[k])
     if k == "lebesgue":

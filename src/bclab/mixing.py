@@ -81,9 +81,12 @@ def profile_from_csv(text: str, kind: str) -> MixingProfile:
     if not rows or rows[0][:2] != ["n", "value"]:
         raise ValueError("missing profile header")
     ns, vals, errs, prov = [], [], [], "computed"
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], 2):
         if not row:
             continue
+        if len(row) < 4:
+            raise ValueError(f"profile row {line}: {len(row)} fields, not "
+                             f"n,value,provenance,error_bar")
         ns.append(int(row[0]))
         vals.append(float(row[1]))
         prov = row[2]

@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .intervals import IntervalFamily, TabulatedCdfMeasure
-from .seqcore import check_fields, json_value
+from .seqcore import check_fields, json_object, json_value
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -228,8 +228,8 @@ def process_to_json(spec: ProcessSpec) -> dict:
 def process_from_json(d: dict) -> ProcessSpec:
     """Spec from its JSON: "variant" and init fields only, those without a
     default required, each value a JSON value of its annotated type."""
-    v = d.get("variant")
-    if v not in _VARIANTS:
+    v = json_object("process", d).get("variant")
+    if type(v) is not str or v not in _VARIANTS:
         raise ValueError(f"unknown process variant {v!r}")
     init = {f.name: f for f in fields(_VARIANTS[v]) if f.init}
     check_fields(f"process {v!r}", d, ["variant", *init])

@@ -302,10 +302,19 @@ def seq_to_json(v: RealSeq) -> dict:
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
+def json_object(what: str, d) -> dict:
+    """d, if it is a JSON object, so that reading its fields cannot fail."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, "
+                         f"not {type(d).__name__}")
+    return d
+
+
 def check_fields(what: str, d: dict, allowed) -> None:
-    """Raise ValueError naming every key of the JSON object d not in allowed,
-    so a misspelt field is an error rather than a silent default."""
-    unknown = sorted(set(d) - set(allowed))
+    """Raise ValueError unless d is a JSON object, naming every key of it
+    not in allowed, so a misspelt field is an error rather than a silent
+    default."""
+    unknown = sorted(set(json_object(what, d)) - set(allowed))
     if unknown:
         raise ValueError(f"{what} has unknown fields {unknown}")
 
@@ -317,9 +326,14 @@ _JSON_KINDS = {int: ((int,), "integer"), float: ((int, float), "number"),
 
 def _is_kind(v, kind: type) -> bool:
     """v is a JSON value of kind.  json.loads also reads NaN and
-    +-Infinity, as floats, which bclab never writes: a float must be finite."""
-    return (type(v) in _JSON_KINDS[kind][0]
-            and (type(v) is not float or math.isfinite(v)))
+    +-Infinity, as floats, and integers of any size, none of which bclab
+    writes: a number must be finite as a float."""
+    if type(v) not in _JSON_KINDS[kind][0]:
+        return False
+    try:
+        return kind is not float or math.isfinite(v)
+    except OverflowError:  # an integer past the largest float
+        return False
 
 
 def is_number(v) -> bool:
@@ -353,13 +367,13 @@ _SEQ_TEMPLATES = {
 
 
 def seq_from_json(obj: dict) -> RealSeq:
-    kind = obj.get("template", "powerlog")
+    kind = json_object("a sequence", obj).get("template", "powerlog")
     if kind == "tabulated":
         check_fields("sequence 'tabulated'", obj, ("template", "values", "start"))
         values = json_list("sequence 'tabulated' values", obj["values"], float)
         start = json_value("sequence 'tabulated' start", obj.get("start", 1), int)
         return TabulatedSeq(np.asarray(values, dtype=float), start=start)
-    if kind not in _SEQ_TEMPLATES:
+    if type(kind) is not str or kind not in _SEQ_TEMPLATES:
         raise ValueError(f"unknown sequence template {kind!r}")
     make, defaults = _SEQ_TEMPLATES[kind]
     check_fields(f"sequence {kind!r}", obj, ("template", *defaults))

@@ -162,6 +162,9 @@ class TestSimulate:
          "process 'dmr' a must be a JSON number"),
         ({**HARMONIC_CFG, "process": {"variant": "dmr", "a": float("nan")}},
          "process 'dmr' a must be a JSON number, not nan"),
+        # an integer past the largest float is no number either
+        ({**HARMONIC_CFG, "process": {"variant": "dmr", "a": 10**400}},
+         "process 'dmr' a must be a JSON number, not 1000"),
         ({**HARMONIC_CFG, "family": {
             **HARMONIC_CFG["family"],
             "radius": {**HARMONIC_CFG["family"]["radius"], "start": 1.9}}},
@@ -179,6 +182,7 @@ class TestSimulate:
          "a cdf's Fs must lie in [0, 1]"),
     ], ids=["n-float", "n-traj-string", "n-traj-bool", "seed-float",
             "checkpoint-float", "gamma-string", "dmr-a-bool", "dmr-a-nan",
+            "dmr-a-huge",
             "sequence-start-float", "sequence-c-string",
             "lebesgue-support-three-numbers", "tabulated-cdf-above-one"])
     def test_wrongly_typed_config_value_exit_4(self, tmp_path, capsys, doc,
@@ -189,6 +193,46 @@ class TestSimulate:
                      "--out", str(tmp_path / "r")]) == 4
         assert error in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("doc, error", [
+        ([], "config must be a JSON object, not list"),
+        (None, "config must be a JSON object, not NoneType"),
+        ({**HARMONIC_CFG, "process": 5},
+         "process must be a JSON object, not int"),
+        ({**HARMONIC_CFG, "process": ["iid"]},
+         "process must be a JSON object, not list"),
+        ({**HARMONIC_CFG, "process": {"variant": ["iid"]}},
+         "unknown process variant ['iid']"),
+        ({**HARMONIC_CFG, "family": 5}, "family must be a JSON object, not int"),
+        ({**HARMONIC_CFG, "family": {**HARMONIC_CFG["family"], "radius": [1]}},
+         "a sequence must be a JSON object, not list"),
+        ({**HARMONIC_CFG, "family": {**HARMONIC_CFG["family"],
+                                     "radius": {"template": ["powerlog"]}}},
+         "unknown sequence template ['powerlog']"),
+        ({**HARMONIC_CFG, "measure": 3}, "measure must be a JSON object, not int"),
+        ({**HARMONIC_CFG, "family": {"template": "custom", "intervals": 5}},
+         "family 'custom' intervals must be a JSON list"),
+        ({**HARMONIC_CFG, "family": {**HARMONIC_CFG["family"],
+                                     "space": "Torus"}},
+         "family 'nested-left' space must be 'line' or 'torus', not 'Torus'"),
+        ({**HARMONIC_CFG, "family": {**HARMONIC_CFG["family"], "space": 3}},
+         "family 'nested-left' space must be 'line' or 'torus', not 3"),
+        ({**HARMONIC_CFG, "criteria": 5},
+         "config criteria must be a list of JSON strings"),
+        ({**HARMONIC_CFG, "out_dir": 5},
+         "config out_dir must be a JSON string, not 5"),
+    ], ids=["top-level-list", "top-level-null", "process-number",
+            "process-list", "variant-list", "family-number", "radius-list",
+            "sequence-template-list", "measure-number", "intervals-number",
+            "space-capitalised", "space-number", "criteria-number",
+            "out-dir-number"])
+    def test_config_of_the_wrong_json_type_exit_4(self, tmp_path, capsys, doc,
+                                                  error):
+        # no --out: the output directory could only come from the config
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["simulate", "--config", cfg]) == 4
+        assert f"error: bad config: {error}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_readme_quick_start_verbatim(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -582,10 +626,13 @@ def test_deeply_nested_json_exit_4(tmp_path, capsys, command, target):
      "'qstar_bound' must be a JSON number or null"),
     ({"check": "tilde", "rate": {"p": 2}, "mu": {"p": 0.5}, "mode": "ii",
       "lq_bound": math.inf}, "'lq_bound' must be a JSON number or null"),
+    ({"check": "beta-strong", "beta": {"p": 2}, "qstar_bound": 10**400},
+     "'qstar_bound' must be a JSON number or null"),
 ], ids=["nested-string", "horizon-string", "sequence-list", "params-list",
         "manifest-list", "qstar-const-list", "lq-bound-string",
         "params-a-list", "alpha-null", "sequence-null", "run-list",
-        "qstar-bound-infinity", "qstar-bound-nan", "lq-bound-infinity"])
+        "qstar-bound-infinity", "qstar-bound-nan", "lq-bound-infinity",
+        "qstar-bound-huge"])
 def test_wrongly_typed_value_exit_4(tmp_path, capsys, doc, error):
     if doc is None:
         cfg = write_json(tmp_path / "cfg.json", HARMONIC_CFG)
@@ -598,6 +645,16 @@ def test_wrongly_typed_value_exit_4(tmp_path, capsys, doc, error):
     capsys.readouterr()
     assert main(argv) == 4
     assert error in capsys.readouterr().err
+
+
+def test_short_profile_rows_exit_4(tmp_path, capsys):
+    # a profile CSV must carry every column profile_to_csv writes
+    (tmp_path / "p.csv").write_text("n,value\n1,0.5\n2,0.25\n")
+    spec = write_json(tmp_path / "c.json", {
+        "check": "beta-strong", "beta": {"profile_csv": str(tmp_path / "p.csv")}})
+    assert main(["criteria", "--spec", spec]) == 4
+    assert ("profile row 2: 2 fields, not n,value,provenance,error_bar"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("doc", [
