@@ -314,10 +314,9 @@ def report_from_records(cfg: ExperimentConfig, records: list,
         ht, counters = rec.hit_times, (rec.renewal_count, rec.restarts)
         if not (ht.dtype == dtype and ht.ndim == 1 and ht.flags.c_contiguous
                 and all(type(v) is int and v >= 0 for v in counters)):
-            raise ValueError(
-                f"trajectory {i}: hit times must be a C-contiguous 1-d array "
-                f"of {dtype.str}, renewal_count and restarts Python integers "
-                f">= 0")
+            raise ValueError(f"trajectory {i}: hit times must be a "
+                             f"C-contiguous 1-d array of {dtype.str}, "
+                             f"renewal_count and restarts of type int, >= 0")
     cps = np.asarray(cfg.checkpoints, dtype=np.int64)
     e_seq, mu_seq = _expected(cfg, cps)
     e_cp = e_seq.values

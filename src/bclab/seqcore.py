@@ -303,7 +303,8 @@ def seq_to_json(v: RealSeq) -> dict:
 
 
 def json_object(what: str, d) -> dict:
-    """d, if it is a JSON object, so that reading its fields cannot fail."""
+    """d, if it is a JSON object; anything else is a ValueError naming
+    what d stands for and the type it has."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, "
                          f"not {type(d).__name__}")
