@@ -156,8 +156,8 @@ def _alpha_params(params) -> dict:
     mode reads is left for check_alpha to reject."""
     if params is None:
         return {}
-    keys = json_object("'params'", params).keys()
-    for key in keys & _ALPHA_PARAM_TYPES.keys():
+    params = json_object("'params'", params)
+    for key in params.keys() & _ALPHA_PARAM_TYPES.keys():
         what, ok = _ALPHA_PARAM_TYPES[key]
         if not ok(params[key]):
             raise ValueError(f"params {key!r} must be {what}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,15 +327,11 @@ _JSON_KINDS = {int: ((int,), "integer"), float: ((int, float), "number"),
 
 
 def _is_kind(v, kind: type) -> bool:
-    """v is a JSON value of kind.  json.loads also reads NaN and
-    +-Infinity, as floats, and integers of any size, none of which bclab
-    writes: a number must be finite as a float."""
-    if type(v) not in _JSON_KINDS[kind][0]:
-        return False
-    try:
-        return kind is not float or math.isfinite(v)
-    except OverflowError:  # an integer past the largest float
-        return False
+    """v is a JSON value of kind.  json.loads also reads NaN, +-Infinity
+    and integers of any size, none of which bclab writes: a number must
+    lie within the finite floats (NaN compares false)."""
+    return (type(v) in _JSON_KINDS[kind][0]
+            and (kind is not float or abs(v) <= sys.float_info.max))
 
 
 def is_number(v) -> bool:
