@@ -12,7 +12,7 @@ Each run's digest is then re-derived from the artifacts just written, as
 
 Examples
 --------
-Full suite (about a minute on one core)::
+Full suite (about 4 s on 2 CPUs)::
 
     python3 scripts/run_reference_suite.py --out runs/reference
 

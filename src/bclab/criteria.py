@@ -908,13 +908,13 @@ def _inverse_series_clause(name, grid, terms, beyond, want, symbolic=None):
 def _eta_inverse(alpha_vals: np.ndarray, u: float):
     """inf{ x >= 1 real : alpha([x]) / x <= u }, with piecewise refinement.
 
-    Returns None when the infimum lies beyond the tabulated horizon.
+    u must be at least 1/len(alpha_vals), and alpha within [0, 1]
+    (check_alpha), so that the last lag h has eta(h) <= 1/h <= u and the
+    infimum lies within the table.
     """
     h = len(alpha_vals)
     eta = alpha_vals / np.arange(1, h + 1)
     pos = np.searchsorted(-eta, -u, side="left")  # first integer m with eta(m) <= u
-    if pos >= h:
-        return None
     m_star = pos + 1
     if m_star > 1:
         cand = alpha_vals[m_star - 2] / u if u > 0 else math.inf
@@ -1041,6 +1041,8 @@ def check_alpha(
     a_ns, a_vals = rate.on_grid(horizon)
     if len(a_vals) == 0:
         raise ValueError("alpha has no entries at or below the horizon")
+    if not np.all((a_vals >= 0) & (a_vals <= 1)):
+        raise ValueError("alpha values must lie in [0, 1]")
     if not _is_nonincreasing(a_vals):
         return _precondition_report(
             criterion, digest, horizon, "alpha is not nonincreasing"
@@ -1133,9 +1135,9 @@ def check_alpha(
         trace = np.full(len(grid), np.nan)
         if dense_alpha is not None:
             for j, n in enumerate(grid):
-                x = _eta_inverse(dense_alpha, 1.0 / float(n))
-                if x is not None and e_grid[j] > 0:
-                    trace[j] = x / e_grid[j]
+                if e_grid[j] > 0:
+                    trace[j] = (_eta_inverse(dense_alpha, 1.0 / float(n))
+                                / e_grid[j])
         known = np.isfinite(trace)
         if sym is not None:
             clause = _limit_clause("eta-inverse-vanishes", grid, trace, "zero",
@@ -1144,7 +1146,7 @@ def check_alpha(
             clause = _limit_clause(
                 "eta-inverse-vanishes", grid[known], trace[known], "zero"
             )
-        else:
+        else:  # fewer than 4 grid points: a table of a few lags
             clause = ClauseResult(
                 "eta-inverse-vanishes", UNDECIDED, "trend",
                 {"reason": "eta-inverse exceeds the tabulated alpha horizon"},

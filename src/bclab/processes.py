@@ -174,11 +174,6 @@ class SplitChainProcess(ProcessSpec):
             return self.nu_power - 1.0
         return self.nu_power
 
-    def s_of(self, x):
-        if self.s_kind == "const":
-            return np.full_like(np.asarray(x, dtype=float), self.s_scale)
-        return self.s_scale * np.asarray(x, dtype=float)
-
     def nu_inverse(self, u, in_place: bool = False):
         return array_pow(u, 1.0 / self.nu_power, in_place)
 
@@ -296,8 +291,8 @@ def step_draws(spec: ProcessSpec, gen, m: int) -> np.ndarray:
     """The draws of the next m steps of the stream gen, one row per step.
 
     This is each variant's per-step draw budget, defined here alone: the
-    ensemble kernel takes its draws from it, and a scalar stepper reads
-    one row per step.
+    kernels draw as it does (a zero-step call gives the draws per step),
+    and a scalar stepper reads one row per step.
     - circle-rw: one bit.  Step 64 i + b reads bit b of raw word i, least
       significant bit first, and a 0 bit is a +a step.  A call starts on a
       fresh word: m steps take ceil(m / 64) words.
@@ -418,12 +413,14 @@ _CELLS = 1 << 21
 # amortize the calls made per row.
 _ROW_WIDTH = 128
 # most rows per chunk, by kernel kind, on top of the rows _CELLS allows.  A
-# row-stepped chunk holds its whole (rows, width) block, and 4,096 rows
-# already amortize each trajectory's calls per chunk (one step_draws, one
-# hit extraction), so more rows only grow the block.  A loop-free chunk
+# row-stepped chunk holds its whole (rows, width) block, and 1,024 rows
+# already amortize each trajectory's calls per chunk (one draw, one hit
+# extraction), so more rows only grow the block.  A loop-free chunk
 # holds one trajectory's row at a time, and 2**16 steps keep a narrow
 # run's row and its window of bounds small.
-_MAX_ROWS = {"row-stepped": 1 << 12, "loop-free": 1 << 16}
+_MAX_ROWS = {"row-stepped": 1 << 10, "loop-free": 1 << 16}
+# trajectories whose draws are staged, then copied into the planes at once
+_STAGE = 16
 
 
 def _init_vector(spec, gens):
@@ -445,14 +442,16 @@ def _hit_test(bounds, drift, c0):
     lo, hi, wraps, full = bounds
     m = len(lo)
     shift = drift * np.arange(c0 + 1, c0 + m + 1) if drift else None
+    low = lo.any()  # every state is >= 0, so lo = 0 needs no test
     wraps = wraps if wraps.any() else None
     full = full if full.any() else None
 
     def test(xs):
         if shift is not None:
             xs = (xs - shift) % 1.0
-        hit = xs >= lo
-        hit &= xs < hi
+        hit = xs < hi
+        if low:
+            hit &= xs >= lo
         if wraps is not None:
             hit = np.where(wraps, (xs >= lo) | (xs < hi), hit)
         if full is not None:
@@ -464,8 +463,7 @@ def _hit_test(bounds, drift, c0):
 
 def _hit_times(hit, c0, dtype):
     """The steps c0 + 1 + i at which the 1-d mask hit is True, in dtype
-    (hit_dtype of the run's n): fragments an ensemble holds until its
-    records are built."""
+    (hit_dtype of the run's n)."""
     return np.add(np.flatnonzero(hit), c0 + 1, dtype=dtype, casting="unsafe")
 
 
@@ -479,12 +477,12 @@ def _advance_rows(spec, x, U, keep):
     m = xs.shape[0]
     if isinstance(spec, LSVProcess):
         # the map written into the rows in place: x(1 + (2x)**gamma) below
-        # 1/2, 2x - 1 above, capped below 1, with the same ufuncs in the
-        # same order at every row
+        # 1/2, 2x - 1 above, capped at _BELOW_ONE.  From a state at or
+        # below the cap both branches stay there (2x - 1 and, rounded,
+        # x(1 + (2x)**gamma) <= 2x), so only a chunk's first row is capped
         g = spec.gamma
         low = np.empty(x.shape, dtype=bool)
-        two = np.empty(x.shape)
-        left = np.empty(x.shape)
+        two, left = np.empty((2, len(x)))
         for i in range(m):
             row = xs[i]
             np.less(x, 0.5, out=low)
@@ -493,30 +491,32 @@ def _advance_rows(spec, x, U, keep):
             left += 1.0
             left *= x
             np.subtract(two, 1.0, out=row)
-            np.copyto(row, left, where=low)
-            np.minimum(row, _BELOW_ONE, out=row)
+            np.putmask(row, low, left)
+            if not i:
+                np.minimum(row, _BELOW_ONE, out=row)
             x = row
         return x.copy()
     if isinstance(spec, ARHalfProcess):
         # the second uniform goes unused, so the states take its plane
         coin = U[0]
         for i in range(m):
-            row = xs[i]
-            np.multiply(x, 0.5, out=row)
-            row += coin[i] < 0.5
-            x = row
+            x = np.multiply(x, 0.5, out=xs[i])
+            x += coin[i] < 0.5
         return x.copy()
     if isinstance(spec, SplitChainProcess):
         # one call for the whole chunk, in place of its nu uniforms, which
         # the states then overwrite row by row
         drawn = spec.nu_inverse(xs, in_place=True)
-        u = U[0]
+        u, const, scale = U[0], spec.s_kind == "const", spec.s_scale
+        s = None if const or scale == 1.0 else np.empty(x.shape)
         for i in range(m):
             # u > s(x) is "no regeneration": s maps into [0, 1] (validate)
-            # and no draw or state is NaN
-            stay = np.greater(u[i], spec.s_of(x), out=keep[i])
+            # and no draw or state is NaN; s(x) takes no new array
+            sx = scale if const else x if s is None else np.multiply(
+                x, scale, out=s)
+            stay = np.greater(u[i], sx, out=keep[i])
             if spec.q1 == "delta":
-                np.copyto(drawn[i], x, where=stay)
+                np.putmask(drawn[i], stay, x)
             x = drawn[i]
         return x.copy()
     raise TypeError(f"unknown spec type {type(spec).__name__}")
@@ -526,20 +526,21 @@ def _chunks(spec, n, gens, x, family):
     """Step the trajectories of gens in lockstep from states x for n steps,
     testing each step's states against its target in family.
 
-    Yields (x, times, counts) per chunk of steps: x holds the states
-    after its last step, times[t] the steps at which trajectory t hit its
-    target, and counts[t] the number of its steps at which a split chain
-    regenerated or an interval-map orbit lay below _DEGENERATE (None for
-    other variants).  iid and circle-rw compute a chunk one trajectory's
-    row at a time, without a loop over steps, and take its hit times
-    while the row is in cache; the other variants step all trajectories
-    row by row.  At most _CELLS states are held at once (a circle-rw row
-    is whole words of steps, at least 64), in no more rows than _MAX_ROWS
-    allows the kernel's kind, and in buffers that are reused, so each
-    chunk is read before the next is requested; the targets' bounds
-    are the family's window of each chunk's steps.  Every trajectory
-    draws from its own stream in step order, so the chunk size never
-    changes the path.
+    Yields (x, (hits, lengths), counts) per chunk of steps: x holds the
+    states after its last step, hits the steps at which the trajectories
+    hit their targets, in hit_dtype(n), lengths[t] of them trajectory t's
+    after those before it, and counts[t] the number of t's steps at which
+    a split chain regenerated or an interval-map orbit lay below
+    _DEGENERATE (None for other variants).  iid and circle-rw compute a
+    chunk one trajectory's row at a time, without a loop over steps, and
+    take its hit times while the row is in cache; the other variants step
+    all trajectories row by row.  At most _CELLS states are held at once
+    (a circle-rw row is whole words of steps, at least 64), in no more
+    rows than _MAX_ROWS allows the kernel's kind, and in buffers that are
+    reused, so each chunk is read before the next is requested; the
+    targets' bounds are the family's window of each chunk's steps.  Every
+    trajectory draws from its own stream in step order, so the chunk size
+    never changes the path.
     """
     loop_free = isinstance(spec, (IIDProcess, CircleRWProcess))
     width = min(len(gens), _ROW_WIDTH) if loop_free else len(gens)
@@ -565,7 +566,7 @@ def _iid_chunks(spec, n, gens, family, rows):
             times.append(_hit_times(test(xs), c0, dtype))
             x[t] = xs[-1]
         del bounds, test  # freed before the next window is built
-        yield x, times, None
+        yield x, (np.concatenate(times), list(map(len, times))), None
 
 
 def _circle_chunks(spec, n, gens, x, family, rows):
@@ -596,48 +597,56 @@ def _circle_chunks(spec, n, gens, x, family, rows):
             times.append(_hit_times(test(xm), c0, dtype))
             x[t] = xm[-1]
         del bounds, test  # freed before the next window is built
-        yield x, times, None
+        yield x, (np.concatenate(times), list(map(len, times))), None
 
 
 def _row_chunks(spec, n, gens, x, family, rows):
     """Chunks of the variants stepped row by row: U[d, i, t] holds draw d
     of step i of trajectory t, one (rows, width) plane per draw and at
-    least one plane.  The states overwrite the last plane as they are
-    stepped, so no block of states is held beside the draws.  The chunk's
-    hit mask is tested whole and transposed once, so each trajectory's
-    hits are one contiguous row."""
+    least one plane.  _STAGE trajectories at a time draw their uniforms
+    as step_draws does (Generator.random, a row per step) into a small
+    staging block, copied into the planes transposed at once.  The states
+    overwrite the last plane as they are stepped, so no block of states
+    is held beside the draws.  The chunk's hit mask is tested whole and
+    transposed once, so each trajectory's hits are one contiguous row,
+    extracted into the chunk's one packed array."""
     width, dtype = len(gens), hit_dtype(n)
+    d = step_draws(spec, gens[0], 0).shape[1]  # a call that draws nothing
     keep = (np.empty((rows, width), dtype=bool)
             if isinstance(spec, SplitChainProcess) else None)
-    U = None
+    U = np.empty((max(1, d), rows, width))
+    stage = np.empty((min(_STAGE, width), rows, d))
     for lo, bounds in family.windows(n, rows):
         c0, m = lo - 1, len(bounds[0])
-        for t, g in enumerate(gens):
-            draws = step_draws(spec, g, m).T
-            if U is None:
-                U = np.empty((max(1, len(draws)), rows, width))
-            U[:len(draws), :m, t] = draws
-        x = _advance_rows(spec, x, U[:, :m],
-                          None if keep is None else keep[:m])
+        for t in range(0, width if d else 0, len(stage)):
+            block = gens[t:t + len(stage)]
+            for g, draws in zip(block, stage):
+                g.random(out=draws[:m])
+            U[:, :m, t:t + len(block)] = stage[:len(block), :m].T
+        x = _advance_rows(spec, x, U[:, :m], keep)
         xs = U[-1, :m]
         test = _hit_test(bounds, 0.0, c0)
-        times = [_hit_times(hit, c0, dtype)
-                 for hit in np.ascontiguousarray(test(xs.T))]
+        hit = np.ascontiguousarray(test(xs.T))
         del bounds, test  # freed before the next window is built
+        lengths = np.count_nonzero(hit, axis=1).tolist()
+        hits = np.empty(sum(lengths), dtype=dtype)
+        for row, e, c in zip(hit, accumulate(lengths), lengths):
+            np.add(np.flatnonzero(row), c0 + 1, out=hits[e - c:e],
+                   casting="unsafe")
         counts = None
         if keep is not None:
             counts = m - keep[:m].sum(axis=0)
         elif isinstance(spec, LSVProcess):
             counts = (xs < _DEGENERATE).sum(axis=0)
-        yield x, times, counts
+        yield x, (hits, lengths), counts
 
 
 def _run_block(spec, n, seed, traj_ids, family, restart=0):
     """Lockstep simulation of the given trajectory ids, in the packed form
     hits.npy stores: (hits, counts, renewals, restarts), where hits holds
     counts[j] hit times of traj_ids[j] after those of the ids before it,
-    in hit_dtype(n), and the others are lists over the ids.  Fragments
-    are copied in and freed trajectory by trajectory, never held twice.
+    in hit_dtype(n), and the others are lists over the ids.  Until it is
+    built, the block holds one packed array of hit times per chunk.
 
     Interval-map orbits that underflow below _DEGENERATE are rerun
     together on their next restart stream, at most 8 times.
@@ -645,37 +654,38 @@ def _run_block(spec, n, seed, traj_ids, family, restart=0):
     spec.validate()
     width = len(traj_ids)
     gens = [make_generator(seed, t, restart) for t in traj_ids]
-    frags = [[] for _ in range(width)]
-    rcount = np.zeros(width, dtype=int)
+    parts, (counts, rcount) = [], np.zeros((2, width), dtype=int)
     degenerate = np.zeros(width, dtype=bool)
 
-    for _, times, counts in _chunks(spec, n, gens, _init_vector(spec, gens),
-                                    family):
-        for f, ts in zip(frags, times):
-            f.append(ts)
+    for _, part, chunk_counts in _chunks(spec, n, gens,
+                                         _init_vector(spec, gens), family):
+        parts.append(part)
+        counts += part[1]
         if isinstance(spec, LSVProcess):
-            degenerate |= counts > 0
-        elif counts is not None:
-            rcount += counts
+            degenerate |= chunk_counts > 0
+        elif chunk_counts is not None:
+            rcount += chunk_counts
 
     restarts = np.full(width, restart, dtype=np.int64)
-    redo = np.flatnonzero(degenerate)
+    redo, again, rerun = np.flatnonzero(degenerate), None, []
     if redo.size:
         if restart == 8:
             raise RuntimeError(f"trajectories {[traj_ids[j] for j in redo]}:"
                                f" orbit degenerate after 8 restarts")
-        for j in redo:
-            frags[j].clear()
-        again, lengths, rcount[redo], restarts[redo] = _run_block(
+        again, rerun, rcount[redo], restarts[redo] = _run_block(
             spec, n, seed, [traj_ids[j] for j in redo], family, restart + 1)
-        for j, e, c in zip(redo, accumulate(lengths), lengths):
-            frags[j] = [again[e - c:e]]
-    counts = [sum(map(len, f)) for f in frags]
-    hits = np.empty(sum(counts), dtype=hit_dtype(n))
-    for f, e, c in zip(frags, accumulate(counts), counts):
-        np.concatenate(f, out=hits[e - c:e])
-        f.clear()
-    return hits, counts, rcount.tolist(), restarts.tolist()
+        counts[redo] = rerun
+    # chunk by chunk; a restarted trajectory's rerun replaces its chunks
+    hits = np.empty(counts.sum(), dtype=hit_dtype(n))
+    dst, skip = (np.cumsum(counts) - counts).tolist(), degenerate.tolist()
+    for part, lengths in parts:
+        for j, e, c in zip(range(width), accumulate(lengths), lengths):
+            if c and not skip[j]:
+                hits[dst[j]:dst[j] + c] = part[e - c:e]
+                dst[j] += c
+    for j, e, c in zip(redo.tolist(), accumulate(rerun), rerun):
+        hits[dst[j]:dst[j] + c] = again[e - c:e]
+    return hits, counts.tolist(), rcount.tolist(), restarts.tolist()
 
 
 def packed_records(traj_ids, hits, counts, renewals, restarts) -> list:

@@ -329,9 +329,11 @@ _JSON_KINDS = {int: ((int,), "integer"), float: ((int, float), "number"),
 def _is_kind(v, kind: type) -> bool:
     """v is a JSON value of kind.  json.loads also reads NaN, +-Infinity
     and integers of any size, none of which bclab writes: a number must
-    lie within the finite floats (NaN compares false)."""
+    lie within the finite floats (NaN compares false), an integer within
+    int64."""
     return (type(v) in _JSON_KINDS[kind][0]
-            and (kind is not float or abs(v) <= sys.float_info.max))
+            and (kind is not float or abs(v) <= sys.float_info.max)
+            and (kind is not int or -2**63 <= v < 2**63))
 
 
 def is_number(v) -> bool:

@@ -62,7 +62,7 @@ def process_step(spec: ProcessSpec, state: float, draws) -> tuple:
     if isinstance(spec, SplitChainProcess):
         if not 0.0 <= state <= 1.0:
             raise ValueError("split-chain state outside [0,1]")
-        s = float(spec.s_of(state))
+        s = spec.s_scale * (state if spec.s_kind == "linear" else 1.0)
         if not 0.0 <= s <= 1.0:
             raise ValueError("s(x) outside [0,1]")
         u1, u2 = float(draws[0]), float(draws[1])

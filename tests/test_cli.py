@@ -195,6 +195,22 @@ class TestSimulate:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("doc, error", [
+        ({**HARMONIC_CFG, "n": 10**400}, "config n must be a JSON integer"),
+        ({**HARMONIC_CFG, "n": 2**63}, "config n must be a JSON integer"),
+        ({**HARMONIC_CFG, "n_traj": 10**400},
+         "config n_traj must be a JSON integer"),
+        ({**HARMONIC_CFG, "checkpoints": [10, 10**400]},
+         "config checkpoints must be a list of JSON integers"),
+    ], ids=["n", "n-2**63", "n-traj", "checkpoint"])
+    def test_integer_past_int64_exit_4(self, tmp_path, capsys, doc, error):
+        # such an integer raised OverflowError: exit 1 and a traceback
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 4
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("doc, error", [
         ([], "config must be a JSON object, not list"),
         (None, "config must be a JSON object, not NoneType"),
         ({**HARMONIC_CFG, "process": 5},

@@ -382,6 +382,18 @@ class TestCheckAlphaPoly:
 
 
 class TestCheckAlphaGeneral:
+    @pytest.mark.parametrize("mode", ["nested-BC", "L1", "strong"])
+    @pytest.mark.parametrize("values", [
+        np.full(100, 40.0),
+        np.concatenate(([1.0 + 1e-12], np.full(99, 0.5))),
+    ], ids=["forty", "just-above-one"])
+    def test_alpha_outside_the_unit_interval_raises(self, mode, values):
+        # such an alpha read inconclusive in mode L1 and violated in
+        # nested-BC instead of raising
+        with pytest.raises(ValueError, match=re.escape(
+                "alpha values must lie in [0, 1]")):
+            check_alpha(TabulatedSeq(values), power_seq(1.0, 0.5), mode)
+
     def test_nested_bc_closed_form(self):
         rep = check_alpha(power_seq(1.0, 2.0), power_seq(1.0, 0.5),
                           "nested-BC", horizon=10**5)
@@ -475,7 +487,9 @@ class TestCheckAlphaGeneral:
         assert _eta_inverse(vals, 0.3) == 2.0
         # for u = 0.5 the refinement lands inside the piece: 0.9/0.5 = 1.8
         assert _eta_inverse(vals, 0.5) == pytest.approx(1.8)
-        assert _eta_inverse(vals, 1e-9) is None
+        # u = 1/h, the smallest u check_alpha asks of an h-lag table: an
+        # alpha of 1 at every lag reaches it at the last lag, no later
+        assert _eta_inverse(np.ones(4), 0.25) == 4.0
 
     def test_poly_general_equivalence(self):
         # With alpha(n) = C n^{-a} exact, the specialized polynomial modes
@@ -493,7 +507,8 @@ class TestCheckAlphaGeneral:
             if not (theta_star >= 0.1 * a + 0.13 or theta_star <= -0.12):
                 continue  # strong-mode tail-rule margin
             accepted += 1
-            alpha = PowerLogSeq(c_alpha, a, 0.0, 0.0, 1)
+            # C in [0.25, 1], so that alpha lies in [0, 1]
+            alpha = PowerLogSeq(c_alpha / 2, a, 0.0, 0.0, 1)
             mu = power_seq(float(rng.uniform(0.3, 1.0)), p)
             r_poly1 = check_alpha(None, mu, "poly-1", params={"a": a}, horizon=10**5)
             r_nested = check_alpha(alpha, mu, "nested-BC", horizon=10**5)

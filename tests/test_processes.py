@@ -652,18 +652,19 @@ class TestChunkInvariance:
         assert [record_key(r) for r in wide[:7]] == narrow
 
     @pytest.mark.parametrize("spec, width, rows", [
-        (DMRProcess(a=1.0), 3, 4096),
-        (LSVProcess(gamma=0.4), 100, 4096),  # intermittent-map's shape
-        (DMRProcess(a=1.0), 800, 2621),  # dense-wide's: _CELLS // 800
+        (DMRProcess(a=1.0), 3, 1024),
+        (LSVProcess(gamma=0.4), 100, 1024),  # intermittent-map's shape
+        (DMRProcess(a=1.0), 800, 1024),  # dense-wide's, below _CELLS // 800
+        (DMRProcess(a=1.0), 6400, 327),  # _CELLS // 6400
         (IIDProcess(), 1, 1 << 16),
         (IIDProcess(), 100, 20971),
         (IIDProcess(), 800, 16384),  # _CELLS // _ROW_WIDTH
         (CircleRWProcess(a=0.37), 1, 1 << 16),
         (CircleRWProcess(a=0.37), 100, 20928),  # rotation-walk's: whole words
-    ], ids=["dmr-3", "lsv-100", "dmr-800", "iid-1", "iid-100", "iid-800",
-            "circle-1", "circle-100"])
+    ], ids=["dmr-3", "lsv-100", "dmr-800", "dmr-6400", "iid-1", "iid-100",
+            "iid-800", "circle-1", "circle-100"])
     def test_rows_by_kernel_kind(self, monkeypatch, spec, width, rows):
-        # row-stepped chunks stop at 4,096 rows, loop-free rows at 2**16
+        # row-stepped chunks stop at 1,024 rows, loop-free rows at 2**16
         # steps; below the caps, _CELLS // width (or // _ROW_WIDTH) rules
         assert chunk_rows(monkeypatch, spec, 10**6, width) == rows
 
@@ -776,7 +777,7 @@ class TestTargetRows:
     @pytest.mark.parametrize("past", [0, 1], ids=["at-the-cap", "one-past"])
     def test_every_step_hits_at_and_across_the_caps(self, spec, family,
                                                     kind, past):
-        # default _CELLS: chunks of 4,096 rows or 2**16-step rows, so
+        # default _CELLS: chunks of 1,024 rows or 2**16-step rows, so
         # n = cap is one chunk and cap + 1 ends on a one-step chunk
         n = processes._MAX_ROWS[kind] + past
         recs = simulate_ensemble(spec, family, n, seed=23, n_traj=3)
@@ -853,12 +854,12 @@ class TestDrawBudget:
         (IIDProcess(marginal="power", power=0.4), 1 << 16, 1 << 16),
         (IIDProcess(marginal="power", power=0.4), (1 << 16) + 1,
          (1 << 16) + 1),
-        (LSVProcess(gamma=0.6), 4097, 0),
-        (DMRProcess(a=1.0), 4096, 8192),
-        (DMRProcess(a=1.0), 4097, 8194),
-        (SplitChainProcess(s_kind="const", s_scale=0.3, q1="nu"), 4097,
-         8194),
-        (ARHalfProcess(), 4097, 8194),
+        (LSVProcess(gamma=0.6), 1025, 0),
+        (DMRProcess(a=1.0), 1024, 2048),
+        (DMRProcess(a=1.0), 1025, 2050),
+        (SplitChainProcess(s_kind="const", s_scale=0.3, q1="nu"), 1025,
+         2050),
+        (ARHalfProcess(), 1025, 2050),
     ], ids=["circle-rw-at", "circle-rw-past", "iid-at", "iid-past",
             "lsv-past", "dmr-at", "dmr-past", "split-chain-past",
             "ar-half-past"])
@@ -907,14 +908,16 @@ class TestChunkMemory:
 
     def test_a_row_stepped_ensemble_holds_a_small_block(self):
         # 100 interval-map trajectories: 20,971-row chunks held 16.8 MB of
-        # states alone; 4,096-row chunks peak at about 5 MB in all
-        assert self.peak_mb(LSVProcess(gamma=0.4), 25_000, 100) < 10
+        # states alone; 4,096-row chunks peaked at about 5 MB in all, and
+        # 1,024-row chunks at about 1.9 MB
+        assert self.peak_mb(LSVProcess(gamma=0.4), 25_000, 100) < 4
 
     def test_row_stepped_states_take_the_last_draw_plane(self):
-        # 800 sticky-chain trajectories, 2,621-row chunks: 33.5 MB of draws
-        # and a 16.8 MB block of states beside them peaked at 55 MB; with
-        # the states in the nu plane, about 39 MB
-        assert self.peak_mb(DMRProcess(a=1.0), 3_000, 800) < 45
+        # 800 sticky-chain trajectories: 2,621-row chunks of 33.5 MB of
+        # draws peaked at 55 MB with a block of states beside them and at
+        # 39 MB with the states in the nu plane; 1,024-row chunks (13.1 MB
+        # of draws, 6.6 MB more for a block of states) at about 16 MB
+        assert self.peak_mb(DMRProcess(a=1.0), 3_000, 800) < 20
 
 
 class TestHitFragments:
@@ -952,9 +955,10 @@ class TestHitFragments:
 
         def chunks(spec, n, gens, x, family):
             for c0 in edges:
-                yield x, [processes._hit_times(self.HIT[0], c0,
-                                               processes.hit_dtype(n))
-                          for _ in gens], None
+                times = processes._hit_times(self.HIT[0], c0,
+                                             processes.hit_dtype(n))
+                yield x, (np.tile(times, len(gens)),
+                          [len(times)] * len(gens)), None
 
         monkeypatch.setattr(processes, "_chunks", chunks)
         ids = [0, 1]
@@ -965,6 +969,100 @@ class TestHitFragments:
         for rec in recs:
             assert rec.hit_times.dtype == processes.hit_dtype(n)
             assert rec.hit_times.tolist() == want
+
+
+class TestRowStepped:
+    """The row-stepped kernel: staged draws, packed hits per chunk and
+    the interval map's cap."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("m", [1, 7, 1024, 2621, 4096])
+    def test_random_into_a_staging_row_draws_as_random_of_its_shape(self,
+                                                                    m, d):
+        stage = np.zeros((3, m + 5, d))
+        gen, ref = make_generator(9, 2), make_generator(9, 2)
+        gen.random(out=stage[1, :m])
+        assert stage[1, :m].tobytes() == ref.random((m, d)).tobytes()
+        assert not stage[1, m:].any() and not stage[::2].any()
+        assert (gen.bit_generator.random_raw()
+                == ref.bit_generator.random_raw())
+
+    @pytest.mark.parametrize("spec", [
+        DMRProcess(a=1.0),
+        SplitChainProcess(s_kind="linear", s_scale=0.5, nu_power=1.5,
+                          q1="nu"),
+        SplitChainProcess(s_kind="const", s_scale=0.3, q1="delta"),
+        ARHalfProcess(),
+    ], ids=["dmr", "split-nu", "split-const", "ar-half"])
+    def test_staging_blocks_that_do_not_divide_the_width(self, monkeypatch,
+                                                         spec):
+        # 20 trajectories: one at a time, then blocks of 3 (six and a 2)
+        # and of the default 16 (and a 4), in long and in 3-row chunks
+        monkeypatch.setenv("BCLAB_THREADS", "1")
+        family = NestedLeftFamily(radius=constant_seq(2.0 if isinstance(
+            spec, ARHalfProcess) else 0.5))
+
+        def keys(stage):
+            monkeypatch.setattr(processes, "_STAGE", stage)
+            return [record_key(r) for r in
+                    simulate_ensemble(spec, family, 600, seed=17, n_traj=20)]
+
+        ref = keys(1)
+        assert keys(3) == ref and keys(16) == ref
+        monkeypatch.setattr(processes, "_CELLS", 3 * 20)
+        assert keys(3) == ref and keys(16) == ref
+        for rec in simulate_ensemble(spec, family, 600, seed=17,
+                                     n_traj=20)[::7]:
+            assert rec.hit_times.tolist() == replay_hits(
+                spec, family, 600, 17, rec.trajectory)
+
+    @pytest.mark.parametrize("spec", [DMRProcess(a=1.0),
+                                      LSVProcess(gamma=0.6)],
+                             ids=["dmr", "lsv"])
+    def test_a_block_holds_one_hit_array_per_chunk(self, monkeypatch, spec):
+        parts, chunks = [], processes._chunks
+
+        def spy(*args):
+            for x, part, counts in chunks(*args):
+                parts.append(part)
+                yield x, part, counts
+
+        monkeypatch.setattr(processes, "_chunks", spy)
+        monkeypatch.setattr(processes, "_CELLS", 7 * 50)  # 50-row chunks
+        n, dtype = 620, processes.hit_dtype(620)
+        hits, counts, *_ = processes._run_block(spec, n, 3, range(7), HALF)
+        assert len(parts) == 13
+        for times, lengths in parts:
+            assert type(times) is np.ndarray and times.dtype == dtype
+            assert len(lengths) == 7 and sum(lengths) == len(times)
+        # each trajectory's hits, chunk after chunk, in trajectory order
+        rows = [np.split(times, np.cumsum(lengths)[:-1])
+                for times, lengths in parts]
+        want = np.concatenate([row[j] for j in range(7) for row in rows])
+        assert hits.dtype == dtype and hits.tobytes() == want.tobytes()
+        assert counts == [sum(lengths[j] for _, lengths in parts)
+                          for j in range(7)]
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.4, 0.5, 0.75, 0.99])
+    def test_lsv_cap_on_a_chunk_s_first_row_replays_capping_every_row(
+            self, gamma):
+        # lsv_map caps every step; the kernel caps a chunk's first row
+        starts = np.concatenate((
+            [1.0, processes._BELOW_ONE, np.nextafter(0.5, 0.0), 0.5,
+             np.nextafter(0.5, 1.0), 0.0, 1e-300],
+            np.random.default_rng(5).random(40)))
+        want, x = [], starts
+        for _ in range(2 * 300):
+            x = lsv_map(x, gamma)
+            want.append(x)
+        got, x = [], starts.copy()
+        for _ in range(2):  # two chunks of 300 rows
+            U = np.empty((1, 300, len(starts)))
+            x = processes._advance_rows(LSVProcess(gamma=gamma), x, U, None)
+            got.append(U[0])
+        assert np.concatenate(got).tobytes() == np.array(want).tobytes()
+        # 1.0 maps to 1.0, capped; _BELOW_ONE to 2 _BELOW_ONE - 1
+        assert got[0][0, :2].tolist() == [processes._BELOW_ONE, 1 - 2**-52]
 
 
 class TestLockstepInit:
