@@ -263,29 +263,26 @@ def _cmd_criteria(args) -> int:
 def _parse_ns(text: str, default):
     if not text:
         return np.asarray(default, dtype=int)
-    return np.asarray([int(t) for t in text.split(",") if t.strip()], dtype=int)
+    return np.asarray([json_value("--ns", int(t), int)
+                       for t in text.split(",") if t.strip()], dtype=int)
 
 
 def _cmd_mixing(args) -> int:
     try:
         a = GOLDEN_CONJUGATE if args.a == "golden" else float(args.a)
+        ns = _parse_ns(args.ns, 2 ** np.arange(4, 15) if args.task == "circle"
+                       else np.arange(10, 101, 10))
         if args.task == "circle":
-            ns = _parse_ns(args.ns, 2 ** np.arange(4, 15))
-            prof = circle_profile(ns, a, k_max=args.k_max)
-            _write_or_print(profile_to_csv(prof), args.out)
+            text = profile_to_csv(circle_profile(ns, a, k_max=args.k_max))
         elif args.task == "kernel":
-            ns = _parse_ns(args.ns, np.arange(10, 101, 10))
-            prof = dmr_beta_profile(a, ns, m=args.m)
-            _write_or_print(profile_to_csv(prof), args.out)
-        elif args.task == "dmr":
-            ns = _parse_ns(args.ns, np.arange(10, 101, 10))
+            text = profile_to_csv(dmr_beta_profile(a, ns, m=args.m))
+        else:  # dmr: argparse admits no other task
             lines = ["n,lower,upper"]
             for n in ns:
                 s = dmr_beta_bounds(a, int(n))
                 lines.append(f"{int(n)},{s.lower!r},{s.upper!r}")
-            _write_or_print("\n".join(lines) + "\n", args.out)
-        else:  # unreachable behind argparse choices
-            return _err(f"unknown task {args.task!r}")
+            text = "\n".join(lines) + "\n"
+        _write_or_print(text, args.out)
     except (OSError, ValueError) as e:
         return _err(str(e))
     return EXIT_OK

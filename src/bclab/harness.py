@@ -2,7 +2,8 @@
 
 A run is fully described by an :class:`ExperimentConfig`; everything else
 (hit records, checkpoint statistics, criterion reports, verdicts) is a
-deterministic function of it.  Statistics are recomputable bit-exactly
+deterministic function of it.  The records' codec, hits.jsonl index lines
+and hits.npy, lives here alone; statistics are recomputable bit-exactly
 from the persisted records, and the run digest covers exactly the
 reproducible payload (timestamps and wall-clock are excluded).
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -38,7 +40,7 @@ from .processes import (
     LSVProcess,
     ProcessSpec,
     SplitChainProcess,
-    check_horizon,
+    check_run,
     hit_dtype,
     lsv_calibration,
     packed_records,
@@ -112,15 +114,9 @@ class ExperimentConfig:
         self.criteria = tuple(self.criteria)
 
     def validate(self):
-        self.process.validate()
+        check_run(self.process, self.family, self.n, self.n_traj)
         if self.n < 100:
             raise ValueError("n must be >= 100")
-        check_horizon(self.process, self.n)
-        if self.n_traj < 1:
-            raise ValueError("need at least one trajectory")
-        fh = self.family.horizon
-        if fh is not None and fh < self.n:
-            raise ValueError(f"family defined only up to {fh} < n = {self.n}")
         cps = np.asarray(self.checkpoints, dtype=np.int64)
         if cps.size == 0:
             raise ValueError("need at least one checkpoint")
@@ -248,6 +244,31 @@ class ExperimentReport:
                             self.s_values / self.e_checkpoints, np.nan)
 
 
+_LINE = b'{"hit_count":%d,"renewal_count":%d,"restarts":%d,"trajectory":%d}'
+_CANONICAL_LINE = re.compile(
+    re.escape(_LINE).replace(b"%d", b"(0|[1-9][0-9]*)"))
+
+
+def _index_line(rec: HitRecord) -> bytes:
+    """rec's hits.jsonl index line, without the newline: compact JSON with
+    sorted keys, byte for byte as json.dumps writes it.  The hit times
+    themselves are stored in hits.npy."""
+    return _LINE % (len(rec.hit_times), rec.renewal_count, rec.restarts,
+                    rec.trajectory)
+
+
+def _parse_index_line(line: bytes) -> tuple:
+    """(hit_count, renewal_count, restarts, trajectory) of one hits.jsonl
+    index line, which must be exactly as _index_line writes it; any other
+    line, valid JSON or not, is a ValueError."""
+    m = _CANONICAL_LINE.fullmatch(line)
+    if m is None:
+        raise ValueError(
+            "not a hit record index as bclab writes it: compact JSON "
+            "with sorted keys and counters >= 0")
+    return tuple(int(v) for v in m.groups())
+
+
 def hits_header(n: int, count: int) -> bytes:
     """The .npy 1.0 header of count hit times of an n-step run in
     hit_dtype(n), byte for byte as np.save writes it."""
@@ -261,7 +282,7 @@ def hits_header(n: int, count: int) -> bytes:
 def _record_digests(records: list) -> list:
     """Per-record digests, each of the record's hits.jsonl index line and
     the bytes of its hit times in hits.npy."""
-    hashes = [hashlib.sha256(rec.to_line()) for rec in records]
+    hashes = [hashlib.sha256(_index_line(rec)) for rec in records]
     for h, rec in zip(hashes, records):
         h.update(rec.hit_times)
     return [h.hexdigest()[:16] for h in hashes]
@@ -269,7 +290,7 @@ def _record_digests(records: list) -> list:
 
 def _index_payload(records: list) -> bytes:
     """hits.jsonl: each record's index line with its newline."""
-    return b"".join(rec.to_line() + b"\n" for rec in records)
+    return b"".join(_index_line(rec) + b"\n" for rec in records)
 
 
 def _npy_chunks(records: list, n: int):
@@ -651,7 +672,7 @@ def load_run(run_dir) -> tuple:
     """(config, records) back from a persisted run directory.
 
     hits.jsonl must hold n_traj lines in trajectory order, each as
-    HitRecord.to_line writes it, and hits.npy exactly what emit_report
+    _index_line writes it, and hits.npy exactly what emit_report
     writes for their hit counts: hits_header(n, total), then each
     trajectory's hit times, strictly increasing within [1, n].  The
     records' hit times are read-only views of one read of hits.npy.
@@ -669,7 +690,7 @@ def load_run(run_dir) -> tuple:
     fields = []
     for i, line in enumerate(lines, 1):
         try:
-            fields.append(HitRecord.parse_line(line))
+            fields.append(_parse_index_line(line))
         except ValueError as e:
             raise ValueError(f"{index_path} line {i}: {e}") from None
     if [f[3] for f in fields] != list(range(cfg.n_traj)):

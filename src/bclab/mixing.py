@@ -49,8 +49,10 @@ class MixingProfile:
             raise ValueError("ns and values must be matching 1-d arrays")
         if np.any(np.diff(self.ns) <= 0):
             raise ValueError("lags must be strictly increasing")
-        if np.any((self.values < -1e-12) | (self.values > 1 + 1e-9)):
-            raise ValueError("coefficient values must lie in [0,1]")
+        inside = (self.values >= -1e-12) & (self.values <= 1 + 1e-9)
+        if not inside.all():  # NaN fails both comparisons
+            raise ValueError(f"coefficient values must lie in [0,1], not "
+                             f"{self.values[~inside].tolist()}")
         if self.kind in _MONOTONE_KINDS and np.any(np.diff(self.values) > 1e-12):
             raise ValueError(f"{self.kind} must be nonincreasing in the lag")
         if self.error_bars is not None:
@@ -125,8 +127,8 @@ def circle_tilde_beta(n: int, a: float, k_max: int = 100_000,
     max(phi(x) - min phi, max phi - phi(x)).  The neglected modes
     contribute at most 1/(pi k_max), reported alongside the value.
     """
-    if n < 1 or k_max < 1:
-        raise ValueError("need n >= 1 and k_max >= 1")
+    if n < 1 or k_max < 1 or not math.isfinite(a):
+        raise ValueError("need n >= 1, k_max >= 1 and a finite a")
     tail = 1.0 / (math.pi * k_max)
     M = 1 << max(int(np.ceil(np.log2(2 * k_max + 2))), int(np.ceil(np.log2(max(x_grid, 2)))))
     k = np.arange(1, k_max + 1)
@@ -170,12 +172,13 @@ def kernel_tilde_beta(kernel: np.ndarray, marginal: np.ndarray, n: int) -> float
         raise ValueError("kernel must be square with a matching marginal")
     if n < 1:
         raise ValueError("lag must be >= 1")
+    # each test is one comparison that a NaN or infinite entry fails
     rows = P.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > 1e-10:
+    if not np.max(np.abs(rows - 1.0)) <= 1e-10:
         raise ValueError("kernel rows must sum to 1 (tolerance 1e-10)")
-    if abs(w.sum() - 1.0) > 1e-10 or np.any(w < 0):
+    if not (abs(w.sum() - 1.0) <= 1e-10 and np.all(w >= 0)):
         raise ValueError("marginal must be a probability vector")
-    if np.max(np.abs(w @ P - w)) > 1e-8:
+    if not np.max(np.abs(w @ P - w)) <= 1e-8:
         raise ValueError("marginal is not invariant under the kernel (1e-8)")
     Pn = np.linalg.matrix_power(P, n)
     cum = np.cumsum(Pn, axis=1)
@@ -192,8 +195,8 @@ def dmr_kernel_grid(a: float, m: int):
     which makes mu invariant under s_j nu + (1 - s_j) delta_j exactly (the
     diagonal atom is kept as a point mass, never smeared).
     """
-    if a <= 0 or m < 2:
-        raise ValueError("need a > 0 and m >= 2")
+    if not (0 < a < math.inf) or m < 2:
+        raise ValueError("need a finite a > 0 and m >= 2")
     edges = np.linspace(0.0, 1.0, m + 1)
     mu = np.diff(edges**a)
     nu = np.diff(edges ** (a + 1.0))
@@ -227,8 +230,8 @@ def dmr_beta_bounds(a: float, n: int) -> BetaSandwich:
     o(1) corrections, so they are reference curves rather than bounds at
     any fixed n.
     """
-    if a <= 0 or n < 1:
-        raise ValueError("need a > 0 and n >= 1")
+    if not (0 < a < math.inf) or n < 1:
+        raise ValueError("need a finite a > 0 and n >= 1")
     base = a * math.gamma(a) * float(n) ** (-a)
     return BetaSandwich(lower=base, upper=3.0 * 2.0**a * base)
 

@@ -1,12 +1,14 @@
-"""Stationary process samplers and hit recording.
+"""Stationary process samplers and the ensemble driver.
 
 Every trajectory owns a counter-based random stream derived from
 (seed, trajectory id).  Each process variant has a per-step draw budget,
 defined once by step_draws, and each stream is consumed in step order, so
 results are reproducible no matter how trajectories are scheduled or
-batched.  The vectorized ensemble driver walks, bit for bit, the
-trajectories a scalar stepper walks on one row of step_draws per step:
-the tests' reference.
+batched.  check_run holds every check a run must pass; a loop-free kernel
+(iid, circle-rw) and a row-stepped one (the others) take hit times
+through _hit_times alone, and walk, bit for bit, the trajectories a
+scalar stepper walks on one row of step_draws per step: the tests'
+reference.  harness writes and reads the records on disk.
 """
 
 from __future__ import annotations
@@ -250,13 +252,6 @@ _CIRCLE_BITS = 27
 CIRCLE_MAX_STEPS = 2**26 - 1
 
 
-def check_horizon(spec: ProcessSpec, n: int):
-    """Raise ValueError when spec cannot be simulated exactly for n steps."""
-    if isinstance(spec, CircleRWProcess) and n > CIRCLE_MAX_STEPS:
-        raise ValueError(f"circle-rw positions are exact up to "
-                         f"{CIRCLE_MAX_STEPS} = 2**26 - 1 steps, not n = {n}")
-
-
 def circle_position(a: float, x0, j: np.ndarray, out=None) -> np.ndarray:
     """x0 + j a mod 1 for an int32 or int64 array j of net +a step counts,
     |j| < 2**26.
@@ -355,20 +350,11 @@ def hit_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(n).newbyteorder("<")
 
 
-# A hits.jsonl index line as to_line writes it: compact JSON, keys sorted.
-_LINE = b'{"hit_count":%d,"renewal_count":%d,"restarts":%d,"trajectory":%d}'
-_CANONICAL_LINE = re.compile(
-    rb'\{"hit_count":(0|[1-9][0-9]*),"renewal_count":(0|[1-9][0-9]*),'
-    rb'"restarts":(0|[1-9][0-9]*),"trajectory":(0|[1-9][0-9]*)\}')
-
-
 @dataclass(frozen=True)
 class HitRecord:
     """One trajectory's hits; seed, n and drift live in the run's config.
-
-    Frozen, with read-only hit times.  A run's records hold them in
-    hit_dtype(n) (see harness.report_from_records).
-    """
+    Frozen, with read-only hit times, in hit_dtype(n) for a run's records
+    (harness.report_from_records), which harness writes and reads."""
 
     trajectory: int
     hit_times: np.ndarray  # strictly increasing step indices in 1..n
@@ -381,25 +367,6 @@ class HitRecord:
         ht.flags.writeable = False
         object.__setattr__(self, "hit_times", ht)
 
-    def to_line(self) -> bytes:
-        """This record's hits.jsonl index line, without the newline: compact
-        JSON with sorted keys, byte for byte as json.dumps writes it.  The
-        hit times themselves are stored in hits.npy."""
-        return _LINE % (len(self.hit_times), self.renewal_count,
-                        self.restarts, self.trajectory)
-
-    @staticmethod
-    def parse_line(line: bytes) -> tuple:
-        """(hit_count, renewal_count, restarts, trajectory) of one
-        hits.jsonl index line, which must be exactly as to_line writes it;
-        any other line, valid JSON or not, is a ValueError."""
-        m = _CANONICAL_LINE.fullmatch(line)
-        if m is None:
-            raise ValueError(
-                "not a hit record index as bclab writes it: compact JSON "
-                "with sorted keys and counters >= 0")
-        return tuple(int(v) for v in m.groups())
-
 
 # ---------------------------------------------------------------------------
 # Vectorized ensemble driver
@@ -407,10 +374,10 @@ class HitRecord:
 # states per chunk across the width: bounds the draws, states and hit masks
 # held at once, whatever the number of trajectories.
 _CELLS = 1 << 21
-# iid and circle-rw hold one trajectory's row of a chunk at a time, so their
-# rows stop shrinking past this width: at the default _CELLS they are at
-# least 16,384 steps, 128 KB of float64 states that stay in cache and
-# amortize the calls made per row.
+# the loop-free kernel holds one trajectory's row at a time, so its rows
+# stop shrinking past this width: at the default _CELLS they are at least
+# 16,384 steps, 128 KB of states that stay in cache and amortize the calls
+# made per row.
 _ROW_WIDTH = 128
 # most rows per chunk, by kernel kind, on top of the rows _CELLS allows.  A
 # row-stepped chunk holds its whole (rows, width) block, and 1,024 rows
@@ -421,6 +388,7 @@ _ROW_WIDTH = 128
 _MAX_ROWS = {"row-stepped": 1 << 10, "loop-free": 1 << 16}
 # trajectories whose draws are staged, then copied into the planes at once
 _STAGE = 16
+_LOOP_FREE = (IIDProcess, CircleRWProcess)  # stepped by _loop_free_chunks
 
 
 def _init_vector(spec, gens):
@@ -440,8 +408,7 @@ def _hit_test(bounds, drift, c0):
     whole space where it is full; drift t tests step k at x - k t mod 1.
     """
     lo, hi, wraps, full = bounds
-    m = len(lo)
-    shift = drift * np.arange(c0 + 1, c0 + m + 1) if drift else None
+    shift = drift * np.arange(c0 + 1, c0 + len(lo) + 1) if drift else None
     low = lo.any()  # every state is >= 0, so lo = 0 needs no test
     wraps = wraps if wraps.any() else None
     full = full if full.any() else None
@@ -461,10 +428,11 @@ def _hit_test(bounds, drift, c0):
     return test
 
 
-def _hit_times(hit, c0, dtype):
+def _hit_times(hit, c0, dtype, out=None):
     """The steps c0 + 1 + i at which the 1-d mask hit is True, in dtype
-    (hit_dtype of the run's n)."""
-    return np.add(np.flatnonzero(hit), c0 + 1, dtype=dtype, casting="unsafe")
+    (hit_dtype of the run's n); written into out when it is given."""
+    return np.add(np.flatnonzero(hit), c0 + 1, out=out, dtype=dtype,
+                  casting="unsafe")
 
 
 def _advance_rows(spec, x, U, keep):
@@ -531,69 +499,53 @@ def _chunks(spec, n, gens, x, family):
     hit their targets, in hit_dtype(n), lengths[t] of them trajectory t's
     after those before it, and counts[t] the number of t's steps at which
     a split chain regenerated or an interval-map orbit lay below
-    _DEGENERATE (None for other variants).  iid and circle-rw compute a
-    chunk one trajectory's row at a time, without a loop over steps, and
-    take its hit times while the row is in cache; the other variants step
-    all trajectories row by row.  At most _CELLS states are held at once
-    (a circle-rw row is whole words of steps, at least 64), in no more
-    rows than _MAX_ROWS allows the kernel's kind, and in buffers that are
-    reused, so each chunk is read before the next is requested; the
-    targets' bounds are the family's window of each chunk's steps.  Every
-    trajectory draws from its own stream in step order, so the chunk size
-    never changes the path.
+    _DEGENERATE (None for other variants).  The _LOOP_FREE variants
+    compute a chunk one trajectory's row at a time, the others step all
+    trajectories row by row.  At most _CELLS states are held at once (a
+    circle-rw row is at least 64 steps), in no more rows than _MAX_ROWS
+    allows the kernel's kind, and in reused buffers, so each chunk is read
+    before the next is requested; the targets' bounds are the family's
+    window of each chunk's steps.  Every trajectory draws from its own
+    stream in step order, so the chunk size never changes the path.
     """
-    loop_free = isinstance(spec, (IIDProcess, CircleRWProcess))
+    loop_free = isinstance(spec, _LOOP_FREE)
     width = min(len(gens), _ROW_WIDTH) if loop_free else len(gens)
     most = _MAX_ROWS["loop-free" if loop_free else "row-stepped"]
     rows = max(1, min(n, _CELLS // width, most))
-    if isinstance(spec, IIDProcess):
-        return _iid_chunks(spec, n, gens, family, rows)
-    if isinstance(spec, CircleRWProcess):
-        return _circle_chunks(spec, n, gens, x, family, rows)
-    return _row_chunks(spec, n, gens, x, family, rows)
+    return (_loop_free_chunks if loop_free else _row_chunks)(
+        spec, n, gens, x, family, rows)
 
 
-def _iid_chunks(spec, n, gens, family, rows):
-    """Each step's state is the marginal's inverse cdf at its uniform."""
-    x = np.empty(len(gens))
-    dtype = hit_dtype(n)
-    for lo, bounds in family.windows(n, rows):
-        c0, m = lo - 1, len(bounds[0])
-        test = _hit_test(bounds, 0.0, c0)
-        times = []
-        for t, g in enumerate(gens):
-            xs = spec._inverse(step_draws(spec, g, m)[:, 0])
-            times.append(_hit_times(test(xs), c0, dtype))
-            x[t] = xs[-1]
-        del bounds, test  # freed before the next window is built
-        yield x, (np.concatenate(times), list(map(len, times))), None
-
-
-def _circle_chunks(spec, n, gens, x, family, rows):
-    """x_k = x_0 + j_k a mod 1 for a whole row: j_k is a cumsum of the +-1
-    steps, carried across chunks, and circle_position needs no loop.
-
-    Every chunk but the last is whole words of steps, so each starts on a
-    fresh word of every stream.  j fits int32, since |j| < 2**26.
+def _loop_free_chunks(spec, n, gens, x, family, rows):
+    """Chunks computed one trajectory's row at a time, with no loop over
+    steps, each row's hit times taken while it is in cache.  Only a row's
+    states differ: iid's are the marginal's inverse cdf at its uniforms;
+    circle-rw's are x_0 + j_k a mod 1 (circle_position), j_k the cumsum
+    of the +-1 steps carried across chunks (int32: |j| < 2**26), and its
+    chunks but the last are whole words, so each starts on a fresh word.
     """
-    if rows < n:
-        rows = max(_WORD_BITS, rows - rows % _WORD_BITS)
-    x0, x = x, np.empty(len(gens))
-    dtype = hit_dtype(n)
-    j_end = np.zeros(len(gens), dtype=np.int32)
-    j, xs = np.empty(rows, dtype=np.int32), np.empty(rows)
+    x0, x, dtype = x, np.empty(len(gens)), hit_dtype(n)
+    circle = isinstance(spec, CircleRWProcess)
+    if circle:
+        rows = max(_WORD_BITS, rows - rows % _WORD_BITS) if rows < n else rows
+        j_end = np.zeros(len(gens), dtype=np.int32)
+        j, xs = np.empty(rows, dtype=np.int32), np.empty(rows)
     for lo, bounds in family.windows(n, rows):
         c0, m = lo - 1, len(bounds[0])
-        test = _hit_test(bounds, spec.drift, c0)
+        test = _hit_test(bounds, spec.drift if circle else 0.0, c0)
         times = []
         for t, g in enumerate(gens):
-            s = step_draws(spec, g, m)[:, 0].view(np.int8)
-            s *= -2  # bit 0: a +a step
-            s += 1
-            jm = np.cumsum(s, dtype=np.int32, out=j[:m])
-            jm += j_end[t]
-            j_end[t] = jm[-1]
-            xm = circle_position(spec.a, x0[t], jm, out=xs[:m])
+            xm = step_draws(spec, g, m)[:, 0]
+            if circle:
+                s = xm.view(np.int8)
+                s *= -2  # bit 0: a +a step
+                s += 1
+                jm = np.cumsum(s, dtype=np.int32, out=j[:m])
+                jm += j_end[t]
+                j_end[t] = jm[-1]
+                xm = circle_position(spec.a, x0[t], jm, out=xs[:m])
+            else:
+                xm = spec._inverse(xm)
             times.append(_hit_times(test(xm), c0, dtype))
             x[t] = xm[-1]
         del bounds, test  # freed before the next window is built
@@ -601,14 +553,14 @@ def _circle_chunks(spec, n, gens, x, family, rows):
 
 
 def _row_chunks(spec, n, gens, x, family, rows):
-    """Chunks of the variants stepped row by row: U[d, i, t] holds draw d
-    of step i of trajectory t, one (rows, width) plane per draw and at
-    least one plane.  _STAGE trajectories at a time draw their uniforms
-    as step_draws does (Generator.random, a row per step) into a small
-    staging block, copied into the planes transposed at once.  The states
-    overwrite the last plane as they are stepped, so no block of states
-    is held beside the draws.  The chunk's hit mask is tested whole and
-    transposed once, so each trajectory's hits are one contiguous row,
+    """Chunks stepped row by row: U[d, i, t] holds draw d of step i of
+    trajectory t, one (rows, width) plane per draw and at least one.
+    _STAGE trajectories at a time draw their uniforms as step_draws does
+    (Generator.random, a row per step) into a small staging block, copied
+    into the planes transposed at once.  The states overwrite the last
+    plane as they are stepped: no block of states is held beside the
+    draws.  The chunk's hit mask is tested whole and transposed once, so
+    each trajectory's hits are one contiguous row, counted, then
     extracted into the chunk's one packed array."""
     width, dtype = len(gens), hit_dtype(n)
     d = step_draws(spec, gens[0], 0).shape[1]  # a call that draws nothing
@@ -631,8 +583,7 @@ def _row_chunks(spec, n, gens, x, family, rows):
         lengths = np.count_nonzero(hit, axis=1).tolist()
         hits = np.empty(sum(lengths), dtype=dtype)
         for row, e, c in zip(hit, accumulate(lengths), lengths):
-            np.add(np.flatnonzero(row), c0 + 1, out=hits[e - c:e],
-                   casting="unsafe")
+            _hit_times(row, c0, dtype, out=hits[e - c:e])
         counts = None
         if keep is not None:
             counts = m - keep[:m].sum(axis=0)
@@ -651,7 +602,6 @@ def _run_block(spec, n, seed, traj_ids, family, restart=0):
     Interval-map orbits that underflow below _DEGENERATE are rerun
     together on their next restart stream, at most 8 times.
     """
-    spec.validate()
     width = len(traj_ids)
     gens = [make_generator(seed, t, restart) for t in traj_ids]
     parts, (counts, rcount) = [], np.zeros((2, width), dtype=int)
@@ -667,7 +617,7 @@ def _run_block(spec, n, seed, traj_ids, family, restart=0):
             rcount += chunk_counts
 
     restarts = np.full(width, restart, dtype=np.int64)
-    redo, again, rerun = np.flatnonzero(degenerate), None, []
+    redo, again, rerun = np.nonzero(degenerate)[0], None, []
     if redo.size:
         if restart == 8:
             raise RuntimeError(f"trajectories {[traj_ids[j] for j in redo]}:"
@@ -690,8 +640,7 @@ def _run_block(spec, n, seed, traj_ids, family, restart=0):
 
 def packed_records(traj_ids, hits, counts, renewals, restarts) -> list:
     """HitRecords of trajectories traj_ids from the packed form _run_block
-    returns and hits.npy stores (hits holds counts[j] hit times of
-    traj_ids[j] after those before it); each views its hit times."""
+    returns and hits.npy stores; each views its hit times."""
     return [HitRecord(t, hits[e - c:e], r, s) for t, e, c, r, s in
             zip(traj_ids, accumulate(counts), counts, renewals, restarts)]
 
@@ -705,11 +654,10 @@ _MIN_STEPS = 1 << 23
 
 def _workers(spec, n, n_traj) -> int:
     """Worker processes for a run: BCLAB_THREADS if set, which must be a
-    positive integer, else one per usable CPU for the loop-free kernels
-    (iid, circle-rw) as long as each has _MIN_STEPS steps, and one for the
-    row-stepped kernels, which a second process did not speed up at 100
-    trajectories.  One where processes cannot be forked; never more than
-    n_traj."""
+    positive integer, else one per usable CPU for the loop-free kernel as
+    long as each has _MIN_STEPS steps, and one for the row-stepped kernel,
+    which a second process did not speed up at 100 trajectories.  One
+    where processes cannot be forked; never more than n_traj."""
     value = os.environ.get("BCLAB_THREADS")
     if value is not None:
         workers = int(value) if re.fullmatch("[0-9]+", value) else 0
@@ -718,7 +666,7 @@ def _workers(spec, n, n_traj) -> int:
                              f"not {value!r}")
     else:
         workers = 1
-        if isinstance(spec, (IIDProcess, CircleRWProcess)):
+        if isinstance(spec, _LOOP_FREE):
             cpus = (len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity") else os.cpu_count())
             workers = min(cpus, n * n_traj // _MIN_STEPS)
@@ -733,6 +681,24 @@ def _workers(spec, n, n_traj) -> int:
     return workers
 
 
+def check_run(spec: ProcessSpec, family: IntervalFamily, n: int,
+              n_traj: int):
+    """Raise ValueError unless n_traj trajectories of spec can be simulated
+    exactly for n steps of family: spec.validate(), n >= 1, n_traj >= 1,
+    circle-rw's exact horizon (CIRCLE_MAX_STEPS) and the family's."""
+    spec.validate()
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n_traj < 1:
+        raise ValueError("need at least one trajectory (n_traj >= 1)")
+    if isinstance(spec, CircleRWProcess) and n > CIRCLE_MAX_STEPS:
+        raise ValueError(f"circle-rw positions are exact up to "
+                         f"{CIRCLE_MAX_STEPS} = 2**26 - 1 steps, not n = {n}")
+    fh = family.horizon
+    if fh is not None and fh < n:
+        raise ValueError(f"family defined only up to {fh} < n = {n}")
+
+
 def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
                       seed: int, n_traj: int) -> list:
     """HitRecords for trajectories 0..n_traj-1, in trajectory order.
@@ -744,14 +710,7 @@ def simulate_ensemble(spec: ProcessSpec, family: IntervalFamily, n: int,
     own stream, so the partition has no effect on the results.  No worker
     outlives the call, and an error in one is raised here.
     """
-    if n_traj < 1:
-        raise ValueError("need n_traj >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    check_horizon(spec, n)
-    fh = family.horizon
-    if fh is not None and fh < n:
-        raise ValueError(f"family defined only up to {fh} < n = {n}")
+    check_run(spec, family, n, n_traj)
     workers = _workers(spec, n, n_traj)
     edges = [n_traj * i // workers for i in range(workers + 1)]
     blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
@@ -825,7 +784,7 @@ def _orbit_sums(x0, n_nodes, gamma, terms, junction):
     s = 2.0 * x0
     t = s**gamma
     nodes = np.arange(x0.size) < n_nodes
-    idx = np.flatnonzero(nodes | (t * junction > 1.0))
+    idx = np.nonzero(nodes | (t * junction > 1.0))[0]
     si, ti = s[idx], t[idx]
     # column i: w_k, w_k x_k, w_k x_k**2, ...
     pw = np.empty((_TAYLOR_ORDER, idx.size))

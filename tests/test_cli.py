@@ -12,7 +12,18 @@ import numpy as np
 import pytest
 
 from bclab.cli import main
-from bclab.seqcore import power_seq, seq_to_json
+from bclab.criteria import (
+    PathEnsemble,
+    check_alpha,
+    check_beta_strong,
+    check_f_criteria,
+    check_l2,
+    check_pairwise,
+    check_renewal_nested,
+    check_tilde,
+)
+from bclab.harness import load_run, report_from_records
+from bclab.seqcore import GeometricSeq, RealSeq, power_seq, seq_to_json
 
 HARMONIC_CFG = {
     "process": {"variant": "iid"},
@@ -266,6 +277,72 @@ class TestSimulate:
         assert len(printed) == 3 and code == 0
 
 
+def _sequences(doc: dict) -> dict:
+    """doc with each RealSeq in its JSON form."""
+    return {k: seq_to_json(v) if isinstance(v, RealSeq) else v
+            for k, v in doc.items()}
+
+
+def _api_case(doc: dict, api):
+    """A spec case: (doc as JSON, api applied to doc's Python values)."""
+    return lambda tmp_path: (_sequences(doc), api(doc))
+
+
+def _f_case(tmp_path):
+    run, sub = tmp_path / "run", [10, 100, 1000]
+    cfg = write_json(tmp_path / "cfg.json", {**HARMONIC_CFG, "n_traj": 100})
+    assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+    rep = report_from_records(*load_run(run))
+    return ({"check": "f", "run": str(run), "mode": "i", "subsequence": sub},
+            check_f_criteria(PathEnsemble(rep.checkpoints, rep.s_values),
+                             rep.e_seq, "i", subsequence=sub,
+                             mu_A=rep.mu_seq))
+
+
+LINEAR, ROOT_MU, SQUARE = (power_seq(1.0, -1.0), power_seq(1.0, 0.5),
+                           power_seq(1.0, 2.0))
+# one criteria spec per check kind (tilde in a mode of each of its optional
+# numbers), each a function of a temporary directory giving the spec and the
+# report the Python API makes of the same inputs
+SUCCESS_CASES = {
+    "l2": _api_case(
+        {"check": "l2", "e": LINEAR, "var": LINEAR, "horizon": 10**4},
+        lambda d: check_l2(d["e"], d["var"], horizon=d["horizon"])),
+    "alpha": _api_case(
+        {"check": "alpha", "mode": "L1", "alpha": SQUARE, "mu": ROOT_MU,
+         "horizon": 10**4},
+        lambda d: check_alpha(d["alpha"], d["mu"], "L1",
+                              horizon=d["horizon"])),
+    "beta-strong": _api_case(
+        {"check": "beta-strong", "beta": SQUARE, "qstar_const": 2.0,
+         "qstar_bound": 3.0, "horizon": 10**4},
+        lambda d: check_beta_strong(d["beta"], lambda u: 2.0,
+                                    qstar_bound=3.0, horizon=d["horizon"])),
+    "tilde-i": _api_case(
+        {"check": "tilde", "mode": "i", "rate": SQUARE, "mu": ROOT_MU,
+         "p": 1.5, "limsup_floor": 0.5, "horizon": 10**4},
+        lambda d: check_tilde(d["rate"], d["mu"], None, 1.5, "i",
+                              limsup_floor=0.5, horizon=d["horizon"])),
+    "tilde-ii": _api_case(
+        {"check": "tilde", "mode": "ii", "rate": SQUARE, "mu": ROOT_MU,
+         "p": 2.0, "lq_bound": 3.0, "horizon": 10**4},
+        lambda d: check_tilde(d["rate"], d["mu"], 3.0, 2.0, "ii",
+                              horizon=d["horizon"])),
+    "pairwise": _api_case(
+        {"check": "pairwise", "mode": "i", "gamma": power_seq(1.0, 1.0),
+         "phi": power_seq(1.0, 1.0), "alpha": GeometricSeq(1.0, 0.5),
+         "p": ROOT_MU, "horizon": 10**4},
+        lambda d: check_pairwise(d["gamma"], d["phi"], d["alpha"], d["p"],
+                                 "i", horizon=d["horizon"])),
+    "renewal": _api_case(
+        {"check": "renewal", "nu": ROOT_MU, "nested": True,
+         "horizon": 10**4},
+        lambda d: check_renewal_nested(d["nu"], nested=True,
+                                       horizon=d["horizon"])),
+    "f": _f_case,
+}
+
+
 class TestCriteria:
     def test_satisfied_exit_0(self, tmp_path, capsys):
         spec = write_json(tmp_path / "c.json", {
@@ -342,6 +419,24 @@ class TestCriteria:
             assert out.read_bytes() == (
                 json.dumps(entries[token], sort_keys=True) + "\n").encode()
 
+    @pytest.mark.parametrize("kind", sorted(SUCCESS_CASES))
+    def test_spec_reads_as_the_python_api(self, tmp_path, capsys, kind):
+        """Each check kind, with every optional number it reads set to a
+        valid value: the exit code, the printed clauses and verdict and the
+        --out report are what the API returns for the same inputs."""
+        spec, api = SUCCESS_CASES[kind](tmp_path)
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main(["criteria", "--spec", write_json(
+            tmp_path / "c.json", spec), "--out", str(out)])
+        assert code == {"satisfied": 0, "violated": 2,
+                        "inconclusive": 3}[api.verdict]
+        assert capsys.readouterr().out.splitlines() == [
+            f"clause {c['name']}: {c['outcome']} ({c['method']})"
+            for c in api.diagnostics["clauses"]] + [
+            f"verdict {api.criterion}: {api.verdict}"]
+        assert out.read_text() == api.to_json() + "\n"
+
     def test_readme_example_verbatim(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = re.search(
@@ -388,6 +483,21 @@ class TestMixing:
 
     def test_bad_value_exit_4(self):
         assert main(["mixing", "--task", "dmr", "--a", "-1.0"]) == 4
+
+    @pytest.mark.parametrize("task", ["circle", "kernel", "dmr"])
+    @pytest.mark.parametrize("argv, error", [
+        (["--a", "nan"], "a finite a"),
+        (["--a", "inf"], "a finite a"),
+        (["--ns", "10,99999999999999999999999"],
+         "--ns must be a JSON integer, not 99999999999999999999999"),
+    ], ids=["a-nan", "a-inf", "ns-past-int64"])
+    def test_non_finite_a_or_huge_lag_exit_4(self, capsys, task, argv,
+                                              error):
+        # nan and inf printed nan rows and exited 0; a lag past int64
+        # exited 1 with an OverflowError traceback
+        assert main(["mixing", "--task", task, "--k-max", "10", "--m", "10",
+                     *argv]) == 4
+        assert error in capsys.readouterr().err
 
 
 class TestReport:
@@ -661,6 +771,26 @@ def test_wrongly_typed_value_exit_4(tmp_path, capsys, doc, error):
     capsys.readouterr()
     assert main(argv) == 4
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_profile_value_exit_4(tmp_path, capsys, value):
+    # a fast-decaying rate profile: with a NaN at lag 50 it read satisfied
+    def spec(v):
+        rows = [f"{k},{v if k == 50 else repr(k**-2.0)},computed,"
+                for k in range(1, 201)]
+        (tmp_path / "p.csv").write_text(
+            "n,value,provenance,error_bar\n" + "\n".join(rows) + "\n")
+        return write_json(tmp_path / "c.json", {
+            "check": "tilde", "mode": "i", "limsup_floor": 0.5,
+            "rate": {"profile_csv": str(tmp_path / "p.csv")},
+            "mu": seq_to_json(power_seq(1.0, 0.5))})
+
+    assert main(["criteria", "--spec", spec(repr(50**-2.0))]) == 0
+    capsys.readouterr()
+    assert main(["criteria", "--spec", spec(value)]) == 4
+    assert (f"coefficient values must lie in [0,1], not [{value}]"
+            in capsys.readouterr().err)
 
 
 def test_short_profile_rows_exit_4(tmp_path, capsys):

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from bclab.harness import (
     ExperimentConfig,
+    _index_line,
+    _parse_index_line,
     aggregate_verdict,
     config_from_json,
     config_to_json,
@@ -50,6 +52,7 @@ from bclab.seqcore import TabulatedSeq, constant_seq, power_seq
 FULL = NestedLeftFamily(radius=constant_seq(1.0))
 HARMONIC = NestedLeftFamily(radius=power_seq(1.0, 1.0))
 ROOT = NestedLeftFamily(radius=power_seq(1.0, 0.5))
+HALF = NestedLeftFamily(radius=constant_seq(0.5))
 
 
 def small_cfg(**kw):
@@ -245,10 +248,18 @@ class TestAggregateVerdict:
         assert not aggregate_verdict(rep, "BC").passed
 
     def test_missing_statistics_never_pass(self):
-        short = small_cfg(checkpoints=(500, 1000))
-        rep2 = run_experiment(short)
-        v = aggregate_verdict(rep2, "BC")
-        assert not v.passed and "decade" in v.reason
+        short = run_experiment(small_cfg(checkpoints=(500, 1000)))
+        for prediction in ("BC", "L1BC"):
+            v = aggregate_verdict(short, prediction)
+            assert not v.passed and v.margins == {}
+            assert v.reason == "checkpoints span less than one decade"
+        # empty targets: E_n = 0 at every checkpoint, so no ratio exists
+        empty = run_experiment(small_cfg(family=NestedLeftFamily(
+            radius=constant_seq(0.0))))
+        for prediction in ("L1BC", "SBC"):
+            v = aggregate_verdict(empty, prediction)
+            assert not v.passed and v.margins == {}
+            assert v.reason == "expected hit count vanishes at some checkpoint"
 
     def test_unknown_prediction(self):
         rep = run_experiment(small_cfg(family=FULL))
@@ -431,7 +442,7 @@ class TestEmitAndReload:
         first = json.loads(lines[0])
 
         def canonical(**fields):
-            # first's line with fields replaced, in the form to_line writes
+            # first's line with fields replaced, in the form _index_line writes
             return json.dumps({**first, **fields}, sort_keys=True,
                               separators=(",", ":"))
 
@@ -475,6 +486,147 @@ class TestEmitAndReload:
                 load_run(tmp_path)
 
 
+def dmr_record():
+    """Trajectory 0's record of a sticky-chain run with hits and
+    renewals."""
+    return simulate_ensemble(DMRProcess(a=1.0), HALF, 200, 1, n_traj=1)[0]
+
+
+def compact(doc) -> bytes:
+    """doc as json.dumps writes it, compact with sorted keys."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def json_line(rec) -> bytes:
+    """rec's index as json.dumps writes it, compact with sorted keys: the
+    oracle for _index_line."""
+    return compact({"trajectory": rec.trajectory,
+                    "hit_count": len(rec.hit_times),
+                    "renewal_count": rec.renewal_count,
+                    "restarts": rec.restarts})
+
+
+def index_line(count: str) -> bytes:
+    """A hits.jsonl index line in _index_line's layout around a hit_count's
+    text."""
+    return (f'{{"hit_count":{count},"renewal_count":0,"restarts":0,'
+            f'"trajectory":0}}').encode()
+
+
+counters = st.integers(0, 10**20)
+
+
+class TestIndexLine:
+    """_index_line/_parse_index_line: one hits.jsonl line is one record's
+    index, in one form."""
+
+    def test_hit_record_index_line(self):
+        rec = dmr_record()
+        d = json.loads(_index_line(rec))
+        assert list(d) == ["hit_count", "renewal_count", "restarts",
+                           "trajectory"]
+        assert d["hit_count"] == len(rec.hit_times) > 0
+        assert _index_line(rec) == json_line(rec)
+        assert _parse_index_line(_index_line(rec)) == (
+            len(rec.hit_times), rec.renewal_count, rec.restarts, 0)
+
+    def test_hit_record_rejects_other_fields(self):
+        d = json.loads(_index_line(dmr_record()))
+        # a line of the older format, with the hit times inline
+        inline = {**d, "hit_times": [1, 5]}
+        del inline["hit_count"]
+        old = {**d, "seed": 1, "n": 200, "drift": 0.0,
+               "s_checkpoints": [[200, 3]], "renewal_times": [1, 5]}
+        del d["restarts"]
+        for doc in (inline, old, d):
+            with pytest.raises(ValueError, match="not a hit record index"):
+                _parse_index_line(compact(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 500), st.integers(0, 10**6), counters,
+           st.integers(0, 8))
+    @example(0, 0, 0, 0)
+    @example(500, 10**6, 10**20, 8)
+    def test_round_trip(self, count, trajectory, renewals, restarts):
+        rec = HitRecord(trajectory, np.arange(1, count + 1, dtype=np.uint16),
+                        renewals, restarts)
+        line = _index_line(rec)
+        assert line == json_line(rec)
+        assert _parse_index_line(line) == (count, renewals, restarts,
+                                           trajectory)
+
+    @pytest.mark.parametrize("count", [
+        "01", "-1", "1.0", "+1", "1e3", " 1", "1 ", '"3"', "true", "null",
+        "[1]", ""])
+    def test_near_canonical_lines_are_rejected(self, count):
+        with pytest.raises(ValueError, match="not a hit record index"):
+            _parse_index_line(index_line(count))
+
+    # json.dumps of an integer >= 0: what _parse_index_line may read, as a
+    # slow but plainly correct grammar
+    CANONICAL_COUNT = re.compile(rb"0|[1-9][0-9]*")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([
+        b"0", b"1", b"9", b",", b" ", b"\t", b"+", b"-", b".", b"e", b"x",
+        b"]", b"_", b"\x00", "\u0661".encode(), b"99999999999999999",
+        b"9223372036854775807"]), max_size=6).map(b"".join))
+    def test_parser_reads_only_canonical_counts(self, text):
+        line = index_line(text.decode())
+        if self.CANONICAL_COUNT.fullmatch(text):
+            assert _parse_index_line(line)[0] == json.loads(text)
+        else:
+            with pytest.raises(ValueError, match="not a hit record index"):
+                _parse_index_line(line)
+
+    @pytest.mark.parametrize("reformat", [
+        lambda line, d: json.dumps(json.loads(line)).encode(),
+        lambda line, d: json.dumps(d, sort_keys=True).encode(),
+        lambda line, d: json.dumps(dict(reversed(d.items())),
+                                   separators=(",", ":")).encode(),
+        lambda line, d: json.dumps(d, indent=1, sort_keys=True).encode(),
+        lambda line, d: line + b" ",
+        lambda line, d: b"\t" + line,
+        lambda line, d: line + b"\r",
+    ], ids=["json-dumps", "sorted-with-spaces", "other-key-order", "indented",
+            "trailing-space", "leading-tab", "carriage-return"])
+    def test_reformatted_lines_are_rejected(self, reformat):
+        line = _index_line(dmr_record())
+        assert line.startswith(b'{"hit_count":')
+        text = reformat(line, json.loads(line))
+        assert json.loads(text) == json.loads(line) and text != line
+        with pytest.raises(ValueError, match="not a hit record index"):
+            _parse_index_line(text)
+
+    @pytest.mark.parametrize("line", [
+        b"", b"5", b"[1, 2]", b"null", b'{"hit_count":1',
+        b"[" * 100_000 + b"]" * 100_000,
+        index_line("[" * 1000 + "]" * 1000),
+    ], ids=["empty", "integer", "list", "null", "truncated", "deep-list",
+            "deep-hit-count"])
+    def test_malformed_lines_raise_value_error(self, line):
+        with pytest.raises(ValueError, match="not a hit record index"):
+            _parse_index_line(line)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hit_count", [1, 2]),
+        ("hit_count", True),
+        ("hit_count", -1),
+        ("trajectory", 0.0),
+        ("trajectory", True),
+        ("renewal_count", "4"),
+        ("renewal_count", -1),
+        ("restarts", None),
+        ("restarts", 1.5),
+    ])
+    def test_wrongly_typed_or_negative_fields_are_rejected(self, field, value):
+        doc = {"trajectory": 0, "hit_count": 2, "renewal_count": 0,
+               "restarts": 0, field: value}
+        with pytest.raises(ValueError, match="not a hit record index"):
+            _parse_index_line(compact(doc))
+
+
+
 def write_run(tmp_path, n, hit_lists):
     """emit_report of records with the given hit times at horizon n, then
     load_run of what it wrote, which must give them back."""
@@ -485,7 +637,7 @@ def write_run(tmp_path, n, hit_lists):
     cfg2, back = load_run(tmp_path)
     assert run_digest(report_from_records(cfg2, back)) == digest
     for a, b in zip(recs, back):
-        assert a.to_line() == b.to_line()
+        assert _index_line(a) == _index_line(b)
         assert a.hit_times.tolist() == b.hit_times.tolist()
         assert b.hit_times.dtype == hit_dtype(n)
         assert not b.hit_times.flags.writeable
@@ -646,7 +798,7 @@ class TestReferenceDigests:
         again = report_from_records(cfg, records)
         assert run_digest(again) == digest
         assert (tmp_path / "hits.jsonl").read_bytes() == b"".join(
-            r.to_line() + b"\n" for r in again.records)
+            _index_line(r) + b"\n" for r in again.records)
         assert (tmp_path / "hits.npy").read_bytes() == hits_header(
             cfg.n, sum(len(r.hit_times) for r in records)) + b"".join(
             r.hit_times.tobytes() for r in records)

@@ -263,6 +263,18 @@ class TestFamilies:
         iv = fam.interval(3)
         assert (iv.lo, iv.hi) == (0.25, 0.75)
 
+    def test_nested_window_horizon_is_the_shorter_table(self):
+        short, long = (TabulatedSeq(np.full(k, v))
+                       for k, v in ((50, 0.25), (80, 0.75)))
+        assert NestedWindowFamily(left=short, right=long).horizon == 50
+        assert NestedWindowFamily(
+            left=TabulatedSeq(np.full(80, 0.25)),
+            right=TabulatedSeq(np.full(50, 0.75))).horizon == 50
+        assert NestedWindowFamily(left=constant_seq(0.25),
+                                  right=long).horizon == 80
+        assert NestedWindowFamily(left=constant_seq(0.25),
+                                  right=constant_seq(0.75)).horizon is None
+
     def test_torus_consecutive_recursion(self):
         fam = TorusConsecutiveFamily(b0=0.0, steps=constant_seq(0.25))
         assert fam.interval(1).pieces() == [(0.0, 0.25)]

@@ -6,6 +6,7 @@ kernel quadrature; closed-form envelope arithmetic for the sticky chain.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,9 +49,24 @@ class TestMixingProfile:
         with pytest.raises(ValueError, match="kind"):
             MixingProfile(kind="nope", ns=[1, 2], values=[0.5, 0.4])
 
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError, match="0,1"):
-            MixingProfile(kind=TILDE_BETA11, ns=[1, 2], values=[0.5, 1.5])
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, math.inf,
+                                     -math.inf])
+    def test_rejects_out_of_range_values(self, bad):
+        # NaN lies in no range: a NaN rate would read as a convergent one
+        with pytest.raises(ValueError, match=re.escape(
+                f"must lie in [0,1], not [{bad!r}]")):
+            MixingProfile(kind=TILDE_BETA11, ns=[1, 2, 3],
+                          values=[0.5, bad, 0.1])
+
+    def test_csv_nan_value_refused_nan_error_bar_kept(self):
+        head = "n,value,provenance,error_bar\n"
+        with pytest.raises(ValueError, match=re.escape("not [nan]")):
+            profile_from_csv(head + "1,0.5,computed,\n2,nan,computed,\n",
+                             kind=TILDE_BETA11)
+        # an empty or NaN error bar means "none"
+        prof = profile_from_csv(head + "1,0.5,computed,nan\n"
+                                "2,0.25,computed,0.01\n", kind=TILDE_BETA11)
+        assert np.isnan(prof.error_bars[0]) and prof.error_bars[1] == 0.01
 
     def test_rejects_increasing_monotone_kind(self):
         with pytest.raises(ValueError, match="nonincreasing"):
@@ -174,6 +190,11 @@ class TestCircleTildeBeta:
         with pytest.raises(ValueError):
             circle_tilde_beta(0, 0.5)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_step(self, a):
+        with pytest.raises(ValueError, match="a finite a"):
+            circle_tilde_beta(8, a, k_max=10)
+
     def test_profile_decay_exponent(self):
         prof = circle_profile([16, 64, 256, 1024, 4096], GOLDEN, k_max=20_000)
         assert prof.kind == TILDE_BETA11
@@ -216,6 +237,13 @@ class TestKernelTildeBeta:
                               np.array([0.9, 0.1]), 1)
         with pytest.raises(ValueError, match="lag"):
             kernel_tilde_beta(np.full((2, 2), 0.5), w, 0)
+        # a NaN or infinite entry fails the row-sum or the marginal test
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sum to 1"):
+                kernel_tilde_beta(np.array([[bad, 0.5], [0.5, 0.5]]), w, 1)
+            with pytest.raises(ValueError, match="probability"):
+                kernel_tilde_beta(np.full((2, 2), 0.5),
+                                  np.array([bad, 0.5]), 1)
 
     def test_random_kernels_stay_in_unit_range(self):
         rng = np.random.default_rng(3)
@@ -254,6 +282,9 @@ class TestStickyChainGrid:
             dmr_kernel_grid(0.0, 200)
         with pytest.raises(ValueError):
             dmr_kernel_grid(1.0, 1)
+        for a in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="a finite a > 0"):
+                dmr_kernel_grid(a, 200)
 
     def test_value_at_lag20_inside_mechanism_bounds(self):
         kernel, mu, _ = dmr_kernel_grid(1.0, 200)
@@ -293,6 +324,9 @@ class TestBetaSandwich:
             dmr_beta_bounds(0.0, 5)
         with pytest.raises(ValueError):
             dmr_beta_bounds(1.0, 0)
+        for a in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="a finite a > 0"):
+                dmr_beta_bounds(a, 5)
 
     def test_bounds_profile_clamped_and_monotone(self):
         prof = dmr_bounds_profile(1.0, [1, 2, 5, 10, 100], which="upper")

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import concurrent.futures
 import hashlib
-import json
 import multiprocessing
 import os
 import re
@@ -13,8 +12,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from bclab import processes
@@ -276,145 +273,16 @@ class TestSimulateHits:
             assert rec.hit_times.dtype == dtype
             assert rec.hit_times.tolist() == list(range(1, n + 1))
 
-    def test_hit_record_index_line(self):
-        rec = one_run(DMRProcess(a=1.0), HALF, 200, seed=1)
-        d = json.loads(rec.to_line())
-        assert list(d) == ["hit_count", "renewal_count", "restarts",
-                           "trajectory"]
-        assert d["hit_count"] == len(rec.hit_times) > 0
-        assert rec.to_line() == json_line(rec)
-        assert HitRecord.parse_line(rec.to_line()) == (
-            len(rec.hit_times), rec.renewal_count, rec.restarts, 0)
-
-    def test_hit_record_rejects_other_fields(self):
-        d = json.loads(one_run(DMRProcess(a=1.0), HALF, 200, seed=1).to_line())
-        # a line of the older format, with the hit times inline
-        inline = {**d, "hit_times": [1, 5]}
-        del inline["hit_count"]
-        old = {**d, "seed": 1, "n": 200, "drift": 0.0,
-               "s_checkpoints": [[200, 3]], "renewal_times": [1, 5]}
-        del d["restarts"]
-        for doc in (inline, old, d):
-            with pytest.raises(ValueError, match="not a hit record index"):
-                HitRecord.parse_line(compact(doc))
-
-
-def compact(doc) -> bytes:
-    """doc as json.dumps writes it, compact with sorted keys."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-def json_line(rec) -> bytes:
-    """rec's index as json.dumps writes it, compact with sorted keys: the
-    oracle for to_line."""
-    return compact({"trajectory": rec.trajectory,
-                    "hit_count": len(rec.hit_times),
-                    "renewal_count": rec.renewal_count,
-                    "restarts": rec.restarts})
-
 
 def record_key(rec) -> tuple:
-    """rec's index line, hit-time dtype and hit-time bytes: equal for two
+    """rec's fields, hit-time dtype and hit-time bytes: equal for two
     records exactly when their fields and hit times are."""
-    return rec.to_line(), rec.hit_times.dtype.str, rec.hit_times.tobytes()
+    return (rec.trajectory, len(rec.hit_times), rec.renewal_count,
+            rec.restarts, rec.hit_times.dtype.str, rec.hit_times.tobytes())
 
 
-def index_line(count: str) -> bytes:
-    """A hits.jsonl index line in to_line's layout around a hit_count's
-    text."""
-    return (f'{{"hit_count":{count},"renewal_count":0,"restarts":0,'
-            f'"trajectory":0}}').encode()
-
-
-counters = st.integers(0, 10**20)
-
-
-class TestHitRecordIndex:
-    """to_line/parse_line: one hits.jsonl line is one record's index, in
-    one form."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 500), st.integers(0, 10**6), counters,
-           st.integers(0, 8))
-    @example(0, 0, 0, 0)
-    @example(500, 10**6, 10**20, 8)
-    def test_round_trip(self, count, trajectory, renewals, restarts):
-        rec = HitRecord(trajectory, np.arange(1, count + 1, dtype=np.uint16),
-                        renewals, restarts)
-        line = rec.to_line()
-        assert line == json_line(rec)
-        assert HitRecord.parse_line(line) == (count, renewals, restarts,
-                                              trajectory)
-
-    @pytest.mark.parametrize("count", [
-        "01", "-1", "1.0", "+1", "1e3", " 1", "1 ", '"3"', "true", "null",
-        "[1]", ""])
-    def test_near_canonical_lines_are_rejected(self, count):
-        with pytest.raises(ValueError, match="not a hit record index"):
-            HitRecord.parse_line(index_line(count))
-
-    # json.dumps of an integer >= 0: what parse_line may read, as a slow
-    # but plainly correct grammar
-    CANONICAL_COUNT = re.compile(rb"0|[1-9][0-9]*")
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.sampled_from([
-        b"0", b"1", b"9", b",", b" ", b"\t", b"+", b"-", b".", b"e", b"x",
-        b"]", b"_", b"\x00", "\u0661".encode(), b"99999999999999999",
-        b"9223372036854775807"]), max_size=6).map(b"".join))
-    def test_parser_reads_only_canonical_counts(self, text):
-        line = index_line(text.decode())
-        if self.CANONICAL_COUNT.fullmatch(text):
-            assert HitRecord.parse_line(line)[0] == json.loads(text)
-        else:
-            with pytest.raises(ValueError, match="not a hit record index"):
-                HitRecord.parse_line(line)
-
-    @pytest.mark.parametrize("reformat", [
-        lambda line, d: json.dumps(json.loads(line)).encode(),
-        lambda line, d: json.dumps(d, sort_keys=True).encode(),
-        lambda line, d: json.dumps(dict(reversed(d.items())),
-                                   separators=(",", ":")).encode(),
-        lambda line, d: json.dumps(d, indent=1, sort_keys=True).encode(),
-        lambda line, d: line + b" ",
-        lambda line, d: b"\t" + line,
-        lambda line, d: line + b"\r",
-    ], ids=["json-dumps", "sorted-with-spaces", "other-key-order", "indented",
-            "trailing-space", "leading-tab", "carriage-return"])
-    def test_reformatted_lines_are_rejected(self, reformat):
-        line = one_run(DMRProcess(a=1.0), HALF, 200, seed=1).to_line()
-        assert line.startswith(b'{"hit_count":')
-        text = reformat(line, json.loads(line))
-        assert json.loads(text) == json.loads(line) and text != line
-        with pytest.raises(ValueError, match="not a hit record index"):
-            HitRecord.parse_line(text)
-
-    @pytest.mark.parametrize("line", [
-        b"", b"5", b"[1, 2]", b"null", b'{"hit_count":1',
-        b"[" * 100_000 + b"]" * 100_000,
-        index_line("[" * 1000 + "]" * 1000),
-    ], ids=["empty", "integer", "list", "null", "truncated", "deep-list",
-            "deep-hit-count"])
-    def test_malformed_lines_raise_value_error(self, line):
-        with pytest.raises(ValueError, match="not a hit record index"):
-            HitRecord.parse_line(line)
-
-    @pytest.mark.parametrize("field, value", [
-        ("hit_count", [1, 2]),
-        ("hit_count", True),
-        ("hit_count", -1),
-        ("trajectory", 0.0),
-        ("trajectory", True),
-        ("renewal_count", "4"),
-        ("renewal_count", -1),
-        ("restarts", None),
-        ("restarts", 1.5),
-    ])
-    def test_wrongly_typed_or_negative_fields_are_rejected(self, field, value):
-        doc = {"trajectory": 0, "hit_count": 2, "renewal_count": 0,
-               "restarts": 0, field: value}
-        with pytest.raises(ValueError, match="not a hit record index"):
-            HitRecord.parse_line(compact(doc))
+class TestHitRecord:
+    """A record's fields, with its hit times read-only as given."""
 
     def test_frozen_with_read_only_hit_times(self):
         given = np.array([1, 5, 9], dtype=np.uint8)
@@ -637,7 +505,7 @@ class TestChunkInvariance:
         monkeypatch.setattr(processes, "_CELLS", 3 * 7)  # three-row chunks
         assert ref == self.ensemble(monkeypatch, spec, workers=1)
         assert ref == self.ensemble(monkeypatch, spec, workers=2)
-        assert sum(json.loads(r[0])["hit_count"] for r in ref) > 1000
+        assert sum(r[1] for r in ref) > 1000
 
     @pytest.mark.parametrize("spec", [
         CircleRWProcess(a=0.37, drift=0.2),
