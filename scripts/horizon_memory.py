@@ -20,6 +20,8 @@ peak of ``simulate_ensemble`` alone on the same config
     python3 scripts/horizon_memory.py --n 4000000 --traj 1 4 16
     python3 scripts/horizon_memory.py --config scripts/dense_wide.json \
         --traj 400 1600 6400
+    python3 scripts/horizon_memory.py --config scripts/rotation_walk.json \
+        --traj 100 400
 
 bclab is imported from the ``src/`` of the checkout holding this script.
 """

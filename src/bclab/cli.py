@@ -263,8 +263,10 @@ def _cmd_criteria(args) -> int:
 def _parse_ns(text: str, default):
     if not text:
         return np.asarray(default, dtype=int)
-    return np.asarray([json_value("--ns", int(t), int)
-                       for t in text.split(",") if t.strip()], dtype=int)
+    ns = [json_value("--ns", int(t), int) for t in text.split(",") if t.strip()]
+    if not ns:
+        raise ValueError(f"--ns must list at least one lag, not {text!r}")
+    return np.asarray(ns, dtype=int)
 
 
 def _cmd_mixing(args) -> int:

@@ -27,6 +27,12 @@ _MONOTONE_KINDS = (ALPHA_INF1, BETA_INF1)
 
 PROVENANCE = ("analytic-bound", "computed", "empirical")
 
+# ceilings checked before anything is sized by them: the circle's modes
+# (10**6 take a 2**21-point complex grid, 32 MiB) and the kernel's cells
+# (an m x m matrix, 32 MB at 2,000, of which matrix_power holds a few)
+CIRCLE_MAX_MODES = 10**6
+KERNEL_MAX_CELLS = 2000
+
 
 @dataclass
 class MixingProfile:
@@ -126,9 +132,13 @@ def circle_tilde_beta(n: int, a: float, k_max: int = 100_000,
     t-shift sweeps the same grid, the sup over t is exact on the grid:
     max(phi(x) - min phi, max phi - phi(x)).  The neglected modes
     contribute at most 1/(pi k_max), reported alongside the value.
+    k_max may not exceed CIRCLE_MAX_MODES = 10**6.
     """
-    if n < 1 or k_max < 1 or not math.isfinite(a):
-        raise ValueError("need n >= 1, k_max >= 1 and a finite a")
+    if n < 1 or not math.isfinite(a):
+        raise ValueError("need n >= 1 and a finite a")
+    if not 1 <= k_max <= CIRCLE_MAX_MODES:
+        raise ValueError(f"k_max must lie in 1..{CIRCLE_MAX_MODES}, "
+                         f"not {k_max}")
     tail = 1.0 / (math.pi * k_max)
     M = 1 << max(int(np.ceil(np.log2(2 * k_max + 2))), int(np.ceil(np.log2(max(x_grid, 2)))))
     k = np.arange(1, k_max + 1)
@@ -193,10 +203,13 @@ def dmr_kernel_grid(a: float, m: int):
     Cell j carries the invariant mass mu_j of [(j-1)/m, j/m) under
     cdf x**a; the regeneration probability s_j is the cell's mu-barycenter,
     which makes mu invariant under s_j nu + (1 - s_j) delta_j exactly (the
-    diagonal atom is kept as a point mass, never smeared).
+    diagonal atom is kept as a point mass, never smeared).  m may not
+    exceed KERNEL_MAX_CELLS = 2,000.
     """
-    if not (0 < a < math.inf) or m < 2:
-        raise ValueError("need a finite a > 0 and m >= 2")
+    if not 0 < a < math.inf:
+        raise ValueError("need a finite a > 0")
+    if not 2 <= m <= KERNEL_MAX_CELLS:
+        raise ValueError(f"m must lie in 2..{KERNEL_MAX_CELLS}, not {m}")
     edges = np.linspace(0.0, 1.0, m + 1)
     mu = np.diff(edges**a)
     nu = np.diff(edges ** (a + 1.0))

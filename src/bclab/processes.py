@@ -280,6 +280,15 @@ def circle_position(a: float, x0, j: np.ndarray, out=None) -> np.ndarray:
 # Draws and starting states
 
 _WORD_BITS = 64
+# _OCTET_WALK[v, b]: the net +a steps of steps 0..b of an octet v
+_OCTET_WALK = np.cumsum(1 - 2 * (np.arange(256)[:, None] >> np.arange(8) & 1),
+                        axis=1, dtype=np.int32)
+
+
+def _circle_octets(gen, m: int) -> np.ndarray:
+    """The ceil(m / 64) raw words circle-rw's next m steps read, as octets."""
+    words = gen.bit_generator.random_raw(-(-m // _WORD_BITS))
+    return words.astype("<u8", copy=False).view(np.uint8)
 
 
 def step_draws(spec: ProcessSpec, gen, m: int) -> np.ndarray:
@@ -290,7 +299,8 @@ def step_draws(spec: ProcessSpec, gen, m: int) -> np.ndarray:
     and a scalar stepper reads one row per step.
     - circle-rw: one bit.  Step 64 i + b reads bit b of raw word i, least
       significant bit first, and a 0 bit is a +a step.  A call starts on a
-      fresh word: m steps take ceil(m / 64) words.
+      fresh word: m steps take ceil(m / 64) words (_circle_octets, which
+      the kernel also reads, summing their steps an octet at a time).
     - iid: one uniform.
     - lsv: none; the map is deterministic once started.
     - split chains (dmr included) and ar-half: two uniforms.
@@ -299,9 +309,8 @@ def step_draws(spec: ProcessSpec, gen, m: int) -> np.ndarray:
     call but the last covers a multiple of 64 steps.
     """
     if isinstance(spec, CircleRWProcess):
-        words = gen.bit_generator.random_raw(-(-m // _WORD_BITS))
-        octets = words.astype("<u8", copy=False).view(np.uint8)
-        return np.unpackbits(octets, count=m, bitorder="little")[:, None]
+        return np.unpackbits(_circle_octets(gen, m), count=m,
+                             bitorder="little")[:, None]
     if isinstance(spec, LSVProcess):
         return np.empty((m, 0))
     return gen.random((m, 1 if isinstance(spec, IIDProcess) else 2))
@@ -520,32 +529,33 @@ def _loop_free_chunks(spec, n, gens, x, family, rows):
     """Chunks computed one trajectory's row at a time, with no loop over
     steps, each row's hit times taken while it is in cache.  Only a row's
     states differ: iid's are the marginal's inverse cdf at its uniforms;
-    circle-rw's are x_0 + j_k a mod 1 (circle_position), j_k the cumsum
-    of the +-1 steps carried across chunks (int32: |j| < 2**26), and its
-    chunks but the last are whole words, so each starts on a fresh word.
+    circle-rw's are x_0 + j_k a mod 1 (circle_position), j_k the net +a
+    steps in int32 (|j| < 2**26): an octet's row of _OCTET_WALK plus the j
+    before it, a cumsum of the octets' last columns from the carried j.
+    Its chunks but the last are whole words, each from a fresh word.
     """
     x0, x, dtype = x, np.empty(len(gens)), hit_dtype(n)
     circle = isinstance(spec, CircleRWProcess)
     if circle:
         rows = max(_WORD_BITS, rows - rows % _WORD_BITS) if rows < n else rows
-        j_end = np.zeros(len(gens), dtype=np.int32)
-        j, xs = np.empty(rows, dtype=np.int32), np.empty(rows)
+        j_end, xs = np.zeros(len(gens), dtype=np.int32), np.empty(rows)
+        j = np.empty((-(-rows // _WORD_BITS) * 8, 8), dtype=np.int32)
     for lo, bounds in family.windows(n, rows):
         c0, m = lo - 1, len(bounds[0])
         test = _hit_test(bounds, spec.drift if circle else 0.0, c0)
         times = []
         for t, g in enumerate(gens):
-            xm = step_draws(spec, g, m)[:, 0]
             if circle:
-                s = xm.view(np.int8)
-                s *= -2  # bit 0: a +a step
-                s += 1
-                jm = np.cumsum(s, dtype=np.int32, out=j[:m])
-                jm += j_end[t]
+                octets = _circle_octets(g, m)
+                jo = np.take(_OCTET_WALK, octets, axis=0, mode="clip",
+                             out=j[:len(octets)])  # clip: out unbuffered
+                jo[0] += j_end[t]
+                jo[1:] += np.cumsum(jo[:-1, -1], dtype=np.int32)[:, None]
+                jm = jo.reshape(-1)[:m]
                 j_end[t] = jm[-1]
                 xm = circle_position(spec.a, x0[t], jm, out=xs[:m])
             else:
-                xm = spec._inverse(xm)
+                xm = spec._inverse(step_draws(spec, g, m)[:, 0])
             times.append(_hit_times(test(xm), c0, dtype))
             x[t] = xm[-1]
         del bounds, test  # freed before the next window is built

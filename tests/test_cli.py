@@ -499,6 +499,31 @@ class TestMixing:
                      *argv]) == 4
         assert error in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["circle", "kernel", "dmr"])
+    @pytest.mark.parametrize("ns", [",", " , ", ",,"])
+    def test_empty_lag_list_exit_4(self, capsys, task, ns):
+        # printed only the CSV header and exited 0
+        assert main(["mixing", "--task", task, "--ns", ns]) == 4
+        assert (f"--ns must list at least one lag, not {ns!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--task", "circle", "--k-max", "100000000000"],
+         "k_max must lie in 1..1000000, not 100000000000"),
+        (["--task", "circle", "--k-max", "1000001"],
+         "k_max must lie in 1..1000000, not 1000001"),
+        (["--task", "kernel", "--m", "100000000000000000000"],
+         "m must lie in 2..2000, not 100000000000000000000"),
+        (["--task", "kernel", "--m", "2001"],
+         "m must lie in 2..2000, not 2001"),
+    ], ids=["k-max-1e11", "k-max-one-past", "m-1e20", "m-one-past"])
+    def test_ceilings_exit_4(self, monkeypatch, capsys, argv, error):
+        # --k-max 1e11 exited 1 with a MemoryError traceback; the checks
+        # must refuse before mixing sizes anything by numpy
+        monkeypatch.setattr("bclab.mixing.np", None)
+        assert main(["mixing", "--ns", "16", *argv]) == 4
+        assert error in capsys.readouterr().err
+
 
 class TestReport:
     def test_reemit_matches_run_digest(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import re
+import runpy
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -755,6 +756,19 @@ def reference_suite(quick: bool) -> dict:
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return {name: cfg for name, cfg, _ in mod.build_suite(quick)}
+
+
+@pytest.mark.parametrize("workload, name", [
+    ("dense-wide", "dense_wide.json"),
+    ("rotation-walk", "rotation_walk.json"),
+])
+def test_script_config_is_the_benchmark_workload(workload, name):
+    # the config files scripts/horizon_memory.py takes, against the
+    # configs perfbench/workloads.py builds for seed 0
+    root = Path(__file__).parents[1]
+    workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    doc = json.loads((root / "scripts" / name).read_text())
+    assert config_from_json(doc) == workloads["WORKLOADS"][workload].build(0)
 
 
 class TestReferenceDigests:

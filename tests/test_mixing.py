@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from bclab import mixing
 from bclab.mixing import (
     ALPHA_INF1,
     BETA_INF1,
+    CIRCLE_MAX_MODES,
+    KERNEL_MAX_CELLS,
     TILDE_BETA11,
     CircleTildeBeta,
     MixingProfile,
@@ -195,6 +198,14 @@ class TestCircleTildeBeta:
         with pytest.raises(ValueError, match="a finite a"):
             circle_tilde_beta(8, a, k_max=10)
 
+    @pytest.mark.parametrize("k_max", [0, CIRCLE_MAX_MODES + 1, 10**11])
+    def test_rejects_k_max_before_allocating(self, monkeypatch, k_max):
+        # without numpy the check must come first: no grid is sized
+        monkeypatch.setattr(mixing, "np", None)
+        with pytest.raises(ValueError, match=rf"k_max must lie in "
+                                             rf"1\.\.1000000, not {k_max}$"):
+            circle_tilde_beta(8, GOLDEN, k_max=k_max)
+
     def test_profile_decay_exponent(self):
         prof = circle_profile([16, 64, 256, 1024, 4096], GOLDEN, k_max=20_000)
         assert prof.kind == TILDE_BETA11
@@ -285,6 +296,14 @@ class TestStickyChainGrid:
         for a in (math.nan, math.inf):
             with pytest.raises(ValueError, match="a finite a > 0"):
                 dmr_kernel_grid(a, 200)
+
+    @pytest.mark.parametrize("m", [KERNEL_MAX_CELLS + 1, 10**20])
+    def test_rejects_m_before_allocating(self, monkeypatch, m):
+        # without numpy the check must come first: no kernel is built
+        monkeypatch.setattr(mixing, "np", None)
+        with pytest.raises(ValueError,
+                           match=rf"m must lie in 2\.\.2000, not {m}$"):
+            dmr_kernel_grid(1.0, m)
 
     def test_value_at_lag20_inside_mechanism_bounds(self):
         kernel, mu, _ = dmr_kernel_grid(1.0, 200)

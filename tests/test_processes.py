@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bclab import processes
@@ -653,6 +655,19 @@ class TestTargetRows:
             assert np.array_equal(rec.hit_times, np.arange(1, n + 1))
 
 
+class RawWords:
+    """A stream whose raw words are given, for circle-rw's draws, which
+    are read through bit_generator.random_raw alone."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return out
+
+
 class TestCircleWalk:
     @pytest.mark.parametrize("a", [0.31, GOLDEN_CONJUGATE], ids=["0.31", "golden"])
     def test_closed_form_within_an_ulp(self, a):
@@ -697,6 +712,50 @@ class TestCircleWalk:
         words = make_generator(4, 0).bit_generator.random_raw(3)
         want = [int(words[k // 64]) >> (k % 64) & 1 for k in range(150)]
         assert bits.shape == (150, 1) and bits[:, 0].tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(words=st.lists(st.integers(0, 2**64 - 1), min_size=5, max_size=5),
+           m=st.integers(1, 300), rows=st.sampled_from([64, 128]))
+    @example(words=[0] * 5, m=300, rows=64)
+    @example(words=[2**64 - 1] * 5, m=300, rows=64)
+    @example(words=[2**63 + 1] * 5, m=13, rows=64)
+    def test_octet_walk_is_the_cumsum_of_the_steps(self, words, m, rows):
+        # the kernel's j over m steps cut in chunks of `rows` steps, so
+        # every chunk but the first starts from the j carried to it, and
+        # the last may end inside an octet
+        spec, walks = CircleRWProcess(a=0.37), []
+
+        def spy(a, x0, j, out=None):
+            walks.append(j.copy())
+            return circle_position(a, x0, j, out=out)
+
+        stream = RawWords(words)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(processes, "_MAX_ROWS", {"row-stepped": 5,
+                                                "loop-free": rows})
+            mp.setattr(processes, "circle_position", spy)
+            for _ in processes._chunks(spec, m, [stream], np.array([0.25]),
+                                       HALF):
+                pass
+        bits = step_draws(spec, RawWords(words), m)[:, 0].astype(np.int32)
+        want = np.cumsum(1 - 2 * bits, dtype=np.int32)
+        assert len(walks) == -(-m // rows)
+        assert all(w.dtype == np.int32 for w in walks)
+        assert np.concatenate(walks).tolist() == want.tolist()
+        # the kernel read the ceil(m / 64) words step_draws reads, no more
+        assert len(words) - len(stream.words) == -(-m // 64)
+
+    @pytest.mark.parametrize("drift", [0.0, 0.2], ids=["no-drift", "drift"])
+    def test_last_chunk_inside_an_octet_matches_scalar_replay(
+            self, monkeypatch, drift):
+        # CAPPED cuts 64-step chunks: three whole words, then 13 steps,
+        # one octet and 5 steps of the next
+        spec, n = CircleRWProcess(a=0.37, drift=drift), 64 * 3 + 13
+        shape_chunks(monkeypatch, CAPPED)
+        recs = simulate_ensemble(spec, WRAPPING, n, seed=29, n_traj=3)
+        for rec in recs:
+            assert rec.hit_times.tolist() == replay_hits(
+                spec, WRAPPING, n, 29, rec.trajectory)
 
 
 class TestDrawBudget:
