@@ -7,6 +7,8 @@ walk) against shrinking and fixed-mass target families.  Each run writes
 the full artifact set (``hits.jsonl`` and ``hits.npy``, ``summary.csv``,
 ``summary.md``, ``config.json``, ``criteria.json``, ``manifest.json``) under
 ``--out/<name>/`` and is judged against its predicted limit behaviour.
+Each run's summary line gives its restart total: the degenerate
+interval-map orbits its trajectories skipped, 0 for every other process.
 Each run's digest is then re-derived from the artifacts just written, as
 ``bclab report`` does; a mismatch fails the suite in either mode.
 
@@ -147,9 +149,10 @@ def main(argv=None) -> int:
         digest = run_digest(report_from_records(*load_run(out_root / name)))
         reverify = time.perf_counter() - t0
         final_ratio = float(report.mean_ratio[-1])
+        restarts = sum(r.restarts for r in report.records)
         print(f"{name}: n={cfg.n} trajectories={cfg.n_traj} "
-              f"mean S/E={final_ratio:.4f} wall={wall:.1f}s "
-              f"reverify={reverify:.2f}s")
+              f"mean S/E={final_ratio:.4f} restarts={restarts} "
+              f"wall={wall:.1f}s reverify={reverify:.2f}s")
         if digest != emitted:
             print(f"  reverify: FAIL — digest {digest} does not match the "
                   f"emitted {emitted}")

@@ -595,12 +595,12 @@ class PathEnsemble:
         return PathEnsemble(ns=want, s_values=self.s_values[:, pos])
 
 
-def _require_paths(paths: PathEnsemble, minimum: int = 100):
+def _require_paths(paths: PathEnsemble):
     if not isinstance(paths, PathEnsemble):
         raise TypeError("paths must be a PathEnsemble")
-    if paths.n_paths < minimum:
+    if paths.n_paths < 100:
         raise ValueError(
-            f"too few paths: {paths.n_paths} < {minimum} required for stable traces"
+            f"too few paths: {paths.n_paths} < 100 required for stable traces"
         )
 
 

@@ -73,15 +73,15 @@ class MixingProfile:
         return TabulatedSeq(values=self.values, start=int(self.ns[0]))
 
 
-def profile_to_csv(profile: MixingProfile, stream=None) -> str:
-    out = stream or io.StringIO()
+def profile_to_csv(profile: MixingProfile) -> str:
+    out = io.StringIO()
     w = csv.writer(out)
     w.writerow(["n", "value", "provenance", "error_bar"])
     err = profile.error_bars
     for i, (n, v) in enumerate(zip(profile.ns, profile.values)):
         w.writerow([int(n), repr(float(v)), profile.provenance,
                     "" if err is None else repr(float(err[i]))])
-    return out.getvalue() if stream is None else ""
+    return out.getvalue()
 
 
 def profile_from_csv(text: str, kind: str) -> MixingProfile:
@@ -156,9 +156,8 @@ def circle_tilde_beta(n: int, a: float, k_max: int = 100_000,
                            k_max=k_max, grid=M)
 
 
-def circle_profile(ns, a: float, k_max: int = 100_000,
-                   x_grid: int = 4096) -> MixingProfile:
-    vals = [circle_tilde_beta(int(n), a, k_max, x_grid) for n in ns]
+def circle_profile(ns, a: float, k_max: int = 100_000) -> MixingProfile:
+    vals = [circle_tilde_beta(int(n), a, k_max) for n in ns]
     # the truncated series can overshoot the true deviation, which is <= 1
     return MixingProfile(kind=TILDE_BETA11, ns=np.asarray(ns, dtype=int),
                          values=np.minimum([v.value for v in vals], 1.0),

@@ -352,8 +352,8 @@ def init_from_uniforms(spec: ProcessSpec, us) -> float:
 
 
 def hit_dtype(n: int) -> np.dtype:
-    """The dtype hit times of an n-step run are packed in, in fragments,
-    records and hits.npy: np.min_scalar_type(n), little-endian."""
+    """The dtype hit times of an n-step run are packed in, in each chunk's
+    array, records and hits.npy: np.min_scalar_type(n), little-endian."""
     if not 0 <= n < 10**18:
         raise ValueError(f"hit times are packed for 0 <= n < 10**18, not {n}")
     return np.min_scalar_type(n).newbyteorder("<")
@@ -503,12 +503,13 @@ def _chunks(spec, n, gens, x, family):
     """Step the trajectories of gens in lockstep from states x for n steps,
     testing each step's states against its target in family.
 
-    Yields (x, (hits, lengths), counts) per chunk of steps: x holds the
-    states after its last step, hits the steps at which the trajectories
-    hit their targets, in hit_dtype(n), lengths[t] of them trajectory t's
-    after those before it, and counts[t] the number of t's steps at which
-    a split chain regenerated or an interval-map orbit lay below
-    _DEGENERATE (None for other variants).  The _LOOP_FREE variants
+    Yields (x, (hits, lengths), (renewals, underflowed)) per chunk of
+    steps: x holds the states after its last step, hits the steps at which
+    the trajectories hit their targets, in hit_dtype(n), lengths[t] of
+    them trajectory t's after those before it, renewals[t] the number of
+    t's steps at which a split chain regenerated and underflowed[t] whether
+    an interval-map orbit lay below _DEGENERATE at one of them (0 and
+    False for the variants that cannot).  The _LOOP_FREE variants
     compute a chunk one trajectory's row at a time, the others step all
     trajectories row by row.  At most _CELLS states are held at once (a
     circle-rw row is at least 64 steps), in no more rows than _MAX_ROWS
@@ -559,7 +560,7 @@ def _loop_free_chunks(spec, n, gens, x, family, rows):
             times.append(_hit_times(test(xm), c0, dtype))
             x[t] = xm[-1]
         del bounds, test  # freed before the next window is built
-        yield x, (np.concatenate(times), list(map(len, times))), None
+        yield x, (np.concatenate(times), list(map(len, times))), (0, False)
 
 
 def _row_chunks(spec, n, gens, x, family, rows):
@@ -594,58 +595,52 @@ def _row_chunks(spec, n, gens, x, family, rows):
         hits = np.empty(sum(lengths), dtype=dtype)
         for row, e, c in zip(hit, accumulate(lengths), lengths):
             _hit_times(row, c0, dtype, out=hits[e - c:e])
-        counts = None
-        if keep is not None:
-            counts = m - keep[:m].sum(axis=0)
-        elif isinstance(spec, LSVProcess):
-            counts = (xs < _DEGENERATE).sum(axis=0)
-        yield x, (hits, lengths), counts
+        renewed = 0 if keep is None else m - keep[:m].sum(axis=0)
+        underflowed = (isinstance(spec, LSVProcess)
+                       and (xs < _DEGENERATE).any(axis=0))
+        yield x, (hits, lengths), (renewed, underflowed)
 
 
-def _run_block(spec, n, seed, traj_ids, family, restart=0):
+def _run_block(spec, n, seed, traj_ids, family):
     """Lockstep simulation of the given trajectory ids, in the packed form
     hits.npy stores: (hits, counts, renewals, restarts), where hits holds
     counts[j] hit times of traj_ids[j] after those of the ids before it,
     in hit_dtype(n), and the others are lists over the ids.  Until it is
     built, the block holds one packed array of hit times per chunk.
 
-    Interval-map orbits that underflow below _DEGENERATE are rerun
-    together on their next restart stream, at most 8 times.
+    An interval-map orbit that underflows below _DEGENERATE moves its
+    trajectory to its next restart stream and runs the whole block again,
+    at most 8 times; every other trajectory re-walks its own stream.
     """
     width = len(traj_ids)
-    gens = [make_generator(seed, t, restart) for t in traj_ids]
-    parts, (counts, rcount) = [], np.zeros((2, width), dtype=int)
-    degenerate = np.zeros(width, dtype=bool)
-
-    for _, part, chunk_counts in _chunks(spec, n, gens,
-                                         _init_vector(spec, gens), family):
-        parts.append(part)
-        counts += part[1]
-        if isinstance(spec, LSVProcess):
-            degenerate |= chunk_counts > 0
-        elif chunk_counts is not None:
-            rcount += chunk_counts
-
-    restarts = np.full(width, restart, dtype=np.int64)
-    redo, again, rerun = np.nonzero(degenerate)[0], None, []
-    if redo.size:
-        if restart == 8:
-            raise RuntimeError(f"trajectories {[traj_ids[j] for j in redo]}:"
-                               f" orbit degenerate after 8 restarts")
-        again, rerun, rcount[redo], restarts[redo] = _run_block(
-            spec, n, seed, [traj_ids[j] for j in redo], family, restart + 1)
-        counts[redo] = rerun
-    # chunk by chunk; a restarted trajectory's rerun replaces its chunks
+    restarts = np.zeros(width, dtype=np.int64)
+    for _ in range(9):
+        gens = [make_generator(seed, t, r)
+                for t, r in zip(traj_ids, restarts.tolist())]
+        parts, (counts, renewals) = [], np.zeros((2, width), dtype=int)
+        degenerate = np.zeros(width, dtype=bool)
+        for _, part, (renewed, underflowed) in _chunks(
+                spec, n, gens, _init_vector(spec, gens), family):
+            parts.append(part)
+            counts += part[1]
+            renewals += renewed
+            degenerate |= underflowed
+        if not degenerate.any():
+            break
+        restarts += degenerate
+    else:
+        ids = [traj_ids[j] for j in np.flatnonzero(degenerate)]
+        raise RuntimeError(f"trajectories {ids}: orbit degenerate after 8"
+                           f" restarts")
+    # chunk by chunk, each trajectory's hits after those of the ids before
     hits = np.empty(counts.sum(), dtype=hit_dtype(n))
-    dst, skip = (np.cumsum(counts) - counts).tolist(), degenerate.tolist()
+    dst = (np.cumsum(counts) - counts).tolist()
     for part, lengths in parts:
         for j, e, c in zip(range(width), accumulate(lengths), lengths):
-            if c and not skip[j]:
+            if c:
                 hits[dst[j]:dst[j] + c] = part[e - c:e]
                 dst[j] += c
-    for j, e, c in zip(redo.tolist(), accumulate(rerun), rerun):
-        hits[dst[j]:dst[j] + c] = again[e - c:e]
-    return hits, counts.tolist(), rcount.tolist(), restarts.tolist()
+    return hits, counts.tolist(), renewals.tolist(), restarts.tolist()
 
 
 def packed_records(traj_ids, hits, counts, renewals, restarts) -> list:

@@ -121,17 +121,16 @@ class SampledSeq(RealSeq):
 
 
 class TableSampler:
-    """A SampledSeq from a table given as consecutive windows, so that the
-    whole table is never held.
+    """A SampledSeq from a table v_1, v_2, ... given as consecutive windows,
+    so that the whole table is never held.
 
     Each window gets TabulatedSeq's checks (finite, >= -1e-12) and clamp at
     0 and is hashed as it comes; seq() raises the error TabulatedSeq(table)
     would raise.
     """
 
-    def __init__(self, at, start: int = 1):
+    def __init__(self, at):
         self.at = np.asarray(at, dtype=np.int64)
-        self.start = start
         self._values = np.zeros(len(self.at))
         self._sha = hashlib.sha256()
         self._size = 0
@@ -140,7 +139,7 @@ class TableSampler:
     def add(self, window):
         """Take the table's next values."""
         w = np.asarray(window, dtype=float)
-        lo = self.start + self._size
+        lo = 1 + self._size
         self._size += w.size
         self._finite = self._finite and bool(np.all(np.isfinite(w)))
         self._nonnegative = self._nonnegative and not np.any(w < -1e-12)
@@ -151,11 +150,11 @@ class TableSampler:
 
     def seq(self) -> SampledSeq:
         _check_table(self._size, self._finite, self._nonnegative)
-        if self.at.size and not (self.start <= self.at[0]
-                                 and self.at[-1] < self.start + self._size):
+        if self.at.size and not (1 <= self.at[0]
+                                 and self.at[-1] <= self._size):
             raise SeqDomainError("sample indices outside the table")
         return SampledSeq(self.at, self._values, self._size,
-                          self._sha.hexdigest(), self.start)
+                          self._sha.hexdigest())
 
 
 @dataclass(frozen=True)

@@ -345,6 +345,42 @@ class TestDegenerateRestart:
         assert kept.hit_times.tolist() == scalar_replay(
             spec, n, make_generator(seed, kept.trajectory))[1]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_rerun_block_keeps_every_other_record(self, monkeypatch,
+                                                    workers):
+        # a block with a degenerate orbit runs again whole: each trajectory
+        # that never restarted re-walks its stream bit for bit
+        monkeypatch.setenv("BCLAB_THREADS", workers)
+        spec, n, seed = LSVProcess(gamma=0.75), 2000, 3
+        plain = simulate_ensemble(spec, HALF, n, seed=seed, n_traj=40)
+        monkeypatch.setattr(processes, "_DEGENERATE", 1e-4)
+        recs = simulate_ensemble(spec, HALF, n, seed=seed, n_traj=40)
+        kept = [t for t in range(40) if not recs[t].restarts]
+        assert len(kept) == 34
+        assert not any(plain[t].restarts for t in range(40))
+        for t in kept:
+            assert record_key(recs[t]) == record_key(plain[t])
+
+    def test_the_ninth_degenerate_pass_raises_in_the_caller(self,
+                                                            monkeypatch):
+        # every orbit lies below a floor of 1: the block is run 9 times,
+        # on restart streams 0..8, then the call fails
+        calls, init_vector = [], processes._init_vector
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return init_vector(*args)
+
+        monkeypatch.setattr(processes, "_init_vector", counted)
+        monkeypatch.setattr(processes, "_DEGENERATE", 1.0)
+        monkeypatch.setenv("BCLAB_THREADS", "1")
+        with pytest.raises(RuntimeError, match=re.escape(
+                "trajectories [0, 1, 2, 3]: orbit degenerate after 8 "
+                "restarts")):
+            simulate_ensemble(LSVProcess(gamma=0.75), HALF, 50, seed=3,
+                              n_traj=4)
+        assert calls == [4] * 9
+
 
 class TestWorkers:
     """Worker processes: how many a run takes, and that none outlives it."""
@@ -885,7 +921,7 @@ class TestHitFragments:
                 times = processes._hit_times(self.HIT[0], c0,
                                              processes.hit_dtype(n))
                 yield x, (np.tile(times, len(gens)),
-                          [len(times)] * len(gens)), None
+                          [len(times)] * len(gens)), (0, False)
 
         monkeypatch.setattr(processes, "_chunks", chunks)
         ids = [0, 1]
