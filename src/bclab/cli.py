@@ -55,8 +55,8 @@ from .mixing import (
     profile_to_csv,
 )
 from .processes import GOLDEN_CONJUGATE
-from .seqcore import (check_fields, is_number, json_object, json_value,
-                      seq_from_json)
+from .seqcore import (RealSeq, check_fields, from_json, is_number,
+                      json_object, json_value)
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -170,7 +170,7 @@ def _rate_arg(obj, kind_default):
         check_fields("profile reference", obj, ("profile_csv", "kind"))
         text = Path(_path(obj, "profile_csv")).read_text()
         return profile_from_csv(text, obj.get("kind", kind_default))
-    return seq_from_json(obj)
+    return from_json(obj, RealSeq)
 
 
 # the spec keys each check reads, besides "check"
@@ -194,13 +194,13 @@ def _dispatch_criteria(doc: dict):
     if horizon is not None and type(horizon) is not int:
         raise ValueError("'horizon' must be a JSON integer or null")
     if check == "l2":
-        return check_l2(seq_from_json(doc["e"]), seq_from_json(doc["var"]),
-                        horizon=horizon)
+        return check_l2(from_json(doc["e"], RealSeq),
+                        from_json(doc["var"], RealSeq), horizon=horizon)
     if check == "alpha":
         alpha = doc.get("alpha")
         return check_alpha(None if alpha is None
                            else _rate_arg(alpha, "alpha_inf1"),
-                           seq_from_json(doc["mu"]), doc["mode"],
+                           from_json(doc["mu"], RealSeq), doc["mode"],
                            params=_alpha_params(doc.get("params")),
                            horizon=horizon)
     if check == "beta-strong":
@@ -211,22 +211,23 @@ def _dispatch_criteria(doc: dict):
                                  horizon=horizon)
     if check == "tilde":
         return check_tilde(_rate_arg(doc["rate"], "tilde_beta11"),
-                           seq_from_json(doc["mu"]), _number(doc, "lq_bound"),
+                           from_json(doc["mu"], RealSeq),
+                           _number(doc, "lq_bound"),
                            float(_number(doc, "p", 1.0)), doc.get("mode", "i"),
                            limsup_floor=_number(doc, "limsup_floor"),
                            horizon=horizon)
     if check == "pairwise":
-        return check_pairwise(seq_from_json(doc["gamma"]),
-                              seq_from_json(doc["phi"]),
-                              seq_from_json(doc["alpha"]),
-                              seq_from_json(doc["p"]),
+        return check_pairwise(from_json(doc["gamma"], RealSeq),
+                              from_json(doc["phi"], RealSeq),
+                              from_json(doc["alpha"], RealSeq),
+                              from_json(doc["p"], RealSeq),
                               doc.get("mode", "i"), horizon=horizon)
     if check == "renewal":
         nested = doc.get("nested", True)
         if type(nested) is not bool:
             raise ValueError("'nested' must be JSON true or false")
-        return check_renewal_nested(seq_from_json(doc["nu"]), nested=nested,
-                                    horizon=horizon)
+        return check_renewal_nested(from_json(doc["nu"], RealSeq),
+                                    nested=nested, horizon=horizon)
     if check == "f":
         if doc.get("mode", "ii") != "i" and "subsequence" in doc:
             raise ValueError("'subsequence' applies to f mode 'i' only")

@@ -15,7 +15,7 @@ import io
 import json
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import accumulate
 from pathlib import Path
@@ -28,10 +28,6 @@ from .intervals import (
     LebesgueMeasure,
     MeasureOracle,
     PowerMeasure,
-    family_from_json,
-    family_to_json,
-    measure_from_json,
-    measure_to_json,
 )
 from .processes import (
     CircleRWProcess,
@@ -44,12 +40,10 @@ from .processes import (
     hit_dtype,
     lsv_calibration,
     packed_records,
-    process_from_json,
-    process_to_json,
     simulate_ensemble,
 )
-from .seqcore import (SampledSeq, TableSampler, check_fields, json_list,
-                      json_value, log_grid)
+from .seqcore import (JSON_CODECS, Codec, SampledSeq, TableSampler,
+                      from_json, log_grid, to_json)
 
 __all__ = [
     "CRITERIA_TOKENS",
@@ -101,10 +95,10 @@ class ExperimentConfig:
     n: int
     n_traj: int
     seed: int = 0
-    checkpoints: tuple = None
-    criteria: tuple = ()
-    measure: MeasureOracle = None
-    out_dir: str = None
+    checkpoints: tuple[int, ...] | None = None
+    criteria: tuple[str, ...] = ()
+    measure: MeasureOracle | None = None
+    out_dir: str | None = None
 
     def __post_init__(self):
         if self.checkpoints is None:
@@ -135,19 +129,12 @@ class ExperimentConfig:
         return hashlib.sha256(_config_payload(self)).hexdigest()[:16]
 
 
+JSON_CODECS[ExperimentConfig] = Codec("config", {None: ExperimentConfig})
+
+
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    d = {
-        "process": process_to_json(cfg.process),
-        "family": family_to_json(cfg.family),
-        "n": int(cfg.n),
-        "n_traj": int(cfg.n_traj),
-        "seed": int(cfg.seed),
-        "checkpoints": [int(c) for c in cfg.checkpoints],
-        "criteria": list(cfg.criteria),
-        "measure": None if cfg.measure is None else measure_to_json(cfg.measure),
-        "out_dir": cfg.out_dir,
-    }
-    return d
+    """config.json's document: each field of cfg (seqcore.to_json)."""
+    return to_json(cfg)
 
 
 def _config_payload(cfg: ExperimentConfig) -> bytes:
@@ -159,27 +146,8 @@ def _config_payload(cfg: ExperimentConfig) -> bytes:
 
 
 def config_from_json(d: dict) -> ExperimentConfig:
-    """Config from the keys config_to_json writes; any other key is an error."""
-    check_fields("config", d, [f.name for f in fields(ExperimentConfig)])
-    try:
-        cfg = ExperimentConfig(
-            process=process_from_json(d["process"]),
-            family=family_from_json(d["family"]),
-            n=json_value("config n", d["n"], int),
-            n_traj=json_value("config n_traj", d["n_traj"], int),
-            seed=json_value("config seed", d.get("seed", 0), int),
-            checkpoints=(None if d.get("checkpoints") is None else
-                         json_list("config checkpoints", d["checkpoints"], int)),
-            criteria=json_list("config criteria", d.get("criteria", []), str),
-            measure=(measure_from_json(d["measure"])
-                     if d.get("measure") is not None else None),
-            out_dir=(None if d.get("out_dir") is None else
-                     json_value("config out_dir", d["out_dir"], str)),
-        )
-    except KeyError as e:
-        raise ValueError(f"config missing required field {e.args[0]!r}") from e
-    cfg.validate()
-    return cfg
+    """The validated config whose JSON d is (seqcore.from_json)."""
+    return from_json(d, ExperimentConfig)
 
 
 def marginal_measure(cfg: ExperimentConfig) -> MeasureOracle:
@@ -443,13 +411,12 @@ def aggregate_verdict(report: ExperimentReport, prediction: str) -> Verdict:
     if not np.all(report.e_checkpoints > 0):
         return Verdict(prediction, False, {},
                        "expected hit count vanishes at some checkpoint")
-    ratios = report.ratios
 
     if prediction == "L1BC":
         if i10 is None:
             return Verdict(prediction, False, {},
                            "checkpoints span less than one decade")
-        dev = np.abs(ratios - 1.0).mean(axis=0)
+        dev = np.abs(report.ratios - 1.0).mean(axis=0)
         final, ago = float(dev[-1]), float(dev[i10])
         ok = np.isfinite(final) and np.isfinite(ago) and final <= L1_DECAY_FACTOR * ago
         return Verdict(prediction, ok,
@@ -458,9 +425,8 @@ def aggregate_verdict(report: ExperimentReport, prediction: str) -> Verdict:
                         "decay_factor": L1_DECAY_FACTOR},
                        f"mean |ratio - 1| went {ago:.4f} -> {final:.4f}")
 
-    r = ratios[:, -1]
-    mean = float(r.mean())
-    lo, hi = float(np.quantile(r, 0.1)), float(np.quantile(r, 0.9))
+    mean = float(report.mean_ratio[-1])
+    lo, hi = float(report.q10[-1]), float(report.q90[-1])
     ok = (SBC_MEAN_BAND[0] <= mean <= SBC_MEAN_BAND[1]
           and lo >= SBC_QUANTILE_BAND[0] and hi <= SBC_QUANTILE_BAND[1])
     return Verdict(prediction, ok,
@@ -531,8 +497,8 @@ def _md_payload(report: ExperimentReport, digest: str) -> bytes:
     lines = [
         "# Run summary",
         "",
-        f"- process: `{process_to_json(cfg.process)}`",
-        f"- family: `{family_to_json(cfg.family)}`",
+        f"- process: `{to_json(cfg.process)}`",
+        f"- family: `{to_json(cfg.family)}`",
         f"- horizon n = {cfg.n}, trajectories N = {cfg.n_traj}, seed = {cfg.seed}",
         f"- run digest: `{digest}`",
         f"- wall clock: {report.wall_clock_s:.2f} s",

@@ -12,11 +12,11 @@ are read from those rows, and runs walk the family window by window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
-from .seqcore import (RealSeq, check_fields, json_list, json_object,
-                      json_value, seq_from_json, seq_to_json)
+from .seqcore import JSON_CODECS, Codec, RealSeq
 
 LINE = "line"
 TORUS = "torus"
@@ -24,7 +24,7 @@ TORUS = "torus"
 
 @dataclass(frozen=True)
 class Interval:
-    space: str = LINE
+    space: Literal[LINE, TORUS] = LINE
     lo: float = 0.0
     hi: float = 0.0
     full: bool = False  # torus only: the whole circle
@@ -161,6 +161,7 @@ class MeasureOracle:
         return self.measure_pieces(normalize_pieces(raw))
 
 
+@dataclass(frozen=True)
 class LebesgueMeasure(MeasureOracle):
     """Uniform probability on a support window, default the unit interval.
 
@@ -169,48 +170,61 @@ class LebesgueMeasure(MeasureOracle):
     (applied to pieces) coincide.
     """
 
-    def __init__(self, support=(0.0, 1.0)):
-        if len(support) != 2:
+    support: tuple[float, ...] = (0.0, 1.0)
+
+    def __post_init__(self):
+        if len(self.support) != 2:
             raise ValueError(f"support must be two numbers [a, b], "
-                             f"not {len(support)}")
-        self.a, self.b = float(support[0]), float(support[1])
-        if not self.b > self.a:
+                             f"not {len(self.support)}")
+        a, b = float(self.support[0]), float(self.support[1])
+        if not b > a:
             raise ValueError("empty support")
+        object.__setattr__(self, "support", (a, b))
 
     def cdf(self, x):
-        x = np.clip(np.asarray(x, dtype=float), self.a, self.b)
-        return (x - self.a) / (self.b - self.a)
+        a, b = self.support
+        return (np.clip(np.asarray(x, dtype=float), a, b) - a) / (b - a)
 
 
+@dataclass(frozen=True)
 class PowerMeasure(MeasureOracle):
     """Measure on [0,1] with cdf x**a; a x**(a-1) density for a > 0."""
 
-    def __init__(self, a: float):
-        if a <= 0:
+    a: float
+
+    def __post_init__(self):
+        if self.a <= 0:
             raise ValueError("power measure needs a > 0")
-        self.a = float(a)
+        object.__setattr__(self, "a", float(self.a))
 
     def cdf(self, x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** self.a
 
 
+@dataclass(frozen=True, eq=False)
 class TabulatedCdfMeasure(MeasureOracle):
-    """Piecewise-linear cdf through (xs, Fs); used by empirical estimates."""
+    """Piecewise-linear cdf through (xs, Fs), a probability law: Fs runs
+    from 0 to 1.  Used for the interval map's invariant law."""
 
-    def __init__(self, xs, Fs):
-        xs = np.asarray(xs, dtype=float)
-        Fs = np.asarray(Fs, dtype=float)
+    xs: np.ndarray
+    Fs: np.ndarray
+
+    def __post_init__(self):
+        xs = np.asarray(self.xs, dtype=float)
+        Fs = np.asarray(self.Fs, dtype=float)
         if xs.ndim != 1 or xs.shape != Fs.shape or xs.size < 2:
             raise ValueError("need matching 1-d arrays with >= 2 nodes")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(Fs) < 0):
             raise ValueError("xs strictly increasing, Fs nondecreasing")
         if not np.all((Fs >= 0.0) & (Fs <= 1.0)):
             raise ValueError("a cdf's Fs must lie in [0, 1]")
-        self.xs, self.Fs = xs, Fs
+        if Fs[0] != 0.0 or Fs[-1] != 1.0:
+            raise ValueError("a cdf's Fs must run from 0 to 1")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "Fs", Fs)
 
     def cdf(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.Fs,
-                         left=self.Fs[0], right=self.Fs[-1])
+        return np.interp(np.asarray(x, dtype=float), self.xs, self.Fs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +259,7 @@ class IntervalFamily:
             yield lo, (self.bounds(lo, hi, carry) if oracle is None
                        else self.measures(oracle, lo, hi, carry))
 
-    def intervals(self, lo: int, hi: int):
+    def targets(self, lo: int, hi: int):
         """A_lo..A_hi: a full row is the whole torus, any other row
         Interval(space, lo, hi)."""
         if lo < 1:
@@ -257,7 +271,7 @@ class IntervalFamily:
                 for a, b, f in zip(los, his, full)]
 
     def interval(self, k: int) -> Interval:
-        return self.intervals(k, k)[0]
+        return self.targets(k, k)[0]
 
     def measures(self, oracle: MeasureOracle, lo: int, hi: int,
                  carry: dict = None) -> np.ndarray:
@@ -275,8 +289,8 @@ class NestedLeftFamily(IntervalFamily):
     """A_k = [0, r_k) with nonincreasing radii; on the torus a radius
     >= 1 makes A_k the whole circle."""
 
-    radius: RealSeq = None
-    space: str = LINE
+    space: Literal[LINE, TORUS] = LINE
+    radius: RealSeq = field(kw_only=True)
 
     @property
     def horizon(self):
@@ -295,9 +309,8 @@ class NestedWindowFamily(IntervalFamily):
     """A_k = [l_k, r_k) on the line with l nondecreasing and r
     nonincreasing; an empty window sits at l_k."""
 
-    left: RealSeq = None
-    right: RealSeq = None
-    space: str = field(default=LINE, init=False)
+    left: RealSeq
+    right: RealSeq
 
     @property
     def horizon(self):
@@ -327,8 +340,8 @@ class TorusConsecutiveFamily(IntervalFamily):
     """
 
     b0: float = 0.0
-    steps: RealSeq = None
-    space: str = field(default=TORUS, init=False)
+    steps: RealSeq = field(kw_only=True)
+    space = TORUS
 
     @property
     def horizon(self):
@@ -361,24 +374,25 @@ class TorusConsecutiveFamily(IntervalFamily):
 
 @dataclass(frozen=True)
 class CustomFamily(IntervalFamily):
-    """A finite family given by its table of intervals, A_k = table[k-1]."""
+    """A finite family given by its intervals, A_k = intervals[k-1]."""
 
-    table: tuple = ()
-    space: str = LINE
+    space: Literal[LINE, TORUS] = LINE
+    intervals: tuple[Interval, ...] = field(kw_only=True)
 
     def __post_init__(self):
-        for iv in self.table:
+        for iv in self.intervals:
             if iv.space != self.space:
                 raise ValueError("mixed spaces in custom family")
 
     @property
     def horizon(self):
-        return len(self.table)
+        return len(self.intervals)
 
     def bounds(self, lo: int, hi: int, carry: dict = None):
-        if lo < 1 or hi > len(self.table):
-            raise IndexError(f"family defined for k = 1..{len(self.table)}")
-        ivs = self.table[lo - 1:hi]
+        if lo < 1 or hi > len(self.intervals):
+            raise IndexError(
+                f"family defined for k = 1..{len(self.intervals)}")
+        ivs = self.intervals[lo - 1:hi]
         return (np.array([iv.lo for iv in ivs], dtype=float),
                 np.array([iv.hi for iv in ivs], dtype=float),
                 np.array([iv.wraps for iv in ivs], dtype=bool),
@@ -474,7 +488,7 @@ def limsup_probe(family, measure: MeasureOracle, horizons,
     if tail < ms[-1]:
         raise ValueError("tail cutoff below the last probe")
     trace = np.array(
-        [measure.measure_union(family.intervals(m, tail)) for m in ms]
+        [measure.measure_union(family.targets(m, tail)) for m in ms]
     )
     floor = trace[-1]
     if len(trace) >= 3:
@@ -487,96 +501,14 @@ def limsup_probe(family, measure: MeasureOracle, horizons,
 
 
 # ---------------------------------------------------------------------------
-# JSON templates (config mirror)
+# The config JSON of intervals, families and measures (see seqcore.to_json)
 
 
-def interval_to_json(iv: Interval) -> dict:
-    d = {"space": iv.space, "lo": iv.lo, "hi": iv.hi}
-    if iv.full:
-        d["full"] = True
-    return d
-
-
-def interval_from_json(d: dict) -> Interval:
-    check_fields("interval", d, ("space", "lo", "hi", "full"))
-    return Interval(d.get("space", LINE),
-                    json_value("interval lo", d.get("lo", 0.0), float),
-                    json_value("interval hi", d.get("hi", 0.0), float),
-                    full=json_value("interval full", d.get("full", False), bool))
-
-
-def family_to_json(fam: IntervalFamily) -> dict:
-    if isinstance(fam, NestedLeftFamily):
-        return {"template": "nested-left", "space": fam.space,
-                "radius": seq_to_json(fam.radius)}
-    if isinstance(fam, NestedWindowFamily):
-        return {"template": "nested-window", "left": seq_to_json(fam.left),
-                "right": seq_to_json(fam.right)}
-    if isinstance(fam, TorusConsecutiveFamily):
-        return {"template": "torus-consecutive", "b0": fam.b0,
-                "steps": seq_to_json(fam.steps)}
-    if isinstance(fam, CustomFamily):
-        return {"template": "custom", "space": fam.space,
-                "intervals": [interval_to_json(iv) for iv in fam.table]}
-    raise TypeError(f"unknown family type {type(fam).__name__}")
-
-
-_FAMILY_FIELDS = {
-    "nested-left": ("radius", "space"),
-    "nested-window": ("left", "right"),
-    "torus-consecutive": ("b0", "steps"),
-    "custom": ("intervals", "space"),
-}
-
-
-def family_from_json(d: dict) -> IntervalFamily:
-    t = json_object("family", d).get("template")
-    if type(t) is not str or t not in _FAMILY_FIELDS:
-        raise ValueError(f"unknown family template {t!r}")
-    check_fields(f"family {t!r}", d, ("template",) + _FAMILY_FIELDS[t])
-    space = d.get("space", LINE)
-    if space not in (LINE, TORUS):
-        raise ValueError(f"family {t!r} space must be {LINE!r} or "
-                         f"{TORUS!r}, not {space!r}")
-    if t == "nested-left":
-        return NestedLeftFamily(radius=seq_from_json(d["radius"]),
-                                space=space)
-    if t == "nested-window":
-        return NestedWindowFamily(left=seq_from_json(d["left"]),
-                                  right=seq_from_json(d["right"]))
-    if t == "torus-consecutive":
-        b0 = json_value("family b0", d.get("b0", 0.0), float)
-        return TorusConsecutiveFamily(b0=b0, steps=seq_from_json(d["steps"]))
-    if not isinstance(d["intervals"], list):
-        raise ValueError("family 'custom' intervals must be a JSON list")
-    return CustomFamily(
-        table=tuple(interval_from_json(x) for x in d["intervals"]),
-        space=space)
-
-
-def measure_to_json(m: MeasureOracle) -> dict:
-    if isinstance(m, PowerMeasure):
-        return {"kind": "power", "a": m.a}
-    if isinstance(m, TabulatedCdfMeasure):
-        return {"kind": "tabulated", "xs": m.xs.tolist(), "Fs": m.Fs.tolist()}
-    if isinstance(m, LebesgueMeasure):
-        return {"kind": "lebesgue", "support": [m.a, m.b]}
-    raise TypeError(f"unknown measure type {type(m).__name__}")
-
-
-_MEASURE_FIELDS = {"lebesgue": ("support",), "power": ("a",),
-                   "tabulated": ("xs", "Fs")}
-
-
-def measure_from_json(d: dict) -> MeasureOracle:
-    k = json_object("measure", d).get("kind", "lebesgue")
-    if type(k) is not str or k not in _MEASURE_FIELDS:
-        raise ValueError(f"unknown measure kind {k!r}")
-    check_fields(f"measure {k!r}", d, ("kind",) + _MEASURE_FIELDS[k])
-    if k == "lebesgue":
-        return LebesgueMeasure(json_list("measure support",
-                                         d.get("support", [0.0, 1.0]), float))
-    if k == "power":
-        return PowerMeasure(json_value("measure a", d["a"], float))
-    return TabulatedCdfMeasure(json_list("measure xs", d["xs"], float),
-                               json_list("measure Fs", d["Fs"], float))
+JSON_CODECS[Interval] = Codec("interval", {None: Interval})
+JSON_CODECS[IntervalFamily] = Codec("family", {
+    "nested-left": NestedLeftFamily, "nested-window": NestedWindowFamily,
+    "torus-consecutive": TorusConsecutiveFamily, "custom": CustomFamily},
+    "template")
+JSON_CODECS[MeasureOracle] = Codec("measure", {
+    "lebesgue": LebesgueMeasure, "power": PowerMeasure,
+    "tabulated": TabulatedCdfMeasure}, "kind", "lebesgue")

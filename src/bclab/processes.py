@@ -17,13 +17,14 @@ import functools
 import math
 import os
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Literal
 
 import numpy as np
 
 from .intervals import IntervalFamily, TabulatedCdfMeasure
-from .seqcore import check_fields, json_object, json_value
+from .seqcore import JSON_CODECS, Codec
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -65,8 +66,6 @@ def make_generator(seed: int, trajectory: int, restart: int = 0):
 class ProcessSpec:
     """Base class; subclasses are frozen dataclasses with a `variant` tag."""
 
-    variant = "abstract"
-
     def validate(self):
         pass
 
@@ -75,7 +74,7 @@ class ProcessSpec:
 class IIDProcess(ProcessSpec):
     """Independent draws from a marginal on [0,1]; power=a gives cdf x**a."""
 
-    marginal: str = "uniform"
+    marginal: Literal["uniform", "power"] = "uniform"
     power: float = 1.0
 
     variant = "iid"
@@ -148,10 +147,10 @@ class SplitChainProcess(ProcessSpec):
     x**invariant_power().
     """
 
-    s_kind: str = "linear"
+    s_kind: Literal["linear", "const"] = "linear"
     s_scale: float = 1.0
     nu_power: float = 2.0
-    q1: str = "delta"
+    q1: Literal["delta", "nu"] = "delta"
 
     variant = "split-chain"
 
@@ -207,39 +206,9 @@ class DMRProcess(SplitChainProcess):
         return self.a  # (a + 1) - 1 is not a for every float a
 
 
-_VARIANTS = {cls.variant: cls for cls in (
+JSON_CODECS[ProcessSpec] = Codec("process", {c.variant: c for c in (
     IIDProcess, LSVProcess, ARHalfProcess, CircleRWProcess,
-    SplitChainProcess, DMRProcess)}
-_FIELD_TYPES = {"float": float, "int": int, "str": str}
-
-
-def process_to_json(spec: ProcessSpec) -> dict:
-    """{"variant": ...} followed by the init fields in declaration order."""
-    if _VARIANTS.get(getattr(spec, "variant", None)) is not type(spec):
-        raise TypeError(f"unknown spec type {type(spec).__name__}")
-    d = {"variant": spec.variant}
-    d.update((f.name, getattr(spec, f.name)) for f in fields(spec) if f.init)
-    return d
-
-
-def process_from_json(d: dict) -> ProcessSpec:
-    """Spec from its JSON: "variant" and init fields only, those without a
-    default required, each value a JSON value of its annotated type."""
-    v = json_object("process", d).get("variant")
-    if type(v) is not str or v not in _VARIANTS:
-        raise ValueError(f"unknown process variant {v!r}")
-    init = {f.name: f for f in fields(_VARIANTS[v]) if f.init}
-    check_fields(f"process {v!r}", d, ["variant", *init])
-    kw = {}
-    for name, f in init.items():
-        if name in d:
-            kw[name] = json_value(f"process {v!r} {name}", d[name],
-                                  _FIELD_TYPES[f.type])
-        elif f.default is MISSING:
-            raise ValueError(f"process {v!r} missing required field {name!r}")
-    spec = _VARIANTS[v](**kw)
-    spec.validate()
-    return spec
+    SplitChainProcess, DMRProcess)}, "variant")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Sequence primitives shared by the rest of the package.
+"""Sequence primitives shared by the rest of the package, and the config
+JSON codec.
 
 Real sequences are closed-form templates (power-log, which also answers
 limit and summability questions exactly, and geometric) or tabulated
@@ -7,10 +8,13 @@ arrays with a finite horizon.  Everything here is pure and deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import math
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,7 +60,7 @@ class RealSeq:
 
 @dataclass(frozen=True, eq=False)
 class TabulatedSeq(RealSeq):
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    values: np.ndarray
     start: int = 1
 
     def __post_init__(self):
@@ -239,11 +243,11 @@ class GeometricSeq(RealSeq):
             return self.c * self.r**ns
 
 
-def constant_seq(c: float, start: int = 1) -> PowerLogSeq:
+def constant_seq(c: float = 1.0, start: int = 1) -> PowerLogSeq:
     return PowerLogSeq(c=c, start=start)
 
 
-def power_seq(c: float, p: float, start: int = 1) -> PowerLogSeq:
+def power_seq(c: float = 1.0, p: float = 0.0, start: int = 1) -> PowerLogSeq:
     """c * n**(-p); p > 0 decays, p < 0 grows."""
     return PowerLogSeq(c=c, p=p, start=start)
 
@@ -287,19 +291,7 @@ def huber(x):
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip for sequence templates (used by the CLI)
-
-
-def seq_to_json(v: RealSeq) -> dict:
-    if isinstance(v, PowerLogSeq):
-        return {"template": "powerlog", "c": v.c, "p": v.p, "q": v.q,
-                "shift": v.shift, "start": v.start}
-    if isinstance(v, GeometricSeq):
-        return {"template": "geometric", "c": v.c, "r": v.r, "start": v.start}
-    if isinstance(v, TabulatedSeq):
-        return {"template": "tabulated", "values": v.values.tolist(),
-                "start": v.start}
-    raise TypeError(f"cannot serialize {type(v).__name__}")
+# The config JSON codec: one reader and writer, driven by each class's fields
 
 
 def json_object(what: str, d) -> dict:
@@ -354,27 +346,102 @@ def json_list(what: str, v, kind: type) -> list:
     return v
 
 
-# template: (constructor, {field: default}); each value must have the
-# JSON type of its default
-_SEQ_TEMPLATES = {
-    "powerlog": (PowerLogSeq,
-                 {"c": 1.0, "p": 0.0, "q": 0.0, "shift": 0.0, "start": 1}),
-    "power": (power_seq, {"c": 1.0, "p": 0.0, "start": 1}),
-    "constant": (constant_seq, {"c": 1.0, "start": 1}),
-    "geometric": (GeometricSeq, {"c": 1.0, "r": 0.5, "start": 0}),
-}
+class Codec(typing.NamedTuple):
+    """A base class's JSON: ``what`` names it in messages (``called``, if
+    set, a value that is no JSON object); the key ``tag`` names a class
+    or read-only constructor in ``makers``, ``default`` where it is
+    absent.  Without a tag the one maker is None."""
+
+    what: str
+    makers: dict
+    tag: str = None
+    default: str = None
+    called: str = None
 
 
-def seq_from_json(obj: dict) -> RealSeq:
-    kind = json_object("a sequence", obj).get("template", "powerlog")
-    if kind == "tabulated":
-        check_fields("sequence 'tabulated'", obj, ("template", "values", "start"))
-        values = json_list("sequence 'tabulated' values", obj["values"], float)
-        start = json_value("sequence 'tabulated' start", obj.get("start", 1), int)
-        return TabulatedSeq(np.asarray(values, dtype=float), start=start)
-    if type(kind) is not str or kind not in _SEQ_TEMPLATES:
-        raise ValueError(f"unknown sequence template {kind!r}")
-    make, defaults = _SEQ_TEMPLATES[kind]
-    check_fields(f"sequence {kind!r}", obj, ("template", *defaults))
-    return make(**{k: json_value(f"sequence {kind!r} {k}", obj.get(k, v), type(v))
-                   for k, v in defaults.items()})
+# base class: its Codec, set by the module that defines the base
+JSON_CODECS = {}
+
+
+def to_json(obj):
+    """obj's JSON value: for a registered class, its name under the tag,
+    then each init field in declaration order but a false flag."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    found = [(c, name) for c in JSON_CODECS.values()
+             for name, make in c.makers.items() if make is type(obj)]
+    if not found:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    codec, name = found[0]
+    d = {codec.tag: name} if codec.tag else {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.init and v is not False:
+            d[f.name] = to_json(v)
+    return d
+
+
+def from_json(d, base):
+    """The object of base's codec whose JSON d is: every key but the tag
+    names a parameter, a parameter without default is required, values
+    are read as their types (_from_value), and validate() is called where
+    the object has one.  Any fault is a ValueError."""
+    codec = JSON_CODECS[base]
+    json_object(codec.called or codec.what, d)
+    name = d.get(codec.tag, codec.default) if codec.tag else None
+    if codec.tag and (type(name) is not str or name not in codec.makers):
+        raise ValueError(f"unknown {codec.what} {codec.tag} {name!r}")
+    what = f"{codec.what} {name!r}" if codec.tag else codec.what
+    params = _params(codec.makers[name])
+    check_fields(what, d, [codec.tag, *(key for key, _, _ in params)])
+    kw = {}
+    for key, t, required in params:
+        if key in d:
+            kw[key] = _from_value(f"{what} {key}", d[key], t)
+        elif required:
+            raise ValueError(f"{what} missing required field {key!r}")
+    obj = codec.makers[name](**kw)
+    if hasattr(obj, "validate"):
+        obj.validate()
+    return obj
+
+
+@functools.cache
+def _params(make) -> tuple:
+    """(name, type, required) of each parameter of make, read once."""
+    hints = typing.get_type_hints(make)
+    return tuple((p.name, hints[p.name], p.default is p.empty)
+                 for p in inspect.signature(make).parameters.values())
+
+
+def _from_value(what: str, v, t):
+    """v as a JSON value of type t: a registered base's JSON object, null
+    or X for ``X | None``, a Literal's value, a list of X for
+    ``tuple[X, ...]`` or of numbers for an array, else a json_value."""
+    args = typing.get_args(t)
+    if type(None) in args:
+        return None if v is None else _from_value(what, v, args[0])
+    if typing.get_origin(t) is typing.Literal:
+        if v not in args:
+            raise ValueError(f"{what} must be "
+                             f"{' or '.join(map(repr, args))}, not {v!r}")
+        return v
+    if t is np.ndarray:
+        args = (float,)
+    elif typing.get_origin(t) is not tuple:
+        return from_json(v, t) if t in JSON_CODECS else json_value(what, v, t)
+    if args[0] not in JSON_CODECS:
+        return json_list(what, v, args[0])
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return tuple(from_json(x, args[0]) for x in v)
+
+
+JSON_CODECS[RealSeq] = Codec("sequence", {
+    "powerlog": PowerLogSeq, "geometric": GeometricSeq,
+    "tabulated": TabulatedSeq, "power": power_seq, "constant": constant_seq},
+    "template", "powerlog", called="a sequence")

@@ -23,7 +23,7 @@ from bclab.criteria import (
     check_tilde,
 )
 from bclab.harness import load_run, report_from_records
-from bclab.seqcore import GeometricSeq, RealSeq, power_seq, seq_to_json
+from bclab.seqcore import GeometricSeq, RealSeq, power_seq, to_json
 
 HARMONIC_CFG = {
     "process": {"variant": "iid"},
@@ -191,11 +191,19 @@ class TestSimulate:
                                       "xs": [0.0, 0.5, 1.0],
                                       "Fs": [0.0, 0.5, 1.5]}},
          "a cdf's Fs must lie in [0, 1]"),
+        # a quarter of a law: every expected count would be a quarter
+        ({**HARMONIC_CFG, "family": {
+            "template": "nested-left",
+            "radius": {"template": "constant", "c": 0.5}},
+          "measure": {"kind": "tabulated", "xs": [0.0, 1.0],
+                      "Fs": [0.0, 0.25]}},
+         "a cdf's Fs must run from 0 to 1"),
     ], ids=["n-float", "n-traj-string", "n-traj-bool", "seed-float",
             "checkpoint-float", "gamma-string", "dmr-a-bool", "dmr-a-nan",
             "dmr-a-huge",
             "sequence-start-float", "sequence-c-string",
-            "lebesgue-support-three-numbers", "tabulated-cdf-above-one"])
+            "lebesgue-support-three-numbers", "tabulated-cdf-above-one",
+            "tabulated-cdf-not-a-law"])
     def test_wrongly_typed_config_value_exit_4(self, tmp_path, capsys, doc,
                                                error):
         # nothing is truncated or converted: a bad value is a config error
@@ -279,7 +287,7 @@ class TestSimulate:
 
 def _sequences(doc: dict) -> dict:
     """doc with each RealSeq in its JSON form."""
-    return {k: seq_to_json(v) if isinstance(v, RealSeq) else v
+    return {k: to_json(v) if isinstance(v, RealSeq) else v
             for k, v in doc.items()}
 
 
@@ -347,7 +355,7 @@ class TestCriteria:
     def test_satisfied_exit_0(self, tmp_path, capsys):
         spec = write_json(tmp_path / "c.json", {
             "check": "alpha", "mode": "poly-1",
-            "mu": seq_to_json(power_seq(1.0, 0.5)),
+            "mu": to_json(power_seq(1.0, 0.5)),
             "params": {"a": 1.0}, "horizon": 10**5,
         })
         rep_out = tmp_path / "rep.json"
@@ -358,7 +366,7 @@ class TestCriteria:
 
     def test_violated_exit_2(self, tmp_path):
         spec = write_json(tmp_path / "c.json", {
-            "check": "renewal", "nu": seq_to_json(power_seq(1.0, 1.8)),
+            "check": "renewal", "nu": to_json(power_seq(1.0, 1.8)),
         })
         assert main(["criteria", "--spec", spec]) == 2
 
@@ -366,8 +374,8 @@ class TestCriteria:
         # strong mode with no workable theta on the grid
         spec = write_json(tmp_path / "c.json", {
             "check": "alpha", "mode": "strong",
-            "alpha": seq_to_json(power_seq(1.0, 0.5)),
-            "mu": seq_to_json(power_seq(1.0, 0.9)), "horizon": 10**5,
+            "alpha": to_json(power_seq(1.0, 0.5)),
+            "mu": to_json(power_seq(1.0, 0.9)), "horizon": 10**5,
         })
         assert main(["criteria", "--spec", spec]) == 3
 
@@ -809,7 +817,7 @@ def test_non_finite_profile_value_exit_4(tmp_path, capsys, value):
         return write_json(tmp_path / "c.json", {
             "check": "tilde", "mode": "i", "limsup_floor": 0.5,
             "rate": {"profile_csv": str(tmp_path / "p.csv")},
-            "mu": seq_to_json(power_seq(1.0, 0.5))})
+            "mu": to_json(power_seq(1.0, 0.5))})
 
     assert main(["criteria", "--spec", spec(repr(50**-2.0))]) == 0
     capsys.readouterr()

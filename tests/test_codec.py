@@ -1,11 +1,17 @@
-"""The config JSON codec: pinned bytes for every kind of config object."""
+"""The config JSON codec: pinned bytes for every kind of config object,
+and the round trip of every class or constructor the codec reads."""
 
 import hashlib
 import json
+import typing
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from bclab.harness import _config_payload, config_from_json, config_to_json
+from bclab.seqcore import JSON_CODECS, _params, from_json, to_json
 
 HARMONIC = {"template": "nested-left",
             "radius": {"template": "powerlog", "c": 1.0, "p": 1.0}}
@@ -169,3 +175,151 @@ def config_hashes(cfg) -> tuple:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_config_bytes_pinned(name):
     assert config_hashes(config_from_json(CASES[name])) == PINS[name]
+
+
+# every (base class, name) the codec reads: a kind added later is covered
+KINDS = [(base, name) for base, codec in JSON_CODECS.items()
+         for name in codec.makers]
+NUMBERS = [0.0, 0.5, 1.0, 2.0]
+SCALARS = {
+    bool: st.booleans(),
+    int: st.sampled_from([0, 1, 10, 100, 1000]) | st.integers(-2, 2000),
+    float: st.sampled_from(NUMBERS) | st.floats(-1.0, 3.0),
+    str: st.sampled_from(["f-ii", "runs/x"]) | st.text(max_size=3),
+}
+# list entries from a small pool, sorted, so that tables, supports,
+# checkpoints and criteria are often valid
+ENTRIES = {int: [1, 10, 100, 1000], float: NUMBERS, str: ["f-ii", "f-i"]}
+
+
+def json_values(t):
+    """JSON values of the annotated type t, as from_json reads them."""
+    args = typing.get_args(t)
+    if type(None) in args:
+        return st.none() | json_values(args[0])
+    if typing.get_origin(t) is typing.Literal:
+        return st.sampled_from(args)
+    if t is np.ndarray:
+        args = (float,)
+    elif typing.get_origin(t) is not tuple:
+        return valid_json(t) if t in JSON_CODECS else SCALARS[t]
+    if args[0] in JSON_CODECS:
+        return st.lists(valid_json(args[0]), min_size=1, max_size=3)
+    return st.lists(st.sampled_from(ENTRIES[args[0]]), min_size=1,
+                    max_size=3, unique=True).map(sorted)
+
+
+@st.composite
+def json_objects(draw, base, name):
+    """A JSON object of the class named name: its tag, each required
+    parameter and any others."""
+    codec = JSON_CODECS[base]
+    d = {codec.tag: name} if codec.tag else {}
+    for key, t, required in _params(codec.makers[name]):
+        if required or draw(st.booleans()):
+            d[key] = draw(json_values(t))
+    return d
+
+
+def reads(d, base) -> bool:
+    try:
+        from_json(d, base)
+    except ValueError:
+        return False
+    return True
+
+
+def valid_json(base):
+    """JSON objects of any class of base that from_json accepts."""
+    names = sorted(JSON_CODECS[base].makers, key=str)
+    return st.sampled_from(names).flatmap(
+        lambda name: json_objects(base, name)).filter(
+        lambda d: reads(d, base))
+
+
+def written(base, name):
+    """(JSON text, the name it is written under) of objects read from
+    the JSON of the class named name: "power" is written as "powerlog"."""
+    def write(d):
+        try:
+            text = json.dumps(to_json(from_json(d, base)))
+        except ValueError:
+            reject()
+        tag = JSON_CODECS[base].tag
+        return text, json.loads(text)[tag] if tag else None
+    return json_objects(base, name).map(write)
+
+
+def fields_of(base, name) -> dict:
+    return {key: t for key, t, _ in _params(JSON_CODECS[base].makers[name])}
+
+
+def kind_id(kind):
+    base, name = kind
+    return JSON_CODECS[base].what + ("" if name is None else f"-{name}")
+
+
+PROPERTY = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.filter_too_much,
+                                           HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=map(kind_id, KINDS))
+@PROPERTY
+@given(data=st.data())
+def test_round_trip_keeps_every_byte(kind, data):
+    base, name = kind
+    text, _ = data.draw(written(base, name))
+    again = from_json(json.loads(text), base)
+    assert json.dumps(to_json(again)) == text
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=map(kind_id, KINDS))
+@PROPERTY
+@given(data=st.data())
+def test_extra_key_refused_by_name(kind, data):
+    base = kind[0]
+    text, name = data.draw(written(base, kind[1]))
+    d = json.loads(text)
+    extra = data.draw(st.text(min_size=1, max_size=4).filter(
+        lambda k: k not in d and k not in fields_of(base, name)))
+    with pytest.raises(ValueError) as e:
+        from_json({**d, extra: 1}, base)
+    assert str(e.value).endswith(f"has unknown fields {[extra]!r}")
+
+
+def wrong_value(t):
+    """A JSON value of another type than t: 5 where t holds strings (a
+    str, a Literal of strings, a list of them), else "x"."""
+    args = typing.get_args(t)
+    if type(None) in args:
+        return wrong_value(args[0])
+    strings = t is str or any(a is str or isinstance(a, str) for a in args)
+    return 5 if strings else "x"
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=map(kind_id, KINDS))
+@PROPERTY
+@given(data=st.data())
+def test_wrongly_typed_value_refused_by_field(kind, data):
+    base = kind[0]
+    codec = JSON_CODECS[base]
+    text, name = data.draw(written(base, kind[1]))
+    d = json.loads(text)
+    types = fields_of(base, name)
+    keys = sorted(k for k in d if k in types)
+    if not keys:
+        return
+    key = data.draw(st.sampled_from(keys))
+    t = types[key]
+    args = typing.get_args(t)
+    inner = args[0] if type(None) in args else t
+    if inner in JSON_CODECS:  # a nested object: its own message
+        what = JSON_CODECS[inner].called or JSON_CODECS[inner].what
+        error = f"{what} must be a JSON object"
+    else:
+        where = f"{codec.what} {name!r}" if codec.tag else codec.what
+        error = f"{where} {key} must be "
+    with pytest.raises(ValueError) as e:
+        from_json({**d, key: wrong_value(t)}, base)
+    assert str(e.value).startswith(error)

@@ -262,6 +262,17 @@ class TestAggregateVerdict:
             assert not v.passed and v.margins == {}
             assert v.reason == "expected hit count vanishes at some checkpoint"
 
+    def test_sbc_judges_the_printed_statistics(self, tmp_path):
+        # a column's mean differs from the axis-0 mean in the last bits
+        # here: the verdict reads the numbers summary.csv prints
+        rep = run_experiment(small_cfg(family=HALF, n_traj=20, seed=1))
+        emit_report(rep, out_dir=tmp_path, formats=("csv",))
+        last = (tmp_path / "summary.csv").read_text().splitlines()[-1]
+        _, mean, _, q10, q90, _ = map(float, last.split(","))
+        margins = aggregate_verdict(rep, "SBC").margins
+        assert (margins["final_mean_ratio"], margins["final_q10"],
+                margins["final_q90"]) == (mean, q10, q90)
+
     def test_unknown_prediction(self):
         rep = run_experiment(small_cfg(family=FULL))
         with pytest.raises(ValueError, match="unknown prediction"):
@@ -769,6 +780,22 @@ def test_script_config_is_the_benchmark_workload(workload, name):
     workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
     doc = json.loads((root / "scripts" / name).read_text())
     assert config_from_json(doc) == workloads["WORKLOADS"][workload].build(0)
+
+
+BENCHMARK_WORKLOADS = ("dense-wide", "intermittent-map", "rotation-walk")
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_benchmark_workload_builds_and_round_trips(workload):
+    # perfbench/workloads.py builds its configs with the constructors'
+    # keywords: a renamed one fails here, not only as a failed benchmark
+    root = Path(__file__).parents[1]
+    workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    assert sorted(workloads["WORKLOADS"]) == sorted(BENCHMARK_WORKLOADS)
+    cfg = workloads["WORKLOADS"][workload].build(0)
+    cfg.validate()
+    back = config_from_json(json.loads(json.dumps(config_to_json(cfg))))
+    assert back.digest() == cfg.digest()
 
 
 class TestReferenceDigests:

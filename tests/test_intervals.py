@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from bclab.intervals import (
     CustomFamily,
     Interval,
+    IntervalFamily,
     LebesgueMeasure,
+    MeasureOracle,
     NestedLeftFamily,
     NestedWindowFamily,
     TORUS,
@@ -14,11 +16,7 @@ from bclab.intervals import (
     TabulatedCdfMeasure,
     TorusConsecutiveFamily,
     disjointify,
-    family_from_json,
-    family_to_json,
     limsup_probe,
-    measure_from_json,
-    measure_to_json,
     normalize_pieces,
     subtract_pieces,
 )
@@ -28,6 +26,8 @@ from bclab.seqcore import (
     PowerLogSeq,
     TabulatedSeq,
     constant_seq,
+    from_json,
+    to_json,
 )
 
 
@@ -138,8 +138,12 @@ class TestMeasures:
          r"in \[0, 1\]"),
         (lambda: TabulatedCdfMeasure([0.0, 1.0], [0.0, np.nan]),
          r"in \[0, 1\]"),
+        (lambda: TabulatedCdfMeasure([0.0, 1.0], [0.0, 0.25]),
+         "run from 0 to 1"),
+        (lambda: TabulatedCdfMeasure([0.0, 0.5, 1.0], [0.5, 0.75, 1.0]),
+         "run from 0 to 1"),
     ], ids=["support-three", "support-one", "cdf-above-one", "cdf-below-zero",
-            "cdf-nan"])
+            "cdf-nan", "cdf-ends-below-one", "cdf-starts-above-zero"])
     def test_measures_of_the_wrong_shape_are_rejected(self, make, error):
         with pytest.raises(ValueError, match=error):
             make()
@@ -147,7 +151,7 @@ class TestMeasures:
     def test_measure_json_round_trip(self):
         for m in (LebesgueMeasure(), PowerMeasure(2.0),
                   TabulatedCdfMeasure([0.0, 1.0], [0.0, 1.0])):
-            m2 = measure_from_json(measure_to_json(m))
+            m2 = from_json(to_json(m), MeasureOracle)
             assert type(m2) is type(m)
             assert m2.measure(L(0.1, 0.6)) == pytest.approx(m.measure(L(0.1, 0.6)))
 
@@ -223,7 +227,7 @@ class TestDisjointify:
 
 
 def const_family(iv, n):
-    return CustomFamily(table=tuple([iv] * n), space=iv.space)
+    return CustomFamily(intervals=tuple([iv] * n), space=iv.space)
 
 
 class TestLimsupProbe:
@@ -310,7 +314,7 @@ class TestFamilies:
         assert np.allclose(got, want)
 
     def test_custom_family_bounds_checked(self):
-        fam = CustomFamily(table=(L(0.0, 1.0),))
+        fam = CustomFamily(intervals=(L(0.0, 1.0),))
         with pytest.raises(IndexError):
             fam.interval(2)
 
@@ -319,10 +323,10 @@ class TestFamilies:
             NestedLeftFamily(radius=PowerLogSeq(c=1.0, p=0.5)),
             NestedWindowFamily(left=constant_seq(0.2), right=constant_seq(0.9)),
             TorusConsecutiveFamily(b0=0.1, steps=PowerLogSeq(c=1.0, p=0.5)),
-            CustomFamily(table=(L(0.0, 0.5), L(0.25, 1.0))),
+            CustomFamily(intervals=(L(0.0, 0.5), L(0.25, 1.0))),
         ]
         for fam in fams:
-            fam2 = family_from_json(family_to_json(fam))
+            fam2 = from_json(to_json(fam), IntervalFamily)
             assert type(fam2) is type(fam)
             for k in (1, 2):
                 a, b = fam.interval(k), fam2.interval(k)
@@ -354,7 +358,7 @@ class TestVectorForm:
                            right=GeometricSeq(c=0.9, r=0.999)),
         TorusConsecutiveFamily(b0=0.37, steps=TabulatedSeq(
             values=np.tile([0.3, 1.0, 0.45, 0.0, 2.5], N // 5))),
-        CustomFamily(table=tuple(
+        CustomFamily(intervals=tuple(
             [Interval.torus(0.8, 0.1), Interval.full_torus(),
              Interval.torus(0.25, 0.5), Interval.torus(0.3, 0.3)] * (N // 4)),
             space=TORUS),
@@ -364,23 +368,23 @@ class TestVectorForm:
         lo, hi, wraps, full = fam.bounds(1, self.N)
         want = [Interval.full_torus() if f else Interval(fam.space, float(a), float(b))
                 for a, b, f in zip(lo, hi, full)]
-        got = fam.intervals(1, self.N)
+        got = fam.targets(1, self.N)
         differ = [k for k, (g, w) in enumerate(zip(got, want), 1) if g != w]
         assert len(got) == self.N and not differ, (
             f"{len(differ)} of {self.N} intervals differ")
         assert [iv.wraps for iv in got] == wraps.tolist()
         for k in (1, 2, 5, 997, self.N):
             assert fam.interval(k) == want[k - 1]
-        assert fam.intervals(7, 11) == want[6:11]
+        assert fam.targets(7, 11) == want[6:11]
 
     def test_indices_outside_the_family_raise(self):
         left = NestedLeftFamily(radius=TabulatedSeq(values=np.full(5, 0.5)))
-        custom = CustomFamily(table=(L(0.0, 0.5), L(0.5, 1.0)))
+        custom = CustomFamily(intervals=(L(0.0, 0.5), L(0.5, 1.0)))
         for fam in (left, custom, NestedLeftFamily(radius=self.GEOMETRIC)):
             with pytest.raises(IndexError):
                 fam.interval(0)
             with pytest.raises(IndexError):
-                fam.intervals(0, 2)
+                fam.targets(0, 2)
         with pytest.raises(HorizonExhausted):
             left.interval(6)
         with pytest.raises(IndexError):

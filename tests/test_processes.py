@@ -33,18 +33,18 @@ from bclab.processes import (
     HitRecord,
     IIDProcess,
     LSVProcess,
+    ProcessSpec,
     SplitChainProcess,
     circle_position,
     init_from_uniforms,
     init_uniform_count,
     lsv_calibration,
     make_generator,
-    process_from_json,
-    process_to_json,
     simulate_ensemble,
     step_draws,
 )
-from bclab.seqcore import PowerLogSeq, constant_seq, log_grid, power_seq
+from bclab.seqcore import (PowerLogSeq, constant_seq, from_json, log_grid,
+                            power_seq, to_json)
 
 from scalar_reference import CircleState, lsv_map, process_step
 
@@ -211,7 +211,7 @@ class TestSimulateHits:
         assert abs(frac - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 400)
 
     def test_family_horizon_guard(self):
-        fam = CustomFamily(table=(Interval.line(0, 1),) * 5)
+        fam = CustomFamily(intervals=(Interval.line(0, 1),) * 5)
         with pytest.raises(ValueError):
             simulate_ensemble(IIDProcess(), fam, 10, seed=0, n_traj=1)
 
@@ -618,7 +618,7 @@ def replay_hits(spec, family, n, seed, trajectory):
     drift = getattr(spec, "drift", 0.0)
     hits = []
     for k, (draws, iv) in enumerate(
-            zip(step_draws(spec, gen, n), family.intervals(1, n)), start=1):
+            zip(step_draws(spec, gen, n), family.targets(1, n)), start=1):
         x, _ = process_step(spec, x, draws)
         if iv.contains((x - drift * k) % 1.0 if drift else x):
             hits.append(k)
@@ -735,7 +735,7 @@ class TestCircleWalk:
         spec = CircleRWProcess()
         # a short family: without the guard its own horizon check would fire,
         # before any 2**26-step bounds were built
-        short = CustomFamily(table=(Interval.line(0, 1),) * 5)
+        short = CustomFamily(intervals=(Interval.line(0, 1),) * 5)
         with pytest.raises(ValueError, match=r"2\*\*26 - 1 steps"):
             simulate_ensemble(spec, short, 2**26, 0, n_traj=2)
         edge = CircleState(0.5, 0.5, CIRCLE_MAX_STEPS)
@@ -1238,28 +1238,28 @@ class TestSerialization:
             DMRProcess(a=2.0),
         ]
         for spec in specs:
-            back = process_from_json(process_to_json(spec))
+            back = from_json(to_json(spec), ProcessSpec)
             assert back == spec
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            process_from_json({"variant": "gauss-map"})
+            from_json({"variant": "gauss-map"}, ProcessSpec)
 
     def test_json_holds_init_fields_in_declaration_order(self):
-        assert list(process_to_json(LSVProcess(gamma=0.75))) == [
+        assert list(to_json(LSVProcess(gamma=0.75))) == [
             "variant", "gamma"]
-        assert list(process_to_json(SplitChainProcess())) == [
+        assert list(to_json(SplitChainProcess())) == [
             "variant", "s_kind", "s_scale", "nu_power", "q1"]
-        assert process_to_json(DMRProcess(a=2.0)) == {"variant": "dmr", "a": 2.0}
+        assert to_json(DMRProcess(a=2.0)) == {"variant": "dmr", "a": 2.0}
 
     def test_fields_coerced_and_required(self):
         for bad in ("0.5", True, None):
             with pytest.raises(ValueError, match="gamma must be a JSON number"):
-                process_from_json({"variant": "lsv", "gamma": bad})
+                from_json({"variant": "lsv", "gamma": bad}, ProcessSpec)
         with pytest.raises(ValueError, match="a must be a JSON number"):
-            process_from_json({"variant": "dmr", "a": True})
-        spec = process_from_json({"variant": "dmr", "a": 2})
+            from_json({"variant": "dmr", "a": True}, ProcessSpec)
+        spec = from_json({"variant": "dmr", "a": 2}, ProcessSpec)
         assert spec == DMRProcess(a=2.0) and type(spec.a) is float
-        assert process_from_json({"variant": "dmr"}) == DMRProcess(a=1.0)
+        assert from_json({"variant": "dmr"}, ProcessSpec) == DMRProcess(a=1.0)
         with pytest.raises(ValueError, match="missing required field 'gamma'"):
-            process_from_json({"variant": "lsv"})
+            from_json({"variant": "lsv"}, ProcessSpec)

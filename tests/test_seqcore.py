@@ -7,16 +7,17 @@ import pytest
 from bclab.seqcore import (
     GeometricSeq,
     PowerLogSeq,
+    RealSeq,
     TabulatedSeq,
     constant_seq,
+    from_json,
     huber,
     is_number,
     json_list,
     json_value,
     partial_sums,
     power_seq,
-    seq_from_json,
-    seq_to_json,
+    to_json,
 )
 
 # Oracle: harmonic sum computed in exact rational arithmetic.
@@ -115,7 +116,7 @@ class TestClosedFormAnswers:
             GeometricSeq(0.7, 0.3, start=0),
             TabulatedSeq(np.array([3.0, 2.0, 1.0])),
         ):
-            w = seq_from_json(seq_to_json(v))
+            w = from_json(to_json(v), RealSeq)
             assert np.allclose(w.array(w.start, w.start + 2), v.array(v.start, v.start + 2))
 
 

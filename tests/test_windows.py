@@ -46,7 +46,7 @@ FAMILIES = {
         left=PowerLogSeq(c=0.2, p=-0.1), right=GeometricSeq(c=0.9, r=0.999)),
     "torus-consecutive-wrapped-full": TorusConsecutiveFamily(
         b0=0.37, steps=TabulatedSeq(values=TORUS_STEPS)),
-    "custom-torus": CustomFamily(table=tuple(
+    "custom-torus": CustomFamily(intervals=tuple(
         [Interval.torus(0.8, 0.1), Interval.full_torus(),
          Interval.torus(0.25, 0.5), Interval.torus(0.3, 0.3)] * (N // 4)),
         space=TORUS),
