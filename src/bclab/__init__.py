@@ -3,8 +3,8 @@
 Subpackages
 -----------
 ``seqcore``
-    Real sequences with closed-form and tabulated backends, and partial
-    sums.
+    Real sequences with closed-form and tabulated backends, partial sums,
+    and the config JSON codec.
 ``intervals``
     Intervals on the line and the torus, measure oracles, nested and
     consecutive families, disjointification, the limsup probe.

@@ -8,8 +8,6 @@ from the persisted records, and the run digest covers exactly the
 reproducible payload (timestamps and wall-clock are excluded).
 """
 
-from __future__ import annotations
-
 import hashlib
 import io
 import json

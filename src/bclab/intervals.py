@@ -9,8 +9,6 @@ its vector form bounds(lo, hi) on a window of indices; its Interval objects
 are read from those rows, and runs walk the family window by window.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from typing import Literal
 

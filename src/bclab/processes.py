@@ -11,8 +11,6 @@ scalar stepper walks on one row of step_draws per step: the tests'
 reference.  harness writes and reads the records on disk.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import os

@@ -6,8 +6,6 @@ limit and summability questions exactly, and geometric) or tabulated
 arrays with a finite horizon.  Everything here is pure and deterministic.
 """
 
-from __future__ import annotations
-
 import functools
 import hashlib
 import inspect
@@ -412,9 +410,10 @@ def from_json(d, base):
 
 @functools.cache
 def _params(make) -> tuple:
-    """(name, type, required) of each parameter of make, read once."""
-    hints = typing.get_type_hints(make)
-    return tuple((p.name, hints[p.name], p.default is p.empty)
+    """(name, type, required) of each parameter of make, read once.  The
+    modules of registered classes do not postpone annotations, so the
+    types are objects, and no annotation is compiled from a string."""
+    return tuple((p.name, p.annotation, p.default is p.empty)
                  for p in inspect.signature(make).parameters.values())
 
 
