@@ -20,6 +20,11 @@ LINE = "line"
 TORUS = "torus"
 
 
+def _check_space(space):
+    if space not in (LINE, TORUS):
+        raise ValueError(f"unknown space {space!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     space: Literal[LINE, TORUS] = LINE
@@ -28,8 +33,7 @@ class Interval:
     full: bool = False  # torus only: the whole circle
 
     def __post_init__(self):
-        if self.space not in (LINE, TORUS):
-            raise ValueError(f"unknown space {self.space!r}")
+        _check_space(self.space)
         if self.space == LINE:
             if self.full:
                 raise ValueError("full flag is torus-only")
@@ -290,6 +294,9 @@ class NestedLeftFamily(IntervalFamily):
     space: Literal[LINE, TORUS] = LINE
     radius: RealSeq = field(kw_only=True)
 
+    def __post_init__(self):
+        _check_space(self.space)
+
     @property
     def horizon(self):
         return self.radius.horizon
@@ -378,6 +385,7 @@ class CustomFamily(IntervalFamily):
     intervals: tuple[Interval, ...] = field(kw_only=True)
 
     def __post_init__(self):
+        _check_space(self.space)
         for iv in self.intervals:
             if iv.space != self.space:
                 raise ValueError("mixed spaces in custom family")

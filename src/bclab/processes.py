@@ -118,7 +118,8 @@ class ARHalfProcess(ProcessSpec):
 @dataclass(frozen=True)
 class CircleRWProcess(ProcessSpec):
     """Random walk on the torus: x_k = x_0 + j_k a mod 1, with j_k the net
-    number of +a steps of a fair coin; Haar invariant.
+    number of +a steps of a fair coin; Haar invariant.  Its states are
+    exact in fixed point (_fixed), given a and drift in whole 2**-64s.
 
     drift t shifts the hit test frame: step k tests x_k - k t mod 1.
     """
@@ -133,6 +134,10 @@ class CircleRWProcess(ProcessSpec):
             raise ValueError("rotation a must lie in (0,1)")
         if not 0.0 <= self.drift < 1.0:
             raise ValueError("drift must lie in [0,1)")
+        for name, v in (("a", self.a), ("drift", self.drift)):
+            if not math.ldexp(v, 64).is_integer():
+                raise ValueError(f"circle-rw {name} = {v!r} is no multiple"
+                                 f" of 2**-64")
 
 
 @dataclass(frozen=True)
@@ -210,46 +215,23 @@ JSON_CODECS[ProcessSpec] = Codec("process", {c.variant: c for c in (
 
 
 # ---------------------------------------------------------------------------
-# Circle positions
-
-# a = H 2**-27 + lo with H an integer; j H stays below 2**53, so it is exact
-# in int64 and float64, while |j| < 2**26.  Only its low 27 bits are used,
-# so in int32, where j H wraps modulo 2**32, it gives the same bits.
-_CIRCLE_BITS = 27
-CIRCLE_MAX_STEPS = 2**26 - 1
-
-
-def circle_position(a: float, x0, j: np.ndarray, out=None) -> np.ndarray:
-    """x0 + j a mod 1 for an int32 or int64 array j of net +a step counts,
-    |j| < 2**26.
-
-    With a = H 2**-27 + lo (H an integer, |lo| <= 2**-28) the fractional
-    part of j H 2**-27 is exact integer arithmetic, and |j lo| < 1/4 adds
-    one rounding: the result stays within an ulp of 1.0 of the exact value
-    at every step count, where the recursion x +- a rounds at every step.
-    j is overwritten; out, when given, receives the result.  The kernel and
-    a scalar stepper that both call this agree bit for bit.
-    """
-    unit = 2.0**-_CIRCLE_BITS
-    h = round(a / unit)
-    lo = a - h * unit  # exact
-    out = np.multiply(j, lo / unit, out=out)
-    j *= h
-    j &= (1 << _CIRCLE_BITS) - 1
-    out += j  # (frac(j H unit) + j lo) / unit
-    out *= unit
-    out += x0
-    out -= np.floor(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Draws and starting states
 
 _WORD_BITS = 64
-# _OCTET_WALK[v, b]: the net +a steps of steps 0..b of an octet v
+# _OCTET_WALK[v, b]: the net +a steps of steps 0..b of an octet v, mod 2**64
 _OCTET_WALK = np.cumsum(1 - 2 * (np.arange(256)[:, None] >> np.arange(8) & 1),
-                        axis=1, dtype=np.int32)
+                        axis=1).astype(np.uint64)
+
+
+def _fixed(v):
+    """ceil(v 2**64) mod 2**64 in uint64s, v cut to [0, 1]: circle points in
+    fixed point, where wrapping sums add mod 1; exact for multiples of
+    2**-64, as random starts and validated a and drift are.  v >= 1/2 is
+    taken down by 1 (exactly) first: numpy casts to uint64 slowly."""
+    v = np.clip(np.atleast_1d(v), 0.0, 1.0)
+    v -= v >= 0.5
+    v *= 2.0**64
+    return np.ceil(v, out=v).astype(np.int64).view(np.uint64)
 
 
 def _circle_octets(gen, m: int) -> np.ndarray:
@@ -374,24 +356,20 @@ def _init_vector(spec, gens):
     return np.array([init_from_uniforms(spec, g.random(count)) for g in gens])
 
 
-def _hit_test(bounds, drift, c0):
-    """The hit test of steps c0 + 1 .. c0 + m against their targets'
-    bounds (the family's window of those indices): a function of their
-    states, laid along the last axis (one trajectory's row, or a (width,
-    m) block), that is True where a state lies in its step's target.
+def _hit_test(bounds):
+    """The hit test of a window of steps against their targets' bounds
+    (the family's window of those indices): a function of their states,
+    laid along the last axis (one trajectory's row, or a (width, m)
+    block), that is True where a state lies in its step's target.
 
     A target is [lo, hi), or [lo, 1) and [0, hi) where it wraps, or the
-    whole space where it is full; drift t tests step k at x - k t mod 1.
-    """
+    whole space where it is full."""
     lo, hi, wraps, full = bounds
-    shift = drift * np.arange(c0 + 1, c0 + len(lo) + 1) if drift else None
     low = lo.any()  # every state is >= 0, so lo = 0 needs no test
     wraps = wraps if wraps.any() else None
     full = full if full.any() else None
 
     def test(xs):
-        if shift is not None:
-            xs = (xs - shift) % 1.0
         hit = xs < hi
         if low:
             hit &= xs >= lo
@@ -400,6 +378,28 @@ def _hit_test(bounds, drift, c0):
         if full is not None:
             hit |= full
         return hit
+
+    return test
+
+
+def _fixed_hit_test(bounds, drift, c0):
+    """_hit_test in fixed point (_fixed), exact: step c0 + 1 + i's state X
+    hits when (X - L) mod 2**64 < W, L = _fixed(lo), W = _fixed(hi) - L.
+    W = 0 is empty, or the whole circle where a torus target wraps or a
+    line target covers [0, 1]; drift t adds k _fixed(t) to step k's L."""
+    lo, hi, wraps, full = bounds
+    low, width = (_fixed(lo) if lo.any() else np.uint64(0)), _fixed(hi)
+    width -= low
+    full = full | (wraps | (lo <= 0.0) & (hi >= 1.0)) & (width == 0)
+    if drift:
+        low += _fixed(drift) * np.arange(c0 + 1, c0 + len(lo) + 1,
+                                         dtype=np.uint64)
+    low = low if low.any() else None  # X - 0 needs no subtraction
+    full = full if full.any() else None
+
+    def test(xs):
+        hit = (xs if low is None else xs - low) < width
+        return hit if full is None else hit | full
 
     return test
 
@@ -497,36 +497,39 @@ def _loop_free_chunks(spec, n, gens, x, family, rows):
     """Chunks computed one trajectory's row at a time, with no loop over
     steps, each row's hit times taken while it is in cache.  Only a row's
     states differ: iid's are the marginal's inverse cdf at its uniforms;
-    circle-rw's are x_0 + j_k a mod 1 (circle_position), j_k the net +a
-    steps in int32 (|j| < 2**26): an octet's row of _OCTET_WALK plus the j
-    before it, a cumsum of the octets' last columns from the carried j.
-    Its chunks but the last are whole words, each from a fresh word.
-    """
+    circle-rw's are X_k = X_0 + j_k A mod 2**64 in fixed point (_fixed),
+    j_k the net +a steps: an octet's row of _OCTET_WALK A plus the X
+    before it, a cumsum of the octets' last columns from the carried X.
+    Its chunks but the last are whole words, each from a fresh word, and
+    it yields each chunk's last states rounded down to floats."""
     x0, x, dtype = x, np.empty(len(gens)), hit_dtype(n)
     circle = isinstance(spec, CircleRWProcess)
     if circle:
         rows = max(_WORD_BITS, rows - rows % _WORD_BITS) if rows < n else rows
-        j_end, xs = np.zeros(len(gens), dtype=np.int32), np.empty(rows)
-        j = np.empty((-(-rows // _WORD_BITS) * 8, 8), dtype=np.int32)
+        walk, ends = _OCTET_WALK * _fixed(spec.a), _fixed(x0)
+        xo = np.empty((-(-rows // _WORD_BITS) * 8, 8), dtype=np.uint64)
+        flat, starts = xo.reshape(-1), np.empty(len(xo), dtype=np.uint64)
     for lo, bounds in family.windows(n, rows):
         c0, m = lo - 1, len(bounds[0])
-        test = _hit_test(bounds, spec.drift if circle else 0.0, c0)
+        test = (_fixed_hit_test(bounds, spec.drift, c0) if circle
+                else _hit_test(bounds))
         times = []
         for t, g in enumerate(gens):
             if circle:
                 octets = _circle_octets(g, m)
-                jo = np.take(_OCTET_WALK, octets, axis=0, mode="clip",
-                             out=j[:len(octets)])  # clip: out unbuffered
-                jo[0] += j_end[t]
-                jo[1:] += np.cumsum(jo[:-1, -1], dtype=np.int32)[:, None]
-                jm = jo.reshape(-1)[:m]
-                j_end[t] = jm[-1]
-                xm = circle_position(spec.a, x0[t], jm, out=xs[:m])
+                # clip: out unbuffered; a flat add beats a broadcast one
+                walked = walk.take(octets, 0, xo[:len(octets)], "clip")
+                s = starts[:len(octets)]
+                s[0], s[1:] = ends[t], walked[:-1, -1]
+                flat[:walked.size] += s.cumsum(out=s).repeat(8)
+                xm = flat[:m]
+                ends[t] = xm[-1]
             else:
                 xm = spec._inverse(step_draws(spec, g, m)[:, 0])
+                x[t] = xm[-1]
             times.append(_hit_times(test(xm), c0, dtype))
-            x[t] = xm[-1]
         del bounds, test  # freed before the next window is built
+        x = (ends >> 11) * 2.0**-53 if circle else x
         yield x, (np.concatenate(times), list(map(len, times))), (0, False)
 
 
@@ -555,7 +558,7 @@ def _row_chunks(spec, n, gens, x, family, rows):
             U[:, :m, t:t + len(block)] = stage[:len(block), :m].T
         x = _advance_rows(spec, x, U[:, :m], keep)
         xs = U[-1, :m]
-        test = _hit_test(bounds, 0.0, c0)
+        test = _hit_test(bounds)
         hit = np.ascontiguousarray(test(xs.T))
         del bounds, test  # freed before the next window is built
         lengths = np.count_nonzero(hit, axis=1).tolist()
@@ -656,16 +659,13 @@ def _workers(spec, n, n_traj) -> int:
 def check_run(spec: ProcessSpec, family: IntervalFamily, n: int,
               n_traj: int):
     """Raise ValueError unless n_traj trajectories of spec can be simulated
-    exactly for n steps of family: spec.validate(), n >= 1, n_traj >= 1,
-    circle-rw's exact horizon (CIRCLE_MAX_STEPS) and the family's."""
+    exactly for n steps of family: spec.validate(), n >= 1, n_traj >= 1
+    and the family's horizon."""
     spec.validate()
     if n < 1:
         raise ValueError("n must be >= 1")
     if n_traj < 1:
         raise ValueError("need at least one trajectory (n_traj >= 1)")
-    if isinstance(spec, CircleRWProcess) and n > CIRCLE_MAX_STEPS:
-        raise ValueError(f"circle-rw positions are exact up to "
-                         f"{CIRCLE_MAX_STEPS} = 2**26 - 1 steps, not n = {n}")
     fh = family.horizon
     if fh is not None and fh < n:
         raise ValueError(f"family defined only up to {fh} < n = {n}")

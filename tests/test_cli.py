@@ -145,8 +145,9 @@ class TestSimulate:
         assert f"unknown fields ['{field}']" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    def test_circle_walk_beyond_exact_horizon_exit_4(self, tmp_path, capsys):
-        # a 1000-step family: without the guard its horizon check would fire
+    def test_circle_walk_has_no_step_horizon_of_its_own_exit_4(
+            self, tmp_path, capsys):
+        # 2**26 steps of a 1000-step family: only the family's horizon binds
         doc = {**HARMONIC_CFG, "process": {"variant": "circle-rw"},
                "n": 2**26, "family": {"template": "custom", "space": "torus",
                                       "intervals": [{"space": "torus", "lo": 0.0,
@@ -154,9 +155,9 @@ class TestSimulate:
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "r")]) == 4
-        assert "exact up to 67108863" in capsys.readouterr().err
+        assert ("family defined only up to 1000 < n = 67108864"
+                in capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
-
 
     @pytest.mark.parametrize("doc, error", [
         ({**HARMONIC_CFG, "n": 1000.7}, "config n must be a JSON integer"),
@@ -198,12 +199,19 @@ class TestSimulate:
           "measure": {"kind": "tabulated", "xs": [0.0, 1.0],
                       "Fs": [0.0, 0.25]}},
          "a cdf's Fs must run from 0 to 1"),
+        # circle-rw states are exact in units of 2**-64
+        ({**HARMONIC_CFG, "process": {"variant": "circle-rw", "a": 1e-5}},
+         "circle-rw a = 1e-05 is no multiple of 2**-64"),
+        ({**HARMONIC_CFG, "process": {"variant": "circle-rw",
+                                      "drift": 1e-20}},
+         "circle-rw drift = 1e-20 is no multiple of 2**-64"),
     ], ids=["n-float", "n-traj-string", "n-traj-bool", "seed-float",
             "checkpoint-float", "gamma-string", "dmr-a-bool", "dmr-a-nan",
             "dmr-a-huge",
             "sequence-start-float", "sequence-c-string",
             "lebesgue-support-three-numbers", "tabulated-cdf-above-one",
-            "tabulated-cdf-not-a-law"])
+            "tabulated-cdf-not-a-law", "circle-a-off-the-grid",
+            "circle-drift-off-the-grid"])
     def test_wrongly_typed_config_value_exit_4(self, tmp_path, capsys, doc,
                                                error):
         # nothing is truncated or converted: a bad value is a config error

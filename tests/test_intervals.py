@@ -313,6 +313,18 @@ class TestFamilies:
         want = [m.measure(fam.interval(k)) for k in range(1, 31)]
         assert np.allclose(got, want)
 
+    @pytest.mark.parametrize("make", [
+        lambda space: Interval(space, 0.0, 0.5),
+        lambda space: NestedLeftFamily(space=space,
+                                       radius=constant_seq(1.5)),
+        lambda space: CustomFamily(space=space, intervals=()),
+    ], ids=["interval", "nested-left", "custom"])
+    @pytest.mark.parametrize("space", ["Torus", "circle", None])
+    def test_unknown_space_is_refused_at_construction(self, make, space):
+        # a misspelt space was once read as the line
+        with pytest.raises(ValueError, match="unknown space"):
+            make(space)
+
     def test_custom_family_bounds_checked(self):
         fam = CustomFamily(intervals=(L(0.0, 1.0),))
         with pytest.raises(IndexError):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import concurrent.futures
 import hashlib
+import math
 import multiprocessing
 import os
 import re
@@ -22,11 +23,11 @@ from bclab.intervals import (
     CustomFamily,
     Interval,
     NestedLeftFamily,
+    NestedWindowFamily,
     TorusConsecutiveFamily,
 )
 from bclab.processes import (
     ARHalfProcess,
-    CIRCLE_MAX_STEPS,
     CircleRWProcess,
     DMRProcess,
     GOLDEN_CONJUGATE,
@@ -35,7 +36,7 @@ from bclab.processes import (
     LSVProcess,
     ProcessSpec,
     SplitChainProcess,
-    circle_position,
+    check_run,
     init_from_uniforms,
     init_uniform_count,
     lsv_calibration,
@@ -46,7 +47,8 @@ from bclab.processes import (
 from bclab.seqcore import (PowerLogSeq, constant_seq, from_json, log_grid,
                             power_seq, to_json)
 
-from scalar_reference import CircleState, lsv_map, process_step
+from scalar_reference import (UNITS, CircleState, lsv_map, process_step,
+                              replay, units)
 
 UNIT = NestedLeftFamily(radius=constant_seq(1.0))
 HALF = NestedLeftFamily(radius=constant_seq(0.5))
@@ -246,7 +248,7 @@ class TestSimulateHits:
         hits = []
         for k, draws in enumerate(step_draws(spec, gen, 300), start=1):
             x, _ = process_step(spec, x, draws)
-            if (x - 0.25 * k) % 1.0 < 0.5:
+            if (Fraction(x.units, UNITS) - Fraction(k, 4)) % 1 < 0.5:
                 hits.append(k)
         assert rec.hit_times.tolist() == hits
 
@@ -611,18 +613,11 @@ FULL_FIRST = NestedLeftFamily(radius=power_seq(1.5, 0.1), space=TORUS)
 
 
 def replay_hits(spec, family, n, seed, trajectory):
-    """Hit times of one trajectory stepped by process_step, each state
-    tested by Interval.contains in the drift frame."""
+    """Hit times of one trajectory from its stationary start, replayed by
+    the scalar reference."""
     gen = make_generator(seed, trajectory)
     x = init_from_uniforms(spec, gen.random(init_uniform_count(spec)))
-    drift = getattr(spec, "drift", 0.0)
-    hits = []
-    for k, (draws, iv) in enumerate(
-            zip(step_draws(spec, gen, n), family.targets(1, n)), start=1):
-        x, _ = process_step(spec, x, draws)
-        if iv.contains((x - drift * k) % 1.0 if drift else x):
-            hits.append(k)
-    return hits
+    return replay(spec, family, x, step_draws(spec, gen, n))
 
 
 class TestTargetRows:
@@ -704,24 +699,64 @@ class RawWords:
         return out
 
 
+def spy_rows(mp, keep=slice(None)):
+    """The fixed-point states of each row the circle kernel tests (their
+    `keep` slice), recorded as mp patches its hit test."""
+    rows, real = [], processes._fixed_hit_test
+
+    def spy(*args):
+        test = real(*args)
+
+        def tested(xs):
+            rows.append(xs[keep].copy())
+            return test(xs)
+
+        return tested
+
+    mp.setattr(processes, "_fixed_hit_test", spy)
+    return rows
+
+
+def exact_floats(lo, hi):
+    """Doubles in [lo, hi) that are whole multiples of 2**-64."""
+    return st.floats(lo, hi, exclude_max=True).filter(
+        lambda v: math.ldexp(v, 64).is_integer())
+
+
+# dyadic bounds, on which dyadic walks land exactly
+GRID = TorusConsecutiveFamily(b0=0.125, steps=constant_seq(0.375))
+LINE_WINDOW = NestedWindowFamily(left=constant_seq(0.125),
+                                 right=constant_seq(0.625))
+# line radii 1.5 k**-0.1 cover all of [0, 1) up to k = 57
+LINE_FULL_FIRST = NestedLeftFamily(radius=power_seq(1.5, 0.1))
+# bounds off the 2**-64 grid, between 0 and its next point: 0 lies in
+# [0, 1e-30) and not in [1e-30, 1/2)
+OFF_GRID = NestedWindowFamily(left=constant_seq(1e-30),
+                              right=constant_seq(0.5))
+BELOW_GRID = NestedLeftFamily(radius=constant_seq(1e-30))
+
+
 class TestCircleWalk:
-    @pytest.mark.parametrize("a", [0.31, GOLDEN_CONJUGATE], ids=["0.31", "golden"])
-    def test_closed_form_within_an_ulp(self, a):
-        rng = np.random.default_rng(8)
-        edge = CIRCLE_MAX_STEPS
-        js = np.concatenate((np.arange(-1000, 1001), [-10**6, 10**6],
-                             [-edge, -edge + 1, edge - 1, edge],
-                             rng.integers(-10**6, 10**6, 2000),
-                             rng.integers(-edge, edge + 1, 200)))
-        for x0 in (0.0, 0.3, float(rng.random()), 1.0 - 2.0**-53):
-            got = circle_position(a, x0, js.copy())
-            # the kernel's int32 walk: j H wraps, its low 27 bits do not
-            got32 = circle_position(a, x0, js.astype(np.int32))
-            assert got32.tobytes() == got.tobytes()
-            assert ((got >= 0.0) & (got < 1.0)).all()
-            for x, j in zip(got.tolist(), js.tolist()):
-                d = abs(Fraction(x) - (Fraction(x0) + j * Fraction(a)) % 1)
-                assert min(d, 1 - d) <= Fraction(2) ** -52, (x0, j)
+    @pytest.mark.parametrize("bit", [0, 1], ids=["up", "down"])
+    def test_positions_are_exact_past_2_26_net_steps(self, monkeypatch,
+                                                     bit):
+        # 2**20 + 2 words of one bit: the walk runs to j = +-(2**26 + 128),
+        # and each 2**16-step chunk's last position is the exact rational
+        spec, x0 = CircleRWProcess(a=GOLDEN_CONJUGATE), 0.3
+        n, step = 64 * (2**20 + 2), -1 if bit else 1
+        stream = RawWords(np.full(n // 64, -bit, dtype=np.int64))
+        ends = spy_rows(monkeypatch, keep=slice(-1, None))
+        rare = NestedLeftFamily(radius=constant_seq(2.0**-40))
+        for x, _, _ in processes._chunks(spec, n, [stream], np.array([x0]),
+                                         rare):
+            pass
+        steps = [min(c, n) for c in range(1 << 16, n + (1 << 16), 1 << 16)]
+        assert len(ends) == len(steps) and steps[-1] == 2**26 + 128
+        for end, c in zip(ends, steps):
+            exact = (Fraction(x0) + step * c * Fraction(spec.a)) % 1
+            assert Fraction(int(end[0]), UNITS) == exact, c
+        last = CircleState(x0, step * n, spec.a)
+        assert last.units == int(ends[-1][0]) and x[0] == last
 
     def test_scalar_state_carries_start_and_net_steps(self):
         spec = CircleRWProcess(a=0.31)
@@ -729,19 +764,67 @@ class TestCircleWalk:
         x, _ = process_step(spec, x, (1,))
         x, _ = process_step(spec, x, (0,))
         assert isinstance(x, CircleState) and (x.x0, x.j) == (0.25, 1)
-        assert x == circle_position(0.31, 0.25, np.array([1]))[0]
+        assert Fraction(x.units, UNITS) == Fraction(0.25) + Fraction(0.31)
+        assert x == math.ldexp(x.units >> 11, -53) <= 0.25 + 0.31
 
-    def test_horizon_guard(self):
+    def test_no_step_horizon(self):
+        # check_run, which runs nothing, accepts 2**26 steps; a short
+        # family's horizon still binds, and the scalar walk goes on
         spec = CircleRWProcess()
-        # a short family: without the guard its own horizon check would fire,
-        # before any 2**26-step bounds were built
+        assert check_run(spec, HALF, 2**26, n_traj=2) is None
         short = CustomFamily(intervals=(Interval.line(0, 1),) * 5)
-        with pytest.raises(ValueError, match=r"2\*\*26 - 1 steps"):
+        with pytest.raises(ValueError, match="family defined only up to 5"):
             simulate_ensemble(spec, short, 2**26, 0, n_traj=2)
-        edge = CircleState(0.5, 0.5, CIRCLE_MAX_STEPS)
-        assert process_step(spec, edge, (1,))[0].j == CIRCLE_MAX_STEPS - 1
-        with pytest.raises(ValueError, match=r"2\*\*26 - 1 net steps"):
-            process_step(spec, edge, (0,))
+        far = CircleState(0.5, 2**26, spec.a)
+        x, _ = process_step(spec, far, (0,))
+        assert x.j == 2**26 + 1
+        assert Fraction(x.units, UNITS) == (
+            Fraction(0.5) + (2**26 + 1) * Fraction(spec.a)) % 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("a", 1e-5), ("a", 2.0**-13 + 2.0**-65), ("drift", 2.0**-70)])
+    def test_a_and_drift_are_multiples_of_2_to_the_minus_64(self, field,
+                                                           value):
+        spec = CircleRWProcess(**{field: value})
+        with pytest.raises(ValueError, match=f"circle-rw {field} = "):
+            spec.validate()
+        CircleRWProcess(a=2.0**-64, drift=1 - 2.0**-53).validate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x0=st.one_of(st.sampled_from([0.0, 0.125, 1 - 2.0**-53]),
+                        exact_floats(0.0, 1.0)),
+           a=st.one_of(st.sampled_from([0.25, 0.375, 2.0**-60,
+                                        GOLDEN_CONJUGATE]),
+                       exact_floats(2.0**-64, 1.0)),
+           drift=st.one_of(st.sampled_from([0.0, 0.125, 0.75]),
+                           exact_floats(0.0, 1.0)),
+           family=st.sampled_from([WRAPPING, FULL_FIRST, GRID, LINE_WINDOW,
+                                   LINE_FULL_FIRST, HALF, OFF_GRID,
+                                   BELOW_GRID]),
+           rows=st.sampled_from([64, 128, 1 << 16]),
+           n=st.integers(1, 300), seed=st.integers(0, 2**32))
+    @example(x0=0.125, a=0.25, drift=0.125, family=GRID, rows=64, n=300,
+             seed=0)
+    @example(x0=0.125, a=0.375, drift=0.0, family=LINE_WINDOW, rows=128,
+             n=300, seed=1)
+    @example(x0=0.0, a=0.25, drift=0.0, family=OFF_GRID, rows=64, n=300,
+             seed=2)
+    @example(x0=0.0, a=0.25, drift=0.0, family=BELOW_GRID, rows=64, n=300,
+             seed=3)
+    def test_kernel_hits_equal_the_exact_replay(self, x0, a, drift, family,
+                                                rows, n, seed):
+        # states that land on a bound exactly, or between a bound off the
+        # 2**-64 grid and the grid point it rounds to, are where a test
+        # within an ulp could differ from the exact one
+        spec = CircleRWProcess(a=a, drift=drift)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(processes, "_MAX_ROWS", {"row-stepped": 5,
+                                                "loop-free": rows})
+            got = [h for _, (h, _), _ in processes._chunks(
+                spec, n, [make_generator(seed, 0)], np.array([x0]), family)]
+        want = replay(spec, family, x0,
+                      step_draws(spec, make_generator(seed, 0), n))
+        assert np.concatenate(got).tolist() == want
 
     def test_step_reads_one_bit_of_a_raw_word_lsb_first(self):
         bits = step_draws(CircleRWProcess(), make_generator(4, 0), 150)
@@ -755,29 +838,26 @@ class TestCircleWalk:
     @example(words=[0] * 5, m=300, rows=64)
     @example(words=[2**64 - 1] * 5, m=300, rows=64)
     @example(words=[2**63 + 1] * 5, m=13, rows=64)
-    def test_octet_walk_is_the_cumsum_of_the_steps(self, words, m, rows):
-        # the kernel's j over m steps cut in chunks of `rows` steps, so
-        # every chunk but the first starts from the j carried to it, and
-        # the last may end inside an octet
-        spec, walks = CircleRWProcess(a=0.37), []
-
-        def spy(a, x0, j, out=None):
-            walks.append(j.copy())
-            return circle_position(a, x0, j, out=out)
-
+    def test_octet_walk_is_the_exact_sum_of_the_steps(self, words, m, rows):
+        # the kernel's states over m steps cut in chunks of `rows` steps,
+        # so every chunk but the first starts from the state carried to
+        # it, and the last may end inside an octet
+        spec = CircleRWProcess(a=0.37)
         stream = RawWords(words)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(processes, "_MAX_ROWS", {"row-stepped": 5,
                                                 "loop-free": rows})
-            mp.setattr(processes, "circle_position", spy)
+            walks = spy_rows(mp)
             for _ in processes._chunks(spec, m, [stream], np.array([0.25]),
                                        HALF):
                 pass
-        bits = step_draws(spec, RawWords(words), m)[:, 0].astype(np.int32)
-        want = np.cumsum(1 - 2 * bits, dtype=np.int32)
+        want, x = [], units(0.25)
+        for bit in step_draws(spec, RawWords(words), m)[:, 0].tolist():
+            x = (x + (-1 if bit else 1) * units(0.37)) % UNITS
+            want.append(x)
         assert len(walks) == -(-m // rows)
-        assert all(w.dtype == np.int32 for w in walks)
-        assert np.concatenate(walks).tolist() == want.tolist()
+        assert all(w.dtype == np.uint64 for w in walks)
+        assert np.concatenate(walks).tolist() == want
         # the kernel read the ceil(m / 64) words step_draws reads, no more
         assert len(words) - len(stream.words) == -(-m // 64)
 
